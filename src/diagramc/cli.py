@@ -3,11 +3,14 @@
 Compiles each input file independently: parse, lower, then write the
 requested scene and SVG outputs.  A file with several figure or inline
 units numbers its outputs ``name.1.svg``, ``name.2.svg``, and so on; a
-single unit writes plain ``name.svg``.
+single unit writes plain ``name.svg``.  A file that fails, even by a
+fault in the compiler (reported as ``InternalError``), never stops the
+files after it.  Two inputs that would write the same path stop the run
+before anything is written.
 
 Exit status: 0 when everything compiled, 1 when any file failed with a
-diagnostic, 2 for invocation problems such as unreadable inputs or a bad
-metrics table.
+diagnostic, 2 for invocation problems such as unreadable inputs, a bad
+metrics table or colliding outputs.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 
-from .errors import DiagnosticError
+from .errors import INTERNAL_ERROR, OUTPUT_COLLISION, DiagnosticError
 from .lowering import Lowerer
 from .metrics import MetricsTable
 from .model import RenderConfig, Scene
@@ -25,6 +29,9 @@ from .scenefile import dump_scene
 from .svg import render
 
 METRICS_ENV = 'DIAGRAMC_METRICS'
+
+_EXTENSIONS = {'scene': ('scene.json',), 'svg': ('svg',),
+               'both': ('scene.json', 'svg')}
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -79,15 +86,55 @@ def _scan_glyphs(units: list[Scene], metrics: MetricsTable) -> list[str]:
     return sorted(unknown)
 
 
-def _output_paths(path: str, out_dir: str | None, count: int, ext: str
-                  ) -> list[str]:
+def _output_prefix(path: str, out_dir: str | None) -> str:
     stem = os.path.splitext(os.path.basename(path))[0]
     directory = out_dir if out_dir is not None else (
         os.path.dirname(path) or '.')
+    return os.path.join(directory, stem)
+
+
+def _output_paths(path: str, out_dir: str | None, count: int, ext: str
+                  ) -> list[str]:
+    prefix = _output_prefix(path, out_dir)
     if count == 1:
-        return [os.path.join(directory, '%s.%s' % (stem, ext))]
-    return [os.path.join(directory, '%s.%d.%s' % (stem, n + 1, ext))
-            for n in range(count)]
+        return ['%s.%s' % (prefix, ext)]
+    return ['%s.%d.%s' % (prefix, n + 1, ext) for n in range(count)]
+
+
+def _maybe_colliding(inputs: list[str], out_dir: str | None) -> list[int]:
+    """Indices of the inputs whose outputs might share a path.
+
+    An input writes ``P.ext`` or ``P.N.ext``, P being its output prefix,
+    so two inputs can only collide when their prefixes are equal or one
+    is the other plus ``.N``.  Only these need lowering before the first
+    write; the rest of the batch streams one file at a time.
+    """
+    prefixes = [os.path.abspath(_output_prefix(p, out_dir)) for p in inputs]
+    bases = []
+    for prefix in prefixes:
+        head, dot, tail = prefix.rpartition('.')
+        bases.append(head if dot and tail.isdigit() else None)
+    counts = Counter(prefixes)
+    extended = set(bases)
+    return [i for i, prefix in enumerate(prefixes)
+            if counts[prefix] > 1 or bases[i] in counts
+            or prefix in extended]
+
+
+def _collision(inputs: list[str], lowered: dict[int, tuple[int, list[Scene]]],
+               args: argparse.Namespace) -> tuple[str, str, str] | None:
+    """(first input, second input, path) for two inputs writing one path."""
+    owner: dict[str, str] = {}
+    for i, (status, units) in sorted(lowered.items()):
+        if status:
+            continue   # a failing input writes nothing
+        for ext in _EXTENSIONS[args.format]:
+            for out in _output_paths(inputs[i], args.out_dir, len(units), ext):
+                key = os.path.abspath(out)
+                if key in owner:
+                    return owner[key], inputs[i], out
+                owner[key] = inputs[i]
+    return None
 
 
 def _write(path: str, text: str) -> None:
@@ -95,45 +142,74 @@ def _write(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _compile_file(path: str, args: argparse.Namespace,
-                  metrics: MetricsTable, cfg: RenderConfig) -> int:
+def _failure(path: str, exc: Exception) -> int:
+    """Report why one input failed; return the exit status it earns."""
+    if isinstance(exc, DiagnosticError):
+        print(_diagnostic_line(exc, path), file=sys.stderr)
+        return 1
+    if isinstance(exc, OSError):
+        print('%s: error: %s' % (exc.filename or path, exc.strerror or exc),
+              file=sys.stderr)
+        return 2
+    if isinstance(exc, UnicodeDecodeError):
+        print('%s: error: %s' % (path, exc), file=sys.stderr)
+        return 2
+    # a fault in the compiler itself: name it and where it was raised,
+    # and let the rest of the batch go on
+    tb = exc.__traceback__
+    while tb is not None and tb.tb_next is not None:
+        tb = tb.tb_next
+    where = '' if tb is None else ' (raised at %s:%d in %s)' % (
+        os.path.basename(tb.tb_frame.f_code.co_filename), tb.tb_lineno,
+        tb.tb_frame.f_code.co_name)
+    print('%s: error: %s: %s: %s%s' % (path, INTERNAL_ERROR,
+                                       type(exc).__name__, exc, where),
+          file=sys.stderr)
+    return 1
+
+
+def _lower_file(path: str, args: argparse.Namespace, metrics: MetricsTable,
+                cfg: RenderConfig) -> tuple[int, list[Scene]]:
+    """Read, parse and lower one input: (exit status, its units)."""
     try:
         with open(path, encoding='utf-8') as handle:
             text = handle.read()
-    except OSError as exc:
-        print('%s: error: %s' % (path, exc.strerror or exc), file=sys.stderr)
-        return 2
-    try:
-        statements = parse_document(text, filename=path)
-        units = Lowerer(metrics, cfg).lower_document(statements)
-    except DiagnosticError as err:
-        print(_diagnostic_line(err, path), file=sys.stderr)
-        return 1
-    unknown = _scan_glyphs(units, metrics)
+        units = Lowerer(metrics, cfg).lower_document(
+            parse_document(text, filename=path))
+        unknown = _scan_glyphs(units, metrics)
+    except Exception as exc:   # one bad file never stops the batch
+        return _failure(path, exc), []
     if unknown:
         severity = 'error' if args.strict else 'warning'
         for glyph in unknown:
             print('%s: %s: no metrics for %r; using the fallback advance'
                   % (path, severity, glyph), file=sys.stderr)
         if args.strict:
-            return 1
+            return 1, []
+    return 0, units
+
+
+def _compile_file(path: str, units: list[Scene], args: argparse.Namespace,
+                  metrics: MetricsTable, cfg: RenderConfig) -> int:
+    """Render and write the outputs of one lowered input."""
     scenes = args.format in ('scene', 'both')
     svgs = args.format in ('svg', 'both')
     try:
+        # every SVG renders before the first write, so a layout error
+        # leaves no outputs behind
         rendered = [render(unit, metrics, cfg) for unit in units] if svgs else []
-    except DiagnosticError as err:
-        print(_diagnostic_line(err, path), file=sys.stderr)
-        return 1
-    if scenes:
-        for out, unit in zip(
-                _output_paths(path, args.out_dir, len(units), 'scene.json'),
-                units):
-            _write(out, dump_scene(unit))
-    if svgs:
-        for out, document in zip(
-                _output_paths(path, args.out_dir, len(units), 'svg'),
-                rendered):
-            _write(out, document)
+        if scenes:
+            for out, unit in zip(
+                    _output_paths(path, args.out_dir, len(units),
+                                  'scene.json'), units):
+                _write(out, dump_scene(unit))
+        if svgs:
+            for out, document in zip(
+                    _output_paths(path, args.out_dir, len(units), 'svg'),
+                    rendered):
+                _write(out, document)
+    except Exception as exc:   # one bad file never stops the batch
+        return _failure(path, exc)
     return 0
 
 
@@ -153,6 +229,15 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print('diagramc: error: %s' % exc, file=sys.stderr)
         return 2
+    inputs = args.inputs
+    # every output path is known before the first write
+    lowered = {i: _lower_file(inputs[i], args, metrics, cfg)
+               for i in _maybe_colliding(inputs, args.out_dir)}
+    clash = _collision(inputs, lowered, args)
+    if clash is not None:
+        print('diagramc: error: %s: %s and %s both write %s'
+              % ((OUTPUT_COLLISION,) + clash), file=sys.stderr)
+        return 2
     if args.out_dir is not None:
         try:
             os.makedirs(args.out_dir, exist_ok=True)
@@ -160,8 +245,12 @@ def main(argv: list[str] | None = None) -> int:
             print('diagramc: error: %s' % exc, file=sys.stderr)
             return 2
     status = 0
-    for path in args.inputs:
-        status = max(status, _compile_file(path, args, metrics, cfg))
+    for i, path in enumerate(inputs):
+        code, units = (lowered[i] if i in lowered
+                       else _lower_file(path, args, metrics, cfg))
+        if code == 0:
+            code = _compile_file(path, units, args, metrics, cfg)
+        status = max(status, code)
     return status
 
 

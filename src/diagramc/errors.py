@@ -18,6 +18,9 @@ BAD_DIRECTION = "BadDirection"
 NODES_OVERLAP = "NodesOverlap"
 MISPLACED_CONSTRUCTOR = "MisplacedConstructor"
 UNBALANCED_FIGURE = "UnbalancedFigure"
+# Reported by the CLI rather than raised.
+INTERNAL_ERROR = "InternalError"
+OUTPUT_COLLISION = "OutputCollision"
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Set
+from typing import Dict, Set
 
 from .model import DEFAULT_MARGIN, RenderConfig
 

@@ -1,16 +1,13 @@
 """Core scene model: logical-unit geometry, render configuration, scene instances."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Tuple
 
 # One logical unit is 0.01 em.  All constructor arithmetic stays in integer
 # logical units; conversion to points happens only at render time.
 UNIT_EM = 0.01
-DEFAULT_SPAN = 500
 DEFAULT_MARGIN = 150
-
-ANCHORS = ("center", "l", "r", "u", "d", "lu", "ld", "ru", "rd")
 
 
 @dataclass(frozen=True)

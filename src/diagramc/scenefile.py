@@ -8,7 +8,7 @@ integer logical units; nothing here depends on the render configuration.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring
 
 from .model import (
     ArrowInstance,
@@ -83,6 +83,101 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
+# ---- canonical text ----------------------------------------------------
+#
+# The bytes are those of json.dumps(scene_to_dict(scene), indent=2,
+# ensure_ascii=False) plus a newline, written without building the dict:
+# each record shape is one format string, each leaf one encoded scalar.
+
+_INF = float('inf')
+_STYLE_KEYS = 'tail shaft head mid parallel_offset_pt reversed'
+
+
+def _template(keys: str, depth: int) -> str:
+    """Format string of an object at nesting ``depth``, one %s per key."""
+    pad = '\n' + '  ' * (depth + 1)
+    body = ','.join('%s"%s": %%s' % (pad, key) for key in keys.split())
+    return '{%s\n%s}' % (body, '  ' * depth)
+
+
+_DOC = _template('nodes arrows inlines', 0) + '\n'
+_NODE = _template('pos text anchor phantom', 2)
+_ARROW = _template('from to style label label_rule source_extent '
+                   'target_extent loop_out loop_in', 2)
+_FRAGMENT = _template('kind end unit_scale tip_scale raise_pt arrows', 2)
+_PART = _template('style sup sub mid', 4)
+_POINT = _template('x y', 3)
+_ARROW_STYLE = _template(_STYLE_KEYS, 3)
+_PART_STYLE = _template(_STYLE_KEYS, 5)
+
+
+def _leaf(value) -> str:
+    """One scalar, written as json.dumps writes it."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return 'null'
+    if value is True:
+        return 'true'
+    if value is False:
+        return 'false'
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return 'NaN'
+        if value == _INF:
+            return 'Infinity'
+        if value == -_INF:
+            return '-Infinity'
+        return float.__repr__(value)
+    raise TypeError('Object of type %s is not JSON serializable'
+                    % type(value).__name__)
+
+
+def _list(items: list[str], depth: int) -> str:
+    if not items:
+        return '[]'
+    pad = '\n' + '  ' * (depth + 1)
+    return '[%s%s\n%s]' % (pad, (',' + pad).join(items), '  ' * depth)
+
+
+def _point_text(p: LogicalPoint) -> str:
+    return _POINT % (_leaf(p.x), _leaf(p.y))
+
+
+def _style_text(style: ArrowStyle, template: str) -> str:
+    return template % (
+        _leaf(style.tail), _leaf(style.shaft), _leaf(style.head),
+        _leaf(style.mid), _leaf(style.parallel_offset_pt),
+        _leaf(style.reversed))
+
+
+def _node_text(node: NodeInstance) -> str:
+    return _NODE % (_point_text(node.pos), _leaf(node.text),
+                    _leaf(node.anchor), _leaf(node.phantom))
+
+
+def _arrow_text(arrow: ArrowInstance) -> str:
+    return _ARROW % (
+        _point_text(arrow.src), _point_text(arrow.dst),
+        _style_text(arrow.style, _ARROW_STYLE), _leaf(arrow.label),
+        _leaf(arrow.label_rule), _leaf(arrow.src_text),
+        _leaf(arrow.dst_text), _leaf(arrow.loop_out), _leaf(arrow.loop_in))
+
+
+def _fragment_text(fragment: InlineFragment) -> str:
+    parts = [_PART % (_style_text(part.style, _PART_STYLE), _leaf(part.sup),
+                      _leaf(part.sub), _leaf(part.mid))
+             for part in fragment.parts]
+    return _FRAGMENT % (
+        _leaf(fragment.kind), _point_text(fragment.end),
+        _leaf(fragment.unit_scale), _leaf(fragment.tip_scale),
+        _leaf(fragment.raise_pt), _list(parts, 3))
+
+
 def dump_scene(scene: Scene) -> str:
     """Serialize one scene unit to its canonical JSON text."""
-    return json.dumps(scene_to_dict(scene), indent=2, ensure_ascii=False) + '\n'
+    return _DOC % (_list([_node_text(n) for n in scene.nodes], 1),
+                   _list([_arrow_text(a) for a in scene.arrows], 1),
+                   _list([_fragment_text(f) for f in scene.inlines], 1))

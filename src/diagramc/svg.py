@@ -7,14 +7,18 @@ output is reproducible byte for byte.
 
 Layout hands over y-up coordinates; the flip to SVG's y-down happens at
 the last moment, inside the writers.
+
+The document is assembled as text, one element a line, two spaces of
+indentation a level; a group or text element without content closes
+itself.  These are the bytes ElementTree's ``indent`` and ``tostring``
+gave for the same tree, and ``tests/golden/`` pins them.
 """
 
 from __future__ import annotations
 
 import math
-import xml.etree.ElementTree as ET
 
-from .layout import Label, NodeBox, ResolvedArrow, ResolvedScene, resolve_scene
+from .layout import Label, ResolvedArrow, ResolvedScene, resolve_scene
 from .metrics import MetricsTable
 from .model import RenderConfig, Scene
 
@@ -32,6 +36,8 @@ _FONT = "Georgia, 'Times New Roman', serif"
 
 _DASH = {'dashed': '4 2', 'dotted': '1 2'}
 
+_XML_DECL = '<?xml version="1.0" encoding="UTF-8"?>\n'
+
 Point = tuple[float, float]
 
 
@@ -39,6 +45,10 @@ def _fmt(v: float) -> str:
     text = '%.3f' % v
     text = text.rstrip('0').rstrip('.')
     return '0' if text in ('-0', '') else text
+
+
+# paint of every stroked line and path
+_STROKED = ' stroke="#000" stroke-width="%s" fill="none"' % _fmt(_STROKE)
 
 
 def _unit(a: Point, b: Point) -> Point:
@@ -51,54 +61,73 @@ def _at(p: Point, u: Point, t: float) -> Point:
     return (p[0] + u[0] * t, p[1] + u[1] * t)
 
 
-def _stroke_attrs(extra: dict | None = None) -> dict:
-    attrs = {'stroke': '#000', 'stroke-width': _fmt(_STROKE), 'fill': 'none'}
-    if extra:
-        attrs.update(extra)
-    return attrs
+def _dash(dash: str | None) -> str:
+    return ' stroke-dasharray="%s"' % dash if dash else ''
+
+
+def _escape(text: str) -> str:
+    """Character data escaped as ElementTree escapes it."""
+    if '&' in text:
+        text = text.replace('&', '&amp;')
+    if '<' in text:
+        text = text.replace('<', '&lt;')
+    if '>' in text:
+        text = text.replace('>', '&gt;')
+    return text
+
+
+def _group(cls: str, children: list[str], pad: str, child_pad: str) -> str:
+    """One ``<g>`` at indent ``pad``, each child on its own line.
+
+    ``child_pad`` goes in front of every child; it is empty when the
+    children are groups that carry their own indentation.
+    """
+    if not children:
+        return '%s<g class="%s" />' % (pad, cls)
+    sep = '\n' + child_pad
+    return '%s<g class="%s">%s%s\n%s</g>' % (pad, cls, sep, sep.join(children),
+                                            pad)
 
 
 class _Writer:
-    """Accumulates elements for one unit, flipping y on the way in."""
+    """Accumulates element lines for one unit, flipping y on the way in.
+
+    Each method appends one element, unindented, to ``parent``; the
+    group around it supplies the indentation.
+    """
 
     def __init__(self, metrics: MetricsTable, cfg: RenderConfig):
         self.metrics = metrics
         self.cfg = cfg
-        self.root = ET.Element('svg')
-        self.arrows = ET.SubElement(self.root, 'g', {'class': 'arrows'})
-        self.nodes = ET.SubElement(self.root, 'g', {'class': 'nodes'})
+        self.arrows: list[str] = []   # finished <g class="arrow"> blocks
+        self.nodes: list[str] = []    # node <text> elements
 
-    def line(self, parent, cls: str, a: Point, b: Point,
+    def line(self, parent: list[str], cls: str, a: Point, b: Point,
              dash: str | None = None) -> None:
-        attrs = {'class': cls}
-        attrs.update({'x1': _fmt(a[0]), 'y1': _fmt(-a[1]),
-                      'x2': _fmt(b[0]), 'y2': _fmt(-b[1])})
-        attrs.update(_stroke_attrs())
-        if dash:
-            attrs['stroke-dasharray'] = dash
-        ET.SubElement(parent, 'line', attrs)
+        parent.append('<line class="%s" x1="%s" y1="%s" x2="%s" y2="%s"%s%s />'
+                      % (cls, _fmt(a[0]), _fmt(-a[1]), _fmt(b[0]),
+                         _fmt(-b[1]), _STROKED, _dash(dash)))
 
-    def path(self, parent, cls: str, d: str, filled: bool = False,
+    def path(self, parent: list[str], cls: str, d: str, filled: bool = False,
              dash: str | None = None) -> None:
-        attrs = {'class': cls, 'd': d}
-        if filled:
-            attrs['fill'] = '#000'
-        else:
-            attrs.update(_stroke_attrs())
-            if dash:
-                attrs['stroke-dasharray'] = dash
-        ET.SubElement(parent, 'path', attrs)
+        paint = ' fill="#000"' if filled else _STROKED + _dash(dash)
+        parent.append('<path class="%s" d="%s"%s />' % (cls, d, paint))
 
-    def move_line(self, a: Point, b: Point) -> str:
-        return 'M %s %s L %s %s' % (_fmt(a[0]), _fmt(-a[1]),
-                                    _fmt(b[0]), _fmt(-b[1]))
+    def rect(self, parent: list[str], cls: str,
+             box: tuple[float, float, float, float], fill: str) -> None:
+        min_x, min_y, max_x, max_y = box
+        parent.append(
+            '<rect class="%s" x="%s" y="%s" width="%s" height="%s" '
+            'fill="%s" />' % (cls, _fmt(min_x), _fmt(-max_y),
+                              _fmt(max_x - min_x), _fmt(max_y - min_y), fill))
 
-    def text(self, parent, cls: str, x: float, baseline_y: float,
+    def text(self, parent: list[str], cls: str, x: float, baseline_y: float,
              content: str, size: float) -> None:
-        el = ET.SubElement(parent, 'text', {
-            'class': cls, 'x': _fmt(x), 'y': _fmt(-baseline_y),
-            'text-anchor': 'middle', 'font-size': _fmt(size)})
-        el.text = content
+        tag = ('<text class="%s" x="%s" y="%s" text-anchor="middle" '
+               'font-size="%s"' % (cls, _fmt(x), _fmt(-baseline_y),
+                                   _fmt(size)))
+        parent.append('%s>%s</text>' % (tag, _escape(content)) if content
+                      else tag + ' />')
 
 
 def render(scene: Scene, metrics: MetricsTable | None = None,
@@ -120,14 +149,14 @@ def render_resolved(resolved: ResolvedScene, metrics: MetricsTable,
         if box.text and not box.phantom:
             w.text(w.nodes, 'node', box.text_x, box.baseline_y, box.text,
                    cfg.em_pt)
-    _set_frame(w.root, _bounds(resolved))
-    ET.indent(w.root, space='  ')
-    return ('<?xml version="1.0" encoding="UTF-8"?>\n'
-            + ET.tostring(w.root, encoding='unicode') + '\n')
+    return '%s%s\n%s\n%s\n</svg>\n' % (
+        _XML_DECL, _frame(_bounds(resolved)),
+        _group('arrows', w.arrows, '  ', ''),
+        _group('nodes', w.nodes, '  ', '    '))
 
 
-def _set_frame(root: ET.Element,
-               bounds: tuple[float, float, float, float] | None) -> None:
+def _frame(bounds: tuple[float, float, float, float] | None) -> str:
+    """The opening ``<svg>`` tag sized to the drawing."""
     if bounds is None:
         min_x, min_y, max_x, max_y = 0.0, -10.0, 10.0, 0.0
     else:
@@ -139,17 +168,11 @@ def _set_frame(root: ET.Element,
     width = max_x - min_x
     height = max_y - min_y
     # y flips: the top of the viewBox is the largest y-up coordinate
-    attrs = {
-        'xmlns': 'http://www.w3.org/2000/svg',
-        'version': '1.1',
-        'viewBox': '%s %s %s %s' % (_fmt(min_x), _fmt(-max_y),
-                                    _fmt(width), _fmt(height)),
-        'width': _fmt(width) + 'pt',
-        'height': _fmt(height) + 'pt',
-        'font-family': _FONT,
-    }
-    for key, value in attrs.items():
-        root.set(key, value)
+    return ('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            'viewBox="%s %s %s %s" width="%spt" height="%spt" '
+            'font-family="%s">' % (_fmt(min_x), _fmt(-max_y), _fmt(width),
+                                   _fmt(height), _fmt(width), _fmt(height),
+                                   _FONT))
 
 
 def _bounds(resolved: ResolvedScene
@@ -181,7 +204,7 @@ def _bounds(resolved: ResolvedScene
 
 
 def _emit_arrow(w: _Writer, arrow: ResolvedArrow) -> None:
-    g = ET.SubElement(w.arrows, 'g', {'class': 'arrow'})
+    g: list[str] = []
     style = arrow.style
     start, end = arrow.start, arrow.end
     if arrow.is_loop:
@@ -215,9 +238,10 @@ def _emit_arrow(w: _Writer, arrow: ResolvedArrow) -> None:
         _emit_mid(w, g, style.mid, start, end, u_start)
     for label in arrow.labels:
         _emit_label(w, g, label)
+    w.arrows.append(_group('arrow', g, '    ', '      '))
 
 
-def _emit_shaft(w: _Writer, g, arrow: ResolvedArrow, shaft: str,
+def _emit_shaft(w: _Writer, g: list[str], arrow: ResolvedArrow, shaft: str,
                 a: Point, b: Point) -> None:
     if shaft == 'invisible':
         return
@@ -251,7 +275,7 @@ def _chevron(p: Point, out: Point, scale: float) -> str:
         _fmt(notch[0]), _fmt(-notch[1]), _fmt(b2[0]), _fmt(-b2[1]))
 
 
-def _emit_head(w: _Writer, g, head: str, p: Point, out: Point,
+def _emit_head(w: _Writer, g: list[str], head: str, p: Point, out: Point,
                scale: float) -> None:
     w.path(g, 'head', _chevron(p, out, scale), filled=True)
     if head == 'double_head':
@@ -259,7 +283,7 @@ def _emit_head(w: _Writer, g, head: str, p: Point, out: Point,
                                    scale), filled=True)
 
 
-def _emit_tail(w: _Writer, g, tail: str, p: Point, inward: Point,
+def _emit_tail(w: _Writer, g: list[str], tail: str, p: Point, inward: Point,
                scale: float) -> None:
     nx, ny = -inward[1], inward[0]
     half = _TIP_HALF * scale
@@ -286,7 +310,7 @@ def _emit_tail(w: _Writer, g, tail: str, p: Point, inward: Point,
     w.path(g, 'tail', d)
 
 
-def _emit_mid(w: _Writer, g, mid: str, start: Point, end: Point,
+def _emit_mid(w: _Writer, g: list[str], mid: str, start: Point, end: Point,
               u: Point) -> None:
     cx = (start[0] + end[0]) / 2.0
     cy = (start[1] + end[1]) / 2.0
@@ -302,13 +326,9 @@ def _emit_mid(w: _Writer, g, mid: str, start: Point, end: Point,
         w.line(g, 'mid', (cx + vx, cy + vy), (cx - vx, cy - vy))
 
 
-def _emit_label(w: _Writer, g, label: Label) -> None:
+def _emit_label(w: _Writer, g: list[str], label: Label) -> None:
     if label.backing is not None:
-        min_x, min_y, max_x, max_y = label.backing
-        ET.SubElement(g, 'rect', {
-            'class': 'backing', 'x': _fmt(min_x), 'y': _fmt(-max_y),
-            'width': _fmt(max_x - min_x), 'height': _fmt(max_y - min_y),
-            'fill': '#fff'})
+        w.rect(g, 'backing', label.backing, '#fff')
     size = w.cfg.em_pt * w.cfg.label_scale
     ascent = w.metrics.ascent * size / 1000.0
     baseline = label.y + label.height / 2.0 - ascent

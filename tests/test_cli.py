@@ -201,3 +201,65 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert (tmp_path / 'dia.svg').exists()
+
+
+# ---- batches ---------------------------------------------------------------
+
+def test_internal_error_names_the_file_and_the_batch_goes_on(tmp_path, capsys):
+    # a span too large for a float used to end the run in a traceback
+    huge = write(tmp_path, 'huge.dxy',
+                 '\\bfig\\morphism<1%s,0>[A`B;f]\\efig\n' % ('0' * 400))
+    good = write(tmp_path, 'good.dxy', SQUARE)
+    out = tmp_path / 'out'
+    assert main(['-o', str(out), str(huge), str(good)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith('%s: error: InternalError: OverflowError:' % huge)
+    assert 'Traceback' not in err
+    assert sorted(p.name for p in out.iterdir()) == [
+        'good.scene.json', 'good.svg']
+
+
+def test_unreadable_encoding_exits_2_and_the_batch_goes_on(tmp_path, capsys):
+    latin = tmp_path / 'latin.dxy'
+    latin.write_bytes(b'\\bfig\\place(0,0)[\xe9]\\efig\n')
+    good = write(tmp_path, 'good.dxy', SQUARE)
+    assert main([str(latin), str(good)]) == 2
+    assert capsys.readouterr().err.startswith('%s: error: ' % latin)
+    assert (tmp_path / 'good.svg').exists()
+
+
+def test_inputs_writing_one_path_fail_before_any_write(tmp_path, capsys):
+    first = tmp_path / 'a' / 'x.dxy'
+    second = tmp_path / 'b' / 'x.dxy'
+    for path in (first, second):
+        path.parent.mkdir()
+        path.write_text(SQUARE, encoding='utf-8')
+    out = tmp_path / 'out'
+    assert main(['-o', str(out), str(first), str(second)]) == 2
+    err = capsys.readouterr().err
+    assert err == ('diagramc: error: OutputCollision: %s and %s both write '
+                   '%s\n' % (first, second, out / 'x.scene.json'))
+    assert not out.exists()
+
+
+def test_numbered_outputs_collide_with_a_dotted_stem(tmp_path, capsys):
+    two = write(tmp_path, 'x.dxy', SQUARE + SQUARE)    # x.1.svg, x.2.svg
+    dotted = write(tmp_path, 'x.1.dxy', SQUARE)        # x.1.svg
+    assert main(['--format', 'svg', str(two), str(dotted)]) == 2
+    assert 'OutputCollision' in capsys.readouterr().err
+    assert not (tmp_path / 'x.2.svg').exists()
+    # with one figure, x.dxy writes x.svg and nothing clashes
+    write(tmp_path, 'x.dxy', SQUARE)
+    assert main(['--format', 'svg', str(two), str(dotted)]) == 0
+    assert sorted(p.name for p in tmp_path.glob('*.svg')) == [
+        'x.1.svg', 'x.svg']
+
+
+def test_a_failing_input_claims_no_paths(tmp_path):
+    bad = tmp_path / 'a' / 'x.dxy'
+    bad.parent.mkdir()
+    bad.write_text('\\square[A;f]\n', encoding='utf-8')
+    good = write(tmp_path, 'x.dxy', SQUARE)
+    out = tmp_path / 'out'
+    assert main(['-o', str(out), str(bad), str(good)]) == 1
+    assert (out / 'x.svg').exists()

@@ -5,9 +5,14 @@ import re
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diagramc import compile_source, dump_scene, scene_to_dict
-from diagramc.model import Scene
+from diagramc import svg as svg_module
+from diagramc.metrics import MetricsTable
+from diagramc.model import (ArrowInstance, ArrowStyle, InlineArrowPart,
+                            InlineFragment, LogicalPoint, NodeInstance,
+                            RenderConfig, Scene)
 from diagramc.svg import render
 
 GOLDEN_SCENE = '''\
@@ -289,3 +294,147 @@ def test_svg_label_scale_sets_font_size():
     assert label.get('font-size') == '7'
     node = by_class(root, 'node')[0]
     assert node.get('font-size') == '10'
+
+
+# ---- string writers against the generic encoders ---------------------------
+
+XML_DECL = '<?xml version="1.0" encoding="UTF-8"?>\n'
+SVG_NS = ' xmlns="http://www.w3.org/2000/svg"'
+
+# quotes, backslash, controls (legal in XML or not), a line separator,
+# non-ASCII, markup, and the format-string sigil of the writers' templates
+TRICKY = '"\\\x00\x01\x1f\x7f\t\n\r αé→&<>%{} a'
+
+
+def xml_safe(text):
+    """True when an XML parser gives ``text`` back unchanged."""
+    return all(c in '\t\n' or c >= ' ' for c in text)
+
+
+def reference_json(scene):
+    return json.dumps(scene_to_dict(scene), indent=2,
+                      ensure_ascii=False) + '\n'
+
+
+def reference_svg(text):
+    """``text`` reparsed and written back by ElementTree, which the SVG
+    writer once used; equal bytes mean the same tree, the same escaping
+    and the same indentation."""
+    root = ET.fromstring(text[len(XML_DECL):].replace(SVG_NS, '', 1))
+    ET.indent(root, space='  ')
+    body = ET.tostring(root, encoding='unicode')
+    return XML_DECL + body.replace('<svg', '<svg' + SVG_NS, 1) + '\n'
+
+
+texts = st.text(alphabet=TRICKY, max_size=6)
+
+
+@st.composite
+def scenes(draw):
+    node_texts = draw(st.lists(texts, min_size=1, max_size=4))
+    # far apart, so no two boxes crowd one another
+    nodes = tuple(NodeInstance(LogicalPoint(3000 * i, 0), t)
+                  for i, t in enumerate(node_texts))
+    arrows = tuple(
+        ArrowInstance(a.pos, b.pos, ArrowStyle(), label=draw(texts),
+                      label_rule='a', src_text=a.text, dst_text=b.text)
+        for a, b in zip(nodes, nodes[1:]))
+    parts = tuple(InlineArrowPart(ArrowStyle(), draw(texts), draw(texts),
+                                  draw(texts))
+                  for _ in range(draw(st.integers(0, 2))))
+    inlines = (InlineFragment('to', LogicalPoint(300, 0), parts),) if parts \
+        else ()
+    return Scene(nodes, arrows, inlines)
+
+
+def svg_texts(root, cls):
+    return [el.text or '' for el in by_class(root, cls)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenes())
+def test_writers_match_generic_encoders_on_tricky_text(scene):
+    text = dump_scene(scene)
+    assert text == reference_json(scene)
+    assert json.loads(text) == scene_to_dict(scene)
+
+    document = render(scene)
+    nodes = [n.text for n in scene.nodes if n.text]
+    labels = [a.label for a in scene.arrows if a.label]
+    for fragment in scene.inlines:
+        for part in fragment.parts:
+            labels += [t for t in (part.sup, part.sub, part.mid) if t]
+    if all(xml_safe(t) for t in nodes + labels):
+        root = ET.fromstring(document)
+        assert svg_texts(root, 'node') == nodes
+        assert svg_texts(root, 'label') == labels
+        assert document == reference_svg(document)
+    else:
+        # XML 1.0 has no way to carry these characters; the writer passes
+        # them through, escaping only markup, as ElementTree did
+        for t in nodes + labels:
+            escaped = (t.replace('&', '&amp;').replace('<', '&lt;')
+                       .replace('>', '&gt;'))
+            assert '>%s</text>' % escaped in document
+
+
+def test_invisible_headless_unlabelled_arrow_is_an_empty_group():
+    a, b = LogicalPoint(0, 0), LogicalPoint(500, 0)
+    scene = Scene(
+        (NodeInstance(a, 'A'), NodeInstance(b, 'B')),
+        (ArrowInstance(a, b, ArrowStyle(shaft='invisible', head='none'),
+                       src_text='A', dst_text='B'),))
+    document = render(scene)
+    assert ('  <g class="arrows">\n    <g class="arrow" />\n  </g>\n'
+            in document)
+    assert document == reference_svg(document)
+
+
+def test_empty_groups_self_close():
+    assert render(Scene()) == (
+        XML_DECL + '<svg' + SVG_NS + ' version="1.1" viewBox="0 0 10 10" '
+        'width="10pt" height="10pt" font-family="Georgia, \'Times New '
+        'Roman\', serif">\n  <g class="arrows" />\n  <g class="nodes" />\n'
+        '</svg>\n')
+    scene = Scene((NodeInstance(LogicalPoint(0, 0), 'A', phantom=True),),
+                  (ArrowInstance(LogicalPoint(0, 0), LogicalPoint(500, 0),
+                                 ArrowStyle()),))
+    document = render(scene)
+    assert document.endswith('    </g>\n  </g>\n  <g class="nodes" />\n'
+                             '</svg>\n')
+    assert document == reference_svg(document)
+
+
+def test_empty_text_self_closes():
+    w = svg_module._Writer(MetricsTable.builtin(), RenderConfig())
+    parent = []
+    w.text(parent, 'label', 1.0, 2.0, '', 10.0)
+    w.text(parent, 'label', 1.0, 2.0, 'a<b', 10.0)
+    assert parent == [
+        '<text class="label" x="1" y="-2" text-anchor="middle" '
+        'font-size="10" />',
+        '<text class="label" x="1" y="-2" text-anchor="middle" '
+        'font-size="10">a&lt;b</text>']
+
+
+def test_empty_lists_are_written_bare():
+    assert dump_scene(Scene()) == (
+        '{\n  "nodes": [],\n  "arrows": [],\n  "inlines": []\n}\n')
+
+
+def test_inline_fragments_match_json_dumps():
+    scene = one_scene('\\three^f|m_g')
+    assert scene.inlines and scene.inlines[0].parts
+    assert dump_scene(scene) == reference_json(scene)
+    fragment = InlineFragment('to', LogicalPoint(300, 0), ())
+    assert dump_scene(Scene((), (), (fragment,))) == reference_json(
+        Scene((), (), (fragment,)))
+
+
+@pytest.mark.parametrize('value', [3, 2.5, -0.0, 1e300, float('inf'),
+                                   float('-inf'), float('nan'), True])
+def test_scalar_leaves_match_json_dumps(value):
+    style = ArrowStyle(parallel_offset_pt=value)
+    scene = Scene((), (ArrowInstance(LogicalPoint(0, 0), LogicalPoint(1, 0),
+                                     style),))
+    assert dump_scene(scene) == reference_json(scene)
