@@ -7,6 +7,7 @@ from dataclasses import replace
 
 from .errors import BAD_DIRECTION, UNSUPPORTED_ARROW_SPEC, DiagnosticError
 from .model import ArrowStyle
+from .parser import matching_brace
 
 _DIAG = math.sqrt(2.0) / 2.0
 
@@ -72,80 +73,58 @@ def parse_arrow_spec(spec: str, constructor: str | None = None) -> ArrowStyle:
 
     Raw specs (leading @) pass through the same directional grammar after
     unwrapping, so parse("@{s}") == parse("s") for every supported s.
+    Raw layers nest: layer k starts at 2k with "@{".  Once the innermost
+    name is looked up, each layer's suffixes apply from the innermost
+    layer outward.  Every position in a message counts from the start of
+    its own layer.
     """
-    if spec.startswith("@"):
-        return _parse_raw(spec, constructor)
-    return _lookup(spec, spec, 0, constructor)
-
-
-def _lookup(name: str, spec: str, pos: int, constructor: str | None) -> ArrowStyle:
+    depth = 0
+    while spec.startswith("@{", 2 * depth):
+        depth += 1
+    # ends[k]: where layer k stops, at the closing brace of layer k - 1;
+    # each closing brace is found by scanning on from the one inside it
+    ends = [len(spec)] + [-1] * depth
+    if depth:
+        ends[depth] = matching_brace(spec, 2 * depth - 1)
+        for k in range(depth - 1, 0, -1):
+            if ends[k + 1] < 0:
+                break
+            ends[k] = matching_brace(spec, ends[k + 1] + 1, 1)
+        if ends[1] < 0:
+            raise DiagnosticError(
+                UNSUPPORTED_ARROW_SPEC,
+                f"unbalanced braces in arrow spec {spec!r} at position 1",
+                constructor=constructor,
+            )
+    name = spec[2 * depth:ends[depth]]
+    if name.startswith("@"):
+        raise _unsupported(name, 1, constructor)
     if name in _FORWARD:
-        tail, shaft, head = _FORWARD[name]
-        return ArrowStyle(tail=tail, shaft=shaft, head=head)
-    if name in _REVERSED:
-        tail, shaft, head = _REVERSED[name]
-        return ArrowStyle(tail=tail, shaft=shaft, head=head, reversed=True)
-    raise DiagnosticError(
+        style = ArrowStyle(*_FORWARD[name])
+    elif name in _REVERSED:
+        style = ArrowStyle(*_REVERSED[name], reversed=True)
+    else:
+        layer = spec[2 * depth - 2:ends[depth - 1]] if depth else spec
+        raise _unsupported(layer, 2 if depth else 0, constructor)
+    for k in range(depth - 1, -1, -1):
+        start, end = 2 * k, ends[k]
+        pos = ends[k + 1] + 1
+        while pos < end:
+            match = _TICK_RE.match(spec, pos, end)
+            if match:
+                style = replace(style, mid="tick" if match.group(1) == "|" else "cross")
+            else:
+                match = _OFFSET_RE.match(spec, pos, end)
+                if not match:
+                    raise _unsupported(spec[start:end], pos - start, constructor)
+                style = replace(style, parallel_offset_pt=float(match.group(1)))
+            pos = match.end()
+    return style
+
+
+def _unsupported(spec: str, pos: int, constructor: str | None) -> DiagnosticError:
+    return DiagnosticError(
         UNSUPPORTED_ARROW_SPEC,
         f"unsupported arrow spec {spec!r} at position {pos}",
         constructor=constructor,
     )
-
-
-def _parse_raw(spec: str, constructor: str | None) -> ArrowStyle:
-    if len(spec) < 2 or spec[1] != "{":
-        raise DiagnosticError(
-            UNSUPPORTED_ARROW_SPEC,
-            f"unsupported arrow spec {spec!r} at position 1",
-            constructor=constructor,
-        )
-    close = _matching_brace(spec, 1)
-    if close < 0:
-        raise DiagnosticError(
-            UNSUPPORTED_ARROW_SPEC,
-            f"unbalanced braces in arrow spec {spec!r} at position 1",
-            constructor=constructor,
-        )
-    inner = spec[2:close]
-    style = parse_arrow_spec(inner, constructor) if inner.startswith("@") \
-        else _lookup(inner, spec, 2, constructor)
-
-    rest = spec[close + 1:]
-    pos = close + 1
-    while rest:
-        tick = _TICK_RE.match(rest)
-        if tick:
-            style = replace(style, mid="tick" if tick.group(1) == "|" else "cross")
-            pos += tick.end()
-            rest = rest[tick.end():]
-            continue
-        offset = _OFFSET_RE.match(rest)
-        if offset:
-            style = replace(style, parallel_offset_pt=float(offset.group(1)))
-            pos += offset.end()
-            rest = rest[offset.end():]
-            continue
-        raise DiagnosticError(
-            UNSUPPORTED_ARROW_SPEC,
-            f"unsupported arrow spec {spec!r} at position {pos}",
-            constructor=constructor,
-        )
-    return style
-
-
-def _matching_brace(s: str, open_at: int) -> int:
-    depth = 0
-    i = open_at
-    while i < len(s):
-        c = s[i]
-        if c == "\\":
-            i += 2
-            continue
-        if c == "{":
-            depth += 1
-        elif c == "}":
-            depth -= 1
-            if depth == 0:
-                return i
-        i += 1
-    return -1

@@ -5,8 +5,8 @@ requested scene and SVG outputs.  A file with several figure or inline
 units numbers its outputs ``name.1.svg``, ``name.2.svg``, and so on; a
 single unit writes plain ``name.svg``.  A file that fails, even by a
 fault in the compiler (reported as ``InternalError``), never stops the
-files after it.  Two inputs that would write the same path stop the run
-before anything is written.
+files after it.  Two inputs that would write the same path, or an output
+that would overwrite an input, stop the run before anything is written.
 
 Exit status: 0 when everything compiled, 1 when any file failed with a
 diagnostic, 2 for invocation problems such as unreadable inputs, a bad
@@ -101,29 +101,43 @@ def _output_paths(path: str, out_dir: str | None, count: int, ext: str
     return ['%s.%d.%s' % (prefix, n + 1, ext) for n in range(count)]
 
 
-def _maybe_colliding(inputs: list[str], out_dir: str | None) -> list[int]:
-    """Indices of the inputs whose outputs might share a path.
+def _numbered_base(prefix: str) -> str | None:
+    """``P`` for a prefix ``P.N``, else None."""
+    head, dot, tail = prefix.rpartition('.')
+    return head if dot and tail.isdigit() else None
+
+
+def _maybe_colliding(inputs: list[str], args: argparse.Namespace) -> list[int]:
+    """Indices of the inputs whose outputs might share a path or hit an input.
 
     An input writes ``P.ext`` or ``P.N.ext``, P being its output prefix,
     so two inputs can only collide when their prefixes are equal or one
-    is the other plus ``.N``.  Only these need lowering before the first
-    write; the rest of the batch streams one file at a time.
+    is the other plus ``.N``, and an input path ``Q.ext`` can only be
+    written by the prefix Q or the base of a Q that ends in ``.N``.
+    Only these need lowering before the first write; the rest of the
+    batch streams one file at a time.
     """
-    prefixes = [os.path.abspath(_output_prefix(p, out_dir)) for p in inputs]
-    bases = []
-    for prefix in prefixes:
-        head, dot, tail = prefix.rpartition('.')
-        bases.append(head if dot and tail.isdigit() else None)
+    prefixes = [os.path.abspath(_output_prefix(p, args.out_dir))
+                for p in inputs]
+    bases = [_numbered_base(prefix) for prefix in prefixes]
+    written = set()
+    for path in inputs:
+        path = os.path.abspath(path)
+        for ext in _EXTENSIONS[args.format]:
+            if path.endswith('.' + ext):
+                head = path[:-len(ext) - 1]
+                written |= {head, _numbered_base(head)}
     counts = Counter(prefixes)
     extended = set(bases)
     return [i for i, prefix in enumerate(prefixes)
             if counts[prefix] > 1 or bases[i] in counts
-            or prefix in extended]
+            or prefix in extended or prefix in written]
 
 
 def _collision(inputs: list[str], lowered: dict[int, tuple[int, list[Scene]]],
-               args: argparse.Namespace) -> tuple[str, str, str] | None:
-    """(first input, second input, path) for two inputs writing one path."""
+               args: argparse.Namespace) -> str | None:
+    """Why two inputs write one path, or an input gets overwritten."""
+    sources = {os.path.abspath(p): p for p in inputs}
     owner: dict[str, str] = {}
     for i, (status, units) in sorted(lowered.items()):
         if status:
@@ -131,8 +145,12 @@ def _collision(inputs: list[str], lowered: dict[int, tuple[int, list[Scene]]],
         for ext in _EXTENSIONS[args.format]:
             for out in _output_paths(inputs[i], args.out_dir, len(units), ext):
                 key = os.path.abspath(out)
+                if key in sources:
+                    return '%s would overwrite the input %s' % (
+                        inputs[i], sources[key])
                 if key in owner:
-                    return owner[key], inputs[i], out
+                    return '%s and %s both write %s' % (owner[key],
+                                                        inputs[i], out)
                 owner[key] = inputs[i]
     return None
 
@@ -232,11 +250,11 @@ def main(argv: list[str] | None = None) -> int:
     inputs = args.inputs
     # every output path is known before the first write
     lowered = {i: _lower_file(inputs[i], args, metrics, cfg)
-               for i in _maybe_colliding(inputs, args.out_dir)}
+               for i in _maybe_colliding(inputs, args)}
     clash = _collision(inputs, lowered, args)
     if clash is not None:
-        print('diagramc: error: %s: %s and %s both write %s'
-              % ((OUTPUT_COLLISION,) + clash), file=sys.stderr)
+        print('diagramc: error: %s: %s' % (OUTPUT_COLLISION, clash),
+              file=sys.stderr)
         return 2
     if args.out_dir is not None:
         try:

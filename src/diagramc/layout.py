@@ -13,9 +13,11 @@ from dataclasses import dataclass
 
 from .arrows import resolve_compass
 from .errors import NODES_OVERLAP, DiagnosticError
-from .lowering import LEFT, MID, NO_SIDE, resolve_label_side
 from .metrics import MetricsTable
 from .model import (
+    LEFT,
+    MID,
+    NO_SIDE,
     UNIT_EM,
     ArrowInstance,
     ArrowStyle,
@@ -23,6 +25,7 @@ from .model import (
     NodeInstance,
     RenderConfig,
     Scene,
+    resolve_label_side,
     to_physical,
 )
 

@@ -15,7 +15,7 @@ re-braced when handed down a macro chain.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from . import parser
 from .arrows import parse_arrow_spec, resolve_compass
@@ -31,7 +31,7 @@ from .errors import (
 )
 from .metrics import MetricsTable
 from .model import (
-    ORIGIN,
+    RULE_LETTERS,
     ArrowInstance,
     ArrowStyle,
     InlineArrowPart,
@@ -47,36 +47,9 @@ from .parser import Statement, strip_group
 __all__ = [
     'Lowerer',
     'lower_document',
-    'resolve_label_side',
     'tex_div',
     'twoar_end',
-    'LEFT', 'RIGHT', 'MID', 'NO_SIDE',
 ]
-
-LEFT = 'left'
-RIGHT = 'right'
-MID = 'mid'
-NO_SIDE = 'none'
-
-# the label side table: '^' in the source means left of the arrow's
-# direction of travel, '_' means right; which one a placement letter
-# picks depends on the sign of the span
-_RULE_LETTERS = frozenset('lrabm')
-
-
-def resolve_label_side(rule: str, dx: int, dy: int) -> str:
-    """Side of the (dx, dy) direction a label placement resolves to."""
-    if rule == 'l':
-        return LEFT if dy > 0 else RIGHT
-    if rule == 'r':
-        return LEFT if dy < 0 else RIGHT
-    if rule == 'a':
-        return LEFT if dx > 0 else RIGHT
-    if rule == 'b':
-        return LEFT if dx < 0 else RIGHT
-    if rule == 'm':
-        return MID
-    return NO_SIDE
 
 
 def tex_div(a: int, b: int) -> int:
@@ -101,6 +74,97 @@ def twoar_end(dx: int, dy: int) -> LogicalPoint:
 
 
 _OMIT = ArrowStyle(shaft='invisible', head='none')
+
+
+@dataclass(frozen=True)
+class _Walk:
+    """The lattice walk a shape constructor expands into.
+
+    ``nodes`` places each payload node at integer multiples of (dx, dy)
+    from the origin, in payload order.  ``rows`` lists what the drawing
+    emits in walk order, which is the order scene files list arrows in:
+
+    - an edge ``(slot, source, target)`` draws the slot's arrow between
+      two nodes;
+    - a grid border ``(bit, node, ux, uy)``, drawn when mask bit ``bit``
+      is set, joins the node and a blank '0' placed (ux * bx, uy * by)
+      away, (bx, by) being the grid's border reach.  A border reaching
+      left or up comes into the node and is stored forward, out of the
+      blank.
+    """
+
+    nodes: tuple[tuple[int, int], ...]
+    rows: tuple[tuple[int, ...], ...]
+    # an incoming border names the grid node before the blank in the 3x3
+    # walk, and after it in the 3x2 walk
+    node_first: bool = False
+
+    @property
+    def mask_bits(self) -> int:
+        return sum(len(row) == 4 for row in self.rows)
+
+    def at(self, origin: LogicalPoint, dx: int, dy: int) -> list[LogicalPoint]:
+        x, y = origin.x, origin.y
+        return [LogicalPoint(x + i * dx, y + j * dy) for i, j in self.nodes]
+
+
+# corners A top-left, B top-right, C bottom-left, D bottom-right; drawn
+# bottom, left, top, right
+_SQUARE = _Walk(((0, 1), (1, 1), (0, 0), (1, 0)),
+                ((3, 2, 3), (1, 0, 2), (0, 0, 1), (2, 1, 3)))
+
+_WALKS = {
+    (parser.MORPHISM, ''): _Walk(((0, 0), (1, 1)), ((0, 0, 1),)),
+    (parser.SQUARE, ''): _SQUARE,
+    (parser.DIAMOND, ''): _Walk(
+        ((1, 2), (0, 1), (2, 1), (1, 0)),
+        ((2, 1, 3), (3, 2, 3), (0, 0, 1), (1, 0, 2))),
+    (parser.TRIANGLE, 'p'): _Walk(
+        ((0, 1), (1, 1), (0, 0)), ((0, 0, 1), (1, 0, 2), (2, 1, 2))),
+    (parser.TRIANGLE, 'q'): _Walk(
+        ((0, 1), (1, 1), (1, 0)), ((0, 0, 1), (1, 0, 2), (2, 1, 2))),
+    (parser.TRIANGLE, 'd'): _Walk(
+        ((1, 1), (0, 0), (1, 0)), ((2, 1, 2), (0, 0, 1), (1, 0, 2))),
+    (parser.TRIANGLE, 'b'): _Walk(
+        ((0, 1), (0, 0), (1, 0)), ((2, 1, 2), (0, 0, 1), (1, 0, 2))),
+    (parser.TRIANGLE, 'A'): _Walk(
+        ((1, 1), (0, 0), (2, 0)), ((2, 1, 2), (0, 0, 1), (1, 0, 2))),
+    (parser.TRIANGLE, 'V'): _Walk(
+        ((0, 1), (2, 1), (1, 0)), ((1, 0, 2), (0, 0, 1), (2, 1, 2))),
+    (parser.TRIANGLE, 'C'): _Walk(
+        ((1, 2), (0, 1), (1, 0)), ((2, 1, 2), (0, 0, 1), (1, 0, 2))),
+    # the D walk hands slot 1 to the A->B edge and slot 0 to A->C,
+    # unlike its siblings
+    (parser.TRIANGLE, 'D'): _Walk(
+        ((0, 2), (1, 1), (0, 0)), ((2, 1, 2), (1, 0, 1), (0, 0, 2))),
+    (parser.TRIANGLE_PAIR, 'A'): _Walk(
+        ((1, 1), (0, 0), (1, 0), (2, 0)),
+        ((3, 1, 2), (4, 2, 3), (0, 0, 1), (1, 0, 2), (2, 0, 3))),
+    (parser.TRIANGLE_PAIR, 'V'): _Walk(
+        ((0, 1), (1, 1), (2, 1), (1, 0)),
+        ((0, 0, 1), (2, 0, 3), (1, 1, 2), (3, 1, 3), (4, 2, 3))),
+    (parser.TRIANGLE_PAIR, 'C'): _Walk(
+        ((0, 2), (-1, 1), (0, 1), (0, 0)),
+        ((4, 2, 3), (2, 1, 2), (3, 1, 3), (0, 0, 1), (1, 0, 2))),
+    (parser.TRIANGLE_PAIR, 'D'): _Walk(
+        ((0, 2), (0, 1), (1, 1), (0, 0)),
+        ((2, 1, 2), (3, 1, 3), (0, 0, 1), (1, 0, 2), (4, 2, 3))),
+    (parser.GRID_3X3, ''): _Walk(
+        ((0, 2), (1, 2), (2, 2), (0, 1), (1, 1), (2, 1), (0, 0), (1, 0),
+         (2, 0)),
+        ((5, 3, -1, 0), (5, 3, 4), (6, 4, 5), (6, 5, 1, 0),
+         (3, 0, -1, 0), (0, 0, 0, 1), (0, 0, 1), (2, 0, 3), (1, 1, 2),
+         (3, 1, 4), (1, 1, 0, 1), (4, 2, 5), (2, 2, 0, 1), (4, 2, 1, 0),
+         (7, 6, -1, 0), (9, 6, 0, -1), (10, 6, 7), (11, 7, 8),
+         (10, 7, 0, -1), (8, 8, 1, 0), (11, 8, 0, -1),
+         (7, 3, 6), (8, 4, 7), (9, 5, 8)),
+        node_first=True),
+    (parser.GRID_3X2, ''): _Walk(
+        ((0, 1), (1, 1), (2, 1), (0, 0), (1, 0), (2, 0)),
+        ((2, 3, -1, 0), (5, 3, 4), (6, 4, 5), (3, 5, 1, 0),
+         (0, 0, -1, 0), (0, 0, 1), (2, 0, 3), (1, 1, 2), (3, 1, 4),
+         (4, 2, 5), (1, 2, 1, 0))),
+}
 
 
 class _FigureBuilder:
@@ -186,36 +250,27 @@ class Lowerer:
 
     # ---- the single-arrow core ----------------------------------------
 
-    def _emit(self, fig: _FigureBuilder, x: int, y: int, letter: str,
-              spec: str, dx: int, dy: int, text_a: str, text_b: str,
-              label: str, src_phantom: bool = False,
-              dst_phantom: bool = False) -> None:
+    def _emit(self, fig: _FigureBuilder, src: LogicalPoint, dst: LogicalPoint,
+              letter: str, spec: str, text_a: str, text_b: str, label: str,
+              src_phantom: bool = False, dst_phantom: bool = False) -> None:
         """One morphism: two node objects and the arrow between them."""
         a = strip_group(text_a)
         b = strip_group(text_b)
-        src = LogicalPoint(x, y)
-        dst = LogicalPoint(x + dx, y + dy)
         fig.node(src, a, phantom=src_phantom)
         fig.node(dst, b, phantom=dst_phantom)
         style = parse_arrow_spec(strip_group(spec))
-        rule = letter if letter in _RULE_LETTERS else 'none'
+        rule = letter if letter in RULE_LETTERS else 'none'
         text = strip_group(label)
         if rule == 'none' or (rule == 'm' and self.metrics.text_advance(text) == 0):
             rule, text = 'none', ''
         if style == _OMIT and not text:
             return
-        if dx == 0 and dy == 0:
+        if src == dst:
             raise DiagnosticError(DEGENERATE_ARROW, 'zero-length arrow')
         fig.arrow(ArrowInstance(src, dst, style, text, rule,
                                 src_text=a, dst_text=b))
 
     # ---- plain constructors -------------------------------------------
-
-    def _morphism(self, fig: _FigureBuilder, stmt: Statement) -> None:
-        dx, dy = stmt.spans
-        self._emit(fig, stmt.origin.x, stmt.origin.y, stmt.placements,
-                   stmt.specs[0], dx, dy, stmt.nodes[0], stmt.nodes[1],
-                   stmt.labels[0])
 
     def _vect(self, fig: _FigureBuilder, stmt: Statement) -> None:
         style = parse_arrow_spec(strip_group(stmt.specs[0]))
@@ -245,9 +300,9 @@ class Lowerer:
                 raise DiagnosticError(
                     UNKNOWN_NODE, "node '%s' is not defined" % name)
         (src, src_text), (dst, dst_text) = (self.registry[n] for n in names)
-        self._emit(fig, src.x, src.y, stmt.placements, stmt.specs[0],
-                   dst.x - src.x, dst.y - src.y, src_text, dst_text,
-                   stmt.labels[0], src_phantom=True, dst_phantom=True)
+        self._emit(fig, src, dst, stmt.placements, stmt.specs[0], src_text,
+                   dst_text, stmt.labels[0], src_phantom=True,
+                   dst_phantom=True)
 
     def _loop(self, fig: _FigureBuilder, stmt: Statement) -> None:
         for direction in (stmt.loop_out, stmt.loop_in):
@@ -263,332 +318,120 @@ class Lowerer:
                                 loop_out=stmt.loop_out,
                                 loop_in=stmt.loop_in))
 
-    # ---- squares and their composites ---------------------------------
+    # ---- table walks --------------------------------------------------
 
-    def _square(self, fig: _FigureBuilder, stmt: Statement) -> None:
-        # corners: A top-left, B top-right, C bottom-left, D bottom-right;
-        # drawn bottom, left, top, right
-        x, y = stmt.origin.x, stmt.origin.y
-        dx, dy = stmt.spans
+    def _walk(self, fig: _FigureBuilder, stmt: Statement, walk: _Walk,
+              origin: LogicalPoint, dx: int, dy: int,
+              nodes: tuple[int, ...] | None = None,
+              slots: tuple[int | None, ...] | None = None) -> None:
+        """Draw ``walk`` from ``origin`` at pitch (dx, dy).
+
+        ``nodes`` picks the statement's node for each walk node, and
+        ``slots`` its slot for each walk slot, None dropping that edge;
+        both default to the identity.
+        """
+        bits = walk.mask_bits
+        if not 0 <= stmt.mask < 1 << bits:
+            raise DiagnosticError(
+                MASK_OUT_OF_RANGE,
+                'grid mask %d does not fit in %d bits' % (stmt.mask, bits))
+        texts = stmt.nodes if nodes is None else [stmt.nodes[i] for i in nodes]
+        at = walk.at(origin, dx, dy)
         p, s, l = stmt.placements, stmt.specs, stmt.labels
-        a, b, c, d = stmt.nodes
-        self._emit(fig, x, y, p[3], s[3], dx, 0, c, d, l[3])
-        self._emit(fig, x, y + dy, p[1], s[1], 0, -dy, a, c, l[1])
-        self._emit(fig, x, y + dy, p[0], s[0], dx, 0, a, b, l[0])
-        self._emit(fig, x + dx, y + dy, p[2], s[2], 0, -dy, b, d, l[2])
+        for row in walk.rows:
+            if len(row) == 3:
+                slot, a, b = row
+                if slots is not None:
+                    slot = slots[slot]
+                if slot is not None:
+                    self._emit(fig, at[a], at[b], p[slot], s[slot], texts[a],
+                               texts[b], l[slot])
+                continue
+            bit, k, ux, uy = row
+            if not stmt.mask >> bit & 1:
+                continue
+            # the 3x2 grid has a single, horizontal border reach
+            blank = at[k].shifted(ux * stmt.border[0], uy * stmt.border[-1])
+            if ux < 0 or uy > 0:
+                if walk.node_first:
+                    # dedupe_nodes drops the repeat _emit makes of it
+                    fig.node(at[k], strip_group(texts[k]))
+                self._emit(fig, blank, at[k], 'a', '>', '0', texts[k], '')
+            else:
+                self._emit(fig, at[k], blank, 'a', '>', texts[k], '0', '')
+
+    def _shape(self, fig: _FigureBuilder, stmt: Statement) -> None:
+        dx, dy = stmt.spans
+        self._walk(fig, stmt, _WALKS[stmt.constructor, stmt.kind],
+                   stmt.origin, dx, dy)
+
+    def _width(self, stmt: Statement, *edges: tuple[int, int, int]) -> int:
+        """Widest auto-spaced morphism of the (source, target, label)s."""
+        n, l = stmt.nodes, stmt.labels
+        return max(
+            self.metrics.morphism_width(
+                strip_group(n[i]), strip_group(n[j]), strip_group(l[k]),
+                self.config)
+            for i, j, k in edges)
 
     def _auto_square(self, fig: _FigureBuilder, stmt: Statement) -> None:
-        n, l = stmt.nodes, stmt.labels
-        width = max(
-            self.metrics.morphism_width(
-                strip_group(n[0]), strip_group(n[1]), strip_group(l[0]),
-                self.config),
-            self.metrics.morphism_width(
-                strip_group(n[2]), strip_group(n[3]), strip_group(l[3]),
-                self.config))
-        self._square(fig, replace(stmt, spans=(width, stmt.spans[0])))
-
-    def _sub_square(self, fig: _FigureBuilder, stmt: Statement,
-                    origin: tuple[int, int], spans: tuple[int, int],
-                    slots: tuple[int, int, int, int],
-                    shared: tuple[int, ...] = ()) -> None:
-        """One pane of a composite, wired to the parent's seven slots.
-
-        ``slots`` picks the parent placement/spec/label index for each
-        square slot; indexes listed in ``shared`` get an empty spec and
-        label instead, omitting the edge the neighboring pane already
-        drew.
-        """
-        pick = lambda seq, i, k: '' if k in shared else seq[i]
-        self._square(fig, Statement(
-            parser.SQUARE,
-            origin=LogicalPoint(*origin),
-            placements=''.join(stmt.placements[i] for i in slots),
-            specs=tuple(pick(stmt.specs, i, k) for k, i in enumerate(slots)),
-            spans=spans,
-            nodes=stmt.nodes,
-            labels=tuple(pick(stmt.labels, i, k) for k, i in enumerate(slots)),
-            loc=stmt.loc))
+        width = self._width(stmt, (0, 1, 0), (2, 3, 3))
+        self._walk(fig, stmt, _SQUARE, stmt.origin, width, stmt.spans[0])
 
     def _hsquares(self, fig: _FigureBuilder, stmt: Statement) -> None:
-        x, y = stmt.origin.x, stmt.origin.y
-        dx1, dx2, dy = stmt.spans
-        n = stmt.nodes
-        left = replace(stmt, nodes=(n[0], n[1], n[3], n[4]))
-        right = replace(stmt, nodes=(n[1], n[2], n[4], n[5]))
-        self._sub_square(fig, left, (x, y), (dx1, dy), (0, 2, 3, 5))
-        self._sub_square(fig, right, (x + dx1, y), (dx2, dy), (1, 3, 4, 6),
-                         shared=(1,))
-
-    def _h_auto_squares(self, fig: _FigureBuilder, stmt: Statement) -> None:
-        x, y = stmt.origin.x, stmt.origin.y
-        dy = stmt.spans[0]
-        n = [strip_group(t) for t in stmt.nodes]
-        l = [strip_group(t) for t in stmt.labels]
-        width = lambda i, j, k: self.metrics.morphism_width(
-            n[i], n[j], l[k], self.config)
-        left_w = max(width(0, 1, 0), width(3, 4, 5))
-        right_w = max(width(1, 2, 1), width(4, 5, 6))
-        left = replace(stmt, nodes=(stmt.nodes[0], stmt.nodes[1],
-                                    stmt.nodes[3], stmt.nodes[4]))
-        right = replace(stmt, nodes=(stmt.nodes[1], stmt.nodes[2],
-                                     stmt.nodes[4], stmt.nodes[5]))
-        self._sub_square(fig, left, (x, y), (left_w, dy), (0, 2, 3, 5))
-        self._sub_square(fig, right, (x + left_w, y), (right_w, dy),
-                         (1, 3, 4, 6), shared=(1,))
+        if stmt.constructor == parser.H_AUTO_SQUARES:
+            dy, = stmt.spans
+            left = self._width(stmt, (0, 1, 0), (3, 4, 5))
+            right = self._width(stmt, (1, 2, 1), (4, 5, 6))
+        else:
+            left, right, dy = stmt.spans
+        self._walk(fig, stmt, _SQUARE, stmt.origin, left, dy,
+                   (0, 1, 3, 4), (0, 2, 3, 5))
+        # the right pane's left edge is the left pane's right edge
+        self._walk(fig, stmt, _SQUARE, stmt.origin.shifted(left, 0), right,
+                   dy, (1, 2, 4, 5), (1, None, 4, 6))
 
     def _vsquares(self, fig: _FigureBuilder, stmt: Statement) -> None:
-        x, y = stmt.origin.x, stmt.origin.y
-        dx, dy_upper, dy_lower = stmt.spans
-        n = stmt.nodes
-        lower = replace(stmt, nodes=(n[2], n[3], n[4], n[5]))
-        upper = replace(stmt, nodes=(n[0], n[1], n[2], n[3]))
-        self._sub_square(fig, lower, (x, y), (dx, dy_lower), (3, 4, 5, 6),
-                         shared=(0,))
-        self._sub_square(fig, upper, (x, y + dy_lower), (dx, dy_upper),
-                         (0, 1, 2, 3))
-
-    def _v_auto_squares(self, fig: _FigureBuilder, stmt: Statement) -> None:
-        # the upper pane's height comes from the first span: an oddity,
-        # but a faithful one
-        x, y = stmt.origin.x, stmt.origin.y
-        height_upper, height_lower = stmt.spans
-        n = [strip_group(t) for t in stmt.nodes]
-        l = [strip_group(t) for t in stmt.labels]
-        width = max(
-            self.metrics.morphism_width(n[0], n[1], l[0], self.config),
-            self.metrics.morphism_width(n[2], n[3], l[3], self.config),
-            self.metrics.morphism_width(n[4], n[5], l[6], self.config))
-        lower = replace(stmt, nodes=(stmt.nodes[2], stmt.nodes[3],
-                                     stmt.nodes[4], stmt.nodes[5]))
-        upper = replace(stmt, nodes=(stmt.nodes[0], stmt.nodes[1],
-                                     stmt.nodes[2], stmt.nodes[3]))
-        self._sub_square(fig, lower, (x, y), (width, height_lower),
-                         (3, 4, 5, 6), shared=(0,))
-        self._sub_square(fig, upper, (x, y + height_lower),
-                         (width, height_upper), (0, 1, 2, 3))
-
-    # ---- diamonds and triangles ---------------------------------------
-
-    def _diamond(self, fig: _FigureBuilder, stmt: Statement) -> None:
-        x, y = stmt.origin.x, stmt.origin.y
-        dx, dy = stmt.spans
-        p, s, l = stmt.placements, stmt.specs, stmt.labels
-        a, b, c, d = stmt.nodes
-        self._emit(fig, x, y + dy, p[2], s[2], dx, -dy, b, d, l[2])
-        self._emit(fig, x + 2 * dx, y + dy, p[3], s[3], -dx, -dy, c, d, l[3])
-        self._emit(fig, x + dx, y + 2 * dy, p[0], s[0], -dx, -dy, a, b, l[0])
-        self._emit(fig, x + dx, y + 2 * dy, p[1], s[1], dx, -dy, a, c, l[1])
-
-    def _triangle(self, fig: _FigureBuilder, stmt: Statement) -> None:
-        x, y = stmt.origin.x, stmt.origin.y
-        dx, dy = stmt.spans
-        p, s, l = stmt.placements, stmt.specs, stmt.labels
-        a, b, c = stmt.nodes
-        emit = self._emit
-        kind = stmt.kind
-        if kind == 'p':
-            emit(fig, x, y + dy, p[0], s[0], dx, 0, a, b, l[0])
-            emit(fig, x, y + dy, p[1], s[1], 0, -dy, a, c, l[1])
-            emit(fig, x + dx, y + dy, p[2], s[2], -dx, -dy, b, c, l[2])
-        elif kind == 'q':
-            emit(fig, x, y + dy, p[0], s[0], dx, 0, a, b, l[0])
-            emit(fig, x, y + dy, p[1], s[1], dx, -dy, a, c, l[1])
-            emit(fig, x + dx, y + dy, p[2], s[2], 0, -dy, b, c, l[2])
-        elif kind == 'd':
-            emit(fig, x, y, p[2], s[2], dx, 0, b, c, l[2])
-            emit(fig, x + dx, y + dy, p[0], s[0], -dx, -dy, a, b, l[0])
-            emit(fig, x + dx, y + dy, p[1], s[1], 0, -dy, a, c, l[1])
-        elif kind == 'b':
-            emit(fig, x, y, p[2], s[2], dx, 0, b, c, l[2])
-            emit(fig, x, y + dy, p[0], s[0], 0, -dy, a, b, l[0])
-            emit(fig, x, y + dy, p[1], s[1], dx, -dy, a, c, l[1])
-        elif kind == 'A':
-            emit(fig, x, y, p[2], s[2], 2 * dx, 0, b, c, l[2])
-            emit(fig, x + dx, y + dy, p[0], s[0], -dx, -dy, a, b, l[0])
-            emit(fig, x + dx, y + dy, p[1], s[1], dx, -dy, a, c, l[1])
-        elif kind == 'V':
-            emit(fig, x, y + dy, p[1], s[1], dx, -dy, a, c, l[1])
-            emit(fig, x, y + dy, p[0], s[0], 2 * dx, 0, a, b, l[0])
-            emit(fig, x + 2 * dx, y + dy, p[2], s[2], -dx, -dy, b, c, l[2])
-        elif kind == 'C':
-            emit(fig, x, y + dy, p[2], s[2], dx, -dy, b, c, l[2])
-            emit(fig, x + dx, y + 2 * dy, p[0], s[0], -dx, -dy, a, b, l[0])
-            emit(fig, x + dx, y + 2 * dy, p[1], s[1], 0, -2 * dy, a, c, l[1])
+        if stmt.constructor == parser.V_AUTO_SQUARES:
+            # the upper pane's height comes from the first span: an
+            # oddity, but a faithful one
+            upper, lower = stmt.spans
+            width = self._width(stmt, (0, 1, 0), (2, 3, 3), (4, 5, 6))
         else:
-            # the D walk hands slot two to the A->B edge and slot one to
-            # A->C, unlike its siblings
-            emit(fig, x + dx, y + dy, p[2], s[2], -dx, -dy, b, c, l[2])
-            emit(fig, x, y + 2 * dy, p[1], s[1], dx, -dy, a, b, l[1])
-            emit(fig, x, y + 2 * dy, p[0], s[0], 0, -2 * dy, a, c, l[0])
-
-    def _triangle_pair(self, fig: _FigureBuilder, stmt: Statement) -> None:
-        x, y = stmt.origin.x, stmt.origin.y
-        dx, dy = stmt.spans
-        p, s, l = stmt.placements, stmt.specs, stmt.labels
-        a, b, c, d = stmt.nodes
-        emit = self._emit
-        kind = stmt.kind
-        if kind == 'A':
-            emit(fig, x, y, p[3], s[3], dx, 0, b, c, l[3])
-            emit(fig, x + dx, y, p[4], s[4], dx, 0, c, d, l[4])
-            emit(fig, x + dx, y + dy, p[0], s[0], -dx, -dy, a, b, l[0])
-            emit(fig, x + dx, y + dy, p[1], s[1], 0, -dy, a, c, l[1])
-            emit(fig, x + dx, y + dy, p[2], s[2], dx, -dy, a, d, l[2])
-        elif kind == 'V':
-            emit(fig, x, y + dy, p[0], s[0], dx, 0, a, b, l[0])
-            emit(fig, x, y + dy, p[2], s[2], dx, -dy, a, d, l[2])
-            emit(fig, x + dx, y + dy, p[1], s[1], dx, 0, b, c, l[1])
-            emit(fig, x + dx, y + dy, p[3], s[3], 0, -dy, b, d, l[3])
-            emit(fig, x + 2 * dx, y + dy, p[4], s[4], -dx, -dy, c, d, l[4])
-        elif kind == 'C':
-            emit(fig, x, y + dy, p[4], s[4], 0, -dy, c, d, l[4])
-            emit(fig, x - dx, y + dy, p[2], s[2], dx, 0, b, c, l[2])
-            emit(fig, x - dx, y + dy, p[3], s[3], dx, -dy, b, d, l[3])
-            emit(fig, x, y + 2 * dy, p[0], s[0], -dx, -dy, a, b, l[0])
-            emit(fig, x, y + 2 * dy, p[1], s[1], 0, -dy, a, c, l[1])
-        else:
-            emit(fig, x, y + dy, p[2], s[2], dx, 0, b, c, l[2])
-            emit(fig, x, y + dy, p[3], s[3], 0, -dy, b, d, l[3])
-            emit(fig, x, y + 2 * dy, p[0], s[0], 0, -dy, a, b, l[0])
-            emit(fig, x, y + 2 * dy, p[1], s[1], dx, -dy, a, c, l[1])
-            emit(fig, x + dx, y + dy, p[4], s[4], -dx, -dy, c, d, l[4])
+            width, upper, lower = stmt.spans
+        # the lower pane's top edge is the upper pane's bottom edge
+        self._walk(fig, stmt, _SQUARE, stmt.origin, width, lower,
+                   (2, 3, 4, 5), (None, 4, 5, 6))
+        self._walk(fig, stmt, _SQUARE, stmt.origin.shifted(0, lower), width,
+                   upper)
 
     # ---- pullback and cube --------------------------------------------
 
     def _pullback(self, fig: _FigureBuilder, stmt: Statement) -> None:
-        square = stmt.inner
-        self._square(fig, square)
-        x, y = square.origin.x, square.origin.y
+        square, tri = stmt.inner, stmt.trident
         dx, dy = square.spans
-        tri = stmt.trident
+        self._walk(fig, square, _SQUARE, square.origin, dx, dy)
+        corners = _SQUARE.at(square.origin, dx, dy)
         w, h = tri.spans
-        p, s, l = tri.placements, tri.specs, tri.labels
-        apex = tri.nodes[0]
-        ex, ey = x - w, y + dy + h
-        self._emit(fig, ex, ey, p[0], s[0], dx + w, -h, apex,
-                   square.nodes[1], l[0])
-        self._emit(fig, ex, ey, p[1], s[1], w, -h, apex,
-                   square.nodes[0], l[1])
-        self._emit(fig, ex, ey, p[2], s[2], w, -(dy + h), apex,
-                   square.nodes[2], l[2])
+        apex = corners[0].shifted(-w, h)
+        # the trident reaches B, A and C, in slot order
+        for slot, k in enumerate((1, 0, 2)):
+            self._emit(fig, apex, corners[k], tri.placements[slot],
+                       tri.specs[slot], tri.nodes[0], square.nodes[k],
+                       tri.labels[slot])
 
     def _cube(self, fig: _FigureBuilder, stmt: Statement) -> None:
-        self._square(fig, replace(stmt, constructor=parser.SQUARE,
-                                  inner=None, connector=None))
-        inner = stmt.inner
-        self._square(fig, inner)
-        conn = stmt.connector
-        corners = _square_corners(stmt)
-        inner_corners = _square_corners(inner)
+        inner, conn = stmt.inner, stmt.connector
+        self._walk(fig, stmt, _SQUARE, stmt.origin, *stmt.spans)
+        self._walk(fig, inner, _SQUARE, inner.origin, *inner.spans)
+        outer_at = _SQUARE.at(stmt.origin, *stmt.spans)
+        inner_at = _SQUARE.at(inner.origin, *inner.spans)
         # connectors run outer corner to inner corner: top-right first,
         # then top-left, bottom-left, bottom-right
-        for slot in (1, 0, 2, 3):
-            (ox, oy), otext = corners[slot]
-            (ix, iy), itext = inner_corners[slot]
-            self._emit(fig, ox, oy, conn.placements[slot], conn.specs[slot],
-                       ix - ox, iy - oy, otext, itext, conn.labels[slot],
-                       dst_phantom=True)
-
-    # ---- grids ----------------------------------------------------------
-
-    def _border(self, fig: _FigureBuilder, x: int, y: int, dx: int,
-                dy: int, src_text: str, dst_text: str) -> None:
-        """Forward border arrow between a grid node and a blank '0'."""
-        self._emit(fig, x, y, 'a', '>', dx, dy, src_text, dst_text, '')
-
-    def _border_in(self, fig: _FigureBuilder, x: int, y: int, dx: int,
-                   dy: int, text: str) -> None:
-        """Incoming border, drawn reversed in the walk.
-
-        The walk writes ``[node`0]`` with a ``<-`` spec; the scene stores
-        the normalized forward arrow out of the blank endpoint, keeping
-        the node emission order of the walk.
-        """
-        src = LogicalPoint(x, y)
-        blank = src.shifted(dx, dy)
-        fig.node(src, strip_group(text))
-        fig.node(blank, '0')
-        fig.arrow(ArrowInstance(blank, src, ArrowStyle(), '', 'a',
-                                src_text='0', dst_text=strip_group(text)))
-
-    def _grid3x3(self, fig: _FigureBuilder, stmt: Statement) -> None:
-        if not 0 <= stmt.mask < 4096:
-            raise DiagnosticError(
-                MASK_OUT_OF_RANGE,
-                'grid mask %d does not fit in 12 bits' % stmt.mask)
-        x, y = stmt.origin.x, stmt.origin.y
-        dx, dy = stmt.spans
-        bx, by = stmt.border
-        p, s, l = stmt.placements, stmt.specs, stmt.labels
-        a, b, c, d, e, f, g, h, i = stmt.nodes
-        bit = lambda k: stmt.mask >> k & 1
-        emit = self._emit
-        top, mid = y + 2 * dy, y + dy
-        if bit(5):
-            self._border_in(fig, x, mid, -bx, 0, d)
-        emit(fig, x, mid, p[5], s[5], dx, 0, d, e, l[5])
-        emit(fig, x + dx, mid, p[6], s[6], dx, 0, e, f, l[6])
-        if bit(6):
-            self._border(fig, x + 2 * dx, mid, bx, 0, f, '0')
-        if bit(3):
-            self._border_in(fig, x, top, -bx, 0, a)
-        if bit(0):
-            self._border_in(fig, x, top, 0, by, a)
-        emit(fig, x, top, p[0], s[0], dx, 0, a, b, l[0])
-        emit(fig, x, top, p[2], s[2], 0, -dy, a, d, l[2])
-        emit(fig, x + dx, top, p[1], s[1], dx, 0, b, c, l[1])
-        emit(fig, x + dx, top, p[3], s[3], 0, -dy, b, e, l[3])
-        if bit(1):
-            self._border_in(fig, x + dx, top, 0, by, b)
-        emit(fig, x + 2 * dx, top, p[4], s[4], 0, -dy, c, f, l[4])
-        if bit(2):
-            self._border_in(fig, x + 2 * dx, top, 0, by, c)
-        if bit(4):
-            self._border(fig, x + 2 * dx, top, bx, 0, c, '0')
-        if bit(7):
-            self._border_in(fig, x, y, -bx, 0, g)
-        if bit(9):
-            self._border(fig, x, y, 0, -by, g, '0')
-        emit(fig, x, y, p[10], s[10], dx, 0, g, h, l[10])
-        emit(fig, x + dx, y, p[11], s[11], dx, 0, h, i, l[11])
-        if bit(10):
-            self._border(fig, x + dx, y, 0, -by, h, '0')
-        if bit(8):
-            self._border(fig, x + 2 * dx, y, bx, 0, i, '0')
-        if bit(11):
-            self._border(fig, x + 2 * dx, y, 0, -by, i, '0')
-        emit(fig, x, mid, p[7], s[7], 0, -dy, d, g, l[7])
-        emit(fig, x + dx, mid, p[8], s[8], 0, -dy, e, h, l[8])
-        emit(fig, x + 2 * dx, mid, p[9], s[9], 0, -dy, f, i, l[9])
-
-    def _grid3x2(self, fig: _FigureBuilder, stmt: Statement) -> None:
-        if not 0 <= stmt.mask < 16:
-            raise DiagnosticError(
-                MASK_OUT_OF_RANGE,
-                'grid mask %d does not fit in 4 bits' % stmt.mask)
-        x, y = stmt.origin.x, stmt.origin.y
-        dx, dy = stmt.spans
-        bx = stmt.border[0]
-        p, s, l = stmt.placements, stmt.specs, stmt.labels
-        a, b, c, d, e, f = stmt.nodes
-        bit = lambda k: stmt.mask >> k & 1
-        emit = self._emit
-        if bit(2):
-            self._border(fig, x - bx, y, bx, 0, '0', d)
-        emit(fig, x, y, p[5], s[5], dx, 0, d, e, l[5])
-        emit(fig, x + dx, y, p[6], s[6], dx, 0, e, f, l[6])
-        if bit(3):
-            self._border(fig, x + 2 * dx, y, bx, 0, f, '0')
-        if bit(0):
-            self._border(fig, x - bx, y + dy, bx, 0, '0', a)
-        emit(fig, x, y + dy, p[0], s[0], dx, 0, a, b, l[0])
-        emit(fig, x, y + dy, p[2], s[2], 0, -dy, a, d, l[2])
-        emit(fig, x + dx, y + dy, p[1], s[1], dx, 0, b, c, l[1])
-        emit(fig, x + dx, y + dy, p[3], s[3], 0, -dy, b, e, l[3])
-        emit(fig, x + 2 * dx, y + dy, p[4], s[4], 0, -dy, c, f, l[4])
-        if bit(1):
-            self._border(fig, x + 2 * dx, y + dy, bx, 0, c, '0')
+        for k in (1, 0, 2, 3):
+            self._emit(fig, outer_at[k], inner_at[k], conn.placements[k],
+                       conn.specs[k], stmt.nodes[k], inner.nodes[k],
+                       conn.labels[k], dst_phantom=True)
 
     # ---- inline fragments -----------------------------------------------
 
@@ -641,35 +484,26 @@ class Lowerer:
         return InlineFragment(kind, LogicalPoint(length, 0), parts)
 
     _HANDLERS = {
-        parser.MORPHISM: _morphism,
+        parser.MORPHISM: _shape,
         parser.VECT: _vect,
-        parser.SQUARE: _square,
+        parser.SQUARE: _shape,
         parser.AUTO_SQUARE: _auto_square,
-        parser.DIAMOND: _diamond,
-        parser.TRIANGLE: _triangle,
-        parser.TRIANGLE_PAIR: _triangle_pair,
+        parser.DIAMOND: _shape,
+        parser.TRIANGLE: _shape,
+        parser.TRIANGLE_PAIR: _shape,
         parser.PULLBACK: _pullback,
         parser.H_SQUARES: _hsquares,
-        parser.H_AUTO_SQUARES: _h_auto_squares,
+        parser.H_AUTO_SQUARES: _hsquares,
         parser.V_SQUARES: _vsquares,
-        parser.V_AUTO_SQUARES: _v_auto_squares,
+        parser.V_AUTO_SQUARES: _vsquares,
         parser.CUBE: _cube,
-        parser.GRID_3X3: _grid3x3,
-        parser.GRID_3X2: _grid3x2,
+        parser.GRID_3X3: _shape,
+        parser.GRID_3X2: _shape,
         parser.PLACE: _place,
         parser.NODE: _node,
         parser.NAMED_ARROW: _named_arrow,
         parser.LOOP: _loop,
     }
-
-
-def _square_corners(stmt: Statement) -> list[tuple[tuple[int, int], str]]:
-    """Corner positions and texts in slot order TL, TR, BL, BR."""
-    x, y = stmt.origin.x, stmt.origin.y
-    dx, dy = stmt.spans
-    a, b, c, d = stmt.nodes
-    return [((x, y + dy), a), ((x + dx, y + dy), b), ((x, y), c),
-            ((x + dx, y), d)]
 
 
 def lower_document(statements: list[Statement],

@@ -83,6 +83,32 @@ class NodeInstance:
         return (self.pos, self.text, self.anchor)
 
 
+LEFT = "left"
+RIGHT = "right"
+MID = "mid"
+NO_SIDE = "none"
+
+# the label side table: '^' in the source means left of the arrow's
+# direction of travel, '_' means right; which one a placement letter
+# picks depends on the sign of the span
+RULE_LETTERS = frozenset("lrabm")
+
+
+def resolve_label_side(rule: str, dx: int, dy: int) -> str:
+    """Side of the (dx, dy) direction a label placement resolves to."""
+    if rule == "l":
+        return LEFT if dy > 0 else RIGHT
+    if rule == "r":
+        return LEFT if dy < 0 else RIGHT
+    if rule == "a":
+        return LEFT if dx > 0 else RIGHT
+    if rule == "b":
+        return LEFT if dx < 0 else RIGHT
+    if rule == "m":
+        return MID
+    return NO_SIDE
+
+
 @dataclass(frozen=True)
 class ArrowInstance:
     src: LogicalPoint

@@ -38,11 +38,13 @@ from .model import ORIGIN, LogicalPoint
 
 __all__ = [
     'Statement',
+    'matching_brace',
     'parse_document',
     'print_document',
     'print_statement',
     'strip_group',
     'split_fields',
+    'surface_keyword',
     'MORPHISM', 'VECT', 'SQUARE', 'AUTO_SQUARE', 'DIAMOND',
     'TRIANGLE', 'TRIANGLE_PAIR', 'PULLBACK', 'TRIDENT',
     'H_SQUARES', 'H_AUTO_SQUARES', 'V_SQUARES', 'V_AUTO_SQUARES',
@@ -114,12 +116,13 @@ class Statement:
     loc: SourceLoc | None = field(default=None, compare=False, repr=False)
 
 
-def strip_group(text: str) -> str:
-    """Remove one level of braces iff the text is exactly one group."""
-    if len(text) < 2 or text[0] != '{' or text[-1] != '}':
-        return text
-    depth = 0
-    i = 0
+def matching_brace(text: str, i: int, depth: int = 0) -> int:
+    """Index of the brace closing the one at ``text[i]``, or -1.
+
+    With ``depth`` groups already open, scanning from ``i`` finds the
+    brace that closes the outermost of them.  Braces nest, and a
+    backslash makes the next character literal.
+    """
     while i < len(text):
         ch = text[i]
         if ch == '\\':
@@ -130,42 +133,22 @@ def strip_group(text: str) -> str:
         elif ch == '}':
             depth -= 1
             if depth == 0:
-                return text[1:-1] if i == len(text) - 1 else text
+                return i
         i += 1
+    return -1
+
+
+def strip_group(text: str) -> str:
+    """Remove one level of braces iff the text is exactly one group."""
+    if text[:1] == '{' and matching_brace(text, 0) == len(text) - 1:
+        return text[1:-1]
     return text
 
 
 def split_fields(text: str, sep: str) -> list[str]:
     """Split on ``sep`` at brace depth zero, honoring backslash escapes."""
     fields: list[str] = []
-    current: list[str] = []
-    depth = 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == '\\' and i + 1 < len(text):
-            current.append(text[i:i + 2])
-            i += 2
-            continue
-        if ch == '{':
-            depth += 1
-        elif ch == '}':
-            depth -= 1
-        elif ch == sep and depth == 0:
-            fields.append(''.join(current))
-            current = []
-            i += 1
-            continue
-        current.append(ch)
-        i += 1
-    fields.append(''.join(current))
-    return fields
-
-
-def _split_payload(text: str) -> tuple[str, str] | None:
-    """Split at the first depth-zero ';', or None if there is none."""
-    depth = 0
-    i = 0
+    start = depth = i = 0
     while i < len(text):
         ch = text[i]
         if ch == '\\':
@@ -175,13 +158,17 @@ def _split_payload(text: str) -> tuple[str, str] | None:
             depth += 1
         elif ch == '}':
             depth -= 1
-        elif ch == ';' and depth == 0:
-            return text[:i], text[i + 1:]
+        elif ch == sep and depth == 0:
+            fields.append(text[start:i])
+            start = i + 1
         i += 1
-    return None
+    fields.append(text[start:])
+    return fields
 
 
 _INT_RE = re.compile(r'[+-]?[0-9]+\Z')
+# C0 controls other than tab, line feed and carriage return
+_CONTROL_RE = re.compile(r'[\x00-\x08\x0b\x0c\x0e-\x1f]')
 
 
 class _Scanner:
@@ -193,6 +180,16 @@ class _Scanner:
         self.pos = 0
         self.line = 1
         self.col = 1
+        # no emitter can write these: XML 1.0 forbids them outright
+        bad = _CONTROL_RE.search(self.text)
+        if bad:
+            before = self.text[:bad.start()]
+            raise DiagnosticError(
+                PARSE_ERROR,
+                'control character U+%04X is not allowed in source text'
+                % ord(bad.group()),
+                SourceLoc(filename, before.count('\n') + 1,
+                          len(before) - before.rfind('\n')))
 
     def loc(self) -> SourceLoc:
         return SourceLoc(self.filename, self.line, self.col)
@@ -316,44 +313,22 @@ class _Scanner:
 
 
 @dataclass(frozen=True)
-class _Shape:
-    """Argument plan for the table-driven constructors."""
+class _Plan:
+    """Argument plan of a shape: one default placement letter per slot.
 
-    constructor: str
-    kind: str
+    Each slot also takes one arrow spec and one label.  A grid's plan
+    has a default ``border`` reach, and its mask group is read between
+    the spans and the payload.
+    """
+
     placements: str
-    n_specs: int
     spans: tuple[int, ...]
     n_nodes: int
-    n_labels: int
+    border: tuple[int, ...] = ()
 
 
-_SHAPES = {
-    'morphism': _Shape(MORPHISM, '', 'a', 1, (500, 0), 2, 1),
-    'square': _Shape(SQUARE, '', 'alrb', 4, (500, 500), 4, 4),
-    'Square': _Shape(AUTO_SQUARE, '', 'alrb', 4, (500,), 4, 4),
-    'Diamond': _Shape(DIAMOND, '', 'lrlr', 4, (400, 400), 4, 4),
-    'ptriangle': _Shape(TRIANGLE, 'p', 'alr', 3, (500, 500), 3, 3),
-    'qtriangle': _Shape(TRIANGLE, 'q', 'alr', 3, (500, 500), 3, 3),
-    'dtriangle': _Shape(TRIANGLE, 'd', 'lrb', 3, (500, 500), 3, 3),
-    'btriangle': _Shape(TRIANGLE, 'b', 'lrb', 3, (500, 500), 3, 3),
-    'Atriangle': _Shape(TRIANGLE, 'A', 'lrb', 3, (500, 500), 3, 3),
-    'Vtriangle': _Shape(TRIANGLE, 'V', 'alb', 3, (500, 500), 3, 3),
-    'Ctriangle': _Shape(TRIANGLE, 'C', 'arb', 3, (500, 500), 3, 3),
-    'Dtriangle': _Shape(TRIANGLE, 'D', 'lab', 3, (500, 500), 3, 3),
-    'Atrianglepair': _Shape(TRIANGLE_PAIR, 'A', 'lmrbb', 5, (500, 500), 4, 5),
-    'Vtrianglepair': _Shape(TRIANGLE_PAIR, 'V', 'aalmr', 5, (500, 500), 4, 5),
-    'Ctrianglepair': _Shape(TRIANGLE_PAIR, 'C', 'lrmlr', 5, (500, 500), 4, 5),
-    'Dtrianglepair': _Shape(TRIANGLE_PAIR, 'D', 'lrmlr', 5, (500, 500), 4, 5),
-    'hsquares': _Shape(H_SQUARES, '', 'aalmrbb', 7, (500, 500, 500), 6, 7),
-    'hSquares': _Shape(H_AUTO_SQUARES, '', 'aalmrbb', 7, (500,), 6, 7),
-    'vsquares': _Shape(V_SQUARES, '', 'aalmrbb', 7, (500, 500, 500), 6, 7),
-    'vSquares': _Shape(V_AUTO_SQUARES, '', 'alrmlrb', 7, (500, 500), 6, 7),
-}
-
-_TRIDENT_SHAPE = _Shape(TRIDENT, '', 'amb', 3, (500, 500), 1, 3)
-_CUBE_OUTER = _Shape(CUBE, '', 'alrb', 4, (1500, 1500), 4, 4)
-_CUBE_INNER = _Shape(SQUARE, '', 'alrb', 4, (500, 500), 4, 4)
+_SQUARE_PLAN = _Plan('alrb', (500, 500), 4)
+_TRIDENT_PLAN = _Plan('amb', (500, 500), 1)
 
 _INLINE_SPECS = {'to': 1, 'two': 2, 'three': 3}
 _INLINE_PRESETS = {
@@ -364,7 +339,6 @@ _INLINE_PRESETS = {
     'epileft': ('<<-',),
 }
 
-_GRID_BORDER_DEFAULT = {GRID_3X3: (400, 400), GRID_3X2: (400,)}
 _ANCHOR_LETTERS = frozenset('lrud')
 
 
@@ -403,36 +377,18 @@ class _Parser:
             raise err.with_context(loc, keyword) from None
 
     def _dispatch(self, keyword: str, loc: SourceLoc) -> Statement:
-        if keyword in _SHAPES:
-            return self._shape(_SHAPES[keyword], loc)
-        if keyword in _INLINE_SPECS or keyword in _INLINE_PRESETS:
-            return self._inline(keyword, loc)
-        method = {
-            'vect': self._vect,
-            'pullback': self._pullback,
-            'cube': self._cube,
-            'iiixiii': self._grid,
-            'iiixii': self._grid,
-            'place': self._place,
-            'node': self._node,
-            'arrow': self._arrow,
-            'Loop': self._loop,
-            'iloop': self._loop,
-            'twoar': self._twoar,
-            'rlimto': self._limit,
-            'llimto': self._limit,
-            'bfig': self._figure,
-            'efig': self._figure,
-        }.get(keyword)
-        if method is None:
+        if keyword not in _KEYWORDS:
             raise DiagnosticError(
                 UNKNOWN_CONSTRUCTOR,
                 '\\%s is not a diagram constructor' % keyword, loc)
-        return method(keyword, loc)
+        constructor, kind, how = _KEYWORDS[keyword]
+        if isinstance(how, _Plan):
+            return self._shape(constructor, kind, how, loc)
+        return how(self, constructor, kind, loc)
 
     # ---- shared argument groups -------------------------------------
 
-    def _pair(self, what: str = 'coordinate pair') -> tuple[int, int]:
+    def _raw_pair(self, what: str) -> tuple[str, str]:
         loc = self.scan.loc()
         raw = self.scan.need_group('(', ')', what)
         parts = split_fields(raw, ',')
@@ -440,7 +396,11 @@ class _Parser:
             raise DiagnosticError(
                 ARITY_ERROR,
                 '%s needs 2 components, got %d' % (what, len(parts)), loc)
-        return self._int(parts[0], what), self._int(parts[1], what)
+        return parts[0], parts[1]
+
+    def _pair(self, what: str = 'coordinate pair') -> tuple[int, int]:
+        first, second = self._raw_pair(what)
+        return self._int(first, what), self._int(second, what)
 
     def _opt_origin(self, default: tuple[int, int]) -> LogicalPoint:
         self.scan.skip_blank()
@@ -490,13 +450,14 @@ class _Parser:
     def _payload(self, n_nodes: int, n_labels: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
         loc = self.scan.loc()
         raw = self.scan.need_group('[', ']', 'node and label list')
-        halves = _split_payload(raw)
-        if halves is None:
+        # labels run from the first ';' on, later ones included
+        head, *tail = split_fields(raw, ';')
+        if not tail:
             raise DiagnosticError(
                 PARSE_ERROR,
                 "expected ';' separating nodes from labels", loc)
-        nodes = split_fields(halves[0], '`')
-        labels = split_fields(halves[1], '`')
+        nodes = split_fields(head, '`')
+        labels = split_fields(';'.join(tail), '`')
         if len(nodes) != n_nodes:
             raise DiagnosticError(
                 ARITY_ERROR,
@@ -525,18 +486,21 @@ class _Parser:
 
     # ---- constructors ------------------------------------------------
 
-    def _shape(self, shape: _Shape, loc: SourceLoc) -> Statement:
-        origin = self._opt_origin((0, 0))
-        placements = self._opt_placements(shape.placements)
-        specs = self._opt_specs(shape.n_specs)
-        spans = self._opt_spans(shape.spans)
-        nodes, labels = self._payload(shape.n_nodes, shape.n_labels)
+    def _shape(self, constructor: str, kind: str, plan: _Plan, loc: SourceLoc,
+               origin: tuple[int, int] | None = (0, 0)) -> Statement:
+        """A shape's groups; with ``origin=None`` there is no origin group."""
+        at = ORIGIN if origin is None else self._opt_origin(origin)
+        placements = self._opt_placements(plan.placements)
+        specs = self._opt_specs(len(plan.placements))
+        spans = self._opt_spans(plan.spans)
+        mask, border = self._mask(plan.border) if plan.border else (0, ())
+        nodes, labels = self._payload(plan.n_nodes, len(plan.placements))
         return Statement(
-            shape.constructor, kind=shape.kind, origin=origin,
-            placements=placements, specs=specs, spans=spans,
-            nodes=nodes, labels=labels, loc=loc)
+            constructor, kind=kind, origin=at, placements=placements,
+            specs=specs, spans=spans, mask=mask, border=border, nodes=nodes,
+            labels=labels, loc=loc)
 
-    def _vect(self, keyword: str, loc: SourceLoc) -> Statement:
+    def _vect(self, constructor: str, kind: str, loc: SourceLoc) -> Statement:
         origin = LogicalPoint(*self._pair())
         spec = self.scan.need_group('/', '/', 'arrow spec')
         span_loc = self.scan.loc()
@@ -547,20 +511,20 @@ class _Parser:
                 ARITY_ERROR,
                 'expected 2 span entries, got %d' % len(parts), span_loc)
         spans = tuple(self._int(p, 'span') for p in parts)
-        return Statement(VECT, origin=origin, specs=(spec,), spans=spans,
-                         loc=loc)
+        return Statement(constructor, origin=origin, specs=(spec,),
+                         spans=spans, loc=loc)
 
-    def _pullback(self, keyword: str, loc: SourceLoc) -> Statement:
-        square = self._shape(_SHAPES['square'], loc)
+    def _pullback(self, constructor: str, kind: str, loc: SourceLoc) -> Statement:
+        square = self._shape(SQUARE, '', _SQUARE_PLAN, loc)
         # the trident continues from the square's far corner and has no
         # origin group of its own
-        trident = self._shape_tail(_TRIDENT_SHAPE, loc)
-        return Statement(PULLBACK, inner=square, trident=trident, loc=loc)
+        trident = self._shape(TRIDENT, '', _TRIDENT_PLAN, loc, origin=None)
+        return Statement(constructor, inner=square, trident=trident, loc=loc)
 
-    def _cube(self, keyword: str, loc: SourceLoc) -> Statement:
-        outer = self._shape(_CUBE_OUTER, loc)
-        inner_origin = self._opt_origin((500, 500))
-        inner = replace(self._shape_tail(_CUBE_INNER, loc), origin=inner_origin)
+    def _cube(self, constructor: str, kind: str, loc: SourceLoc) -> Statement:
+        outer = self._shape(constructor, kind,
+                            replace(_SQUARE_PLAN, spans=(1500, 1500)), loc)
+        inner = self._shape(SQUARE, '', _SQUARE_PLAN, loc, origin=(500, 500))
         placements = self._opt_placements('mmmm')
         specs = self._opt_specs(4)
         labels_loc = self.scan.loc()
@@ -575,32 +539,7 @@ class _Parser:
                               labels=tuple(labels), loc=loc)
         return replace(outer, inner=inner, connector=connector)
 
-    def _shape_tail(self, shape: _Shape, loc: SourceLoc) -> Statement:
-        """A shape's groups after the origin (already consumed)."""
-        placements = self._opt_placements(shape.placements)
-        specs = self._opt_specs(shape.n_specs)
-        spans = self._opt_spans(shape.spans)
-        nodes, labels = self._payload(shape.n_nodes, shape.n_labels)
-        return Statement(
-            shape.constructor, kind=shape.kind, placements=placements,
-            specs=specs, spans=spans, nodes=nodes, labels=labels, loc=loc)
-
-    def _grid(self, keyword: str, loc: SourceLoc) -> Statement:
-        three = keyword == 'iiixiii'
-        constructor = GRID_3X3 if three else GRID_3X2
-        origin = self._opt_origin((0, 0))
-        placements = self._opt_placements('aalmrmmlmrbb' if three else 'aalmrbb')
-        specs = self._opt_specs(12 if three else 7)
-        spans = self._opt_spans((500, 500))
-        mask, border = self._mask(constructor)
-        nodes, labels = self._payload(9 if three else 6, 12 if three else 7)
-        return Statement(
-            constructor, origin=origin, placements=placements, specs=specs,
-            spans=spans, mask=mask, border=border, nodes=nodes,
-            labels=labels, loc=loc)
-
-    def _mask(self, constructor: str) -> tuple[int, tuple[int, ...]]:
-        default_border = _GRID_BORDER_DEFAULT[constructor]
+    def _mask(self, default_border: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         self.scan.skip_blank()
         ch = self.scan.peek()
         if ch == '[' or not ch:
@@ -624,13 +563,13 @@ class _Parser:
         border = self._opt_spans(default_border)
         return int(digits), border
 
-    def _place(self, keyword: str, loc: SourceLoc) -> Statement:
+    def _place(self, constructor: str, kind: str, loc: SourceLoc) -> Statement:
         anchor_raw = self.scan.opt_group('[', ']', 'anchor')
         anchor = 'center' if anchor_raw is None else self._anchor(anchor_raw)
         origin = LogicalPoint(*self._pair())
         text = self.scan.need_group('[', ']', 'node text')
-        return Statement(PLACE, origin=origin, nodes=(text,), anchor=anchor,
-                         loc=loc)
+        return Statement(constructor, origin=origin, nodes=(text,),
+                         anchor=anchor, loc=loc)
 
     def _anchor(self, raw: str) -> str:
         letters = ''.join(raw.split())
@@ -647,64 +586,92 @@ class _Parser:
         raise DiagnosticError(
             PARSE_ERROR, 'bad anchor %r' % raw, self.scan.loc())
 
-    def _node(self, keyword: str, loc: SourceLoc) -> Statement:
+    def _node(self, constructor: str, kind: str, loc: SourceLoc) -> Statement:
         name = self.scan.take_token('node name')
         origin = LogicalPoint(*self._pair())
         text = self.scan.need_group('[', ']', 'node text')
-        return Statement(NODE, name=name, origin=origin, nodes=(text,),
+        return Statement(constructor, name=name, origin=origin, nodes=(text,),
                          loc=loc)
 
-    def _arrow(self, keyword: str, loc: SourceLoc) -> Statement:
+    def _arrow(self, constructor: str, kind: str, loc: SourceLoc) -> Statement:
         placements = self._opt_placements('a')
         specs = self._opt_specs(1)
         nodes, labels = self._payload(2, 1)
-        return Statement(NAMED_ARROW, placements=placements, specs=specs,
+        return Statement(constructor, placements=placements, specs=specs,
                          nodes=nodes, labels=labels, loc=loc)
 
-    def _loop(self, keyword: str, loc: SourceLoc) -> Statement:
-        if keyword == 'Loop':
-            origin = LogicalPoint(*self._pair())
-            constructor = LOOP
-        else:
-            origin = ORIGIN
-            constructor = INLINE_LOOP
+    def _loop(self, constructor: str, kind: str, loc: SourceLoc) -> Statement:
+        origin = LogicalPoint(*self._pair()) if constructor == LOOP else ORIGIN
         text = self.scan.take_token('loop text')
-        out_dir, in_dir = self._directions()
+        out_dir, in_dir = self._raw_pair('direction pair')
         return Statement(constructor, origin=origin, nodes=(text,),
-                         loop_out=out_dir, loop_in=in_dir, loc=loc)
+                         loop_out=out_dir.strip(), loop_in=in_dir.strip(),
+                         loc=loc)
 
-    def _directions(self) -> tuple[str, str]:
-        loc = self.scan.loc()
-        raw = self.scan.need_group('(', ')', 'direction pair')
-        parts = split_fields(raw, ',')
-        if len(parts) != 2:
-            raise DiagnosticError(
-                ARITY_ERROR,
-                'direction pair needs 2 components, got %d' % len(parts),
-                loc)
-        return parts[0].strip(), parts[1].strip()
-
-    def _inline(self, keyword: str, loc: SourceLoc) -> Statement:
-        if keyword in _INLINE_PRESETS:
-            specs = _INLINE_PRESETS[keyword]
+    def _inline(self, constructor: str, kind: str, loc: SourceLoc) -> Statement:
+        if kind in _INLINE_PRESETS:
+            specs = _INLINE_PRESETS[kind]
         else:
-            specs = self._opt_specs(_INLINE_SPECS[keyword])
+            specs = self._opt_specs(_INLINE_SPECS[kind])
         length = self._opt_spans((0,))[0]
         sup = self._opt_prefixed('^', 'superscript label')
-        mid = self._opt_prefixed('|', 'middle label') if keyword == 'three' else ''
+        mid = self._opt_prefixed('|', 'middle label') if kind == 'three' else ''
         sub = self._opt_prefixed('_', 'subscript label')
-        return Statement(INLINE_ARROW, kind=keyword, specs=specs,
-                         length=length, sup=sup, mid=mid, sub=sub, loc=loc)
+        return Statement(constructor, kind=kind, specs=specs, length=length,
+                         sup=sup, mid=mid, sub=sub, loc=loc)
 
-    def _twoar(self, keyword: str, loc: SourceLoc) -> Statement:
+    def _twoar(self, constructor: str, kind: str, loc: SourceLoc) -> Statement:
         spans = self._pair('direction pair')
-        return Statement(INLINE_ARROW, kind=keyword, spans=spans, loc=loc)
+        return Statement(constructor, kind=kind, spans=spans, loc=loc)
 
-    def _limit(self, keyword: str, loc: SourceLoc) -> Statement:
-        return Statement(INLINE_ARROW, kind=keyword, loc=loc)
+    def _bare(self, constructor: str, kind: str, loc: SourceLoc) -> Statement:
+        return Statement(constructor, kind=kind, loc=loc)
 
-    def _figure(self, keyword: str, loc: SourceLoc) -> Statement:
-        return Statement(BEGIN_FIG if keyword == 'bfig' else END_FIG, loc=loc)
+
+# Every surface keyword: (constructor, kind) and either the argument plan
+# of a shape or the reader of its groups.
+_KEYWORDS = {
+    'morphism': (MORPHISM, '', _Plan('a', (500, 0), 2)),
+    'square': (SQUARE, '', _SQUARE_PLAN),
+    'Square': (AUTO_SQUARE, '', _Plan('alrb', (500,), 4)),
+    'Diamond': (DIAMOND, '', _Plan('lrlr', (400, 400), 4)),
+    'ptriangle': (TRIANGLE, 'p', _Plan('alr', (500, 500), 3)),
+    'qtriangle': (TRIANGLE, 'q', _Plan('alr', (500, 500), 3)),
+    'dtriangle': (TRIANGLE, 'd', _Plan('lrb', (500, 500), 3)),
+    'btriangle': (TRIANGLE, 'b', _Plan('lrb', (500, 500), 3)),
+    'Atriangle': (TRIANGLE, 'A', _Plan('lrb', (500, 500), 3)),
+    'Vtriangle': (TRIANGLE, 'V', _Plan('alb', (500, 500), 3)),
+    'Ctriangle': (TRIANGLE, 'C', _Plan('arb', (500, 500), 3)),
+    'Dtriangle': (TRIANGLE, 'D', _Plan('lab', (500, 500), 3)),
+    'Atrianglepair': (TRIANGLE_PAIR, 'A', _Plan('lmrbb', (500, 500), 4)),
+    'Vtrianglepair': (TRIANGLE_PAIR, 'V', _Plan('aalmr', (500, 500), 4)),
+    'Ctrianglepair': (TRIANGLE_PAIR, 'C', _Plan('lrmlr', (500, 500), 4)),
+    'Dtrianglepair': (TRIANGLE_PAIR, 'D', _Plan('lrmlr', (500, 500), 4)),
+    'hsquares': (H_SQUARES, '', _Plan('aalmrbb', (500, 500, 500), 6)),
+    'hSquares': (H_AUTO_SQUARES, '', _Plan('aalmrbb', (500,), 6)),
+    'vsquares': (V_SQUARES, '', _Plan('aalmrbb', (500, 500, 500), 6)),
+    'vSquares': (V_AUTO_SQUARES, '', _Plan('alrmlrb', (500, 500), 6)),
+    'iiixiii': (GRID_3X3, '',
+                _Plan('aalmrmmlmrbb', (500, 500), 9, border=(400, 400))),
+    'iiixii': (GRID_3X2, '', _Plan('aalmrbb', (500, 500), 6, border=(400,))),
+    'vect': (VECT, '', _Parser._vect),
+    'pullback': (PULLBACK, '', _Parser._pullback),
+    'cube': (CUBE, '', _Parser._cube),
+    'place': (PLACE, '', _Parser._place),
+    'node': (NODE, '', _Parser._node),
+    'arrow': (NAMED_ARROW, '', _Parser._arrow),
+    'Loop': (LOOP, '', _Parser._loop),
+    'iloop': (INLINE_LOOP, '', _Parser._loop),
+    'twoar': (INLINE_ARROW, 'twoar', _Parser._twoar),
+    'rlimto': (INLINE_ARROW, 'rlimto', _Parser._bare),
+    'llimto': (INLINE_ARROW, 'llimto', _Parser._bare),
+    'bfig': (BEGIN_FIG, '', _Parser._bare),
+    'efig': (END_FIG, '', _Parser._bare),
+    **{kw: (INLINE_ARROW, kw, _Parser._inline)
+       for kw in (*_INLINE_SPECS, *_INLINE_PRESETS)},
+}
+
+_KEYWORD_OF = {(c, kind): kw for kw, (c, kind, _) in _KEYWORDS.items()}
 
 
 def parse_document(text: str, filename: str = '<input>') -> list[Statement]:
@@ -712,10 +679,12 @@ def parse_document(text: str, filename: str = '<input>') -> list[Statement]:
     return _Parser(text, filename).parse()
 
 
+def surface_keyword(stmt: Statement) -> str:
+    """The keyword a statement was written with, for diagnostics."""
+    return _KEYWORD_OF[stmt.constructor, stmt.kind]
+
+
 # ---- canonical printing ---------------------------------------------
-
-_SHAPE_KEYWORD = {(s.constructor, s.kind): kw for kw, s in _SHAPES.items()}
-
 
 def _fmt_pair(point: LogicalPoint) -> str:
     return '(%d,%d)' % (point.x, point.y)
@@ -733,9 +702,11 @@ def _fmt_payload(nodes: tuple[str, ...], labels: tuple[str, ...]) -> str:
     return '[%s;%s]' % ('`'.join(nodes), '`'.join(labels))
 
 
-def _shape_args(stmt: Statement) -> str:
-    return (_fmt_pair(stmt.origin) + '|%s|' % stmt.placements
-            + _fmt_specs(stmt.specs) + _fmt_spans(stmt.spans)
+def _shape_args(stmt: Statement, origin: bool = True) -> str:
+    grid = '{%d}%s' % (stmt.mask, _fmt_spans(stmt.border)) if stmt.border else ''
+    return ((_fmt_pair(stmt.origin) if origin else '')
+            + '|%s|' % stmt.placements + _fmt_specs(stmt.specs)
+            + _fmt_spans(stmt.spans) + grid
             + _fmt_payload(stmt.nodes, stmt.labels))
 
 
@@ -745,32 +716,25 @@ def print_statement(stmt: Statement) -> str:
     Every optional group is written out explicitly, so parsing the
     result yields a statement equal to the input.
     """
+    keyword = surface_keyword(stmt)
+    how = _KEYWORDS[keyword][2]
     c = stmt.constructor
-    if c == BEGIN_FIG:
-        return '\\bfig'
-    if c == END_FIG:
-        return '\\efig'
+    if isinstance(how, _Plan):
+        return '\\%s%s' % (keyword, _shape_args(stmt))
+    if how is _Parser._bare:
+        return '\\' + keyword
     if c == VECT:
         return '\\vect%s/%s/%s' % (
             _fmt_pair(stmt.origin), stmt.specs[0], _fmt_spans(stmt.spans))
     if c == PULLBACK:
-        trident = stmt.trident
-        return '\\pullback%s |%s|%s%s%s' % (
-            _shape_args(stmt.inner), trident.placements,
-            _fmt_specs(trident.specs), _fmt_spans(trident.spans),
-            _fmt_payload(trident.nodes, trident.labels))
+        return '\\pullback%s %s' % (_shape_args(stmt.inner),
+                                    _shape_args(stmt.trident, origin=False))
     if c == CUBE:
         connector = stmt.connector
         return '\\cube%s %s |%s|%s[%s]' % (
             _shape_args(stmt), _shape_args(stmt.inner),
             connector.placements, _fmt_specs(connector.specs),
             '`'.join(connector.labels))
-    if c in (GRID_3X3, GRID_3X2):
-        keyword = 'iiixiii' if c == GRID_3X3 else 'iiixii'
-        return '\\%s%s|%s|%s%s{%d}%s%s' % (
-            keyword, _fmt_pair(stmt.origin), stmt.placements,
-            _fmt_specs(stmt.specs), _fmt_spans(stmt.spans), stmt.mask,
-            _fmt_spans(stmt.border), _fmt_payload(stmt.nodes, stmt.labels))
     if c == PLACE:
         anchor = '' if stmt.anchor == 'center' else '[%s]' % stmt.anchor
         return '\\place%s%s[%s]' % (anchor, _fmt_pair(stmt.origin),
@@ -782,31 +746,18 @@ def print_statement(stmt: Statement) -> str:
         return '\\arrow|%s|/%s/%s' % (
             stmt.placements, stmt.specs[0],
             _fmt_payload(stmt.nodes, stmt.labels))
-    if c == LOOP:
-        return '\\Loop%s{%s}(%s,%s)' % (
-            _fmt_pair(stmt.origin), stmt.nodes[0], stmt.loop_out,
-            stmt.loop_in)
-    if c == INLINE_LOOP:
-        return '\\iloop{%s}(%s,%s)' % (stmt.nodes[0], stmt.loop_out,
-                                       stmt.loop_in)
-    if c == INLINE_ARROW:
-        return _print_inline(stmt)
-    keyword = _SHAPE_KEYWORD[(c, stmt.kind)]
-    return '\\%s%s' % (keyword, _shape_args(stmt))
-
-
-def _print_inline(stmt: Statement) -> str:
-    kind = stmt.kind
-    if kind == 'twoar':
+    if c in (LOOP, INLINE_LOOP):
+        return '\\%s%s{%s}(%s,%s)' % (
+            keyword, _fmt_pair(stmt.origin) if c == LOOP else '',
+            stmt.nodes[0], stmt.loop_out, stmt.loop_in)
+    if stmt.kind == 'twoar':
         return '\\twoar(%d,%d)' % stmt.spans
-    if kind in ('rlimto', 'llimto'):
-        return '\\' + kind
-    parts = ['\\', kind]
-    if kind in _INLINE_SPECS:
+    parts = ['\\', keyword]
+    if keyword in _INLINE_SPECS:
         parts.append(_fmt_specs(stmt.specs))
     parts.append('<%d>' % stmt.length)
     parts.append('^{%s}' % stmt.sup)
-    if kind == 'three':
+    if keyword == 'three':
         parts.append('|{%s}' % stmt.mid)
     parts.append('_{%s}' % stmt.sub)
     return ''.join(parts)
@@ -815,22 +766,3 @@ def _print_inline(stmt: Statement) -> str:
 def print_document(statements: list[Statement]) -> str:
     """Canonical one-statement-per-line rendering."""
     return '\n'.join(print_statement(s) for s in statements) + '\n'
-
-
-_FIXED_KEYWORD = {
-    VECT: 'vect', PULLBACK: 'pullback', CUBE: 'cube',
-    GRID_3X3: 'iiixiii', GRID_3X2: 'iiixii', PLACE: 'place',
-    NODE: 'node', NAMED_ARROW: 'arrow', LOOP: 'Loop',
-    INLINE_LOOP: 'iloop', BEGIN_FIG: 'bfig', END_FIG: 'efig',
-    TRIDENT: 'pullback', CONNECTOR: 'cube',
-}
-
-
-def surface_keyword(stmt: Statement) -> str:
-    """The keyword a statement was written with, for diagnostics."""
-    if stmt.constructor == INLINE_ARROW:
-        return stmt.kind
-    fixed = _FIXED_KEYWORD.get(stmt.constructor)
-    if fixed is not None:
-        return fixed
-    return _SHAPE_KEYWORD[(stmt.constructor, stmt.kind)]

@@ -28,9 +28,9 @@ import pytest
 from diagramc import compile_source
 from diagramc.cli import main as cli_main
 from diagramc.layout import node_box, resolve_scene
-from diagramc.lowering import LEFT, MID, RIGHT, resolve_label_side, twoar_end
+from diagramc.lowering import twoar_end
 from diagramc.metrics import MetricsTable
-from diagramc.model import RenderConfig
+from diagramc.model import LEFT, MID, RIGHT, RenderConfig, resolve_label_side
 from diagramc.parser import parse_document
 from diagramc.scenefile import dump_scene
 from diagramc.svg import render

@@ -75,6 +75,32 @@ def test_unsupported_specs_raise(spec):
     assert info.value.code == 'UnsupportedArrowSpec'
 
 
+@pytest.mark.parametrize('spec, message', [
+    ('@{@{x}}', "unsupported arrow spec '@{x}' at position 2"),
+    ('@{@{>}?}', "unsupported arrow spec '@{>}?' at position 4"),
+    ('@{@{>}}?', "unsupported arrow spec '@{@{>}}?' at position 7"),
+    ('@{@x}', "unsupported arrow spec '@x' at position 1"),
+    ('@{@{>}', "unbalanced braces in arrow spec '@{@{>}' at position 1"),
+])
+def test_nested_spec_errors_name_their_own_layer(spec, message):
+    with pytest.raises(DiagnosticError) as info:
+        parse_arrow_spec(spec)
+    assert info.value.message == message
+
+
+def test_nested_suffixes_apply_innermost_first():
+    assert parse_arrow_spec('@{@{>}@<1pt>}@<2pt>').parallel_offset_pt == 2.0
+    assert parse_arrow_spec('@{@{>}|-*@{+}}|-*@{|}').mid == 'tick'
+
+
+def test_spec_nested_3000_deep():
+    spec = '@{' * 3000 + '->' + '}@<1pt>' * 3000
+    assert parse_arrow_spec(spec) == ArrowStyle(parallel_offset_pt=1.0)
+    with pytest.raises(DiagnosticError) as info:
+        parse_arrow_spec(spec[:-1])
+    assert info.value.code == 'UnsupportedArrowSpec'
+
+
 def test_compass_table():
     assert resolve_compass('l') == (-1.0, 0.0)
     assert resolve_compass('r') == (1.0, 0.0)

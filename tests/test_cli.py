@@ -263,3 +263,38 @@ def test_a_failing_input_claims_no_paths(tmp_path):
     out = tmp_path / 'out'
     assert main(['-o', str(out), str(bad), str(good)]) == 1
     assert (out / 'x.svg').exists()
+
+
+def test_an_input_is_never_overwritten_by_its_own_output(tmp_path, capsys):
+    source = write(tmp_path, 'self.svg', SQUARE)
+    assert main([str(source)]) == 2
+    assert capsys.readouterr().err == (
+        'diagramc: error: OutputCollision: %s would overwrite the input '
+        '%s\n' % (source, source))
+    assert source.read_text(encoding='utf-8') == SQUARE
+    assert sorted(p.name for p in tmp_path.iterdir()) == ['self.svg']
+
+
+def test_an_input_is_never_overwritten_by_an_earlier_one(tmp_path, capsys):
+    source = write(tmp_path, 'a.dxy', SQUARE)
+    scene = write(tmp_path, 'a.scene.json', '{}\n')
+    assert main([str(source), str(scene)]) == 2
+    assert 'would overwrite the input %s\n' % scene in capsys.readouterr().err
+    assert scene.read_text(encoding='utf-8') == '{}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        'a.dxy', 'a.scene.json']
+    # numbered outputs count too: a.dxy with two figures writes a.2.svg
+    write(tmp_path, 'a.dxy', SQUARE + SQUARE)
+    numbered = write(tmp_path, 'a.2.svg', '<svg/>\n')
+    assert main(['--format', 'svg', str(source), str(numbered)]) == 2
+    assert numbered.read_text(encoding='utf-8') == '<svg/>\n'
+    assert not (tmp_path / 'a.1.svg').exists()
+
+
+def test_control_character_is_a_located_parse_error(tmp_path, capsys):
+    source = write(tmp_path, 'ctl.dxy', '\\bfig\n\\place(0,0)[a\x01b]\\efig\n')
+    assert main([str(source)]) == 1
+    assert capsys.readouterr().err == (
+        '%s:2:14: error: ParseError: control character U+0001 is not '
+        'allowed in source text\n' % source)
+    assert not (tmp_path / 'ctl.svg').exists()

@@ -1,0 +1,104 @@
+"""Structure the compiler relies on: constructor tables and module layering."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import diagramc
+from diagramc import lowering, parser
+
+PACKAGE = Path(diagramc.__file__).parent
+
+# pipeline stage of each module; parse -> lower -> layout -> emit, with
+# the shared data types first and the drivers last
+STAGE = {
+    'errors': 0, 'model': 0, 'metrics': 0,
+    'parser': 1,
+    'arrows': 2, 'lowering': 2,
+    'layout': 3,
+    'scenefile': 4, 'svg': 4,
+    'cli': 5, '__init__': 5, '__main__': 5,
+}
+
+
+def package_imports(name):
+    """Modules of the package that module ``name`` imports."""
+    tree = ast.parse((PACKAGE / (name + '.py')).read_text(encoding='utf-8'))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith('diagramc') for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 1 or not node.module.startswith('diagramc')
+            if node.level == 1 and node.module:
+                found.add(node.module)
+            elif node.level == 1:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_module_has_a_stage():
+    assert {p.stem for p in PACKAGE.glob('*.py')} == set(STAGE)
+
+
+@pytest.mark.parametrize('name', sorted(STAGE))
+def test_no_module_imports_a_later_stage(name):
+    for imported in package_imports(name):
+        assert STAGE[imported] <= STAGE[name], (name, imported)
+
+
+@pytest.mark.parametrize('name', ['layout', 'scenefile', 'svg'])
+def test_stages_after_lowering_see_only_scenes(name):
+    assert not package_imports(name) & {'parser', 'lowering'}
+
+
+# ---- the constructor tables -----------------------------------------------
+
+def plans():
+    """(constructor, kind) -> argument plan, for every shape keyword."""
+    found = {}
+    for constructor, kind, how in parser._KEYWORDS.values():
+        if isinstance(how, parser._Plan):
+            found[constructor, kind] = how
+    return found
+
+
+@pytest.mark.parametrize('key', sorted(lowering._WALKS),
+                         ids=lambda key: '%s%s' % key)
+def test_walk_matches_its_plan(key):
+    walk = lowering._WALKS[key]
+    plan = plans()[key]
+    assert len(walk.nodes) == plan.n_nodes
+    assert len(set(walk.nodes)) == len(walk.nodes)
+    edges = [row for row in walk.rows if len(row) == 3]
+    borders = [row for row in walk.rows if len(row) == 4]
+    assert len(edges) + len(borders) == len(walk.rows)
+    # every slot draws exactly one edge
+    assert sorted(slot for slot, _, _ in edges) == \
+        list(range(len(plan.placements)))
+    for _, source, target in edges:
+        assert source != target
+        assert {source, target} <= set(range(plan.n_nodes))
+    # grid mask bits 0..k-1, each exactly once; only grids have a border
+    assert sorted(bit for bit, _, _, _ in borders) == list(range(len(borders)))
+    assert walk.mask_bits == len(borders)
+    assert bool(borders) == bool(plan.border)
+    for _, node, ux, uy in borders:
+        assert node in range(plan.n_nodes)
+        assert abs(ux) + abs(uy) == 1
+
+
+def test_only_the_pasted_squares_have_no_walk_of_their_own():
+    # they paste the square walk with a slot map instead
+    assert set(plans()) - set(lowering._WALKS) == {
+        (parser.AUTO_SQUARE, ''), (parser.H_SQUARES, ''),
+        (parser.H_AUTO_SQUARES, ''), (parser.V_SQUARES, ''),
+        (parser.V_AUTO_SQUARES, '')}
+
+
+def test_every_keyword_prints_back():
+    assert len(parser._KEYWORD_OF) == len(parser._KEYWORDS)
+    for keyword, (constructor, kind, _) in parser._KEYWORDS.items():
+        stmt = parser.Statement(constructor, kind=kind)
+        assert parser.surface_keyword(stmt) == keyword

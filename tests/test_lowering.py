@@ -12,18 +12,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diagramc.errors import DiagnosticError
-from diagramc.lowering import (
+from diagramc.lowering import Lowerer, lower_document, tex_div, twoar_end
+from diagramc.model import (
     LEFT,
     MID,
     NO_SIDE,
     RIGHT,
-    Lowerer,
-    lower_document,
+    LogicalPoint,
     resolve_label_side,
-    tex_div,
-    twoar_end,
 )
-from diagramc.model import LogicalPoint
 from diagramc.parser import parse_document
 
 
