@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import replace
 
 from .errors import BAD_DIRECTION, UNSUPPORTED_ARROW_SPEC, DiagnosticError
 from .model import ArrowStyle
@@ -99,27 +98,29 @@ def parse_arrow_spec(spec: str, constructor: str | None = None) -> ArrowStyle:
     name = spec[2 * depth:ends[depth]]
     if name.startswith("@"):
         raise _unsupported(name, 1, constructor)
+    reverse = name in _REVERSED
     if name in _FORWARD:
-        style = ArrowStyle(*_FORWARD[name])
-    elif name in _REVERSED:
-        style = ArrowStyle(*_REVERSED[name], reversed=True)
+        tail, shaft, head = _FORWARD[name]
+    elif reverse:
+        tail, shaft, head = _REVERSED[name]
     else:
         layer = spec[2 * depth - 2:ends[depth - 1]] if depth else spec
         raise _unsupported(layer, 2 if depth else 0, constructor)
+    mid, offset = "none", 0.0
     for k in range(depth - 1, -1, -1):
         start, end = 2 * k, ends[k]
         pos = ends[k + 1] + 1
         while pos < end:
             match = _TICK_RE.match(spec, pos, end)
             if match:
-                style = replace(style, mid="tick" if match.group(1) == "|" else "cross")
+                mid = "tick" if match.group(1) == "|" else "cross"
             else:
                 match = _OFFSET_RE.match(spec, pos, end)
                 if not match:
                     raise _unsupported(spec[start:end], pos - start, constructor)
-                style = replace(style, parallel_offset_pt=float(match.group(1)))
+                offset = float(match.group(1))
             pos = match.end()
-    return style
+    return ArrowStyle(tail, shaft, head, mid, offset, reverse)
 
 
 def _unsupported(spec: str, pos: int, constructor: str | None) -> DiagnosticError:

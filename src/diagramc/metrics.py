@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, Set
 
 from .model import DEFAULT_MARGIN, RenderConfig
@@ -86,7 +87,8 @@ class MetricsTable:
 
     def text_advance(self, text: str, scale: float = 1.0) -> int:
         """Sum of advances in milli-em; no kerning, no math spacing."""
-        total = sum(self.token_advance(t) for t in _TOKEN_RE.findall(text))
+        total = sum(map(self.advances.get, _TOKEN_RE.findall(text),
+                        repeat(self.fallback)))
         if scale == 1.0:
             return total
         return int(total * scale)

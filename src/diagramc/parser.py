@@ -19,12 +19,22 @@ above.
 with every default filled in.  Field text is stored verbatim; one level
 of braces is stripped by :func:`strip_group` at the point of use, which
 is how the arguments behave when handed down a macro chain.
+
+Scanning goes from one delimiter to the next, never a character at a
+time.  The scanner keeps only an offset: a group is read by searching
+with one compiled pattern for the next escape, comment, line break,
+brace or closer, and the plain text in between is taken as one slice.
+Line and column are worked out only when a location is asked for.
+Fields split where the braces before a separator balance, counted over
+whole pieces of the group.  An integer literal has at most
+:data:`MAX_DIGITS` digits, and a grid mask only ASCII ones.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from .errors import (
     ARITY_ERROR,
@@ -123,18 +133,14 @@ def matching_brace(text: str, i: int, depth: int = 0) -> int:
     brace that closes the outermost of them.  Braces nest, and a
     backslash makes the next character literal.
     """
-    while i < len(text):
-        ch = text[i]
-        if ch == '\\':
-            i += 2
-            continue
+    for stop in _BRACE_STOPS.finditer(text, i):
+        ch = stop.group()
         if ch == '{':
             depth += 1
         elif ch == '}':
             depth -= 1
             if depth == 0:
-                return i
-        i += 1
+                return stop.start()
     return -1
 
 
@@ -147,131 +153,155 @@ def strip_group(text: str) -> str:
 
 def split_fields(text: str, sep: str) -> list[str]:
     """Split on ``sep`` at brace depth zero, honoring backslash escapes."""
+    # blank out each escape, keeping offsets: a separator left then
+    # splits where the braces before it balance
+    plain = _ESCAPE_RE.sub('\0\0', text) if '\\' in text else text
     fields: list[str] = []
-    start = depth = i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == '\\':
-            i += 2
-            continue
-        if ch == '{':
-            depth += 1
-        elif ch == '}':
-            depth -= 1
-        elif ch == sep and depth == 0:
-            fields.append(text[start:i])
-            start = i + 1
-        i += 1
-    fields.append(text[start:])
+    start = end = depth = 0
+    for piece in plain.split(sep):
+        depth += piece.count('{') - piece.count('}')
+        end += len(piece) + 1
+        if not depth:
+            fields.append(text[start:end - 1])
+            start = end
+    if depth:
+        fields.append(text[start:])
     return fields
 
 
+# An escape: a backslash and the character it protects
+_ESCAPE_RE = re.compile(r'\\.', re.DOTALL)
+# The next brace, escapes skipped whole
+_BRACE_STOPS = re.compile(r'\\.|[{}]', re.DOTALL)
+# What a group's scan stops at: an escape, a comment with its line
+# break and the next line's indent, a line break with that indent, a
+# brace, or a closer.  One pattern serves every closer (compiling one
+# per closer costs set-up time); a closer not the group's own is text.
+_GROUP_STOPS = re.compile(r'\\.?|%[^\n]*\n?[ \t]*|\n[ \t]*|[{})|/>\]]',
+                          re.DOTALL)
+# Blanks and comments between groups and statements
+_BLANK_RE = re.compile(r'(?:[ \t\n]+|%[^\n]*)*')
 _INT_RE = re.compile(r'[+-]?[0-9]+\Z')
 # C0 controls other than tab, line feed and carriage return
 _CONTROL_RE = re.compile(r'[\x00-\x08\x0b\x0c\x0e-\x1f]')
 
+# Longest integer literal: any longer one is a ParseError, well before
+# int() or the float arithmetic of layout would fail on it.
+MAX_DIGITS = 9
+
+
+def _check_digits(digits: str, what: str, loc: SourceLoc) -> None:
+    if len(digits) > MAX_DIGITS:
+        raise DiagnosticError(
+            PARSE_ERROR, '%s has %d digits; at most %d are allowed'
+            % (what, len(digits), MAX_DIGITS), loc)
+
 
 class _Scanner:
-    """Character cursor with line/column tracking and group scanning."""
+    """Offset cursor with group scanning.
+
+    Only the offset moves as text is read.  Line and column are worked
+    out when a location is asked for, counting line breaks on from the
+    last offset asked about, so text read forwards is counted once.  A
+    location behind that offset is counted again from the start.
+    """
 
     def __init__(self, text: str, filename: str):
         self.text = text.replace('\r\n', '\n').replace('\r', '\n')
         self.filename = filename
         self.pos = 0
-        self.line = 1
-        self.col = 1
+        # line number and start of line at offset _seen
+        self._seen = 0
+        self._line = 1
+        self._line_start = 0
         # no emitter can write these: XML 1.0 forbids them outright
         bad = _CONTROL_RE.search(self.text)
         if bad:
-            before = self.text[:bad.start()]
+            self.pos = bad.start()
             raise DiagnosticError(
                 PARSE_ERROR,
                 'control character U+%04X is not allowed in source text'
-                % ord(bad.group()),
-                SourceLoc(filename, before.count('\n') + 1,
-                          len(before) - before.rfind('\n')))
+                % ord(bad.group()), self.loc())
 
     def loc(self) -> SourceLoc:
-        return SourceLoc(self.filename, self.line, self.col)
+        pos = self.pos
+        if pos < self._seen:
+            self._seen, self._line, self._line_start = 0, 1, 0
+        if pos > self._seen:
+            last = self.text.rfind('\n', self._seen, pos)
+            if last >= 0:
+                self._line += self.text.count('\n', self._seen, last + 1)
+                self._line_start = last + 1
+            self._seen = pos
+        return SourceLoc(self.filename, self._line, pos - self._line_start + 1)
 
     @property
     def more(self) -> bool:
         return self.pos < len(self.text)
 
     def peek(self) -> str:
-        return self.text[self.pos] if self.more else ''
+        return self.text[self.pos:self.pos + 1]
 
     def take(self) -> str:
         ch = self.text[self.pos]
         self.pos += 1
-        if ch == '\n':
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
         return ch
 
+    def take_while(self, test: Callable[[str], bool]) -> str:
+        """The run of characters from here on that pass ``test``."""
+        text, start = self.text, self.pos
+        end, n = start, len(text)
+        while end < n and test(text[end]):
+            end += 1
+        self.pos = end
+        return text[start:end]
+
     def skip_blank(self) -> None:
-        while self.more:
-            ch = self.peek()
-            if ch in ' \t\n':
-                self.take()
-            elif ch == '%':
-                self._skip_comment()
-            else:
-                break
+        self.pos = _BLANK_RE.match(self.text, self.pos).end()
 
-    def _skip_comment(self) -> None:
-        # comment owns the rest of the line, the break, and the indent
-        while self.more and self.peek() != '\n':
-            self.take()
-        if self.more:
-            self.take()
-        while self.more and self.peek() in ' \t':
-            self.take()
-
-    def scan_group(self, closer: str, what: str, opened_at: SourceLoc) -> str:
+    def _group(self, opened: int, closer: str, what: str) -> str:
+        """The text of the group opened at offset ``opened``."""
+        text = self.text
+        search = _GROUP_STOPS.search
         parts: list[str] = []
         depth = 0
-        while self.more:
-            ch = self.peek()
+        start = pos = self.pos
+        while True:
+            stop = search(text, pos)
+            if stop is None:
+                self.pos = opened
+                raise DiagnosticError(
+                    UNBALANCED_GROUP,
+                    "missing '%s' closing the %s" % (closer, what), self.loc())
+            i, pos = stop.span()
+            ch = text[i]
             if depth == 0 and ch == closer:
-                self.take()
+                self.pos = pos
+                parts.append(text[start:i])
                 return ''.join(parts)
-            if ch == '\\':
-                parts.append(self.take())
-                if self.more:
-                    parts.append(self.take())
-                continue
-            if ch == '%':
-                self._skip_comment()
-                continue
-            if ch == '\n':
-                self.take()
-                while self.more and self.peek() in ' \t':
-                    self.take()
-                parts.append(' ')
-                continue
             if ch == '{':
                 depth += 1
             elif ch == '}':
                 if depth == 0:
+                    self.pos = i
                     raise DiagnosticError(
                         UNBALANCED_GROUP,
                         "unexpected '}' inside %s" % what, self.loc())
                 depth -= 1
-            parts.append(self.take())
-        raise DiagnosticError(
-            UNBALANCED_GROUP,
-            "missing '%s' closing the %s" % (closer, what), opened_at)
+            elif ch == '\n':
+                parts.append(text[start:i])
+                parts.append(' ')
+                start = pos
+            elif ch == '%':
+                parts.append(text[start:i])
+                start = pos
 
     def opt_group(self, opener: str, closer: str, what: str) -> str | None:
         self.skip_blank()
         if self.peek() != opener:
             return None
-        opened_at = self.loc()
-        self.take()
-        return self.scan_group(closer, what, opened_at)
+        self.pos += 1
+        return self._group(self.pos - 1, closer, what)
 
     def need_group(self, opener: str, closer: str, what: str) -> str:
         self.skip_blank()
@@ -279,9 +309,8 @@ class _Scanner:
             raise DiagnosticError(
                 PARSE_ERROR,
                 "expected '%s' opening the %s" % (opener, what), self.loc())
-        opened_at = self.loc()
-        self.take()
-        return self.scan_group(closer, what, opened_at)
+        self.pos += 1
+        return self._group(self.pos - 1, closer, what)
 
     def take_token(self, what: str) -> str:
         """One undelimited argument: a group, a control word, or a char."""
@@ -292,24 +321,21 @@ class _Scanner:
                 self.loc())
         ch = self.peek()
         if ch == '{':
-            opened_at = self.loc()
-            self.take()
-            return self.scan_group('}', what, opened_at)
+            self.pos += 1
+            return self._group(self.pos - 1, '}', what)
         if ch == '}':
             raise DiagnosticError(
                 PARSE_ERROR, "expected %s, found '}'" % what, self.loc())
+        start = self.pos
+        self.pos += 1
         if ch == '\\':
-            word = [self.take()]
             if not self.more:
                 raise DiagnosticError(
                     PARSE_ERROR, 'expected %s after backslash' % what,
                     self.loc())
-            word.append(self.take())
-            if word[1].isalpha():
-                while self.more and self.peek().isalpha():
-                    word.append(self.take())
-            return ''.join(word)
-        return self.take()
+            if self.take().isalpha():
+                self.take_while(str.isalpha)
+        return self.text[start:self.pos]
 
 
 @dataclass(frozen=True)
@@ -362,10 +388,7 @@ class _Parser:
                 'unexpected character %r; statements start with a '
                 'backslash keyword' % self.scan.peek(), loc)
         self.scan.take()
-        word = []
-        while self.scan.more and self.scan.peek().isalpha():
-            word.append(self.scan.take())
-        keyword = ''.join(word)
+        keyword = self.scan.take_while(str.isalpha)
         if not keyword:
             raise DiagnosticError(
                 UNKNOWN_CONSTRUCTOR,
@@ -475,6 +498,7 @@ class _Parser:
                 PARSE_ERROR,
                 '%s must be an integer, got %r' % (what, text.strip()),
                 self.scan.loc())
+        _check_digits(cleaned.lstrip('+-'), what, self.scan.loc())
         return int(cleaned)
 
     def _opt_prefixed(self, prefix: str, what: str) -> str:
@@ -546,20 +570,19 @@ class _Parser:
             return 0, default_border
         loc = self.scan.loc()
         if ch == '{':
-            self.scan.take()
-            digits = ''.join(self.scan.scan_group('}', 'grid mask', loc).split())
+            digits = self.scan.opt_group('{', '}', 'grid mask')
+            digits = ''.join(digits.split())
         elif ch.isdigit():
-            run = []
-            while self.scan.more and self.scan.peek().isdigit():
-                run.append(self.scan.take())
-            digits = ''.join(run)
+            digits = self.scan.take_while(str.isdigit)
         else:
             raise DiagnosticError(
                 PARSE_ERROR,
                 "expected a grid mask or '[' before %r" % ch, loc)
-        if not digits.isdigit():
+        # str.isdigit alone also passes digits such as U+00B2
+        if not (digits.isascii() and digits.isdigit()):
             raise DiagnosticError(
                 PARSE_ERROR, 'grid mask must be a decimal number', loc)
+        _check_digits(digits, 'grid mask', loc)
         border = self._opt_spans(default_border)
         return int(digits), border
 

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from diagramc import cli
 from diagramc.cli import main
+from diagramc.svg import render as svg_render
 
 SQUARE = '\\bfig\\square[A`B`C`D;f`g`h`k]\\efig\n'
 
@@ -205,10 +207,18 @@ def test_module_entry_point(tmp_path):
 
 # ---- batches ---------------------------------------------------------------
 
-def test_internal_error_names_the_file_and_the_batch_goes_on(tmp_path, capsys):
-    # a span too large for a float used to end the run in a traceback
+def test_internal_error_names_the_file_and_the_batch_goes_on(tmp_path, capsys,
+                                                            monkeypatch):
+    # a fault in layout, injected into the render of one file of the batch:
+    # every SVG renders before the first write, so that file writes nothing
+    def render(unit, metrics, cfg):
+        if any(node.text == 'Huge' for node in unit.nodes):
+            raise OverflowError('int too large to convert to float')
+        return svg_render(unit, metrics, cfg)
+
+    monkeypatch.setattr(cli, 'render', render)
     huge = write(tmp_path, 'huge.dxy',
-                 '\\bfig\\morphism<1%s,0>[A`B;f]\\efig\n' % ('0' * 400))
+                 '\\bfig\\morphism(0,0)<500,0>[Huge`B;f]\\efig\n')
     good = write(tmp_path, 'good.dxy', SQUARE)
     out = tmp_path / 'out'
     assert main(['-o', str(out), str(huge), str(good)]) == 1
@@ -298,3 +308,38 @@ def test_control_character_is_a_located_parse_error(tmp_path, capsys):
         '%s:2:14: error: ParseError: control character U+0001 is not '
         'allowed in source text\n' % source)
     assert not (tmp_path / 'ctl.svg').exists()
+
+
+@pytest.mark.parametrize('body, message', [
+    ('\\morphism(%s,0)[A`B;f]' % ('1' * 5000),
+     'ParseError: coordinate pair has 5000 digits; at most 9 are allowed'),
+    ('\\morphism<1%s,0>[A`B;f]' % ('0' * 400),
+     'ParseError: span has 401 digits; at most 9 are allowed'),
+    ('\\iiixii(0,0)7<1234567890>[A`B`C`D`E`F;a`b`c`d`e`f`g]',
+     'ParseError: span has 10 digits; at most 9 are allowed'),
+    ('\\iiixii(0,0)1234567890[A`B`C`D`E`F;a`b`c`d`e`f`g]',
+     'ParseError: grid mask has 10 digits; at most 9 are allowed'),
+    ('\\iiixii(0,0)\u00b2700[A`B`C`D`E`F;a`b`c`d`e`f`g]',
+     'ParseError: grid mask must be a decimal number'),
+    ('\\iiixii(0,0){\u00b2700}[A`B`C`D`E`F;a`b`c`d`e`f`g]',
+     'ParseError: grid mask must be a decimal number'),
+])
+def test_bad_literals_are_named_diagnostics(tmp_path, capsys, body, message):
+    source = write(tmp_path, 'bad.dxy', '\\bfig\n%s\n\\efig\n' % body)
+    assert main([str(source)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith('%s:2:' % source)
+    assert message in err
+    assert 'InternalError' not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ['bad.dxy']
+
+
+
+def test_a_failed_write_exits_2_and_names_the_output(tmp_path, capsys):
+    source = write(tmp_path, 'a.dxy', SQUARE)
+    (tmp_path / 'a.svg').mkdir()
+    assert main([str(source)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith('%s: error: ' % (tmp_path / 'a.svg'))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        'a.dxy', 'a.scene.json', 'a.svg']

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,6 +30,18 @@ def test_text_advance_sums_tokens():
     # control words measure as one token
     assert table.text_advance(r'\alpha f') == 1500
     assert table.text_advance(r'\%') == 500
+
+
+@given(st.text(alphabet='ab\\xy{ }\u00e9', max_size=16),
+       st.sampled_from([1.0, 0.7, 1.25]))
+def test_text_advance_matches_token_loop(text, scale):
+    table = MetricsTable(advances={'a': 300, '\\x': 700, '{': 0},
+                         fallback=450)
+    tokens = re.findall(r'\\[A-Za-z]+|\\.|.', text, re.DOTALL)
+    total = 0
+    for token in tokens:
+        total += table.token_advance(token)
+    assert table.text_advance(text, scale) == int(total * scale)
 
 
 def test_text_advance_scaling_truncates():

@@ -1,12 +1,17 @@
 """Parser behavior: defaults, group syntax, errors, and round trips."""
 
-import pytest
-from hypothesis import given, strategies as st
+from unittest import mock
 
-from diagramc.errors import DiagnosticError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from diagramc import parser
+from diagramc.errors import (
+    PARSE_ERROR, UNBALANCED_GROUP, DiagnosticError, SourceLoc)
 from diagramc.model import LogicalPoint, ORIGIN
 from diagramc.parser import (
     Statement,
+    matching_brace,
     parse_document,
     print_document,
     print_statement,
@@ -481,3 +486,364 @@ def test_surface_keyword():
 def test_place_round_trips_any_payload(x, y, text):
     stmt = Statement('Place', origin=LogicalPoint(x, y), nodes=(text,))
     assert parse_document(print_statement(stmt)) == [stmt]
+
+
+# ---- literal bounds --------------------------------------------------
+
+@pytest.mark.parametrize('source, what, digits', [
+    ('\\morphism(%s,0)[A`B;f]' % ('1' * 5000), 'coordinate pair', 5000),
+    ('\\morphism<1%s,0>[A`B;f]' % ('0' * 400), 'span', 401),
+    ('\\square<-0000000001,500>[A`B`C`D;f`g`h`k]', 'span', 10),
+    ('\\iiixii(0,0)7<{1234567890}>' + GRID_PAYLOAD_3X2, 'span', 10),
+    ('\\iiixiii(0,0)1234567890' + GRID_PAYLOAD_3X3, 'grid mask', 10),
+    ('\\iiixiii(0,0){12345 67890}' + GRID_PAYLOAD_3X3, 'grid mask', 10),
+])
+def test_long_literals_are_parse_errors(source, what, digits):
+    with pytest.raises(DiagnosticError) as info:
+        parse_document(source)
+    assert info.value.code == 'ParseError'
+    assert info.value.message == (
+        '%s has %d digits; at most 9 are allowed' % (what, digits))
+
+
+def test_nine_digit_literals_are_accepted():
+    stmt = parse_one('\\morphism(-999999999,+000000001)<999999999,0>[A`B;f]')
+    assert stmt.origin == LogicalPoint(-999999999, 1)
+    assert stmt.spans == (999999999, 0)
+    assert parse_one('\\iiixiii(0,0)000004095' + GRID_PAYLOAD_3X3).mask == 4095
+
+
+@pytest.mark.parametrize('mask', ['\u00b2700', '{\u00b2700}', '{7\u0663}'])
+def test_grid_mask_digits_are_ascii(mask):
+    # str.isdigit() accepts both U+00B2 and U+0663
+    with pytest.raises(DiagnosticError) as info:
+        parse_document('\\iiixiii(0,0)' + mask + GRID_PAYLOAD_3X3)
+    assert info.value.code == 'ParseError'
+    assert info.value.message == 'grid mask must be a decimal number'
+    assert (info.value.loc.line, info.value.loc.col) == (1, 14)
+
+
+# ---- the scanners against their character loops ---------------------
+#
+# The parser scans from one delimiter to the next with compiled
+# patterns.  These are the character-at-a-time loops it replaced; every
+# statement, location and diagnostic must come out the same.
+
+def reference_matching_brace(text, i, depth=0):
+    while i < len(text):
+        ch = text[i]
+        if ch == '\\':
+            i += 2
+            continue
+        if ch == '{':
+            depth += 1
+        elif ch == '}':
+            depth -= 1
+            if depth == 0:
+                return i
+        i += 1
+    return -1
+
+
+def reference_split_fields(text, sep):
+    fields = []
+    start = depth = i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == '\\':
+            i += 2
+            continue
+        if ch == '{':
+            depth += 1
+        elif ch == '}':
+            depth -= 1
+        elif ch == sep and depth == 0:
+            fields.append(text[start:i])
+            start = i + 1
+        i += 1
+    fields.append(text[start:])
+    return fields
+
+
+class ReferenceScanner:
+    """Character cursor with line/column bumped on every step."""
+
+    def __init__(self, text, filename):
+        self.text = text.replace('\r\n', '\n').replace('\r', '\n')
+        self.filename = filename
+        self.pos = 0
+        self.line = 1
+        self.col = 1
+        bad = parser._CONTROL_RE.search(self.text)
+        if bad:
+            before = self.text[:bad.start()]
+            raise DiagnosticError(
+                PARSE_ERROR,
+                'control character U+%04X is not allowed in source text'
+                % ord(bad.group()),
+                SourceLoc(filename, before.count('\n') + 1,
+                          len(before) - before.rfind('\n')))
+
+    def loc(self):
+        return SourceLoc(self.filename, self.line, self.col)
+
+    @property
+    def more(self):
+        return self.pos < len(self.text)
+
+    def peek(self):
+        return self.text[self.pos] if self.more else ''
+
+    def take(self):
+        ch = self.text[self.pos]
+        self.pos += 1
+        if ch == '\n':
+            self.line += 1
+            self.col = 1
+        else:
+            self.col += 1
+        return ch
+
+    def take_while(self, test):
+        run = []
+        while self.more and test(self.peek()):
+            run.append(self.take())
+        return ''.join(run)
+
+    def skip_blank(self):
+        while self.more:
+            ch = self.peek()
+            if ch in ' \t\n':
+                self.take()
+            elif ch == '%':
+                self._skip_comment()
+            else:
+                break
+
+    def _skip_comment(self):
+        while self.more and self.peek() != '\n':
+            self.take()
+        if self.more:
+            self.take()
+        while self.more and self.peek() in ' \t':
+            self.take()
+
+    def scan_group(self, closer, what, opened_at):
+        parts = []
+        depth = 0
+        while self.more:
+            ch = self.peek()
+            if depth == 0 and ch == closer:
+                self.take()
+                return ''.join(parts)
+            if ch == '\\':
+                parts.append(self.take())
+                if self.more:
+                    parts.append(self.take())
+                continue
+            if ch == '%':
+                self._skip_comment()
+                continue
+            if ch == '\n':
+                self.take()
+                while self.more and self.peek() in ' \t':
+                    self.take()
+                parts.append(' ')
+                continue
+            if ch == '{':
+                depth += 1
+            elif ch == '}':
+                if depth == 0:
+                    raise DiagnosticError(
+                        UNBALANCED_GROUP,
+                        "unexpected '}' inside %s" % what, self.loc())
+                depth -= 1
+            parts.append(self.take())
+        raise DiagnosticError(
+            UNBALANCED_GROUP,
+            "missing '%s' closing the %s" % (closer, what), opened_at)
+
+    def opt_group(self, opener, closer, what):
+        self.skip_blank()
+        if self.peek() != opener:
+            return None
+        opened_at = self.loc()
+        self.take()
+        return self.scan_group(closer, what, opened_at)
+
+    def need_group(self, opener, closer, what):
+        self.skip_blank()
+        if self.peek() != opener:
+            raise DiagnosticError(
+                PARSE_ERROR,
+                "expected '%s' opening the %s" % (opener, what), self.loc())
+        opened_at = self.loc()
+        self.take()
+        return self.scan_group(closer, what, opened_at)
+
+    def take_token(self, what):
+        self.skip_blank()
+        if not self.more:
+            raise DiagnosticError(
+                PARSE_ERROR, 'expected %s, found end of input' % what,
+                self.loc())
+        ch = self.peek()
+        if ch == '{':
+            opened_at = self.loc()
+            self.take()
+            return self.scan_group('}', what, opened_at)
+        if ch == '}':
+            raise DiagnosticError(
+                PARSE_ERROR, "expected %s, found '}'" % what, self.loc())
+        if ch == '\\':
+            word = [self.take()]
+            if not self.more:
+                raise DiagnosticError(
+                    PARSE_ERROR, 'expected %s after backslash' % what,
+                    self.loc())
+            word.append(self.take())
+            if word[1].isalpha():
+                while self.more and self.peek().isalpha():
+                    word.append(self.take())
+            return ''.join(word)
+        return self.take()
+
+
+class ReferenceParser(parser._Parser):
+    def __init__(self, text, filename):
+        self.scan = ReferenceScanner(text, filename)
+
+
+def reference_parse_document(text, filename):
+    with mock.patch.multiple(parser, split_fields=reference_split_fields,
+                             matching_brace=reference_matching_brace):
+        return ReferenceParser(text, filename).parse()
+
+
+def _locs(stmt):
+    """The locations of a statement and of the statements inside it."""
+    inside = (stmt.inner, stmt.trident, stmt.connector)
+    return (stmt.loc, tuple(_locs(s) for s in inside if s is not None))
+
+
+def outcome(parse, text):
+    try:
+        statements = parse(text, 'src.dxy')
+    except DiagnosticError as err:
+        return ('error', err.code, err.message, err.loc, err.constructor)
+    return ('ok', [(s, _locs(s)) for s in statements])
+
+
+GROUP_TEXT = st.text(alphabet='\\{}[]()<>|/`;,%\n\r\t a\u00e9', max_size=24)
+
+SCAN_TOKENS = (
+    list('\\{}[]()<>|/`;,%\n\r\t ')
+    + ['\r\n', '%c\n', '\\%', 'a', 'x', 'f', '0', '7', '-', '\u00e9',
+       '\u03bb', '\u00df', '\u00b2', '(0,0)', '<500,500>', '|alrb|',
+       '/>`>`>`>/', '[A`B`C`D;f`g`h`k]', '[A`B;f]', '{x}']
+    + ['\\' + keyword for keyword in parser._KEYWORDS])
+
+
+@st.composite
+def edited_sources(draw):
+    """A round-trip corpus statement with a few tokens put in or over."""
+    text = draw(st.sampled_from(ROUND_TRIP_CORPUS))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))
+        text = text[:at] + draw(st.sampled_from(SCAN_TOKENS)) + text[at + cut:]
+    return text
+
+
+SOURCES = st.one_of(
+    st.lists(st.sampled_from(SCAN_TOKENS), max_size=40).map(''.join),
+    edited_sources())
+
+
+@given(GROUP_TEXT, st.sampled_from(',;`'))
+def test_split_fields_matches_reference(text, sep):
+    assert split_fields(text, sep) == reference_split_fields(text, sep)
+
+
+@given(GROUP_TEXT, st.data())
+def test_matching_brace_matches_reference(text, data):
+    i = data.draw(st.integers(0, len(text)))
+    assert matching_brace(text, i) == reference_matching_brace(text, i)
+    for depth in (1, 2):
+        assert (matching_brace(text, i, depth)
+                == reference_matching_brace(text, i, depth))
+
+
+@settings(max_examples=500)
+@given(SOURCES)
+def test_parse_document_matches_reference(text):
+    assert (outcome(parse_document, text)
+            == outcome(reference_parse_document, text))
+
+
+@pytest.mark.parametrize('source, expected', [
+    # a comment ends at its line break; the '}' after it is in the group
+    ('\\bfig\n\\square[A% c{\n  }`B`C`D;f`g`h`k]',
+     ('error', 'UnbalancedGroup',
+      "unexpected '}' inside node and label list",
+      SourceLoc('src.dxy', 3, 3), 'square')),
+    # the same group opened at end of input
+    ('\\bfig\n\\square[A`B', ('error', 'UnbalancedGroup',
+                             "missing ']' closing the node and label list",
+                             SourceLoc('src.dxy', 2, 8), 'square')),
+    ('\\square[A\\', ('error', 'UnbalancedGroup',
+                      "missing ']' closing the node and label list",
+                      SourceLoc('src.dxy', 1, 8), 'square')),
+    ('\\node{p', ('error', 'UnbalancedGroup',
+                  "missing '}' closing the node name",
+                  SourceLoc('src.dxy', 1, 6), 'node')),
+    ('\\node\\', ('error', 'ParseError', 'expected node name after backslash',
+                  SourceLoc('src.dxy', 1, 7), 'node')),
+    # keywords and control words run over letters only: U+00B2 and the
+    # digits pass str.isalnum but end the word
+    ('\\square\u00b2[A`B`C`D;f`g`h`k]',
+     ('error', 'ParseError', "expected '[' opening the node and label list",
+      SourceLoc('src.dxy', 1, 8), 'square')),
+    ('\\square1', ('error', 'ParseError',
+                   "expected '[' opening the node and label list",
+                   SourceLoc('src.dxy', 1, 8), 'square')),
+    ('\\square\u00e9', ('error', 'UnknownConstructor',
+                         '\\square\u00e9 is not a diagram constructor',
+                         SourceLoc('src.dxy', 1, 1), 'square\u00e9')),
+    ('\\node\\a\u00b2(0,0)[A]',
+     ('error', 'ParseError', "expected '(' opening the coordinate pair",
+      SourceLoc('src.dxy', 1, 8), 'node')),
+    ('\\node\\a1(0,0)[A]',
+     ('error', 'ParseError', "expected '(' opening the coordinate pair",
+      SourceLoc('src.dxy', 1, 8), 'node')),
+])
+def test_scanner_edge_diagnostics(source, expected):
+    assert outcome(parse_document, source) == expected
+    assert outcome(reference_parse_document, source) == expected
+
+
+def test_control_word_node_names_take_every_letter():
+    assert parse_one('\\node\\a\u00e9\u03bb(0,0)[A]').name == '\\a\u00e9\u03bb'
+
+
+def test_escaped_line_break_stays_in_the_text():
+    # unlike a bare line break, it is not read as one space, and the
+    # indent after it is kept; the lines after it still count
+    source = '\\square[A\\\n  B`B`C`D;f`g`h`k]\n  \\bfig'
+    square, fig = parse_document(source, 'src.dxy')
+    assert square.nodes[0] == 'A\\\n  B'
+    assert fig.loc == SourceLoc('src.dxy', 3, 3)
+    assert (outcome(parse_document, source)
+            == outcome(reference_parse_document, source))
+
+
+def test_scanner_locations_behind_the_last_one_are_counted_again():
+    scanner = parser._Scanner('ab\ncd\nef', 'src.dxy')
+    scanner.pos = 7
+    assert scanner.loc() == SourceLoc('src.dxy', 3, 2)
+    scanner.pos = 4
+    assert scanner.loc() == SourceLoc('src.dxy', 2, 2)
+    scanner.pos = 1
+    assert scanner.loc() == SourceLoc('src.dxy', 1, 2)
+    scanner.pos = 8
+    assert scanner.loc() == SourceLoc('src.dxy', 3, 3)
