@@ -6,7 +6,7 @@ import re
 
 from .errors import BAD_DIRECTION, UNSUPPORTED_ARROW_SPEC, DiagnosticError
 from .model import ArrowStyle
-from .parser import matching_brace
+from .parser import MAX_DIGITS, matching_brace
 
 _DIAG = math.sqrt(2.0) / 2.0
 
@@ -63,11 +63,14 @@ _REVERSED = {
     "<=": ("none", "double", "normal"),
 }
 
-_OFFSET_RE = re.compile(r"@<(-?\d+(?:\.\d+)?)pt>")
+# ASCII digits only, at most MAX_DIGITS on each side of the point, so the
+# offset stays finite; any other offset is an unsupported spec
+_OFFSET_RE = re.compile(r"@<(-?[0-9]{1,%d}(?:\.[0-9]{1,%d})?)pt>"
+                        % (MAX_DIGITS, MAX_DIGITS))
 _TICK_RE = re.compile(r"\|-\*@\{([|+])\}")
 
 
-def parse_arrow_spec(spec: str, constructor: str | None = None) -> ArrowStyle:
+def parse_arrow_spec(spec: str) -> ArrowStyle:
     """Canonicalize one spec string.
 
     Raw specs (leading @) pass through the same directional grammar after
@@ -92,12 +95,10 @@ def parse_arrow_spec(spec: str, constructor: str | None = None) -> ArrowStyle:
         if ends[1] < 0:
             raise DiagnosticError(
                 UNSUPPORTED_ARROW_SPEC,
-                f"unbalanced braces in arrow spec {spec!r} at position 1",
-                constructor=constructor,
-            )
+                f"unbalanced braces in arrow spec {spec!r} at position 1")
     name = spec[2 * depth:ends[depth]]
     if name.startswith("@"):
-        raise _unsupported(name, 1, constructor)
+        raise _unsupported(name, 1)
     reverse = name in _REVERSED
     if name in _FORWARD:
         tail, shaft, head = _FORWARD[name]
@@ -105,7 +106,7 @@ def parse_arrow_spec(spec: str, constructor: str | None = None) -> ArrowStyle:
         tail, shaft, head = _REVERSED[name]
     else:
         layer = spec[2 * depth - 2:ends[depth - 1]] if depth else spec
-        raise _unsupported(layer, 2 if depth else 0, constructor)
+        raise _unsupported(layer, 2 if depth else 0)
     mid, offset = "none", 0.0
     for k in range(depth - 1, -1, -1):
         start, end = 2 * k, ends[k]
@@ -117,15 +118,13 @@ def parse_arrow_spec(spec: str, constructor: str | None = None) -> ArrowStyle:
             else:
                 match = _OFFSET_RE.match(spec, pos, end)
                 if not match:
-                    raise _unsupported(spec[start:end], pos - start, constructor)
+                    raise _unsupported(spec[start:end], pos - start)
                 offset = float(match.group(1))
             pos = match.end()
     return ArrowStyle(tail, shaft, head, mid, offset, reverse)
 
 
-def _unsupported(spec: str, pos: int, constructor: str | None) -> DiagnosticError:
+def _unsupported(spec: str, pos: int) -> DiagnosticError:
     return DiagnosticError(
         UNSUPPORTED_ARROW_SPEC,
-        f"unsupported arrow spec {spec!r} at position {pos}",
-        constructor=constructor,
-    )
+        f"unsupported arrow spec {spec!r} at position {pos}")

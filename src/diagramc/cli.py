@@ -6,7 +6,9 @@ units numbers its outputs ``name.1.svg``, ``name.2.svg``, and so on; a
 single unit writes plain ``name.svg``.  A file that fails, even by a
 fault in the compiler (reported as ``InternalError``), never stops the
 files after it.  Two inputs that would write the same path, or an output
-that would overwrite an input, stop the run before anything is written.
+that would overwrite an input, stop the run before anything is written;
+an output that is a link to an input fails its file before that file
+writes anything.
 
 Exit status: 0 when everything compiled, 1 when any file failed with a
 diagnostic, 2 for invocation problems such as unreadable inputs, a bad
@@ -57,13 +59,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument('--strict', action='store_true',
                    help='fail on glyphs missing from the metrics table')
     return p
-
-
-def _diagnostic_line(err: DiagnosticError, path: str) -> str:
-    if err.loc is None:
-        ctor = ' [in \\%s]' % err.constructor if err.constructor else ''
-        return '%s: error: %s: %s%s' % (path, err.code, err.message, ctor)
-    return err.format()
 
 
 def _unit_texts(unit: Scene):
@@ -155,6 +150,15 @@ def _collision(inputs: list[str], lowered: dict[int, tuple[int, list[Scene]]],
     return None
 
 
+def _file_id(path: str) -> tuple[int, int] | None:
+    """(device, inode) of the file at ``path``, links followed, or None."""
+    try:
+        stat = os.stat(path)
+    except OSError:   # nothing there yet; a write error is reported later
+        return None
+    return stat.st_dev, stat.st_ino
+
+
 def _write(path: str, text: str) -> None:
     with open(path, 'w', encoding='utf-8', newline='\n') as handle:
         handle.write(text)
@@ -163,7 +167,7 @@ def _write(path: str, text: str) -> None:
 def _failure(path: str, exc: Exception) -> int:
     """Report why one input failed; return the exit status it earns."""
     if isinstance(exc, DiagnosticError):
-        print(_diagnostic_line(exc, path), file=sys.stderr)
+        print(exc.format(path), file=sys.stderr)
         return 1
     if isinstance(exc, OSError):
         print('%s: error: %s' % (exc.filename or path, exc.strerror or exc),
@@ -208,24 +212,31 @@ def _lower_file(path: str, args: argparse.Namespace, metrics: MetricsTable,
 
 
 def _compile_file(path: str, units: list[Scene], args: argparse.Namespace,
-                  metrics: MetricsTable, cfg: RenderConfig) -> int:
-    """Render and write the outputs of one lowered input."""
-    scenes = args.format in ('scene', 'both')
-    svgs = args.format in ('svg', 'both')
+                  metrics: MetricsTable, cfg: RenderConfig,
+                  sources: dict[tuple[int, int], str]) -> int:
+    """Render and write the outputs of one lowered input.
+
+    ``sources`` holds the inputs by file identity: an output that is a
+    link to an input, under any name, fails the file before any write.
+    """
+    outputs = {ext: _output_paths(path, args.out_dir, len(units), ext)
+               for ext in _EXTENSIONS[args.format]}
+    for out in sum(outputs.values(), []):
+        source = sources.get(_file_id(out))
+        if source is not None:
+            print('diagramc: error: %s: %s would overwrite the input %s '
+                  'through %s' % (OUTPUT_COLLISION, path, source, out),
+                  file=sys.stderr)
+            return 2
     try:
         # every SVG renders before the first write, so a layout error
         # leaves no outputs behind
-        rendered = [render(unit, metrics, cfg) for unit in units] if svgs else []
-        if scenes:
-            for out, unit in zip(
-                    _output_paths(path, args.out_dir, len(units),
-                                  'scene.json'), units):
-                _write(out, dump_scene(unit))
-        if svgs:
-            for out, document in zip(
-                    _output_paths(path, args.out_dir, len(units), 'svg'),
-                    rendered):
-                _write(out, document)
+        rendered = ([render(unit, metrics, cfg) for unit in units]
+                    if 'svg' in outputs else [])
+        for out, unit in zip(outputs.get('scene.json', ()), units):
+            _write(out, dump_scene(unit))
+        for out, document in zip(outputs.get('svg', ()), rendered):
+            _write(out, document)
     except Exception as exc:   # one bad file never stops the batch
         return _failure(path, exc)
     return 0
@@ -262,12 +273,14 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print('diagramc: error: %s' % exc, file=sys.stderr)
             return 2
+    sources = {_file_id(path): path for path in inputs}
+    sources.pop(None, None)
     status = 0
     for i, path in enumerate(inputs):
         code, units = (lowered[i] if i in lowered
                        else _lower_file(path, args, metrics, cfg))
         if code == 0:
-            code = _compile_file(path, units, args, metrics, cfg)
+            code = _compile_file(path, units, args, metrics, cfg, sources)
         status = max(status, code)
     return status
 

@@ -44,8 +44,9 @@ class DiagnosticError(Exception):
         self.loc = loc
         self.constructor = constructor
 
-    def format(self) -> str:
-        where = str(self.loc) if self.loc else "<unknown>"
+    def format(self, file: str = "<unknown>") -> str:
+        """The diagnostic line; ``file`` stands in for a missing location."""
+        where = str(self.loc) if self.loc else file
         ctor = f" [in \\{self.constructor}]" if self.constructor else ""
         return f"{where}: error: {self.code}: {self.message}{ctor}"
 

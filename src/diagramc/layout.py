@@ -35,6 +35,10 @@ __all__ = [
 ]
 
 Point = tuple[float, float]
+_ClipKey = tuple[int, int, str]   # a node's position and text
+
+_LABEL_GAP = 2.0      # clearance between a side label's box and its arrow, pt
+_LOOP_REACH_EM = 2.0  # distance from a loop's ends to its control points, em
 
 
 @dataclass(frozen=True)
@@ -96,7 +100,7 @@ def node_box(node: NodeInstance, metrics: MetricsTable,
     rx, ry = to_physical(node.pos, cfg)
     scale = cfg.em_pt / 1000.0
     if node.text:
-        width = metrics.measure(node.text, cfg)
+        width = metrics.text_advance(node.text) * cfg.em_pt / 1000.0
         ascent = metrics.ascent * scale
         descent = metrics.descent * scale
     else:
@@ -135,18 +139,13 @@ def _exit_param(box: NodeBox, px: float, py: float, dx: float,
     return t
 
 
-def _label_metrics(text: str, metrics: MetricsTable,
-                   cfg: RenderConfig) -> tuple[float, float]:
-    width = metrics.text_advance(text, cfg.label_scale) * cfg.em_pt / 1000.0
-    height = metrics.box_height_milli_em() * cfg.label_scale * cfg.em_pt / 1000.0
-    return width, height
-
-
 def _place_label(text: str, side: str, start: Point, end: Point,
                  metrics: MetricsTable, cfg: RenderConfig) -> Label:
     mx = (start[0] + end[0]) / 2.0
     my = (start[1] + end[1]) / 2.0
-    width, height = _label_metrics(text, metrics, cfg)
+    width = metrics.text_advance(text, cfg.label_scale) * cfg.em_pt / 1000.0
+    height = ((metrics.ascent + metrics.descent) * cfg.label_scale * cfg.em_pt
+              / 1000.0)
     if side == MID:
         backing = (mx - width / 2.0 - 1.0, my - height / 2.0 - 4.0,
                    mx + width / 2.0 + 1.0, my + height / 2.0 + 4.0)
@@ -157,7 +156,7 @@ def _place_label(text: str, side: str, start: Point, end: Point,
     nx, ny = -dy / length, dx / length
     if side != LEFT:
         nx, ny = -nx, -ny
-    reach = height / 2.0 + cfg.label_gap_pt
+    reach = height / 2.0 + _LABEL_GAP
     return Label(mx + nx * reach, my + ny * reach, text, side, width, height)
 
 
@@ -165,21 +164,20 @@ def _offset(p: Point, nx: float, ny: float, amount: float) -> Point:
     return (p[0] + nx * amount, p[1] + ny * amount)
 
 
-def _resolve_segment(arrow: ArrowInstance,
-                     by_pos: dict[tuple[int, int], NodeBox],
-                     metrics: MetricsTable,
-                     cfg: RenderConfig) -> ResolvedArrow:
+def _resolve_segment(arrow: ArrowInstance, clips: dict[_ClipKey, NodeBox],
+                     metrics: MetricsTable, cfg: RenderConfig
+                     ) -> ResolvedArrow:
     p0 = to_physical(arrow.src, cfg)
     p1 = to_physical(arrow.dst, cfg)
     dx = p1[0] - p0[0]
     dy = p1[1] - p0[1]
     t0, t1 = 0.0, 1.0
     if arrow.src_text is not None:
-        box = by_pos.get((arrow.src.x, arrow.src.y))
+        box = clips.get((arrow.src.x, arrow.src.y, arrow.src_text))
         if box is not None:
             t0 = _exit_param(box, p0[0], p0[1], dx, dy)
     if arrow.dst_text is not None:
-        box = by_pos.get((arrow.dst.x, arrow.dst.y))
+        box = clips.get((arrow.dst.x, arrow.dst.y, arrow.dst_text))
         if box is not None:
             t1 = 1.0 - _exit_param(box, p1[0], p1[1], -dx, -dy)
     if t0 >= t1:
@@ -205,10 +203,9 @@ def _resolve_segment(arrow: ArrowInstance,
     return ResolvedArrow(start, end, arrow.style, labels)
 
 
-def _resolve_loop(arrow: ArrowInstance,
-                  by_pos: dict[tuple[int, int], NodeBox],
+def _resolve_loop(arrow: ArrowInstance, clips: dict[_ClipKey, NodeBox],
                   cfg: RenderConfig) -> ResolvedArrow:
-    box = by_pos[(arrow.src.x, arrow.src.y)]
+    box = clips[(arrow.src.x, arrow.src.y, arrow.src_text)]
     rx, ry = to_physical(arrow.src, cfg)
     ox, oy = resolve_compass(arrow.loop_out)
     ix, iy = resolve_compass(arrow.loop_in)
@@ -216,7 +213,7 @@ def _resolve_loop(arrow: ArrowInstance,
     t_in = _exit_param(box, rx, ry, ix, iy)
     start = (rx + ox * t_out, ry + oy * t_out)
     end = (rx + ix * t_in, ry + iy * t_in)
-    reach = cfg.loop_reach_em * cfg.em_pt
+    reach = _LOOP_REACH_EM * cfg.em_pt
     controls = ((start[0] + ox * reach, start[1] + oy * reach),
                 (end[0] + ix * reach, end[1] + iy * reach))
     return ResolvedArrow(start, end, arrow.style, (), controls)
@@ -256,15 +253,17 @@ def resolve_scene(scene: Scene, metrics: MetricsTable | None = None,
     if cfg is None:
         cfg = RenderConfig()
     boxes = tuple(node_box(n, metrics, cfg) for n in scene.nodes)
-    by_pos: dict[tuple[int, int], NodeBox] = {}
+    # an arrow end is clipped by the first box of its node's position and
+    # text; another text placed at that position does not clip it
+    clips: dict[_ClipKey, NodeBox] = {}
     for node, box in zip(scene.nodes, boxes):
-        by_pos.setdefault((node.pos.x, node.pos.y), box)
+        clips.setdefault((node.pos.x, node.pos.y, node.text), box)
     arrows: list[ResolvedArrow] = []
     for arrow in scene.arrows:
         if arrow.is_loop:
-            arrows.append(_resolve_loop(arrow, by_pos, cfg))
+            arrows.append(_resolve_loop(arrow, clips, cfg))
         else:
-            arrows.append(_resolve_segment(arrow, by_pos, metrics, cfg))
+            arrows.append(_resolve_segment(arrow, clips, metrics, cfg))
     for fragment in scene.inlines:
         arrows.extend(_resolve_inline(fragment, metrics, cfg))
     return ResolvedScene(boxes, tuple(arrows))

@@ -98,10 +98,6 @@ class MetricsTable:
 
     # -- physical and logical widths ---------------------------------------
 
-    def measure(self, text: str, cfg: RenderConfig) -> float:
-        """Width of text in points at full size."""
-        return self.text_advance(text) * cfg.em_pt / 1000.0
-
     def morphism_width(self, node_a: str, node_b: str, label: str, cfg: RenderConfig) -> int:
         """Auto width in logical units for an edge between node_a and node_b.
 
@@ -122,9 +118,6 @@ class MetricsTable:
         widest = max(self.text_advance(sup, cfg.label_scale),
                      self.text_advance(sub, cfg.label_scale))
         return max(widest // _UNIT_MILLI_EM + DEFAULT_MARGIN, floor_units)
-
-    def box_height_milli_em(self) -> int:
-        return self.ascent + self.descent
 
 
 def _parse_key(key: str, path: str, lineno: int) -> str:

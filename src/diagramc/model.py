@@ -1,7 +1,8 @@
 """Core scene model: logical-unit geometry, render configuration, scene instances."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
 
 # One logical unit is 0.01 em.  All constructor arithmetic stays in integer
@@ -14,12 +15,6 @@ DEFAULT_MARGIN = 150
 class LogicalPoint:
     x: int
     y: int
-
-    def __add__(self, other: "LogicalPoint") -> "LogicalPoint":
-        return LogicalPoint(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "LogicalPoint") -> "LogicalPoint":
-        return LogicalPoint(self.x - other.x, self.y - other.y)
 
     def shifted(self, dx: int, dy: int) -> "LogicalPoint":
         return LogicalPoint(self.x + dx, self.y + dy)
@@ -34,24 +29,25 @@ class RenderConfig:
 
     em_pt: float = 10.0
     object_margin_pt: float = 3.0
-    axis_pt: Optional[float] = None  # None means 0.25 * em_pt
-    loop_reach_em: float = 2.0
     label_scale: float = 1.0
-    label_gap_pt: float = 2.0
 
     def __post_init__(self) -> None:
+        # nan passes every sign test below, and inf overflows layout
+        for setting in fields(self):
+            value = getattr(self, setting.name)
+            if not math.isfinite(value):
+                raise ValueError("%s must be finite, got %r"
+                                 % (setting.name, value))
         if self.em_pt <= 0:
             raise ValueError("em_pt must be positive")
         if self.object_margin_pt < 0:
             raise ValueError("object_margin_pt must be non-negative")
-        if self.axis_pt is not None and self.axis_pt < 0:
-            raise ValueError("axis_pt must be non-negative")
         if self.label_scale <= 0:
             raise ValueError("label_scale must be positive")
 
     @property
     def axis(self) -> float:
-        return 0.25 * self.em_pt if self.axis_pt is None else self.axis_pt
+        return 0.25 * self.em_pt
 
 
 def to_physical(p: LogicalPoint, cfg: RenderConfig) -> Tuple[float, float]:
@@ -68,9 +64,6 @@ class ArrowStyle:
     parallel_offset_pt: float = 0.0
     reversed: bool = False
 
-    def reverse(self) -> "ArrowStyle":
-        return replace(self, reversed=not self.reversed)
-
 
 @dataclass(frozen=True)
 class NodeInstance:
@@ -78,9 +71,6 @@ class NodeInstance:
     text: str
     anchor: str = "center"
     phantom: bool = False
-
-    def key(self) -> Tuple[LogicalPoint, str, str]:
-        return (self.pos, self.text, self.anchor)
 
 
 LEFT = "left"
@@ -163,7 +153,7 @@ def dedupe_nodes(scene: Scene) -> Scene:
     kept: list[NodeInstance] = []
     index: dict[Tuple[LogicalPoint, str, str], int] = {}
     for node in scene.nodes:
-        k = node.key()
+        k = (node.pos, node.text, node.anchor)
         if k not in index:
             index[k] = len(kept)
             kept.append(node)

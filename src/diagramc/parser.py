@@ -33,6 +33,7 @@ whole pieces of the group.  An integer literal has at most
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -190,6 +191,17 @@ _CONTROL_RE = re.compile(r'[\x00-\x08\x0b\x0c\x0e-\x1f]')
 MAX_DIGITS = 9
 
 
+def _fields(raw: str, sep: str, count: int, what: str,
+            loc: SourceLoc) -> list[str]:
+    """``raw`` split on ``sep``; anything but ``count`` fields is an error."""
+    parts = split_fields(raw, sep)
+    if len(parts) != count:
+        raise DiagnosticError(
+            ARITY_ERROR, 'expected %d %s, got %d' % (count, what, len(parts)),
+            loc)
+    return parts
+
+
 def _check_digits(digits: str, what: str, loc: SourceLoc) -> None:
     if len(digits) > MAX_DIGITS:
         raise DiagnosticError(
@@ -200,20 +212,16 @@ def _check_digits(digits: str, what: str, loc: SourceLoc) -> None:
 class _Scanner:
     """Offset cursor with group scanning.
 
-    Only the offset moves as text is read.  Line and column are worked
-    out when a location is asked for, counting line breaks on from the
-    last offset asked about, so text read forwards is counted once.  A
-    location behind that offset is counted again from the start.
+    Only the offset moves as text is read.  The offsets at which lines
+    start are listed once per source, and a location asked for is found
+    by bisecting that list, wherever the offset is.
     """
 
     def __init__(self, text: str, filename: str):
         self.text = text.replace('\r\n', '\n').replace('\r', '\n')
         self.filename = filename
         self.pos = 0
-        # line number and start of line at offset _seen
-        self._seen = 0
-        self._line = 1
-        self._line_start = 0
+        self._starts = [0] + [m.end() for m in re.finditer('\n', self.text)]
         # no emitter can write these: XML 1.0 forbids them outright
         bad = _CONTROL_RE.search(self.text)
         if bad:
@@ -224,16 +232,9 @@ class _Scanner:
                 % ord(bad.group()), self.loc())
 
     def loc(self) -> SourceLoc:
-        pos = self.pos
-        if pos < self._seen:
-            self._seen, self._line, self._line_start = 0, 1, 0
-        if pos > self._seen:
-            last = self.text.rfind('\n', self._seen, pos)
-            if last >= 0:
-                self._line += self.text.count('\n', self._seen, last + 1)
-                self._line_start = last + 1
-            self._seen = pos
-        return SourceLoc(self.filename, self._line, pos - self._line_start + 1)
+        line = bisect_right(self._starts, self.pos)
+        return SourceLoc(self.filename, line,
+                         self.pos - self._starts[line - 1] + 1)
 
     @property
     def more(self) -> bool:
@@ -443,31 +444,20 @@ class _Parser:
                 % (len(default), len(letters)), self.scan.loc())
         return letters
 
-    def _opt_specs(self, count: int, default: str = '>') -> tuple[str, ...]:
+    def _opt_specs(self, count: int) -> tuple[str, ...]:
         raw = self.scan.opt_group('/', '/', 'spec list')
         if raw is None:
-            return (default,) * count
+            return ('>',) * count
         if count == 1:
             return (raw,)
-        parts = split_fields(raw, '`')
-        if len(parts) != count:
-            raise DiagnosticError(
-                ARITY_ERROR,
-                'expected %d arrow specs, got %d' % (count, len(parts)),
-                self.scan.loc())
-        return tuple(parts)
+        return tuple(_fields(raw, '`', count, 'arrow specs', self.scan.loc()))
 
     def _opt_spans(self, defaults: tuple[int, ...]) -> tuple[int, ...]:
         loc = self.scan.loc()
         raw = self.scan.opt_group('<', '>', 'span list')
         if raw is None:
             return defaults
-        parts = split_fields(raw, ',')
-        if len(parts) != len(defaults):
-            raise DiagnosticError(
-                ARITY_ERROR,
-                'expected %d span entries, got %d'
-                % (len(defaults), len(parts)), loc)
+        parts = _fields(raw, ',', len(defaults), 'span entries', loc)
         return tuple(self._int(p, 'span') for p in parts)
 
     def _payload(self, n_nodes: int, n_labels: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -479,16 +469,8 @@ class _Parser:
             raise DiagnosticError(
                 PARSE_ERROR,
                 "expected ';' separating nodes from labels", loc)
-        nodes = split_fields(head, '`')
-        labels = split_fields(';'.join(tail), '`')
-        if len(nodes) != n_nodes:
-            raise DiagnosticError(
-                ARITY_ERROR,
-                'expected %d nodes, got %d' % (n_nodes, len(nodes)), loc)
-        if len(labels) != n_labels:
-            raise DiagnosticError(
-                ARITY_ERROR,
-                'expected %d labels, got %d' % (n_labels, len(labels)), loc)
+        nodes = _fields(head, '`', n_nodes, 'nodes', loc)
+        labels = _fields(';'.join(tail), '`', n_labels, 'labels', loc)
         return tuple(nodes), tuple(labels)
 
     def _int(self, text: str, what: str) -> int:
@@ -529,11 +511,7 @@ class _Parser:
         spec = self.scan.need_group('/', '/', 'arrow spec')
         span_loc = self.scan.loc()
         raw = self.scan.need_group('<', '>', 'span pair')
-        parts = split_fields(raw, ',')
-        if len(parts) != 2:
-            raise DiagnosticError(
-                ARITY_ERROR,
-                'expected 2 span entries, got %d' % len(parts), span_loc)
+        parts = _fields(raw, ',', 2, 'span entries', span_loc)
         spans = tuple(self._int(p, 'span') for p in parts)
         return Statement(constructor, origin=origin, specs=(spec,),
                          spans=spans, loc=loc)
@@ -553,12 +531,7 @@ class _Parser:
         specs = self._opt_specs(4)
         labels_loc = self.scan.loc()
         raw = self.scan.need_group('[', ']', 'connector label list')
-        labels = split_fields(raw, '`')
-        if len(labels) != 4:
-            raise DiagnosticError(
-                ARITY_ERROR,
-                'expected 4 connector labels, got %d' % len(labels),
-                labels_loc)
+        labels = _fields(raw, '`', 4, 'connector labels', labels_loc)
         connector = Statement(CONNECTOR, placements=placements, specs=specs,
                               labels=tuple(labels), loc=loc)
         return replace(outer, inner=inner, connector=connector)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .layout import Label, ResolvedArrow, ResolvedScene, resolve_scene
+from .layout import ResolvedArrow, ResolvedScene, resolve_scene
 from .metrics import MetricsTable
 from .model import RenderConfig, Scene
 
@@ -89,45 +89,33 @@ def _group(cls: str, children: list[str], pad: str, child_pad: str) -> str:
                                             pad)
 
 
-class _Writer:
-    """Accumulates element lines for one unit, flipping y on the way in.
+# Each element writer returns one element line, unindented; the group
+# around it supplies the indentation.  y flips on the way in.
 
-    Each method appends one element, unindented, to ``parent``; the
-    group around it supplies the indentation.
-    """
+def _line(cls: str, a: Point, b: Point, dash: str | None = None) -> str:
+    return ('<line class="%s" x1="%s" y1="%s" x2="%s" y2="%s"%s%s />'
+            % (cls, _fmt(a[0]), _fmt(-a[1]), _fmt(b[0]), _fmt(-b[1]),
+               _STROKED, _dash(dash)))
 
-    def __init__(self, metrics: MetricsTable, cfg: RenderConfig):
-        self.metrics = metrics
-        self.cfg = cfg
-        self.arrows: list[str] = []   # finished <g class="arrow"> blocks
-        self.nodes: list[str] = []    # node <text> elements
 
-    def line(self, parent: list[str], cls: str, a: Point, b: Point,
-             dash: str | None = None) -> None:
-        parent.append('<line class="%s" x1="%s" y1="%s" x2="%s" y2="%s"%s%s />'
-                      % (cls, _fmt(a[0]), _fmt(-a[1]), _fmt(b[0]),
-                         _fmt(-b[1]), _STROKED, _dash(dash)))
+def _path(cls: str, d: str, filled: bool = False,
+          dash: str | None = None) -> str:
+    paint = ' fill="#000"' if filled else _STROKED + _dash(dash)
+    return '<path class="%s" d="%s"%s />' % (cls, d, paint)
 
-    def path(self, parent: list[str], cls: str, d: str, filled: bool = False,
-             dash: str | None = None) -> None:
-        paint = ' fill="#000"' if filled else _STROKED + _dash(dash)
-        parent.append('<path class="%s" d="%s"%s />' % (cls, d, paint))
 
-    def rect(self, parent: list[str], cls: str,
-             box: tuple[float, float, float, float], fill: str) -> None:
-        min_x, min_y, max_x, max_y = box
-        parent.append(
-            '<rect class="%s" x="%s" y="%s" width="%s" height="%s" '
+def _rect(cls: str, box: tuple[float, float, float, float], fill: str) -> str:
+    min_x, min_y, max_x, max_y = box
+    return ('<rect class="%s" x="%s" y="%s" width="%s" height="%s" '
             'fill="%s" />' % (cls, _fmt(min_x), _fmt(-max_y),
                               _fmt(max_x - min_x), _fmt(max_y - min_y), fill))
 
-    def text(self, parent: list[str], cls: str, x: float, baseline_y: float,
-             content: str, size: float) -> None:
-        tag = ('<text class="%s" x="%s" y="%s" text-anchor="middle" '
-               'font-size="%s"' % (cls, _fmt(x), _fmt(-baseline_y),
-                                   _fmt(size)))
-        parent.append('%s>%s</text>' % (tag, _escape(content)) if content
-                      else tag + ' />')
+
+def _text(cls: str, x: float, baseline_y: float, content: str,
+          size: float) -> str:
+    tag = ('<text class="%s" x="%s" y="%s" text-anchor="middle" '
+           'font-size="%s"' % (cls, _fmt(x), _fmt(-baseline_y), _fmt(size)))
+    return '%s>%s</text>' % (tag, _escape(content)) if content else tag + ' />'
 
 
 def render(scene: Scene, metrics: MetricsTable | None = None,
@@ -142,17 +130,13 @@ def render(scene: Scene, metrics: MetricsTable | None = None,
 
 def render_resolved(resolved: ResolvedScene, metrics: MetricsTable,
                     cfg: RenderConfig) -> str:
-    w = _Writer(metrics, cfg)
-    for arrow in resolved.arrows:
-        _emit_arrow(w, arrow)
-    for box in resolved.boxes:
-        if box.text and not box.phantom:
-            w.text(w.nodes, 'node', box.text_x, box.baseline_y, box.text,
-                   cfg.em_pt)
+    arrows = [_arrow(arrow, metrics, cfg) for arrow in resolved.arrows]
+    nodes = [_text('node', box.text_x, box.baseline_y, box.text, cfg.em_pt)
+             for box in resolved.boxes if box.text and not box.phantom]
     return '%s%s\n%s\n%s\n</svg>\n' % (
         _XML_DECL, _frame(_bounds(resolved)),
-        _group('arrows', w.arrows, '  ', ''),
-        _group('nodes', w.nodes, '  ', '    '))
+        _group('arrows', arrows, '  ', ''),
+        _group('nodes', nodes, '  ', '    '))
 
 
 def _frame(bounds: tuple[float, float, float, float] | None) -> str:
@@ -203,7 +187,9 @@ def _bounds(resolved: ResolvedScene
 # ---- arrows -----------------------------------------------------------
 
 
-def _emit_arrow(w: _Writer, arrow: ResolvedArrow) -> None:
+def _arrow(arrow: ResolvedArrow, metrics: MetricsTable,
+           cfg: RenderConfig) -> str:
+    """One ``<g class="arrow">`` block: shaft, tips, mid mark, labels."""
     g: list[str] = []
     style = arrow.style
     start, end = arrow.start, arrow.end
@@ -229,20 +215,25 @@ def _emit_arrow(w: _Writer, arrow: ResolvedArrow) -> None:
             shaft_end = _at(end, u_end, -tip)
         else:
             shaft_start = _at(start, u_start, tip)
-    _emit_shaft(w, g, arrow, style.shaft, shaft_start, shaft_end)
+    _emit_shaft(g, arrow, style.shaft, shaft_start, shaft_end)
     if style.head != 'none':
-        _emit_head(w, g, style.head, head_pos, head_out, arrow.tip_scale)
+        _emit_head(g, style.head, head_pos, head_out, arrow.tip_scale)
     if style.tail != 'none':
-        _emit_tail(w, g, style.tail, tail_pos, tail_in, arrow.tip_scale)
+        _emit_tail(g, style.tail, tail_pos, tail_in, arrow.tip_scale)
     if style.mid != 'none' and not arrow.is_loop:
-        _emit_mid(w, g, style.mid, start, end, u_start)
+        _emit_mid(g, style.mid, start, end, u_start)
     for label in arrow.labels:
-        _emit_label(w, g, label)
-    w.arrows.append(_group('arrow', g, '    ', '      '))
+        if label.backing is not None:
+            g.append(_rect('backing', label.backing, '#fff'))
+        size = cfg.em_pt * cfg.label_scale
+        ascent = metrics.ascent * size / 1000.0
+        baseline = label.y + label.height / 2.0 - ascent
+        g.append(_text('label', label.x, baseline, label.text, size))
+    return _group('arrow', g, '    ', '      ')
 
 
-def _emit_shaft(w: _Writer, g: list[str], arrow: ResolvedArrow, shaft: str,
-                a: Point, b: Point) -> None:
+def _emit_shaft(g: list[str], arrow: ResolvedArrow, shaft: str, a: Point,
+                b: Point) -> None:
     if shaft == 'invisible':
         return
     if arrow.is_loop:
@@ -250,16 +241,16 @@ def _emit_shaft(w: _Writer, g: list[str], arrow: ResolvedArrow, shaft: str,
         d = 'M %s %s C %s %s, %s %s, %s %s' % (
             _fmt(a[0]), _fmt(-a[1]), _fmt(c1[0]), _fmt(-c1[1]),
             _fmt(c2[0]), _fmt(-c2[1]), _fmt(b[0]), _fmt(-b[1]))
-        w.path(g, 'shaft', d, dash=_DASH.get(shaft))
+        g.append(_path('shaft', d, dash=_DASH.get(shaft)))
         return
     if shaft == 'double':
         u = _unit(a, b)
         nx, ny = -u[1], u[0]
         for side in (_DOUBLE_GAP, -_DOUBLE_GAP):
-            w.line(g, 'shaft', (a[0] + nx * side, a[1] + ny * side),
-                   (b[0] + nx * side, b[1] + ny * side))
+            g.append(_line('shaft', (a[0] + nx * side, a[1] + ny * side),
+                           (b[0] + nx * side, b[1] + ny * side)))
         return
-    w.line(g, 'shaft', a, b, dash=_DASH.get(shaft))
+    g.append(_line('shaft', a, b, dash=_DASH.get(shaft)))
 
 
 def _chevron(p: Point, out: Point, scale: float) -> str:
@@ -275,21 +266,21 @@ def _chevron(p: Point, out: Point, scale: float) -> str:
         _fmt(notch[0]), _fmt(-notch[1]), _fmt(b2[0]), _fmt(-b2[1]))
 
 
-def _emit_head(w: _Writer, g: list[str], head: str, p: Point, out: Point,
+def _emit_head(g: list[str], head: str, p: Point, out: Point,
                scale: float) -> None:
-    w.path(g, 'head', _chevron(p, out, scale), filled=True)
+    g.append(_path('head', _chevron(p, out, scale), filled=True))
     if head == 'double_head':
-        w.path(g, 'head', _chevron(_at(p, out, -_HEAD_GAP * scale), out,
-                                   scale), filled=True)
+        g.append(_path('head', _chevron(_at(p, out, -_HEAD_GAP * scale), out,
+                                        scale), filled=True))
 
 
-def _emit_tail(w: _Writer, g: list[str], tail: str, p: Point, inward: Point,
+def _emit_tail(g: list[str], tail: str, p: Point, inward: Point,
                scale: float) -> None:
     nx, ny = -inward[1], inward[0]
     half = _TIP_HALF * scale
     if tail == 'bar':
-        w.line(g, 'tail', (p[0] + nx * _BAR_HALF, p[1] + ny * _BAR_HALF),
-               (p[0] - nx * _BAR_HALF, p[1] - ny * _BAR_HALF))
+        g.append(_line('tail', (p[0] + nx * _BAR_HALF, p[1] + ny * _BAR_HALF),
+                       (p[0] - nx * _BAR_HALF, p[1] - ny * _BAR_HALF)))
         return
     if tail == 'mono':
         vertex = _at(p, inward, _TIP_LEN * scale)
@@ -298,7 +289,7 @@ def _emit_tail(w: _Writer, g: list[str], tail: str, p: Point, inward: Point,
         d = 'M %s %s L %s %s L %s %s' % (
             _fmt(b1[0]), _fmt(-b1[1]), _fmt(vertex[0]), _fmt(-vertex[1]),
             _fmt(b2[0]), _fmt(-b2[1]))
-        w.path(g, 'tail', d)
+        g.append(_path('tail', d))
         return
     # hooks: a half circle between the boundary point and a point one
     # diameter along the shaft, bulging to one side
@@ -307,29 +298,21 @@ def _emit_tail(w: _Writer, g: list[str], tail: str, p: Point, inward: Point,
     d = 'M %s %s A %s %s 0 0 %s %s %s' % (
         _fmt(p[0]), _fmt(-p[1]), _fmt(_HOOK_R * scale),
         _fmt(_HOOK_R * scale), sweep, _fmt(far[0]), _fmt(-far[1]))
-    w.path(g, 'tail', d)
+    g.append(_path('tail', d))
 
 
-def _emit_mid(w: _Writer, g: list[str], mid: str, start: Point, end: Point,
+def _emit_mid(g: list[str], mid: str, start: Point, end: Point,
               u: Point) -> None:
     cx = (start[0] + end[0]) / 2.0
     cy = (start[1] + end[1]) / 2.0
     nx, ny = -u[1], u[0]
     if mid == 'tick':
-        w.line(g, 'mid', (cx + nx * _BAR_HALF, cy + ny * _BAR_HALF),
-               (cx - nx * _BAR_HALF, cy - ny * _BAR_HALF))
+        g.append(_line('mid', (cx + nx * _BAR_HALF, cy + ny * _BAR_HALF),
+                       (cx - nx * _BAR_HALF, cy - ny * _BAR_HALF)))
         return
     # cross: two ticks at 45 degrees either side of the perpendicular
     for sx, sy in ((nx + u[0], ny + u[1]), (nx - u[0], ny - u[1])):
         length = math.hypot(sx, sy)
         vx, vy = sx / length * _BAR_HALF, sy / length * _BAR_HALF
-        w.line(g, 'mid', (cx + vx, cy + vy), (cx - vx, cy - vy))
+        g.append(_line('mid', (cx + vx, cy + vy), (cx - vx, cy - vy)))
 
-
-def _emit_label(w: _Writer, g: list[str], label: Label) -> None:
-    if label.backing is not None:
-        w.rect(g, 'backing', label.backing, '#fff')
-    size = w.cfg.em_pt * w.cfg.label_scale
-    ascent = w.metrics.ascent * size / 1000.0
-    baseline = label.y + label.height / 2.0 - ascent
-    w.text(g, 'label', label.x, baseline, label.text, size)

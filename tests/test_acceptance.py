@@ -770,7 +770,7 @@ def test_c08_label_anchors_at_midpoints(source):
             if label.side == MID:
                 assert math.hypot(ax, ay) < 1e-9
             else:
-                reach = label.height / 2.0 + cfg.label_gap_pt
+                reach = label.height / 2.0 + 2.0
                 assert abs(math.hypot(ax, ay) - reach) < 1e-9
             checked += 1
     assert checked > 0

@@ -62,13 +62,23 @@ def test_offset_modifier():
     assert parse_arrow_spec('@{>}@<-2.5pt>').parallel_offset_pt == -2.5
 
 
+def test_offset_at_the_digit_bound_is_finite():
+    style = parse_arrow_spec('@{>}@<-999999999.999999999pt>')
+    assert style.parallel_offset_pt == -1e9
+
+
 def test_modifiers_stack():
     style = parse_arrow_spec('@{-->}|-*@{|}@<1pt>')
     assert (style.shaft, style.head, style.mid) == ('dashed', 'normal', 'tick')
     assert style.parallel_offset_pt == 1.0
 
 
-@pytest.mark.parametrize('spec', ['~>', '@{~>}', '@>', '@{>', '@{>}?', '>>-'])
+@pytest.mark.parametrize('spec', [
+    '~>', '@{~>}', '@>', '@{>', '@{>}?', '>>-',
+    # offsets: ASCII digits, at most 9 on each side of the point
+    '@{>}@<1234567890pt>', '@{>}@<1.1234567890pt>', '@{>}@<\u0663pt>',
+    '@{>}@<%spt>' % ('9' * 400),
+])
 def test_unsupported_specs_raise(spec):
     with pytest.raises(DiagnosticError) as info:
         parse_arrow_spec(spec)

@@ -172,6 +172,16 @@ def test_malformed_metrics_exits_2(tmp_path, capsys):
 
 # ---- configuration ---------------------------------------------------------
 
+@pytest.mark.parametrize('flag', ['--em-pt', '--margin-pt', '--label-scale'])
+@pytest.mark.parametrize('value', ['nan', 'inf', '-inf'])
+def test_non_finite_settings_exit_2_and_write_nothing(tmp_path, capsys, flag,
+                                                      value):
+    source = write(tmp_path, 'dia.dxy', SQUARE)
+    assert main(['%s=%s' % (flag, value), str(source)]) == 2
+    assert capsys.readouterr().err.startswith('diagramc: error: ')
+    assert sorted(p.name for p in tmp_path.iterdir()) == ['dia.dxy']
+
+
 def test_bad_em_size_exits_2(tmp_path, capsys):
     source = write(tmp_path, 'dia.dxy', SQUARE)
     assert main(['--em-pt', '0', str(source)]) == 2
@@ -301,6 +311,33 @@ def test_an_input_is_never_overwritten_by_an_earlier_one(tmp_path, capsys):
     assert not (tmp_path / 'a.1.svg').exists()
 
 
+def test_an_output_linked_to_its_own_input_is_refused(tmp_path, capsys):
+    source = write(tmp_path, 'a.dxy', SQUARE)
+    (tmp_path / 'a.svg').symlink_to('a.dxy')
+    assert main([str(source)]) == 2
+    assert capsys.readouterr().err == (
+        'diagramc: error: OutputCollision: %s would overwrite the input %s '
+        'through %s\n' % (source, source, tmp_path / 'a.svg'))
+    assert source.read_text(encoding='utf-8') == SQUARE
+    assert sorted(p.name for p in tmp_path.iterdir()) == ['a.dxy', 'a.svg']
+
+
+def test_an_output_linked_to_another_input_is_refused(tmp_path, capsys):
+    first = write(tmp_path, 'a.dxy', SQUARE)
+    second = write(tmp_path, 'b.dxy', SQUARE)
+    out = tmp_path / 'out'
+    out.mkdir()
+    (out / 'a.scene.json').symlink_to(second)
+    assert main(['-o', str(out), str(first), str(second)]) == 2
+    assert capsys.readouterr().err == (
+        'diagramc: error: OutputCollision: %s would overwrite the input %s '
+        'through %s\n' % (first, second, out / 'a.scene.json'))
+    assert second.read_text(encoding='utf-8') == SQUARE
+    # the other input's outputs are still written
+    assert sorted(p.name for p in out.iterdir()) == [
+        'a.scene.json', 'b.scene.json', 'b.svg']
+
+
 def test_control_character_is_a_located_parse_error(tmp_path, capsys):
     source = write(tmp_path, 'ctl.dxy', '\\bfig\n\\place(0,0)[a\x01b]\\efig\n')
     assert main([str(source)]) == 1
@@ -323,6 +360,11 @@ def test_control_character_is_a_located_parse_error(tmp_path, capsys):
      'ParseError: grid mask must be a decimal number'),
     ('\\iiixii(0,0){\u00b2700}[A`B`C`D`E`F;a`b`c`d`e`f`g]',
      'ParseError: grid mask must be a decimal number'),
+    ('\\square/@{->}@<%spt>`>`>`>/[A`B`C`D;f`g`h`k]' % ('9' * 400),
+     "UnsupportedArrowSpec: unsupported arrow spec '@{->}@<999"),
+    ('\\morphism/@{->}@<\u0663pt>/[A`B;f]',
+     "UnsupportedArrowSpec: unsupported arrow spec '@{->}@<\u0663pt>' at "
+     'position 5 [in \\morphism]'),
 ])
 def test_bad_literals_are_named_diagnostics(tmp_path, capsys, body, message):
     source = write(tmp_path, 'bad.dxy', '\\bfig\n%s\n\\efig\n' % body)

@@ -1,12 +1,14 @@
 """Structure the compiler relies on: constructor tables and module layering."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 import diagramc
-from diagramc import lowering, parser
+from diagramc import cli, lowering, parser
+from diagramc.model import RenderConfig
 
 PACKAGE = Path(diagramc.__file__).parent
 
@@ -102,3 +104,20 @@ def test_every_keyword_prints_back():
     for keyword, (constructor, kind, _) in parser._KEYWORDS.items():
         stmt = parser.Statement(constructor, kind=kind)
         assert parser.surface_keyword(stmt) == keyword
+
+
+# ---- settings ---------------------------------------------------------------
+
+def test_render_config_holds_only_what_the_cli_sets(tmp_path, monkeypatch):
+    # a field no program caller sets is an option only its own tests reach
+    calls = []
+
+    def recording(**settings):
+        calls.append(sorted(settings))
+        return RenderConfig(**settings)
+
+    monkeypatch.setattr(cli, 'RenderConfig', recording)
+    source = tmp_path / 'a.dxy'
+    source.write_text('\\to\n', encoding='utf-8')
+    assert cli.main([str(source)]) == 0
+    assert calls == [sorted(f.name for f in dataclasses.fields(RenderConfig))]

@@ -9,10 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from diagramc import compile_source, dump_scene, scene_to_dict
 from diagramc import svg as svg_module
-from diagramc.metrics import MetricsTable
 from diagramc.model import (ArrowInstance, ArrowStyle, InlineArrowPart,
-                            InlineFragment, LogicalPoint, NodeInstance,
-                            RenderConfig, Scene)
+                            InlineFragment, LogicalPoint, NodeInstance, Scene)
 from diagramc.svg import render
 
 GOLDEN_SCENE = '''\
@@ -406,11 +404,8 @@ def test_empty_groups_self_close():
 
 
 def test_empty_text_self_closes():
-    w = svg_module._Writer(MetricsTable.builtin(), RenderConfig())
-    parent = []
-    w.text(parent, 'label', 1.0, 2.0, '', 10.0)
-    w.text(parent, 'label', 1.0, 2.0, 'a<b', 10.0)
-    assert parent == [
+    assert [svg_module._text('label', 1.0, 2.0, '', 10.0),
+            svg_module._text('label', 1.0, 2.0, 'a<b', 10.0)] == [
         '<text class="label" x="1" y="-2" text-anchor="middle" '
         'font-size="10" />',
         '<text class="label" x="1" y="-2" text-anchor="middle" '

@@ -147,6 +147,12 @@ def test_first_node_at_a_position_wins_clipping():
     assert resolved.arrows[0].start[0] == pytest.approx(13.0)
 
 
+def test_an_arrow_is_clipped_by_its_own_node_not_by_another_text_there():
+    resolved = resolve_source('\\bfig\\place(0,0)[XXXXXXXXXXXX]'
+                              '\\morphism(0,0)<600,0>[A`B;f]\\efig')
+    assert resolved.arrows[0].start == approx(5.5, 0.0)
+
+
 def test_overlapping_boxes_report_both_names():
     nodes = (NodeInstance(LogicalPoint(0, 0), 'A'),
              NodeInstance(LogicalPoint(30, 0), 'B'))
@@ -246,13 +252,6 @@ def test_loop_diagonal_exit():
     assert arrow.end == approx(5.5, -5.5)
     d = 20.0 * math.sqrt(2.0) / 2.0
     assert arrow.controls[0] == approx(5.5 + d, 5.5 + d)
-
-
-def test_loop_reach_follows_config():
-    scenes = compile_source('\\bfig\\Loop(0,0){A}(u,d)\\efig')
-    cfg = RenderConfig(loop_reach_em=3)
-    arrow = resolve_scene(scenes[0], cfg=cfg).arrows[0]
-    assert arrow.controls[0][1] - arrow.start[1] == pytest.approx(30.0)
 
 
 # ---- inline fragments ------------------------------------------------------
