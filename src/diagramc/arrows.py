@@ -5,8 +5,8 @@ import math
 import re
 
 from .errors import BAD_DIRECTION, UNSUPPORTED_ARROW_SPEC, DiagnosticError
-from .model import ArrowStyle
-from .parser import MAX_DIGITS, matching_brace
+from .model import MAX_DIGITS, ArrowStyle
+from .parser import matching_brace
 
 _DIAG = math.sqrt(2.0) / 2.0
 

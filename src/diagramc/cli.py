@@ -5,10 +5,11 @@ requested scene and SVG outputs.  A file with several figure or inline
 units numbers its outputs ``name.1.svg``, ``name.2.svg``, and so on; a
 single unit writes plain ``name.svg``.  A file that fails, even by a
 fault in the compiler (reported as ``InternalError``), never stops the
-files after it.  Two inputs that would write the same path, or an output
-that would overwrite an input, stop the run before anything is written;
-an output that is a link to an input fails its file before that file
-writes anything.
+files after it.  Inputs go through one at a time, in the order given.
+An input fails with an ``OutputCollision``, before it writes anything,
+when one of its outputs is an input or was written by an earlier input
+of the run, by name or as the same file through a link; the files after
+it still compile.
 
 Exit status: 0 when everything compiled, 1 when any file failed with a
 diagnostic, 2 for invocation problems such as unreadable inputs, a bad
@@ -20,7 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import Counter
+from itertools import chain
 
 from .errors import INTERNAL_ERROR, OUTPUT_COLLISION, DiagnosticError
 from .lowering import Lowerer
@@ -96,60 +97,6 @@ def _output_paths(path: str, out_dir: str | None, count: int, ext: str
     return ['%s.%d.%s' % (prefix, n + 1, ext) for n in range(count)]
 
 
-def _numbered_base(prefix: str) -> str | None:
-    """``P`` for a prefix ``P.N``, else None."""
-    head, dot, tail = prefix.rpartition('.')
-    return head if dot and tail.isdigit() else None
-
-
-def _maybe_colliding(inputs: list[str], args: argparse.Namespace) -> list[int]:
-    """Indices of the inputs whose outputs might share a path or hit an input.
-
-    An input writes ``P.ext`` or ``P.N.ext``, P being its output prefix,
-    so two inputs can only collide when their prefixes are equal or one
-    is the other plus ``.N``, and an input path ``Q.ext`` can only be
-    written by the prefix Q or the base of a Q that ends in ``.N``.
-    Only these need lowering before the first write; the rest of the
-    batch streams one file at a time.
-    """
-    prefixes = [os.path.abspath(_output_prefix(p, args.out_dir))
-                for p in inputs]
-    bases = [_numbered_base(prefix) for prefix in prefixes]
-    written = set()
-    for path in inputs:
-        path = os.path.abspath(path)
-        for ext in _EXTENSIONS[args.format]:
-            if path.endswith('.' + ext):
-                head = path[:-len(ext) - 1]
-                written |= {head, _numbered_base(head)}
-    counts = Counter(prefixes)
-    extended = set(bases)
-    return [i for i, prefix in enumerate(prefixes)
-            if counts[prefix] > 1 or bases[i] in counts
-            or prefix in extended or prefix in written]
-
-
-def _collision(inputs: list[str], lowered: dict[int, tuple[int, list[Scene]]],
-               args: argparse.Namespace) -> str | None:
-    """Why two inputs write one path, or an input gets overwritten."""
-    sources = {os.path.abspath(p): p for p in inputs}
-    owner: dict[str, str] = {}
-    for i, (status, units) in sorted(lowered.items()):
-        if status:
-            continue   # a failing input writes nothing
-        for ext in _EXTENSIONS[args.format]:
-            for out in _output_paths(inputs[i], args.out_dir, len(units), ext):
-                key = os.path.abspath(out)
-                if key in sources:
-                    return '%s would overwrite the input %s' % (
-                        inputs[i], sources[key])
-                if key in owner:
-                    return '%s and %s both write %s' % (owner[key],
-                                                        inputs[i], out)
-                owner[key] = inputs[i]
-    return None
-
-
 def _file_id(path: str) -> tuple[int, int] | None:
     """(device, inode) of the file at ``path``, links followed, or None."""
     try:
@@ -213,30 +160,41 @@ def _lower_file(path: str, args: argparse.Namespace, metrics: MetricsTable,
 
 def _compile_file(path: str, units: list[Scene], args: argparse.Namespace,
                   metrics: MetricsTable, cfg: RenderConfig,
-                  sources: dict[tuple[int, int], str]) -> int:
+                  sources: dict[str | tuple[int, int], str],
+                  written: dict[tuple[int, int], str]) -> int:
     """Render and write the outputs of one lowered input.
 
-    ``sources`` holds the inputs by file identity: an output that is a
-    link to an input, under any name, fails the file before any write.
+    ``sources`` holds the inputs by absolute path and by file identity,
+    ``written`` the outputs written so far by file identity, which a
+    later output has whether it names the file or links to it.  An
+    output found in either one fails this input before any write; an
+    output joins ``written`` once it is written.
     """
     outputs = {ext: _output_paths(path, args.out_dir, len(units), ext)
                for ext in _EXTENSIONS[args.format]}
     for out in sum(outputs.values(), []):
-        source = sources.get(_file_id(out))
+        ident = _file_id(out)
+        source = sources.get(os.path.abspath(out)) or sources.get(ident)
         if source is not None:
-            print('diagramc: error: %s: %s would overwrite the input %s '
-                  'through %s' % (OUTPUT_COLLISION, path, source, out),
-                  file=sys.stderr)
-            return 2
+            clash = '%s would overwrite the input %s through %s' % (
+                path, source, out)
+        elif ident in written:
+            clash = '%s and %s both write %s' % (written[ident], path, out)
+        else:
+            continue
+        print('diagramc: error: %s: %s' % (OUTPUT_COLLISION, clash),
+              file=sys.stderr)
+        return 2
     try:
         # every SVG renders before the first write, so a layout error
         # leaves no outputs behind
         rendered = ([render(unit, metrics, cfg) for unit in units]
                     if 'svg' in outputs else [])
-        for out, unit in zip(outputs.get('scene.json', ()), units):
-            _write(out, dump_scene(unit))
-        for out, document in zip(outputs.get('svg', ()), rendered):
-            _write(out, document)
+        for out, text in chain(
+                zip(outputs.get('scene.json', ()), map(dump_scene, units)),
+                zip(outputs.get('svg', ()), rendered)):
+            _write(out, text)
+            written[_file_id(out)] = path
     except Exception as exc:   # one bad file never stops the batch
         return _failure(path, exc)
     return 0
@@ -258,29 +216,24 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print('diagramc: error: %s' % exc, file=sys.stderr)
         return 2
-    inputs = args.inputs
-    # every output path is known before the first write
-    lowered = {i: _lower_file(inputs[i], args, metrics, cfg)
-               for i in _maybe_colliding(inputs, args)}
-    clash = _collision(inputs, lowered, args)
-    if clash is not None:
-        print('diagramc: error: %s: %s' % (OUTPUT_COLLISION, clash),
-              file=sys.stderr)
-        return 2
     if args.out_dir is not None:
         try:
             os.makedirs(args.out_dir, exist_ok=True)
         except OSError as exc:
             print('diagramc: error: %s' % exc, file=sys.stderr)
             return 2
-    sources = {_file_id(path): path for path in inputs}
+    # the inputs by name and by file identity, so no output overwrites one
+    sources: dict[str | tuple[int, int], str] = {}
+    for path in args.inputs:
+        sources[os.path.abspath(path)] = sources[_file_id(path)] = path
     sources.pop(None, None)
+    written: dict[tuple[int, int], str] = {}
     status = 0
-    for i, path in enumerate(inputs):
-        code, units = (lowered[i] if i in lowered
-                       else _lower_file(path, args, metrics, cfg))
+    for path in args.inputs:
+        code, units = _lower_file(path, args, metrics, cfg)
         if code == 0:
-            code = _compile_file(path, units, args, metrics, cfg, sources)
+            code = _compile_file(path, units, args, metrics, cfg, sources,
+                                 written)
         status = max(status, code)
     return status
 

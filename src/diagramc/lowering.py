@@ -185,18 +185,22 @@ class _FigureBuilder:
 
 
 class Lowerer:
-    """Statement-to-scene translator with a document-wide node registry."""
+    """Statement-to-scene translator; named nodes stay for later documents."""
 
     def __init__(self, metrics: MetricsTable | None = None,
                  config: RenderConfig | None = None):
         self.metrics = metrics if metrics is not None else MetricsTable.builtin()
         self.config = config if config is not None else RenderConfig()
         self.registry: dict[str, tuple[LogicalPoint, str]] = {}
+        self._defined: set[str] = set()
         self._figure: _FigureBuilder | None = None
         self._figure_loc = None
 
     def lower_document(self, statements: list[Statement]) -> list[Scene]:
         units: list[Scene] = []
+        # the registry keeps earlier documents' nodes for \arrow to name,
+        # but each document may define a name once
+        self._defined = set()
         self._figure = None
         self._figure_loc = None
         for stmt in statements:
@@ -286,10 +290,11 @@ class Lowerer:
         fig.node(stmt.origin, strip_group(stmt.nodes[0]), anchor=stmt.anchor)
 
     def _node(self, fig: _FigureBuilder, stmt: Statement) -> None:
-        if stmt.name in self.registry:
+        if stmt.name in self._defined:
             raise DiagnosticError(
                 DUPLICATE_NODE,
                 "node '%s' is already defined" % stmt.name)
+        self._defined.add(stmt.name)
         self.registry[stmt.name] = (stmt.origin, stmt.nodes[0])
         fig.node(stmt.origin, strip_group(stmt.nodes[0]))
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Dict, Set
 
-from .model import DEFAULT_MARGIN, RenderConfig
+from .model import DEFAULT_MARGIN, MAX_DIGITS, RenderConfig
 
 DEFAULT_ADVANCE = 500      # milli-em, every printable ASCII glyph
 DEFAULT_ASCENT = 700
@@ -21,6 +21,9 @@ _UNIT_MILLI_EM = 10
 
 # A token is a control word, a control symbol, or a single character.
 _TOKEN_RE = re.compile(r"\\[A-Za-z]+|\\.|.", re.DOTALL)
+
+# A codepoint key of a metrics table: U+ and hex digits, or decimal digits.
+_CODEPOINT_RE = re.compile(r"[Uu]\+([0-9A-Fa-f]+)|([0-9]+)")
 
 # Escaped specials measure like ordinary glyphs; no warning for these.
 _ESCAPED_SPECIALS = ("\\%", "\\&", "\\#", "\\_", "\\$", "\\{", "\\}")
@@ -52,7 +55,10 @@ class MetricsTable:
 
         `fallback`, `ascent` and `descent` lines override the corresponding
         defaults; `#` starts a comment.  Keys may be a literal character, a
-        decimal codepoint, U+XXXX, or a control word like \\alpha.
+        decimal codepoint, U+XXXX, or a control word like \\alpha.  Every
+        number is ASCII digits, at most MAX_DIGITS of them, so values are
+        never negative; a codepoint is at most U+10FFFF.  A bad line is a
+        ValueError naming the file and line.
         """
         advances = _builtin_advances()
         fallback = DEFAULT_ADVANCE
@@ -66,10 +72,12 @@ class MetricsTable:
                 if len(parts) != 2:
                     raise ValueError(f"{path}:{lineno}: expected '<key> <advance>'")
                 key, value = parts
-                try:
-                    advance = int(value)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: advance must be an integer") from None
+                if not (value.isascii() and value.isdigit()
+                        and len(value) <= MAX_DIGITS):
+                    raise ValueError(f"{path}:{lineno}: {value!r} is not a "
+                                     f"non-negative integer of at most "
+                                     f"{MAX_DIGITS} digits")
+                advance = int(value)
                 if key == "fallback":
                     fallback = advance
                 elif key == "ascent":
@@ -123,8 +131,16 @@ class MetricsTable:
 def _parse_key(key: str, path: str, lineno: int) -> str:
     if len(key) == 1 or key.startswith("\\"):
         return key
-    if key.upper().startswith("U+"):
-        return chr(int(key[2:], 16))
-    if key.isdigit():
-        return chr(int(key))
-    raise ValueError(f"{path}:{lineno}: bad key {key!r}")
+    match = _CODEPOINT_RE.fullmatch(key)
+    if match is None:
+        raise ValueError(f"{path}:{lineno}: bad key {key!r}")
+    hex_digits, digits = match.groups()
+    number = hex_digits or digits
+    if len(number) > MAX_DIGITS:
+        raise ValueError(f"{path}:{lineno}: codepoint has {len(number)} "
+                         f"digits; at most {MAX_DIGITS} are allowed")
+    code = int(number, 16 if hex_digits else 10)
+    if code > 0x10FFFF:
+        raise ValueError(f"{path}:{lineno}: codepoint {key!r} is beyond "
+                         "U+10FFFF")
+    return chr(code)

@@ -10,6 +10,10 @@ from typing import Optional, Tuple
 UNIT_EM = 0.01
 DEFAULT_MARGIN = 150
 
+# Longest integer literal in a source or a metrics table: any longer one is
+# an error, well before int() or the float arithmetic of layout would fail.
+MAX_DIGITS = 9
+
 
 @dataclass(frozen=True)
 class LogicalPoint:

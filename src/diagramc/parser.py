@@ -45,7 +45,7 @@ from .errors import (
     DiagnosticError,
     SourceLoc,
 )
-from .model import ORIGIN, LogicalPoint
+from .model import MAX_DIGITS, ORIGIN, LogicalPoint
 
 __all__ = [
     'Statement',
@@ -183,12 +183,10 @@ _GROUP_STOPS = re.compile(r'\\.?|%[^\n]*\n?[ \t]*|\n[ \t]*|[{})|/>\]]',
 # Blanks and comments between groups and statements
 _BLANK_RE = re.compile(r'(?:[ \t\n]+|%[^\n]*)*')
 _INT_RE = re.compile(r'[+-]?[0-9]+\Z')
-# C0 controls other than tab, line feed and carriage return
-_CONTROL_RE = re.compile(r'[\x00-\x08\x0b\x0c\x0e-\x1f]')
-
-# Longest integer literal: any longer one is a ParseError, well before
-# int() or the float arithmetic of layout would fail on it.
-MAX_DIGITS = 9
+# What XML 1.0 forbids: C0 controls other than tab, line feed and carriage
+# return, the surrogates, U+FFFE and U+FFFF
+_CONTROL_RE = re.compile(
+    r'[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]')
 
 
 def _fields(raw: str, sep: str, count: int, what: str,

@@ -1,10 +1,19 @@
 """Command line behavior: outputs, flags, diagnostics, exit codes."""
 
+import contextlib
+import io
+import itertools
 import json
+import os
+import pathlib
+import re
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from diagramc import cli
 from diagramc.cli import main
@@ -163,11 +172,20 @@ def test_bad_metrics_path_exits_2(tmp_path, capsys):
     assert 'diagramc: error:' in capsys.readouterr().err
 
 
-def test_malformed_metrics_exits_2(tmp_path, capsys):
-    table = write(tmp_path, 'junk.metrics', 'A not-a-number\n')
+@pytest.mark.parametrize('line', [
+    'A not-a-number', '99999999999 500', 'U+110000 500', 'U+zz 500',
+    '1114112 500', 'A ' + '9' * 400, 'descent -900', 'fallback -700',
+    'A +5', 'A \u0663', '\u0663\u0663 500', 'U+%s 500' % ('0' * 10 + '41'),
+])
+def test_malformed_metrics_exits_2(tmp_path, capsys, line):
+    table = write(tmp_path, 'junk.metrics', '# widths\n%s\n' % line)
     source = write(tmp_path, 'dia.dxy', SQUARE)
     assert main(['--metrics', str(table), str(source)]) == 2
-    assert 'diagramc: error:' in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith('diagramc: error: %s:2: ' % table)
+    assert err.count('\n') == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        'dia.dxy', 'junk.metrics']
 
 
 # ---- configuration ---------------------------------------------------------
@@ -248,7 +266,8 @@ def test_unreadable_encoding_exits_2_and_the_batch_goes_on(tmp_path, capsys):
     assert (tmp_path / 'good.svg').exists()
 
 
-def test_inputs_writing_one_path_fail_before_any_write(tmp_path, capsys):
+def test_the_second_input_writing_one_path_fails_and_writes_nothing(
+        tmp_path, capsys):
     first = tmp_path / 'a' / 'x.dxy'
     second = tmp_path / 'b' / 'x.dxy'
     for path in (first, second):
@@ -259,20 +278,33 @@ def test_inputs_writing_one_path_fail_before_any_write(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == ('diagramc: error: OutputCollision: %s and %s both write '
                    '%s\n' % (first, second, out / 'x.scene.json'))
-    assert not out.exists()
+    assert sorted(p.name for p in out.iterdir()) == ['x.scene.json', 'x.svg']
 
 
-def test_numbered_outputs_collide_with_a_dotted_stem(tmp_path, capsys):
+def test_numbered_outputs_collide_with_a_dotted_stem(tmp_path, capsys,
+                                                     monkeypatch):
+    writes = []
+    real_write = cli._write
+
+    def recording(path, text):
+        writes.append(path)
+        real_write(path, text)
+
+    monkeypatch.setattr(cli, '_write', recording)
     two = write(tmp_path, 'x.dxy', SQUARE + SQUARE)    # x.1.svg, x.2.svg
     dotted = write(tmp_path, 'x.1.dxy', SQUARE)        # x.1.svg
     assert main(['--format', 'svg', str(two), str(dotted)]) == 2
-    assert 'OutputCollision' in capsys.readouterr().err
-    assert not (tmp_path / 'x.2.svg').exists()
+    assert capsys.readouterr().err == (
+        'diagramc: error: OutputCollision: %s and %s both write %s\n'
+        % (two, dotted, tmp_path / 'x.1.svg'))
+    # x.dxy writes x.1.svg and x.2.svg; x.1.dxy writes nothing
+    assert (tmp_path / 'x.2.svg').exists()
+    assert writes == [str(tmp_path / 'x.1.svg'), str(tmp_path / 'x.2.svg')]
     # with one figure, x.dxy writes x.svg and nothing clashes
+    writes.clear()
     write(tmp_path, 'x.dxy', SQUARE)
     assert main(['--format', 'svg', str(two), str(dotted)]) == 0
-    assert sorted(p.name for p in tmp_path.glob('*.svg')) == [
-        'x.1.svg', 'x.svg']
+    assert writes == [str(tmp_path / 'x.svg'), str(tmp_path / 'x.1.svg')]
 
 
 def test_a_failing_input_claims_no_paths(tmp_path):
@@ -290,7 +322,7 @@ def test_an_input_is_never_overwritten_by_its_own_output(tmp_path, capsys):
     assert main([str(source)]) == 2
     assert capsys.readouterr().err == (
         'diagramc: error: OutputCollision: %s would overwrite the input '
-        '%s\n' % (source, source))
+        '%s through %s\n' % (source, source, source))
     assert source.read_text(encoding='utf-8') == SQUARE
     assert sorted(p.name for p in tmp_path.iterdir()) == ['self.svg']
 
@@ -299,7 +331,8 @@ def test_an_input_is_never_overwritten_by_an_earlier_one(tmp_path, capsys):
     source = write(tmp_path, 'a.dxy', SQUARE)
     scene = write(tmp_path, 'a.scene.json', '{}\n')
     assert main([str(source), str(scene)]) == 2
-    assert 'would overwrite the input %s\n' % scene in capsys.readouterr().err
+    assert ('would overwrite the input %s through %s\n' % (scene, scene)
+            in capsys.readouterr().err)
     assert scene.read_text(encoding='utf-8') == '{}\n'
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         'a.dxy', 'a.scene.json']
@@ -338,6 +371,172 @@ def test_an_output_linked_to_another_input_is_refused(tmp_path, capsys):
         'a.scene.json', 'b.scene.json', 'b.svg']
 
 
+def test_an_output_linked_to_an_earlier_output_is_refused(tmp_path, capsys):
+    first = write(tmp_path, 'x.dxy', SQUARE)
+    second = write(tmp_path, 'y.dxy', '\\bfig\\morphism[A`B;f]\\efig\n')
+    third = write(tmp_path, 'z.dxy', SQUARE)
+    (tmp_path / 'y.svg').symlink_to('x.svg')
+    assert main(['--format', 'svg', str(first), str(second), str(third)]) == 2
+    assert capsys.readouterr().err == (
+        'diagramc: error: OutputCollision: %s and %s both write %s\n'
+        % (first, second, tmp_path / 'y.svg'))
+    assert (tmp_path / 'x.svg').read_text(encoding='utf-8') == (
+        tmp_path / 'z.svg').read_text(encoding='utf-8')
+
+
+def test_a_refused_input_claims_none_of_its_outputs(tmp_path, capsys):
+    # a rebuild: x.1.svg is on disk from the first run, x.dxy is refused for
+    # x.2.svg, and x.1.dxy may still write x.1.svg
+    two = write(tmp_path, 'x.dxy', SQUARE + SQUARE)
+    dotted = write(tmp_path, 'x.1.dxy', '\\bfig\\morphism[A`B;f]\\efig\n')
+    assert main(['--format', 'svg', str(two)]) == 0
+    stale = (tmp_path / 'x.1.svg').read_text(encoding='utf-8')
+    numbered = tmp_path / 'x.2.svg'
+    assert main(['--format', 'svg', str(two), str(numbered), str(dotted)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == (
+        'diagramc: error: OutputCollision: %s would overwrite the input %s '
+        'through %s' % (two, numbered, numbered))
+    assert err[1].startswith('%s:1:1: error: ParseError: ' % numbered)
+    assert len(err) == 2
+    assert (tmp_path / 'x.1.svg').read_text(encoding='utf-8') != stale
+
+
+def test_an_input_clashing_with_an_earlier_one_leaves_the_rest_alone(
+        tmp_path, capsys):
+    first, second, third = (tmp_path / d / n for d, n in (
+        ('a', 'x.dxy'), ('b', 'x.dxy'), ('c', 'y.dxy')))
+    for path in (first, second, third):
+        path.parent.mkdir()
+        path.write_text(SQUARE, encoding='utf-8')
+    out = tmp_path / 'out'
+    assert main(['-o', str(out), str(first), str(second), str(third)]) == 2
+    assert capsys.readouterr().err == (
+        'diagramc: error: OutputCollision: %s and %s both write %s\n'
+        % (first, second, out / 'x.scene.json'))
+    assert sorted(p.name for p in out.iterdir()) == [
+        'x.scene.json', 'x.svg', 'y.scene.json', 'y.svg']
+
+
+def test_an_output_named_like_a_missing_input_is_refused(tmp_path, capsys):
+    # without the name check a.dxy would write a.svg, which would then be
+    # compiled as a source
+    source = write(tmp_path, 'a.dxy', SQUARE)
+    missing = tmp_path / 'a.svg'
+    assert main([str(source), str(missing)]) == 2
+    assert capsys.readouterr().err == (
+        'diagramc: error: OutputCollision: %s would overwrite the input %s '
+        'through %s\n%s: error: No such file or directory\n'
+        % (source, missing, missing, missing))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ['a.dxy']
+
+
+def test_diagnostics_come_in_input_order(tmp_path, capsys):
+    bad = write(tmp_path, 'bad.dxy', '\\square[A`B`C;f`g`h`k]\n')
+    good = write(tmp_path, 'x.dxy', SQUARE)
+    dotted = write(tmp_path, 'x.1.dxy', '\\square[A`B;f`g`h`k]\n')
+    assert main([str(bad), str(good), str(dotted)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(':')[0] for line in err] == [str(bad), str(dotted)]
+    assert all('ArityError' in line for line in err)
+
+
+# One batch of clash-prone inputs: (directory, name, content) each, the
+# content a key of _CONTENTS, where None is a missing file.
+_STEMS = ('x', 'x.1', 'x.2', 'x.1.2', 'a')
+_CONTENTS = {'one': SQUARE, 'two': SQUARE + SQUARE,
+             'junk': '\\square[A;f]\n', 'missing': None}
+_BATCHES = st.lists(
+    st.tuples(st.sampled_from(('d0', 'd1')),
+              st.builds('{}{}'.format, st.sampled_from(_STEMS),
+                        st.sampled_from(('.dxy', '.svg', '.scene.json'))),
+              st.sampled_from(sorted(_CONTENTS))),
+    min_size=1, max_size=4, unique_by=lambda entry: entry[:2])
+_CLASH = re.compile(r'diagramc: error: OutputCollision: (?:(\S+) would '
+                    r'overwrite the input (\S+) through (\S+)|(\S+) and '
+                    r'(\S+) both write (\S+))$')
+
+
+def _run_batch(root, batch, argv):
+    """main over the batch in a fresh ``root``: status, stderr, writes."""
+    inputs = []
+    for directory, name, content in batch:
+        path = root / directory / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if _CONTENTS[content] is not None:
+            path.write_text(_CONTENTS[content], encoding='utf-8')
+        inputs.append(str(path))
+    before = {path: pathlib.Path(path).read_bytes() for path in inputs
+              if os.path.exists(path)}
+    writes, current = [], [None]
+    real_lower, real_write = cli._lower_file, cli._write
+
+    def lowering(path, *rest):
+        current[0] = path
+        return real_lower(path, *rest)
+
+    def writing(path, text):
+        writes.append((current[0], os.path.abspath(path)))
+        real_write(path, text)
+
+    stderr = io.StringIO()
+    with mock.patch.object(cli, '_lower_file', lowering), \
+            mock.patch.object(cli, '_write', writing), \
+            contextlib.redirect_stderr(stderr):
+        status = main(argv + inputs)
+    after = {path: pathlib.Path(path).read_bytes() for path in inputs
+             if os.path.exists(path)}
+    assert after == before, 'an input changed or appeared'
+    return inputs, status, stderr.getvalue().splitlines(), writes
+
+
+@settings(max_examples=100, deadline=None)
+@given(_BATCHES)
+@example([('d0', 'a.dxy', 'one'), ('d0', 'a.svg', 'missing')])
+@example([('d0', 'x.dxy', 'two'), ('d0', 'x.1.dxy', 'one'),
+          ('d1', 'x.dxy', 'junk'), ('d1', 'x.2.svg', 'one')])
+def test_no_output_overwrites_an_input_or_an_earlier_output(batch):
+    with tempfile.TemporaryDirectory() as temp:
+        for n, (fmt, out_dir) in enumerate(itertools.product(
+                ('scene', 'svg', 'both'), (False, True))):
+            root = pathlib.Path(temp) / str(n)
+            argv = ['--format', fmt]
+            if out_dir:
+                argv += ['-o', str(root / 'out')]
+            inputs, status, err, writes = _run_batch(root, batch, argv)
+            paths = [path for _, path in writes]
+            assert len(set(paths)) == len(paths), 'a path written twice'
+            assert not set(paths) & {os.path.abspath(p) for p in inputs}
+            clashed = set()
+            for line in err:
+                match = _CLASH.match(line)
+                if match is None:
+                    continue
+                failing, source, through, owner, second, shared = \
+                    match.groups()
+                if failing is not None:
+                    assert source in inputs
+                    assert (os.path.abspath(through)
+                            == os.path.abspath(source))
+                else:
+                    failing = second
+                    assert (owner, os.path.abspath(shared)) in writes
+                clashed.add(failing)
+            contents = [content for _, _, content in batch]
+            expected = max([2] * bool(clashed)
+                           + [2] * ('missing' in contents)
+                           + [1] * ('junk' in contents) + [0])
+            assert status == expected, err
+            per_format = 2 if fmt == 'both' else 1
+            for path, content in zip(inputs, contents):
+                written = sum(owner == path for owner, _ in writes)
+                if path in clashed or content in ('junk', 'missing'):
+                    assert written == 0, path
+                else:
+                    assert written == per_format * (
+                        2 if content == 'two' else 1), path
+
+
 def test_control_character_is_a_located_parse_error(tmp_path, capsys):
     source = write(tmp_path, 'ctl.dxy', '\\bfig\n\\place(0,0)[a\x01b]\\efig\n')
     assert main([str(source)]) == 1
@@ -345,6 +544,15 @@ def test_control_character_is_a_located_parse_error(tmp_path, capsys):
         '%s:2:14: error: ParseError: control character U+0001 is not '
         'allowed in source text\n' % source)
     assert not (tmp_path / 'ctl.svg').exists()
+    # XML 1.0 forbids U+FFFE and U+FFFF as well
+    for line, col, code in (('\\place(0,0)[a\ufffeb]', 14, 'FFFE'),
+                            ('\\morphism[A\uffff`B;f]', 12, 'FFFF')):
+        source = write(tmp_path, 'ctl.dxy', '\\bfig\n%s\\efig\n' % line)
+        assert main([str(source)]) == 1
+        assert capsys.readouterr().err == (
+            '%s:2:%d: error: ParseError: control character U+%s is not '
+            'allowed in source text\n' % (source, col, code))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ['ctl.dxy']
 
 
 @pytest.mark.parametrize('body, message', [

@@ -121,3 +121,23 @@ def test_render_config_holds_only_what_the_cli_sets(tmp_path, monkeypatch):
     source.write_text('\\to\n', encoding='utf-8')
     assert cli.main([str(source)]) == 0
     assert calls == [sorted(f.name for f in dataclasses.fields(RenderConfig))]
+
+
+# ---- the driver ---------------------------------------------------------------
+
+def test_the_cli_parses_each_input_once_in_input_order(tmp_path, monkeypatch):
+    # inputs stream through one loop: nothing is lowered ahead of its turn,
+    # not even inputs whose outputs might clash
+    parsed = []
+
+    def recording(text, filename):
+        parsed.append(filename)
+        return parser.parse_document(text, filename)
+
+    monkeypatch.setattr(cli, 'parse_document', recording)
+    inputs = []
+    for name in ('good.dxy', 'x.dxy', 'x.1.dxy'):
+        inputs.append(str(tmp_path / name))
+        (tmp_path / name).write_text('\\to\n', encoding='utf-8')
+    assert cli.main(inputs) == 0
+    assert parsed == inputs

@@ -756,3 +756,16 @@ def test_lowerer_reuse_keeps_registry():
     scenes = lowerer.lower_document(
         parse_document('\\bfig \\node q(9,9)[Q] \\arrow/->/[p`q;f] \\efig'))
     assert arrow_tuples(scenes[0])[0][:2] == ((0, 0), (9, 9))
+
+
+def test_lowerer_lowers_the_same_document_twice():
+    lowerer = Lowerer()
+    source = parse_document('\\bfig \\node a(0,0)[A] \\node b(500,0)[B] '
+                            '\\arrow/->/[a`b;f] \\efig')
+    first = lowerer.lower_document(source)
+    assert lowerer.lower_document(source) == first
+    # a name defined twice in one document is still an error
+    with pytest.raises(DiagnosticError) as info:
+        lowerer.lower_document(
+            parse_document('\\bfig \\node a(0,0)[A] \\node a(1,1)[B] \\efig'))
+    assert info.value.code == 'DuplicateNode'

@@ -123,8 +123,24 @@ def test_from_file_overrides(tmp_path):
     assert table.descent == 400
 
 
-def test_from_file_rejects_junk(tmp_path):
+@pytest.mark.parametrize('line', [
+    'f not-a-number', 'f -1', 'f +1', 'f 1_000', 'f 1234567890',
+    'f \u0663', 'ascent -1', 'descent 1e3', 'fallback 0x10',
+    'U+110000 500', 'U+ 500', 'U+-41 500', 'U+\uff11 500', '1114112 500',
+    '\u0663\u0663 500', '9' * 10 + ' 500', '-1 500',
+])
+def test_from_file_rejects_junk(tmp_path, line):
     path = tmp_path / 'bad.txt'
-    path.write_text('f not-a-number\n', encoding='utf-8')
-    with pytest.raises(ValueError):
+    path.write_text('f 300\n%s\n' % line, encoding='utf-8')
+    with pytest.raises(ValueError, match=r'^%s:2: ' % re.escape(str(path))):
         MetricsTable.from_file(str(path))
+
+
+def test_from_file_takes_the_widest_values(tmp_path):
+    path = tmp_path / 'wide.txt'
+    path.write_text('U+10FFFF 999999999\n1114111 0\nu+41 000000007\n'
+                    'descent 0\n', encoding='utf-8')
+    table = MetricsTable.from_file(str(path))
+    assert table.token_advance('\U0010ffff') == 0
+    assert table.token_advance('A') == 7
+    assert table.descent == 0

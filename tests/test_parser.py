@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diagramc import parser
+from diagramc import compile_source, parser
 from diagramc.errors import (
     PARSE_ERROR, UNBALANCED_GROUP, DiagnosticError, SourceLoc)
 from diagramc.model import LogicalPoint, ORIGIN
@@ -386,6 +386,16 @@ def test_bare_text_rejected():
     with pytest.raises(DiagnosticError) as info:
         parse_document('hello')
     assert info.value.code == 'ParseError'
+
+
+def test_a_lone_surrogate_is_a_located_parse_error():
+    # a UTF-8 file cannot hold one, but text handed to compile_source can
+    with pytest.raises(DiagnosticError) as info:
+        compile_source('\\bfig\n\\place(0,0)[a\ud800b]\\efig', 's.dxy')
+    assert info.value.code == PARSE_ERROR
+    assert str(info.value.loc) == 's.dxy:2:14'
+    assert info.value.message == (
+        'control character U+D800 is not allowed in source text')
 
 
 def test_non_integer_coordinate():
