@@ -82,16 +82,12 @@ def _scan_glyphs(units: list[Scene], metrics: MetricsTable) -> list[str]:
     return sorted(unknown)
 
 
-def _output_prefix(path: str, out_dir: str | None) -> str:
+def _output_paths(path: str, out_dir: str | None, count: int, ext: str
+                  ) -> list[str]:
     stem = os.path.splitext(os.path.basename(path))[0]
     directory = out_dir if out_dir is not None else (
         os.path.dirname(path) or '.')
-    return os.path.join(directory, stem)
-
-
-def _output_paths(path: str, out_dir: str | None, count: int, ext: str
-                  ) -> list[str]:
-    prefix = _output_prefix(path, out_dir)
+    prefix = os.path.join(directory, stem)
     if count == 1:
         return ['%s.%s' % (prefix, ext)]
     return ['%s.%d.%s' % (prefix, n + 1, ext) for n in range(count)]
