@@ -157,20 +157,25 @@ def _lower_file(path: str, args: argparse.Namespace, metrics: MetricsTable,
 def _compile_file(path: str, units: list[Scene], args: argparse.Namespace,
                   metrics: MetricsTable, cfg: RenderConfig,
                   sources: dict[str | tuple[int, int], str],
+                  missing: dict[str, str],
                   written: dict[tuple[int, int], str]) -> int:
     """Render and write the outputs of one lowered input.
 
-    ``sources`` holds the inputs by absolute path and by file identity,
-    ``written`` the outputs written so far by file identity, which a
-    later output has whether it names the file or links to it.  An
-    output found in either one fails this input before any write; an
-    output joins ``written`` once it is written.
+    ``sources`` holds the inputs by absolute path and by file identity.
+    An input with no file has no identity, so ``missing`` holds those by
+    real path, which an output reaching one through a linked directory
+    resolves to.  ``written`` holds the outputs written so far by file
+    identity, which a later output has whether it names the file or links
+    to it.  An output found in any of them fails this input before any
+    write; an output joins ``written`` once it is written.
     """
     outputs = {ext: _output_paths(path, args.out_dir, len(units), ext)
                for ext in _EXTENSIONS[args.format]}
     for out in sum(outputs.values(), []):
         ident = _file_id(out)
         source = sources.get(os.path.abspath(out)) or sources.get(ident)
+        if source is None and ident is None and missing:
+            source = missing.get(os.path.realpath(out))
         if source is not None:
             clash = '%s would overwrite the input %s through %s' % (
                 path, source, out)
@@ -218,18 +223,24 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print('diagramc: error: %s' % exc, file=sys.stderr)
             return 2
-    # the inputs by name and by file identity, so no output overwrites one
+    # the inputs by name and by file identity, or by real path when
+    # there is no file, so no output overwrites one
     sources: dict[str | tuple[int, int], str] = {}
+    missing: dict[str, str] = {}
     for path in args.inputs:
-        sources[os.path.abspath(path)] = sources[_file_id(path)] = path
-    sources.pop(None, None)
+        sources[os.path.abspath(path)] = path
+        ident = _file_id(path)
+        if ident is None:
+            missing[os.path.realpath(path)] = path
+        else:
+            sources[ident] = path
     written: dict[tuple[int, int], str] = {}
     status = 0
     for path in args.inputs:
         code, units = _lower_file(path, args, metrics, cfg)
         if code == 0:
             code = _compile_file(path, units, args, metrics, cfg, sources,
-                                 written)
+                                 missing, written)
         status = max(status, code)
     return status
 

@@ -88,6 +88,31 @@ class ResolvedScene:
     arrows: tuple[ResolvedArrow, ...]
 
 
+class _Advances:
+    """Text advances for one ``resolve_scene``, each measured once.
+
+    It stands in for the metrics table in ``node_box`` and
+    ``_place_label``, which read only ``text_advance``, ``ascent`` and
+    ``descent``.  The memo is keyed by (text, scale); a miss asks the
+    table, through ``MetricsTable.text_advance``.
+    """
+
+    __slots__ = ('ascent', 'descent', '_metrics', '_memo')
+
+    def __init__(self, metrics: MetricsTable) -> None:
+        self.ascent = metrics.ascent
+        self.descent = metrics.descent
+        self._metrics = metrics
+        self._memo: dict[tuple[str, float], int] = {}
+
+    def text_advance(self, text: str, scale: float = 1.0) -> int:
+        key = (text, scale)
+        advance = self._memo.get(key)
+        if advance is None:
+            advance = self._memo[key] = self._metrics.text_advance(text, scale)
+        return advance
+
+
 def node_box(node: NodeInstance, metrics: MetricsTable,
              cfg: RenderConfig) -> NodeBox:
     """Box a node's text at its position, honoring the anchor letters.
@@ -252,6 +277,9 @@ def resolve_scene(scene: Scene, metrics: MetricsTable | None = None,
         metrics = MetricsTable.builtin()
     if cfg is None:
         cfg = RenderConfig()
+    # every text's width is measured once per scene; node_box is still
+    # called for each node, since its box depends on the position
+    metrics = _Advances(metrics)
     boxes = tuple(node_box(n, metrics, cfg) for n in scene.nodes)
     # an arrow end is clipped by the first box of its node's position and
     # text; another text placed at that position does not clip it

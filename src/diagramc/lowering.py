@@ -192,6 +192,8 @@ class Lowerer:
         self.metrics = metrics if metrics is not None else MetricsTable.builtin()
         self.config = config if config is not None else RenderConfig()
         self.registry: dict[str, tuple[LogicalPoint, str]] = {}
+        # styles by spec text, parsed once for the life of this Lowerer
+        self._styles: dict[str, ArrowStyle] = {}
         self._defined: set[str] = set()
         self._figure: _FigureBuilder | None = None
         self._figure_loc = None
@@ -254,6 +256,14 @@ class Lowerer:
 
     # ---- the single-arrow core ----------------------------------------
 
+    def _style(self, spec: str) -> ArrowStyle:
+        """The style of a spec as the source gives it, braces and all."""
+        spec = strip_group(spec)
+        style = self._styles.get(spec)
+        if style is None:
+            style = self._styles[spec] = parse_arrow_spec(spec)
+        return style
+
     def _emit(self, fig: _FigureBuilder, src: LogicalPoint, dst: LogicalPoint,
               letter: str, spec: str, text_a: str, text_b: str, label: str,
               src_phantom: bool = False, dst_phantom: bool = False) -> None:
@@ -262,7 +272,7 @@ class Lowerer:
         b = strip_group(text_b)
         fig.node(src, a, phantom=src_phantom)
         fig.node(dst, b, phantom=dst_phantom)
-        style = parse_arrow_spec(strip_group(spec))
+        style = self._style(spec)
         rule = letter if letter in RULE_LETTERS else 'none'
         text = strip_group(label)
         if rule == 'none' or (rule == 'm' and self.metrics.text_advance(text) == 0):
@@ -277,7 +287,7 @@ class Lowerer:
     # ---- plain constructors -------------------------------------------
 
     def _vect(self, fig: _FigureBuilder, stmt: Statement) -> None:
-        style = parse_arrow_spec(strip_group(stmt.specs[0]))
+        style = self._style(stmt.specs[0])
         if style == _OMIT:
             return
         dx, dy = stmt.spans

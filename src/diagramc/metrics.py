@@ -57,35 +57,42 @@ class MetricsTable:
         defaults; `#` starts a comment.  Keys may be a literal character, a
         decimal codepoint, U+XXXX, or a control word like \\alpha.  Every
         number is ASCII digits, at most MAX_DIGITS of them, so values are
-        never negative; a codepoint is at most U+10FFFF.  A bad line is a
-        ValueError naming the file and line.
+        never negative; a codepoint is at most U+10FFFF.  A bad line, or
+        one that is not UTF-8, is a ValueError naming the file and line.
         """
         advances = _builtin_advances()
         fallback = DEFAULT_ADVANCE
         ascent, descent = DEFAULT_ASCENT, DEFAULT_DESCENT
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected '<key> <advance>'")
-                key, value = parts
-                if not (value.isascii() and value.isdigit()
-                        and len(value) <= MAX_DIGITS):
-                    raise ValueError(f"{path}:{lineno}: {value!r} is not a "
-                                     f"non-negative integer of at most "
-                                     f"{MAX_DIGITS} digits")
-                advance = int(value)
-                if key == "fallback":
-                    fallback = advance
-                elif key == "ascent":
-                    ascent = advance
-                elif key == "descent":
-                    descent = advance
-                else:
-                    advances[_parse_key(key, path, lineno)] = advance
+        with open(path, "rb") as fh:
+            data = fh.read()
+        # lines break where text mode would break them: at \n, \r\n and
+        # \r, none of which can sit inside a UTF-8 sequence
+        for lineno, raw in enumerate(data.splitlines(), 1):
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
+            line = text.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected '<key> <advance>'")
+            key, value = parts
+            if not (value.isascii() and value.isdigit()
+                    and len(value) <= MAX_DIGITS):
+                raise ValueError(f"{path}:{lineno}: {value!r} is not a "
+                                 f"non-negative integer of at most "
+                                 f"{MAX_DIGITS} digits")
+            advance = int(value)
+            if key == "fallback":
+                fallback = advance
+            elif key == "ascent":
+                ascent = advance
+            elif key == "descent":
+                descent = advance
+            else:
+                advances[_parse_key(key, path, lineno)] = advance
         return cls(advances=advances, fallback=fallback, ascent=ascent, descent=descent)
 
     # -- raw advances -------------------------------------------------------

@@ -155,9 +155,10 @@ class Scene:
 def dedupe_nodes(scene: Scene) -> Scene:
     """Collapse repeated (pos, text, anchor) nodes; a non-phantom wins over a phantom twin."""
     kept: list[NodeInstance] = []
-    index: dict[Tuple[LogicalPoint, str, str], int] = {}
+    # a plain tuple hashes in C; a LogicalPoint would call its __hash__
+    index: dict[Tuple[int, int, str, str], int] = {}
     for node in scene.nodes:
-        k = (node.pos, node.text, node.anchor)
+        k = (node.pos.x, node.pos.y, node.text, node.anchor)
         if k not in index:
             index[k] = len(kept)
             kept.append(node)

@@ -87,16 +87,20 @@ def scene_to_dict(scene: Scene) -> dict:
 #
 # The bytes are those of json.dumps(scene_to_dict(scene), indent=2,
 # ensure_ascii=False) plus a newline, written without building the dict:
-# each record shape is one format string, each leaf one encoded scalar.
+# each record shape is one format string, and each slot is filled by the
+# formatter of its field's type.  Lattice coordinates are ints, written
+# by %d; flags are bools; texts are str or None, encoded once per scene
+# through _Strings; the float fields go through _leaf.
 
 _INF = float('inf')
 _STYLE_KEYS = 'tail shaft head mid parallel_offset_pt reversed'
+_BOOL = ('false', 'true')   # indexed by a bool
 
 
-def _template(keys: str, depth: int) -> str:
-    """Format string of an object at nesting ``depth``, one %s per key."""
+def _template(keys: str, depth: int, slot: str = '%s') -> str:
+    """Format string of an object at nesting ``depth``, one slot per key."""
     pad = '\n' + '  ' * (depth + 1)
-    body = ','.join('%s"%s": %%s' % (pad, key) for key in keys.split())
+    body = ','.join('%s"%s": %s' % (pad, key, slot) for key in keys.split())
     return '{%s\n%s}' % (body, '  ' * depth)
 
 
@@ -106,9 +110,26 @@ _ARROW = _template('from to style label label_rule source_extent '
                    'target_extent loop_out loop_in', 2)
 _FRAGMENT = _template('kind end unit_scale tip_scale raise_pt arrows', 2)
 _PART = _template('style sup sub mid', 4)
-_POINT = _template('x y', 3)
+_POINT = _template('x y', 3, '%d')
 _ARROW_STYLE = _template(_STYLE_KEYS, 3)
 _PART_STYLE = _template(_STYLE_KEYS, 5)
+
+
+class _Strings(dict):
+    """JSON text of each str, and of None, met in one scene.
+
+    Keys are only str and None, which equal nothing else, so every key
+    has one text.  A miss encodes the string and keeps it.
+    """
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        super().__init__({None: 'null'})
+
+    def __missing__(self, text: str) -> str:
+        encoded = self[text] = encode_basestring(text)
+        return encoded
 
 
 def _leaf(value) -> str:
@@ -142,42 +163,45 @@ def _list(items: list[str], depth: int) -> str:
     return '[%s%s\n%s]' % (pad, (',' + pad).join(items), '  ' * depth)
 
 
-def _point_text(p: LogicalPoint) -> str:
-    return _POINT % (_leaf(p.x), _leaf(p.y))
-
-
-def _style_text(style: ArrowStyle, template: str) -> str:
+def _style_text(style: ArrowStyle, template: str, strings: _Strings) -> str:
     return template % (
-        _leaf(style.tail), _leaf(style.shaft), _leaf(style.head),
-        _leaf(style.mid), _leaf(style.parallel_offset_pt),
-        _leaf(style.reversed))
+        strings[style.tail], strings[style.shaft], strings[style.head],
+        strings[style.mid], _leaf(style.parallel_offset_pt),
+        _BOOL[style.reversed])
 
 
-def _node_text(node: NodeInstance) -> str:
-    return _NODE % (_point_text(node.pos), _leaf(node.text),
-                    _leaf(node.anchor), _leaf(node.phantom))
+def _node_text(node: NodeInstance, strings: _Strings) -> str:
+    pos = node.pos
+    return _NODE % (_POINT % (pos.x, pos.y), strings[node.text],
+                    strings[node.anchor], _BOOL[node.phantom])
 
 
-def _arrow_text(arrow: ArrowInstance) -> str:
+def _arrow_text(arrow: ArrowInstance, strings: _Strings) -> str:
+    src, dst = arrow.src, arrow.dst
     return _ARROW % (
-        _point_text(arrow.src), _point_text(arrow.dst),
-        _style_text(arrow.style, _ARROW_STYLE), _leaf(arrow.label),
-        _leaf(arrow.label_rule), _leaf(arrow.src_text),
-        _leaf(arrow.dst_text), _leaf(arrow.loop_out), _leaf(arrow.loop_in))
+        _POINT % (src.x, src.y), _POINT % (dst.x, dst.y),
+        _style_text(arrow.style, _ARROW_STYLE, strings),
+        strings[arrow.label], strings[arrow.label_rule],
+        strings[arrow.src_text], strings[arrow.dst_text],
+        strings[arrow.loop_out], strings[arrow.loop_in])
 
 
-def _fragment_text(fragment: InlineFragment) -> str:
-    parts = [_PART % (_style_text(part.style, _PART_STYLE), _leaf(part.sup),
-                      _leaf(part.sub), _leaf(part.mid))
+def _fragment_text(fragment: InlineFragment, strings: _Strings) -> str:
+    parts = [_PART % (_style_text(part.style, _PART_STYLE, strings),
+                      strings[part.sup], strings[part.sub],
+                      strings[part.mid])
              for part in fragment.parts]
+    end = fragment.end
     return _FRAGMENT % (
-        _leaf(fragment.kind), _point_text(fragment.end),
+        strings[fragment.kind], _POINT % (end.x, end.y),
         _leaf(fragment.unit_scale), _leaf(fragment.tip_scale),
         _leaf(fragment.raise_pt), _list(parts, 3))
 
 
 def dump_scene(scene: Scene) -> str:
     """Serialize one scene unit to its canonical JSON text."""
-    return _DOC % (_list([_node_text(n) for n in scene.nodes], 1),
-                   _list([_arrow_text(a) for a in scene.arrows], 1),
-                   _list([_fragment_text(f) for f in scene.inlines], 1))
+    strings = _Strings()
+    return _DOC % (
+        _list([_node_text(n, strings) for n in scene.nodes], 1),
+        _list([_arrow_text(a, strings) for a in scene.arrows], 1),
+        _list([_fragment_text(f, strings) for f in scene.inlines], 1))

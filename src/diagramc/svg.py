@@ -17,6 +17,7 @@ gave for the same tree, and ``tests/golden/`` pins them.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from .layout import ResolvedArrow, ResolvedScene, resolve_scene
 from .metrics import MetricsTable
@@ -39,12 +40,32 @@ _DASH = {'dashed': '4 2', 'dotted': '1 2'}
 _XML_DECL = '<?xml version="1.0" encoding="UTF-8"?>\n'
 
 Point = tuple[float, float]
+Format = Callable[[float], str]
 
 
 def _fmt(v: float) -> str:
     text = '%.3f' % v
     text = text.rstrip('0').rstrip('.')
     return '0' if text in ('-0', '') else text
+
+
+def _formatter() -> Format:
+    """``_fmt`` that formats each value once, for one document.
+
+    Equal values print equal text (-0.0 and 0.0 both print 0, 1 and 1.0
+    both print 1), so the value itself is the key.  The memo lives as
+    long as the returned function, one ``render_resolved``.
+    """
+    memo: dict[float, str] = {}
+    get = memo.get
+
+    def fmt(v: float) -> str:
+        text = get(v)
+        if text is None:
+            text = memo[v] = _fmt(v)
+        return text
+
+    return fmt
 
 
 # paint of every stroked line and path
@@ -92,9 +113,10 @@ def _group(cls: str, children: list[str], pad: str, child_pad: str) -> str:
 # Each element writer returns one element line, unindented; the group
 # around it supplies the indentation.  y flips on the way in.
 
-def _line(cls: str, a: Point, b: Point, dash: str | None = None) -> str:
+def _line(fmt: Format, cls: str, a: Point, b: Point,
+          dash: str | None = None) -> str:
     return ('<line class="%s" x1="%s" y1="%s" x2="%s" y2="%s"%s%s />'
-            % (cls, _fmt(a[0]), _fmt(-a[1]), _fmt(b[0]), _fmt(-b[1]),
+            % (cls, fmt(a[0]), fmt(-a[1]), fmt(b[0]), fmt(-b[1]),
                _STROKED, _dash(dash)))
 
 
@@ -104,17 +126,18 @@ def _path(cls: str, d: str, filled: bool = False,
     return '<path class="%s" d="%s"%s />' % (cls, d, paint)
 
 
-def _rect(cls: str, box: tuple[float, float, float, float], fill: str) -> str:
+def _rect(fmt: Format, cls: str, box: tuple[float, float, float, float],
+          fill: str) -> str:
     min_x, min_y, max_x, max_y = box
     return ('<rect class="%s" x="%s" y="%s" width="%s" height="%s" '
-            'fill="%s" />' % (cls, _fmt(min_x), _fmt(-max_y),
-                              _fmt(max_x - min_x), _fmt(max_y - min_y), fill))
+            'fill="%s" />' % (cls, fmt(min_x), fmt(-max_y),
+                              fmt(max_x - min_x), fmt(max_y - min_y), fill))
 
 
-def _text(cls: str, x: float, baseline_y: float, content: str,
+def _text(fmt: Format, cls: str, x: float, baseline_y: float, content: str,
           size: float) -> str:
     tag = ('<text class="%s" x="%s" y="%s" text-anchor="middle" '
-           'font-size="%s"' % (cls, _fmt(x), _fmt(-baseline_y), _fmt(size)))
+           'font-size="%s"' % (cls, fmt(x), fmt(-baseline_y), fmt(size)))
     return '%s>%s</text>' % (tag, _escape(content)) if content else tag + ' />'
 
 
@@ -130,16 +153,19 @@ def render(scene: Scene, metrics: MetricsTable | None = None,
 
 def render_resolved(resolved: ResolvedScene, metrics: MetricsTable,
                     cfg: RenderConfig) -> str:
-    arrows = [_arrow(arrow, metrics, cfg) for arrow in resolved.arrows]
-    nodes = [_text('node', box.text_x, box.baseline_y, box.text, cfg.em_pt)
+    fmt = _formatter()
+    arrows = [_arrow(fmt, arrow, metrics, cfg) for arrow in resolved.arrows]
+    nodes = [_text(fmt, 'node', box.text_x, box.baseline_y, box.text,
+                   cfg.em_pt)
              for box in resolved.boxes if box.text and not box.phantom]
     return '%s%s\n%s\n%s\n</svg>\n' % (
-        _XML_DECL, _frame(_bounds(resolved)),
+        _XML_DECL, _frame(fmt, _bounds(resolved)),
         _group('arrows', arrows, '  ', ''),
         _group('nodes', nodes, '  ', '    '))
 
 
-def _frame(bounds: tuple[float, float, float, float] | None) -> str:
+def _frame(fmt: Format,
+           bounds: tuple[float, float, float, float] | None) -> str:
     """The opening ``<svg>`` tag sized to the drawing."""
     if bounds is None:
         min_x, min_y, max_x, max_y = 0.0, -10.0, 10.0, 0.0
@@ -154,8 +180,8 @@ def _frame(bounds: tuple[float, float, float, float] | None) -> str:
     # y flips: the top of the viewBox is the largest y-up coordinate
     return ('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             'viewBox="%s %s %s %s" width="%spt" height="%spt" '
-            'font-family="%s">' % (_fmt(min_x), _fmt(-max_y), _fmt(width),
-                                   _fmt(height), _fmt(width), _fmt(height),
+            'font-family="%s">' % (fmt(min_x), fmt(-max_y), fmt(width),
+                                   fmt(height), fmt(width), fmt(height),
                                    _FONT))
 
 
@@ -187,7 +213,7 @@ def _bounds(resolved: ResolvedScene
 # ---- arrows -----------------------------------------------------------
 
 
-def _arrow(arrow: ResolvedArrow, metrics: MetricsTable,
+def _arrow(fmt: Format, arrow: ResolvedArrow, metrics: MetricsTable,
            cfg: RenderConfig) -> str:
     """One ``<g class="arrow">`` block: shaft, tips, mid mark, labels."""
     g: list[str] = []
@@ -215,45 +241,46 @@ def _arrow(arrow: ResolvedArrow, metrics: MetricsTable,
             shaft_end = _at(end, u_end, -tip)
         else:
             shaft_start = _at(start, u_start, tip)
-    _emit_shaft(g, arrow, style.shaft, shaft_start, shaft_end)
+    _emit_shaft(fmt, g, arrow, style.shaft, shaft_start, shaft_end)
     if style.head != 'none':
-        _emit_head(g, style.head, head_pos, head_out, arrow.tip_scale)
+        _emit_head(fmt, g, style.head, head_pos, head_out, arrow.tip_scale)
     if style.tail != 'none':
-        _emit_tail(g, style.tail, tail_pos, tail_in, arrow.tip_scale)
+        _emit_tail(fmt, g, style.tail, tail_pos, tail_in, arrow.tip_scale)
     if style.mid != 'none' and not arrow.is_loop:
-        _emit_mid(g, style.mid, start, end, u_start)
+        _emit_mid(fmt, g, style.mid, start, end, u_start)
     for label in arrow.labels:
         if label.backing is not None:
-            g.append(_rect('backing', label.backing, '#fff'))
+            g.append(_rect(fmt, 'backing', label.backing, '#fff'))
         size = cfg.em_pt * cfg.label_scale
         ascent = metrics.ascent * size / 1000.0
         baseline = label.y + label.height / 2.0 - ascent
-        g.append(_text('label', label.x, baseline, label.text, size))
+        g.append(_text(fmt, 'label', label.x, baseline, label.text, size))
     return _group('arrow', g, '    ', '      ')
 
 
-def _emit_shaft(g: list[str], arrow: ResolvedArrow, shaft: str, a: Point,
-                b: Point) -> None:
+def _emit_shaft(fmt: Format, g: list[str], arrow: ResolvedArrow, shaft: str,
+                a: Point, b: Point) -> None:
     if shaft == 'invisible':
         return
     if arrow.is_loop:
         c1, c2 = arrow.controls
         d = 'M %s %s C %s %s, %s %s, %s %s' % (
-            _fmt(a[0]), _fmt(-a[1]), _fmt(c1[0]), _fmt(-c1[1]),
-            _fmt(c2[0]), _fmt(-c2[1]), _fmt(b[0]), _fmt(-b[1]))
+            fmt(a[0]), fmt(-a[1]), fmt(c1[0]), fmt(-c1[1]),
+            fmt(c2[0]), fmt(-c2[1]), fmt(b[0]), fmt(-b[1]))
         g.append(_path('shaft', d, dash=_DASH.get(shaft)))
         return
     if shaft == 'double':
         u = _unit(a, b)
         nx, ny = -u[1], u[0]
         for side in (_DOUBLE_GAP, -_DOUBLE_GAP):
-            g.append(_line('shaft', (a[0] + nx * side, a[1] + ny * side),
+            g.append(_line(fmt, 'shaft',
+                           (a[0] + nx * side, a[1] + ny * side),
                            (b[0] + nx * side, b[1] + ny * side)))
         return
-    g.append(_line('shaft', a, b, dash=_DASH.get(shaft)))
+    g.append(_line(fmt, 'shaft', a, b, dash=_DASH.get(shaft)))
 
 
-def _chevron(p: Point, out: Point, scale: float) -> str:
+def _chevron(fmt: Format, p: Point, out: Point, scale: float) -> str:
     """Filled chevron with its point at p, opening against ``out``."""
     nx, ny = -out[1], out[0]
     back = _at(p, out, -_TIP_LEN * scale)
@@ -262,24 +289,25 @@ def _chevron(p: Point, out: Point, scale: float) -> str:
     b1 = (back[0] + nx * half, back[1] + ny * half)
     b2 = (back[0] - nx * half, back[1] - ny * half)
     return 'M %s %s L %s %s L %s %s L %s %s Z' % (
-        _fmt(p[0]), _fmt(-p[1]), _fmt(b1[0]), _fmt(-b1[1]),
-        _fmt(notch[0]), _fmt(-notch[1]), _fmt(b2[0]), _fmt(-b2[1]))
+        fmt(p[0]), fmt(-p[1]), fmt(b1[0]), fmt(-b1[1]),
+        fmt(notch[0]), fmt(-notch[1]), fmt(b2[0]), fmt(-b2[1]))
 
 
-def _emit_head(g: list[str], head: str, p: Point, out: Point,
+def _emit_head(fmt: Format, g: list[str], head: str, p: Point, out: Point,
                scale: float) -> None:
-    g.append(_path('head', _chevron(p, out, scale), filled=True))
+    g.append(_path('head', _chevron(fmt, p, out, scale), filled=True))
     if head == 'double_head':
-        g.append(_path('head', _chevron(_at(p, out, -_HEAD_GAP * scale), out,
-                                        scale), filled=True))
+        g.append(_path('head', _chevron(fmt, _at(p, out, -_HEAD_GAP * scale),
+                                        out, scale), filled=True))
 
 
-def _emit_tail(g: list[str], tail: str, p: Point, inward: Point,
+def _emit_tail(fmt: Format, g: list[str], tail: str, p: Point, inward: Point,
                scale: float) -> None:
     nx, ny = -inward[1], inward[0]
     half = _TIP_HALF * scale
     if tail == 'bar':
-        g.append(_line('tail', (p[0] + nx * _BAR_HALF, p[1] + ny * _BAR_HALF),
+        g.append(_line(fmt, 'tail',
+                       (p[0] + nx * _BAR_HALF, p[1] + ny * _BAR_HALF),
                        (p[0] - nx * _BAR_HALF, p[1] - ny * _BAR_HALF)))
         return
     if tail == 'mono':
@@ -287,8 +315,8 @@ def _emit_tail(g: list[str], tail: str, p: Point, inward: Point,
         b1 = (p[0] + nx * half, p[1] + ny * half)
         b2 = (p[0] - nx * half, p[1] - ny * half)
         d = 'M %s %s L %s %s L %s %s' % (
-            _fmt(b1[0]), _fmt(-b1[1]), _fmt(vertex[0]), _fmt(-vertex[1]),
-            _fmt(b2[0]), _fmt(-b2[1]))
+            fmt(b1[0]), fmt(-b1[1]), fmt(vertex[0]), fmt(-vertex[1]),
+            fmt(b2[0]), fmt(-b2[1]))
         g.append(_path('tail', d))
         return
     # hooks: a half circle between the boundary point and a point one
@@ -296,23 +324,23 @@ def _emit_tail(g: list[str], tail: str, p: Point, inward: Point,
     far = _at(p, inward, 2.0 * _HOOK_R * scale)
     sweep = '1' if tail == 'hook_up' else '0'
     d = 'M %s %s A %s %s 0 0 %s %s %s' % (
-        _fmt(p[0]), _fmt(-p[1]), _fmt(_HOOK_R * scale),
-        _fmt(_HOOK_R * scale), sweep, _fmt(far[0]), _fmt(-far[1]))
+        fmt(p[0]), fmt(-p[1]), fmt(_HOOK_R * scale),
+        fmt(_HOOK_R * scale), sweep, fmt(far[0]), fmt(-far[1]))
     g.append(_path('tail', d))
 
 
-def _emit_mid(g: list[str], mid: str, start: Point, end: Point,
+def _emit_mid(fmt: Format, g: list[str], mid: str, start: Point, end: Point,
               u: Point) -> None:
     cx = (start[0] + end[0]) / 2.0
     cy = (start[1] + end[1]) / 2.0
     nx, ny = -u[1], u[0]
     if mid == 'tick':
-        g.append(_line('mid', (cx + nx * _BAR_HALF, cy + ny * _BAR_HALF),
+        g.append(_line(fmt, 'mid', (cx + nx * _BAR_HALF, cy + ny * _BAR_HALF),
                        (cx - nx * _BAR_HALF, cy - ny * _BAR_HALF)))
         return
     # cross: two ticks at 45 degrees either side of the perpendicular
     for sx, sy in ((nx + u[0], ny + u[1]), (nx - u[0], ny - u[1])):
         length = math.hypot(sx, sy)
         vx, vy = sx / length * _BAR_HALF, sy / length * _BAR_HALF
-        g.append(_line('mid', (cx + vx, cy + vy), (cx - vx, cy - vy)))
+        g.append(_line(fmt, 'mid', (cx + vx, cy + vy), (cx - vx, cy - vy)))
 

@@ -188,6 +188,17 @@ def test_malformed_metrics_exits_2(tmp_path, capsys, line):
         'dia.dxy', 'junk.metrics']
 
 
+def test_metrics_not_utf8_exits_2_naming_the_line(tmp_path, capsys):
+    table = tmp_path / 'bad.tbl'
+    table.write_bytes(b'A 500\n\xe9 600\n')
+    source = write(tmp_path, 'dia.dxy', SQUARE)
+    assert main(['--metrics', str(table), str(source)]) == 2
+    assert capsys.readouterr().err == (
+        'diagramc: error: %s:2: not valid UTF-8\n' % table)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ['bad.tbl',
+                                                          'dia.dxy']
+
+
 # ---- configuration ---------------------------------------------------------
 
 @pytest.mark.parametrize('flag', ['--em-pt', '--margin-pt', '--label-scale'])
@@ -416,6 +427,34 @@ def test_an_input_clashing_with_an_earlier_one_leaves_the_rest_alone(
         % (first, second, out / 'x.scene.json'))
     assert sorted(p.name for p in out.iterdir()) == [
         'x.scene.json', 'x.svg', 'y.scene.json', 'y.svg']
+
+
+def test_an_output_dir_linked_to_a_missing_input_s_dir_is_refused(
+        tmp_path, capsys, monkeypatch):
+    # out -> . makes out/x.svg the missing input ./x.svg: by absolute path
+    # they differ, and a missing input has no file identity
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, 'x.dxy', SQUARE)
+    (tmp_path / 'out').symlink_to('.')
+    assert main(['-o', 'out', 'x.dxy', 'x.svg']) == 2
+    assert capsys.readouterr().err == (
+        'diagramc: error: OutputCollision: x.dxy would overwrite the input '
+        'x.svg through %s\nx.svg: error: No such file or directory\n'
+        % os.path.join('out', 'x.svg'))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ['out', 'x.dxy']
+
+
+def test_an_output_linked_to_a_missing_input_is_refused(tmp_path, capsys):
+    # a dangling link: writing x.svg would create the input y.dxy
+    first = write(tmp_path, 'x.dxy', SQUARE)
+    second = tmp_path / 'y.dxy'
+    (tmp_path / 'x.svg').symlink_to('y.dxy')
+    assert main(['--format', 'svg', str(first), str(second)]) == 2
+    assert capsys.readouterr().err == (
+        'diagramc: error: OutputCollision: %s would overwrite the input %s '
+        'through %s\n%s: error: No such file or directory\n'
+        % (first, second, tmp_path / 'x.svg', second))
+    assert not second.exists()
 
 
 def test_an_output_named_like_a_missing_input_is_refused(tmp_path, capsys):

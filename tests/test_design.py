@@ -1,13 +1,16 @@
 """Structure the compiler relies on: constructor tables and module layering."""
 
 import ast
+import copy
+import random
 import dataclasses
 from pathlib import Path
 
 import pytest
 
 import diagramc
-from diagramc import cli, lowering, parser
+from diagramc import (arrows, cli, errors, layout, lowering, metrics, model,
+                      parser, scenefile, svg)
 from diagramc.model import RenderConfig
 
 PACKAGE = Path(diagramc.__file__).parent
@@ -141,3 +144,104 @@ def test_the_cli_parses_each_input_once_in_input_order(tmp_path, monkeypatch):
         (tmp_path / name).write_text('\\to\n', encoding='utf-8')
     assert cli.main(inputs) == 0
     assert parsed == inputs
+
+
+# ---- the benchmark's entry points ------------------------------------------
+
+# (owner, name) of every callable perfbench/tracer.py wraps to time a
+# layer; a name that moves or goes makes that layer's figures read 0
+TRACED = [
+    ('diagramc', 'parse_document'), ('cli', 'parse_document'),
+    ('parser', 'parse_document'), ('Lowerer', 'lower_document'),
+    ('lowering', 'parse_arrow_spec'), ('MetricsTable', 'text_advance'),
+    ('MetricsTable', 'morphism_width'), ('layout', 'node_box'),
+    ('svg', 'resolve_scene'), ('svg', 'render_resolved'),
+    ('diagramc', 'dump_scene'), ('cli', 'dump_scene'),
+    ('scenefile', 'dump_scene'), ('scenefile', 'scene_to_dict'),
+    ('cli', 'main'),
+]
+
+
+def owner(name):
+    return {'diagramc': diagramc, 'cli': cli, 'parser': parser,
+            'lowering': lowering, 'layout': layout, 'svg': svg,
+            'scenefile': scenefile, 'Lowerer': lowering.Lowerer,
+            'MetricsTable': diagramc.MetricsTable}[name]
+
+
+@pytest.mark.parametrize('where, name', TRACED)
+def test_every_traced_entry_point_is_where_the_tracer_looks(where, name):
+    assert callable(owner(where).__dict__.get(name)), (where, name)
+
+
+def test_the_cli_calls_through_each_traced_entry_point(tmp_path,
+                                                       monkeypatch):
+    # memos may save calls, but each layer's work still passes through the
+    # attribute the tracer replaces
+    calls = {}
+    for where, name in TRACED:
+        original = owner(where).__dict__[name]
+
+        def counting(*args, _key=(where, name), _fn=original, **kwargs):
+            calls[_key] = calls.get(_key, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner(where), name, counting)
+    source = tmp_path / 'a.dxy'
+    source.write_text('\\bfig\\Square[A`B`C`D;f`g`h`k]\\efig\n',
+                      encoding='utf-8')
+    assert cli.main([str(source)]) == 0
+    # the CLI reaches these names; the package-level aliases and
+    # scene_to_dict serve library callers and are checked above
+    assert {key for key in calls} == set(TRACED) - {
+        ('diagramc', 'parse_document'), ('parser', 'parse_document'),
+        ('diagramc', 'dump_scene'), ('scenefile', 'dump_scene'),
+        ('scenefile', 'scene_to_dict')}
+
+
+# ---- memo lifetime -----------------------------------------------------------
+
+def module_state():
+    """Size of every container and cache a module or class of the package
+    holds."""
+    sizes = {}
+    for module in (diagramc, cli, layout, lowering, parser, scenefile, svg,
+                   arrows, errors, metrics, model):
+        for attr, value in vars(module).items():
+            holders = [(attr, value)]
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                holders += [(attr + '.' + k, v)
+                            for k, v in vars(value).items()]
+            for key, held in holders:
+                if isinstance(held, (dict, list, set, bytearray)):
+                    sizes[module.__name__, key] = len(held)
+                elif hasattr(held, 'cache_info'):    # functools caches
+                    sizes[module.__name__, key] = held.cache_info().currsize
+    return sizes
+
+
+def test_compiling_leaves_no_cache_behind(tmp_path):
+    # every memo lives inside one lowering, resolve, render or dump: a
+    # cache that outlived them would grow here, and warm passes would hit
+    # what a fresh CLI run never has.  The last input holds texts, a spec
+    # and coordinates no earlier test in this process has compiled.
+    corpus = sorted((Path(__file__).parent / 'corpus').glob('*.dxy'))
+    rng = random.Random()
+    unseen = tmp_path / 'unseen.dxy'
+    unseen.write_text(
+        '\\bfig\\morphism(%d,%d)|a|/@{>}@<%d.%dpt>/<%d,%d>[N%x`M%x;L%x]'
+        '\\efig\n' % tuple(rng.randrange(1, 10 ** 6) for _ in range(9)),
+        encoding='utf-8')
+    corpus.append(unseen)
+    table = diagramc.MetricsTable.builtin()
+    fields = {name: copy.copy(value) for name, value in vars(table).items()}
+    before = module_state()
+    out = tmp_path / 'out'
+    assert cli.main(['-o', str(out)] + [str(p) for p in corpus]) == 0
+    for path in corpus:
+        for unit in diagramc.compile_source(path.read_text(encoding='utf-8'),
+                                            str(path), table):
+            svg.render(unit, table)
+            scenefile.dump_scene(unit)
+    assert module_state() == before
+    assert vars(table) == fields

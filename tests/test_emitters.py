@@ -5,7 +5,7 @@ import re
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diagramc import compile_source, dump_scene, scene_to_dict
 from diagramc import svg as svg_module
@@ -404,8 +404,9 @@ def test_empty_groups_self_close():
 
 
 def test_empty_text_self_closes():
-    assert [svg_module._text('label', 1.0, 2.0, '', 10.0),
-            svg_module._text('label', 1.0, 2.0, 'a<b', 10.0)] == [
+    fmt = svg_module._fmt
+    assert [svg_module._text(fmt, 'label', 1.0, 2.0, '', 10.0),
+            svg_module._text(fmt, 'label', 1.0, 2.0, 'a<b', 10.0)] == [
         '<text class="label" x="1" y="-2" text-anchor="middle" '
         'font-size="10" />',
         '<text class="label" x="1" y="-2" text-anchor="middle" '
@@ -432,4 +433,63 @@ def test_scalar_leaves_match_json_dumps(value):
     style = ArrowStyle(parallel_offset_pt=value)
     scene = Scene((), (ArrowInstance(LogicalPoint(0, 0), LogicalPoint(1, 0),
                                      style),))
+    assert dump_scene(scene) == reference_json(scene)
+
+
+# ---- memoized formatters ---------------------------------------------------
+
+def plain_number(v):
+    """The SVG number formula before it was memoized."""
+    text = '%.3f' % v
+    text = text.rstrip('0').rstrip('.')
+    return '0' if text in ('-0', '') else text
+
+
+EDGE_NUMBERS = [0.0, -0.0, 0.0004, -0.0004, 0.0005, -0.0005, 1, 1.0, -1,
+                True, 2 ** 53 + 1, -(10 ** 30), 1e300, -1e300, 5e-324,
+                0.1 + 0.2, 999.9995, -999.9995]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10 ** 20, 10 ** 20),
+    st.sampled_from(EDGE_NUMBERS)), max_size=30))
+@example(EDGE_NUMBERS)
+@example(EDGE_NUMBERS[::-1])
+def test_memoized_number_text_matches_the_plain_formula(values):
+    fmt = svg_module._formatter()
+    # twice through one memo, so the second pass reads back what equal
+    # values of another type or sign left there
+    for v in values + values[::-1]:
+        assert fmt(v) == plain_number(v) == svg_module._fmt(v)
+
+
+def test_negative_zero_offsets_keep_their_sign_in_the_scene():
+    # -0.0 == 0.0, so a memo keyed on ArrowStyle values would print one
+    # sign for both arrows
+    scene = one_scene('\\bfig\n'
+                      '\\morphism(0,0)|a|/@{>}@<-0pt>/<500,0>[A`B;f]\n'
+                      '\\morphism(0,500)|a|/@{>}@<0pt>/<500,0>[C`D;g]\n'
+                      '\\morphism(0,1000)|a|/@{>}@<-0pt>/<500,0>[E`F;h]\n'
+                      '\\efig\n')
+    text = dump_scene(scene)
+    assert text == reference_json(scene)
+    assert re.findall(r'"parallel_offset_pt": (\S+),', text) == [
+        '-0.0', '0.0', '-0.0']
+
+
+def test_bools_and_ints_in_typed_slots_match_json_dumps():
+    # True == 1 and False == 0: flags and coordinates of those values must
+    # still print as JSON prints them
+    p, q = LogicalPoint(1, 0), LogicalPoint(0, 1)
+    scene = Scene(
+        (NodeInstance(p, '1', 'center', True), NodeInstance(q, 'true'),
+         NodeInstance(LogicalPoint(-1, 1), 'null', 'u', False)),
+        (ArrowInstance(p, q, ArrowStyle(reversed=True), '0', 'l',
+                       src_text='1', dst_text=None),
+         ArrowInstance(q, q, ArrowStyle(), src_text='true', dst_text='true',
+                       loop_out='u', loop_in='r')),
+        (InlineFragment('to', LogicalPoint(1, 0), (
+            InlineArrowPart(ArrowStyle(reversed=True), 'true', '', '1'),)),))
     assert dump_scene(scene) == reference_json(scene)

@@ -10,8 +10,13 @@ To refresh the pins after an intended output change, run
 repository root and review the diff.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+from diagramc import Lowerer, MetricsTable, RenderConfig, dump_scene
+from diagramc import parse_document, render
 from diagramc.cli import main
 
 HERE = Path(__file__).parent
@@ -29,3 +34,61 @@ def test_corpus_outputs_match_goldens(tmp_path):
                  if (tmp_path / name).read_bytes()
                  != (GOLDEN_DIR / name).read_bytes()]
     assert differing == []
+
+
+# ---- no memo outlives its unit ---------------------------------------------
+
+def _unit_outputs(path, metrics, cfg):
+    """{output name: bytes} of one corpus file, compiled in this process."""
+    text = Path(path).read_text(encoding='utf-8')
+    units = Lowerer(metrics, cfg).lower_document(parse_document(text, path))
+    stem = Path(path).stem
+    names = ([stem] if len(units) == 1 else
+             ['%s.%d' % (stem, n + 1) for n in range(len(units))])
+    outputs = {}
+    for name, unit in zip(names, units):
+        outputs[name + '.svg'] = render(unit, metrics, cfg).encode('utf-8')
+        outputs[name + '.scene.json'] = dump_scene(unit).encode('utf-8')
+    return outputs
+
+
+def test_settings_interleaved_in_one_process_match_fresh_runs(tmp_path):
+    sources = sorted(str(p) for p in CORPUS_DIR.glob('*.dxy'))
+    wide_table = tmp_path / 'wide.metrics'
+    wide_table.write_text('A 900\n', encoding='utf-8')
+    builtin = MetricsTable.builtin()
+    wide = MetricsTable.from_file(str(wide_table))
+    small = RenderConfig(em_pt=12.5, object_margin_pt=0.7, label_scale=0.8)
+    small_flags = ['--em-pt', '12.5', '--margin-pt', '0.7',
+                   '--label-scale', '0.8']
+    settings = [
+        (builtin, RenderConfig(), []),
+        (wide, RenderConfig(), ['--metrics', str(wide_table)]),
+        (builtin, small, small_flags),
+        (wide, small, ['--metrics', str(wide_table)] + small_flags),
+    ]
+    # a fresh interpreter per setting compiles the corpus once
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(HERE.parent / 'src')] + sys.path))
+    fresh = []
+    for k, (_, _, flags) in enumerate(settings):
+        out = tmp_path / ('fresh-%d' % k)
+        subprocess.run([sys.executable, '-m', 'diagramc', '-o', str(out)]
+                       + flags + sources, env=env, check=True,
+                       capture_output=True)
+        fresh.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert fresh[0] == {p.name: p.read_bytes() for p in GOLDEN_DIR.iterdir()}
+    assert len({frozenset(f.items()) for f in fresh}) == len(settings)
+    # in this process: each file under every setting in turn, the order
+    # turning from file to file, twice over
+    interleaved = [{} for _ in settings]
+    for _ in range(2):
+        for i, path in enumerate(sources):
+            for k in range(len(settings)):
+                k = (i + k) % len(settings)
+                metrics, cfg, _ = settings[k]
+                outputs = _unit_outputs(path, metrics, cfg)
+                for name, data in outputs.items():
+                    assert interleaved[k].setdefault(name, data) == data
+    for k in range(len(settings)):
+        assert interleaved[k] == fresh[k], k

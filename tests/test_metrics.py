@@ -144,3 +144,33 @@ def test_from_file_takes_the_widest_values(tmp_path):
     assert table.token_advance('\U0010ffff') == 0
     assert table.token_advance('A') == 7
     assert table.descent == 0
+
+
+@pytest.mark.parametrize('data, lineno', [
+    (b'A 500\n\xe9 600\n', 2),
+    (b'\xff\n', 1),
+    (b'A 500\r\nB 600\r\n# \xc3\n', 3),
+    (b'A 500\rB 600\rC \xe2\x82 700\r', 3),   # a sequence cut short
+])
+def test_from_file_names_the_line_that_is_not_utf8(tmp_path, data, lineno):
+    path = tmp_path / 'bad.tbl'
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=r'^%s:%d: not valid UTF-8$'
+                       % (re.escape(str(path)), lineno)):
+        MetricsTable.from_file(str(path))
+
+
+@pytest.mark.parametrize('newline', ['\n', '\r\n', '\r'])
+def test_from_file_breaks_lines_as_text_mode_does(tmp_path, newline):
+    # a bad value on line 3 is reported on line 3 whatever ends the lines,
+    # and non-ASCII keys decode as before
+    path = tmp_path / 'table.txt'
+    path.write_bytes(newline.join(['α 700', '# cé', 'B x', ''])
+                     .encode('utf-8'))
+    with pytest.raises(ValueError, match=r':3: '):
+        MetricsTable.from_file(str(path))
+    path.write_bytes(newline.join(['α 700', '\\beta 800', ''])
+                     .encode('utf-8'))
+    table = MetricsTable.from_file(str(path))
+    assert table.token_advance('α') == 700
+    assert table.token_advance('\\beta') == 800
