@@ -429,7 +429,7 @@ def test_an_input_clashing_with_an_earlier_one_leaves_the_rest_alone(
         'x.scene.json', 'x.svg', 'y.scene.json', 'y.svg']
 
 
-def test_an_output_dir_linked_to_a_missing_input_s_dir_is_refused(
+def test_an_output_reaching_a_missing_input_through_a_linked_dir_is_refused(
         tmp_path, capsys, monkeypatch):
     # out -> . makes out/x.svg the missing input ./x.svg: by absolute path
     # they differ, and a missing input has no file identity

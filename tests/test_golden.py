@@ -68,8 +68,7 @@ def test_settings_interleaved_in_one_process_match_fresh_runs(tmp_path):
         (wide, small, ['--metrics', str(wide_table)] + small_flags),
     ]
     # a fresh interpreter per setting compiles the corpus once
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(HERE.parent / 'src')] + sys.path))
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / 'src'))
     fresh = []
     for k, (_, _, flags) in enumerate(settings):
         out = tmp_path / ('fresh-%d' % k)
@@ -84,8 +83,8 @@ def test_settings_interleaved_in_one_process_match_fresh_runs(tmp_path):
     interleaved = [{} for _ in settings]
     for _ in range(2):
         for i, path in enumerate(sources):
-            for k in range(len(settings)):
-                k = (i + k) % len(settings)
+            for j in range(len(settings)):
+                k = (i + j) % len(settings)
                 metrics, cfg, _ = settings[k]
                 outputs = _unit_outputs(path, metrics, cfg)
                 for name, data in outputs.items():
