@@ -22,6 +22,7 @@ from .model import (
     ArrowInstance,
     ArrowStyle,
     InlineFragment,
+    Memo,
     NodeInstance,
     RenderConfig,
     Scene,
@@ -88,29 +89,23 @@ class ResolvedScene:
     arrows: tuple[ResolvedArrow, ...]
 
 
-class _Advances:
+class _Advances(Memo):
     """Text advances for one ``resolve_scene``, each measured once.
 
     It stands in for the metrics table in ``node_box`` and
     ``_place_label``, which read only ``text_advance``, ``ascent`` and
-    ``descent``.  The memo is keyed by (text, scale); a miss asks the
-    table, through ``MetricsTable.text_advance``.
+    ``descent``; a miss asks ``MetricsTable.text_advance``.
     """
 
-    __slots__ = ('ascent', 'descent', '_metrics', '_memo')
+    __slots__ = ('ascent', 'descent')
 
     def __init__(self, metrics: MetricsTable) -> None:
+        super().__init__(lambda key: metrics.text_advance(*key))
         self.ascent = metrics.ascent
         self.descent = metrics.descent
-        self._metrics = metrics
-        self._memo: dict[tuple[str, float], int] = {}
 
     def text_advance(self, text: str, scale: float = 1.0) -> int:
-        key = (text, scale)
-        advance = self._memo.get(key)
-        if advance is None:
-            advance = self._memo[key] = self._metrics.text_advance(text, scale)
-        return advance
+        return self[text, scale]
 
 
 def node_box(node: NodeInstance, metrics: MetricsTable,

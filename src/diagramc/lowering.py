@@ -37,6 +37,7 @@ from .model import (
     InlineArrowPart,
     InlineFragment,
     LogicalPoint,
+    Memo,
     NodeInstance,
     RenderConfig,
     Scene,
@@ -192,8 +193,9 @@ class Lowerer:
         self.metrics = metrics if metrics is not None else MetricsTable.builtin()
         self.config = config if config is not None else RenderConfig()
         self.registry: dict[str, tuple[LogicalPoint, str]] = {}
-        # styles by spec text, parsed once for the life of this Lowerer
-        self._styles: dict[str, ArrowStyle] = {}
+        # styles by spec text, parsed once for the life of this Lowerer;
+        # a miss reads the module's parse_arrow_spec when it happens
+        self._styles = Memo(lambda spec: parse_arrow_spec(spec))
         self._defined: set[str] = set()
         self._figure: _FigureBuilder | None = None
         self._figure_loc = None
@@ -258,11 +260,7 @@ class Lowerer:
 
     def _style(self, spec: str) -> ArrowStyle:
         """The style of a spec as the source gives it, braces and all."""
-        spec = strip_group(spec)
-        style = self._styles.get(spec)
-        if style is None:
-            style = self._styles[spec] = parse_arrow_spec(spec)
-        return style
+        return self._styles[strip_group(spec)]
 
     def _emit(self, fig: _FigureBuilder, src: LogicalPoint, dst: LogicalPoint,
               letter: str, spec: str, text_a: str, text_b: str, label: str,

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 # One logical unit is 0.01 em.  All constructor arithmetic stays in integer
 # logical units; conversion to points happens only at render time.
@@ -13,6 +13,23 @@ DEFAULT_MARGIN = 150
 # Longest integer literal in a source or a metrics table: any longer one is
 # an error, well before int() or the float arithmetic of layout would fail.
 MAX_DIGITS = 9
+
+
+class Memo(dict):
+    """``function`` of each key, computed on its first lookup and kept.
+
+    Every per-unit cache of the compiler is one of these, made for one
+    unit and dropped with it.  A miss that raises stores nothing.
+    """
+
+    __slots__ = ('function',)
+
+    def __init__(self, function: Callable[[Any], Any]) -> None:
+        self.function = function
+
+    def __missing__(self, key):
+        value = self[key] = self.function(key)
+        return value
 
 
 @dataclass(frozen=True)

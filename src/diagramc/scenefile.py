@@ -15,6 +15,7 @@ from .model import (
     ArrowStyle,
     InlineFragment,
     LogicalPoint,
+    Memo,
     NodeInstance,
     Scene,
 )
@@ -89,8 +90,9 @@ def scene_to_dict(scene: Scene) -> dict:
 # ensure_ascii=False) plus a newline, written without building the dict:
 # each record shape is one format string, and each slot is filled by the
 # formatter of its field's type.  Lattice coordinates are ints, written
-# by %d; flags are bools; texts are str or None, encoded once per scene
-# through _Strings; the float fields go through _leaf.
+# by %d; flags are bools; texts are str or None, encoded by _leaf once
+# per scene through a Memo; the float fields go through _leaf each time,
+# since -0.0 == 0.0 would share one key.
 
 _INF = float('inf')
 _STYLE_KEYS = 'tail shaft head mid parallel_offset_pt reversed'
@@ -113,23 +115,6 @@ _PART = _template('style sup sub mid', 4)
 _POINT = _template('x y', 3, '%d')
 _ARROW_STYLE = _template(_STYLE_KEYS, 3)
 _PART_STYLE = _template(_STYLE_KEYS, 5)
-
-
-class _Strings(dict):
-    """JSON text of each str, and of None, met in one scene.
-
-    Keys are only str and None, which equal nothing else, so every key
-    has one text.  A miss encodes the string and keeps it.
-    """
-
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__({None: 'null'})
-
-    def __missing__(self, text: str) -> str:
-        encoded = self[text] = encode_basestring(text)
-        return encoded
 
 
 def _leaf(value) -> str:
@@ -163,20 +148,20 @@ def _list(items: list[str], depth: int) -> str:
     return '[%s%s\n%s]' % (pad, (',' + pad).join(items), '  ' * depth)
 
 
-def _style_text(style: ArrowStyle, template: str, strings: _Strings) -> str:
+def _style_text(style: ArrowStyle, template: str, strings: Memo) -> str:
     return template % (
         strings[style.tail], strings[style.shaft], strings[style.head],
         strings[style.mid], _leaf(style.parallel_offset_pt),
         _BOOL[style.reversed])
 
 
-def _node_text(node: NodeInstance, strings: _Strings) -> str:
+def _node_text(node: NodeInstance, strings: Memo) -> str:
     pos = node.pos
     return _NODE % (_POINT % (pos.x, pos.y), strings[node.text],
                     strings[node.anchor], _BOOL[node.phantom])
 
 
-def _arrow_text(arrow: ArrowInstance, strings: _Strings) -> str:
+def _arrow_text(arrow: ArrowInstance, strings: Memo) -> str:
     src, dst = arrow.src, arrow.dst
     return _ARROW % (
         _POINT % (src.x, src.y), _POINT % (dst.x, dst.y),
@@ -186,7 +171,7 @@ def _arrow_text(arrow: ArrowInstance, strings: _Strings) -> str:
         strings[arrow.loop_out], strings[arrow.loop_in])
 
 
-def _fragment_text(fragment: InlineFragment, strings: _Strings) -> str:
+def _fragment_text(fragment: InlineFragment, strings: Memo) -> str:
     parts = [_PART % (_style_text(part.style, _PART_STYLE, strings),
                       strings[part.sup], strings[part.sub],
                       strings[part.mid])
@@ -200,7 +185,7 @@ def _fragment_text(fragment: InlineFragment, strings: _Strings) -> str:
 
 def dump_scene(scene: Scene) -> str:
     """Serialize one scene unit to its canonical JSON text."""
-    strings = _Strings()
+    strings = Memo(_leaf)
     return _DOC % (
         _list([_node_text(n, strings) for n in scene.nodes], 1),
         _list([_arrow_text(a, strings) for a in scene.arrows], 1),

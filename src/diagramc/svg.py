@@ -21,7 +21,7 @@ from typing import Callable
 
 from .layout import ResolvedArrow, ResolvedScene, resolve_scene
 from .metrics import MetricsTable
-from .model import RenderConfig, Scene
+from .model import Memo, RenderConfig, Scene
 
 __all__ = ['render', 'render_resolved']
 
@@ -47,25 +47,6 @@ def _fmt(v: float) -> str:
     text = '%.3f' % v
     text = text.rstrip('0').rstrip('.')
     return '0' if text in ('-0', '') else text
-
-
-def _formatter() -> Format:
-    """``_fmt`` that formats each value once, for one document.
-
-    Equal values print equal text (-0.0 and 0.0 both print 0, 1 and 1.0
-    both print 1), so the value itself is the key.  The memo lives as
-    long as the returned function, one ``render_resolved``.
-    """
-    memo: dict[float, str] = {}
-    get = memo.get
-
-    def fmt(v: float) -> str:
-        text = get(v)
-        if text is None:
-            text = memo[v] = _fmt(v)
-        return text
-
-    return fmt
 
 
 # paint of every stroked line and path
@@ -153,7 +134,9 @@ def render(scene: Scene, metrics: MetricsTable | None = None,
 
 def render_resolved(resolved: ResolvedScene, metrics: MetricsTable,
                     cfg: RenderConfig) -> str:
-    fmt = _formatter()
+    # each value formatted once per document; equal values print equal
+    # text (-0.0 and 0.0 both print 0, 1 and 1.0 both print 1)
+    fmt = Memo(_fmt).__getitem__
     arrows = [_arrow(fmt, arrow, metrics, cfg) for arrow in resolved.arrows]
     nodes = [_text(fmt, 'node', box.text_x, box.baseline_y, box.text,
                    cfg.em_pt)

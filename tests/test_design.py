@@ -58,6 +58,19 @@ def test_stages_after_lowering_see_only_scenes(name):
     assert not package_imports(name) & {'parser', 'lowering'}
 
 
+def test_memo_is_the_only_class_that_fills_missing_keys():
+    # every per-unit cache is a model.Memo, not a dict of its own making
+    found = set()
+    for name in STAGE:
+        tree = ast.parse((PACKAGE / (name + '.py')).read_text(encoding='utf-8'))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(item, ast.FunctionDef)
+                    and item.name == '__missing__' for item in node.body):
+                found.add((name, node.name))
+    assert found == {('model', 'Memo')}
+
+
 # ---- the constructor tables -----------------------------------------------
 
 def plans():

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from diagramc import compile_source, dump_scene, scene_to_dict
 from diagramc import svg as svg_module
 from diagramc.model import (ArrowInstance, ArrowStyle, InlineArrowPart,
-                            InlineFragment, LogicalPoint, NodeInstance, Scene)
+                            InlineFragment, LogicalPoint, Memo, NodeInstance,
+                            Scene)
 from diagramc.svg import render
 
 GOLDEN_SCENE = '''\
@@ -458,7 +459,8 @@ EDGE_NUMBERS = [0.0, -0.0, 0.0004, -0.0004, 0.0005, -0.0005, 1, 1.0, -1,
 @example(EDGE_NUMBERS)
 @example(EDGE_NUMBERS[::-1])
 def test_memoized_number_text_matches_the_plain_formula(values):
-    fmt = svg_module._formatter()
+    # the memo render_resolved formats one document's numbers through
+    fmt = Memo(svg_module._fmt).__getitem__
     # twice through one memo, so the second pass reads back what equal
     # values of another type or sign left there
     for v in values + values[::-1]:

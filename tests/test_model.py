@@ -6,6 +6,7 @@ from diagramc.model import (
     ArrowInstance,
     ArrowStyle,
     LogicalPoint,
+    Memo,
     NodeInstance,
     RenderConfig,
     Scene,
@@ -99,3 +100,31 @@ def test_arrow_span_and_loop_flag():
     loop = ArrowInstance(ORIGIN, ORIGIN, ArrowStyle(), loop_out='u',
                          loop_in='r')
     assert loop.is_loop
+
+
+def test_memo_calls_its_function_once_per_distinct_key():
+    calls = []
+
+    def square(n):
+        calls.append(n)
+        return n * n
+
+    memo = Memo(square)
+    assert [memo[n] for n in (3, 4, 3, 3, 4, 5)] == [9, 16, 9, 9, 16, 25]
+    assert calls == [3, 4, 5]
+    assert memo == {3: 9, 4: 16, 5: 25}
+
+
+def test_a_memo_miss_that_raises_stores_nothing():
+    calls = []
+
+    def fail(key):
+        calls.append(key)
+        raise ValueError(key)
+
+    memo = Memo(fail)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            memo['x']
+    assert calls == ['x', 'x']
+    assert memo == {}
