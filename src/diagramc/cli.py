@@ -12,8 +12,9 @@ of the run, by name or as the same file through a link; the files after
 it still compile.
 
 Exit status: 0 when everything compiled, 1 when any file failed with a
-diagnostic, 2 for invocation problems such as unreadable inputs, a bad
-metrics table or colliding outputs.
+diagnostic (a source that is not UTF-8 among them), 2 for invocation
+problems such as inputs that cannot be opened, a bad metrics table or
+colliding outputs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import INTERNAL_ERROR, OUTPUT_COLLISION, DiagnosticError
 from .lowering import Lowerer
 from .metrics import MetricsTable
 from .model import RenderConfig, Scene
-from .parser import parse_document
+from .parser import decode_source, parse_document
 from .scenefile import dump_scene
 from .svg import render
 
@@ -116,9 +117,6 @@ def _failure(path: str, exc: Exception) -> int:
         print('%s: error: %s' % (exc.filename or path, exc.strerror or exc),
               file=sys.stderr)
         return 2
-    if isinstance(exc, UnicodeDecodeError):
-        print('%s: error: %s' % (path, exc), file=sys.stderr)
-        return 2
     # a fault in the compiler itself: name it and where it was raised,
     # and let the rest of the batch go on
     tb = exc.__traceback__
@@ -137,8 +135,8 @@ def _lower_file(path: str, args: argparse.Namespace, metrics: MetricsTable,
                 cfg: RenderConfig) -> tuple[int, list[Scene]]:
     """Read, parse and lower one input: (exit status, its units)."""
     try:
-        with open(path, encoding='utf-8') as handle:
-            text = handle.read()
+        with open(path, 'rb') as handle:
+            text = decode_source(handle.read(), path)
         units = Lowerer(metrics, cfg).lower_document(
             parse_document(text, filename=path))
         unknown = _scan_glyphs(units, metrics)

@@ -49,6 +49,7 @@ from .model import MAX_DIGITS, ORIGIN, LogicalPoint
 
 __all__ = [
     'Statement',
+    'decode_source',
     'matching_brace',
     'parse_document',
     'print_document',
@@ -189,22 +190,9 @@ _CONTROL_RE = re.compile(
     r'[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]')
 
 
-def _fields(raw: str, sep: str, count: int, what: str,
-            loc: SourceLoc) -> list[str]:
-    """``raw`` split on ``sep``; anything but ``count`` fields is an error."""
-    parts = split_fields(raw, sep)
-    if len(parts) != count:
-        raise DiagnosticError(
-            ARITY_ERROR, 'expected %d %s, got %d' % (count, what, len(parts)),
-            loc)
-    return parts
-
-
-def _check_digits(digits: str, what: str, loc: SourceLoc) -> None:
-    if len(digits) > MAX_DIGITS:
-        raise DiagnosticError(
-            PARSE_ERROR, '%s has %d digits; at most %d are allowed'
-            % (what, len(digits), MAX_DIGITS), loc)
+def _one_break(text: str) -> str:
+    """``text`` with each ``\\r\\n`` and ``\\r`` read as one ``\\n``."""
+    return text.replace('\r\n', '\n').replace('\r', '\n')
 
 
 class _Scanner:
@@ -212,27 +200,27 @@ class _Scanner:
 
     Only the offset moves as text is read.  The offsets at which lines
     start are listed once per source, and a location asked for is found
-    by bisecting that list, wherever the offset is.
+    by bisecting that list, for the offset now or any other.
     """
 
     def __init__(self, text: str, filename: str):
-        self.text = text.replace('\r\n', '\n').replace('\r', '\n')
+        self.text = _one_break(text)
         self.filename = filename
         self.pos = 0
         self._starts = [0] + [m.end() for m in re.finditer('\n', self.text)]
         # no emitter can write these: XML 1.0 forbids them outright
         bad = _CONTROL_RE.search(self.text)
         if bad:
-            self.pos = bad.start()
             raise DiagnosticError(
                 PARSE_ERROR,
                 'control character U+%04X is not allowed in source text'
-                % ord(bad.group()), self.loc())
+                % ord(bad.group()), self.loc(bad.start()))
 
-    def loc(self) -> SourceLoc:
-        line = bisect_right(self._starts, self.pos)
-        return SourceLoc(self.filename, line,
-                         self.pos - self._starts[line - 1] + 1)
+    def loc(self, at: int | None = None) -> SourceLoc:
+        """Location of offset ``at``, by default the current one."""
+        pos = self.pos if at is None else at
+        line = bisect_right(self._starts, pos)
+        return SourceLoc(self.filename, line, pos - self._starts[line - 1] + 1)
 
     @property
     def more(self) -> bool:
@@ -268,10 +256,10 @@ class _Scanner:
         while True:
             stop = search(text, pos)
             if stop is None:
-                self.pos = opened
                 raise DiagnosticError(
                     UNBALANCED_GROUP,
-                    "missing '%s' closing the %s" % (closer, what), self.loc())
+                    "missing '%s' closing the %s" % (closer, what),
+                    self.loc(opened))
             i, pos = stop.span()
             ch = text[i]
             if depth == 0 and ch == closer:
@@ -282,10 +270,9 @@ class _Scanner:
                 depth += 1
             elif ch == '}':
                 if depth == 0:
-                    self.pos = i
                     raise DiagnosticError(
                         UNBALANCED_GROUP,
-                        "unexpected '}' inside %s" % what, self.loc())
+                        "unexpected '}' inside %s" % what, self.loc(i))
                 depth -= 1
             elif ch == '\n':
                 parts.append(text[start:i])
@@ -410,14 +397,37 @@ class _Parser:
 
     # ---- shared argument groups -------------------------------------
 
+    # A check keeps the offset it would report, and makes the location
+    # only when it fails: most checks pass, and a location costs a bisect
+    # and a SourceLoc.
+
+    def _fields(self, raw: str, sep: str, count: int, what: str,
+                at: int) -> list[str]:
+        """``raw`` split on ``sep``; anything but ``count`` fields is an
+        error at offset ``at``."""
+        parts = split_fields(raw, sep)
+        if len(parts) != count:
+            raise DiagnosticError(
+                ARITY_ERROR,
+                'expected %d %s, got %d' % (count, what, len(parts)),
+                self.scan.loc(at))
+        return parts
+
+    def _check_digits(self, digits: str, what: str,
+                      at: int | None = None) -> None:
+        if len(digits) > MAX_DIGITS:
+            raise DiagnosticError(
+                PARSE_ERROR, '%s has %d digits; at most %d are allowed'
+                % (what, len(digits), MAX_DIGITS), self.scan.loc(at))
+
     def _raw_pair(self, what: str) -> tuple[str, str]:
-        loc = self.scan.loc()
+        at = self.scan.pos
         raw = self.scan.need_group('(', ')', what)
         parts = split_fields(raw, ',')
         if len(parts) != 2:
             raise DiagnosticError(
-                ARITY_ERROR,
-                '%s needs 2 components, got %d' % (what, len(parts)), loc)
+                ARITY_ERROR, '%s needs 2 components, got %d'
+                % (what, len(parts)), self.scan.loc(at))
         return parts[0], parts[1]
 
     def _pair(self, what: str = 'coordinate pair') -> tuple[int, int]:
@@ -448,27 +458,28 @@ class _Parser:
             return ('>',) * count
         if count == 1:
             return (raw,)
-        return tuple(_fields(raw, '`', count, 'arrow specs', self.scan.loc()))
+        return tuple(self._fields(raw, '`', count, 'arrow specs',
+                                  self.scan.pos))
 
     def _opt_spans(self, defaults: tuple[int, ...]) -> tuple[int, ...]:
-        loc = self.scan.loc()
+        at = self.scan.pos
         raw = self.scan.opt_group('<', '>', 'span list')
         if raw is None:
             return defaults
-        parts = _fields(raw, ',', len(defaults), 'span entries', loc)
+        parts = self._fields(raw, ',', len(defaults), 'span entries', at)
         return tuple(self._int(p, 'span') for p in parts)
 
     def _payload(self, n_nodes: int, n_labels: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        loc = self.scan.loc()
+        at = self.scan.pos
         raw = self.scan.need_group('[', ']', 'node and label list')
         # labels run from the first ';' on, later ones included
         head, *tail = split_fields(raw, ';')
         if not tail:
             raise DiagnosticError(
-                PARSE_ERROR,
-                "expected ';' separating nodes from labels", loc)
-        nodes = _fields(head, '`', n_nodes, 'nodes', loc)
-        labels = _fields(';'.join(tail), '`', n_labels, 'labels', loc)
+                PARSE_ERROR, "expected ';' separating nodes from labels",
+                self.scan.loc(at))
+        nodes = self._fields(head, '`', n_nodes, 'nodes', at)
+        labels = self._fields(';'.join(tail), '`', n_labels, 'labels', at)
         return tuple(nodes), tuple(labels)
 
     def _int(self, text: str, what: str) -> int:
@@ -478,7 +489,7 @@ class _Parser:
                 PARSE_ERROR,
                 '%s must be an integer, got %r' % (what, text.strip()),
                 self.scan.loc())
-        _check_digits(cleaned.lstrip('+-'), what, self.scan.loc())
+        self._check_digits(cleaned.lstrip('+-'), what)
         return int(cleaned)
 
     def _opt_prefixed(self, prefix: str, what: str) -> str:
@@ -507,9 +518,9 @@ class _Parser:
     def _vect(self, constructor: str, kind: str, loc: SourceLoc) -> Statement:
         origin = LogicalPoint(*self._pair())
         spec = self.scan.need_group('/', '/', 'arrow spec')
-        span_loc = self.scan.loc()
+        at = self.scan.pos
         raw = self.scan.need_group('<', '>', 'span pair')
-        parts = _fields(raw, ',', 2, 'span entries', span_loc)
+        parts = self._fields(raw, ',', 2, 'span entries', at)
         spans = tuple(self._int(p, 'span') for p in parts)
         return Statement(constructor, origin=origin, specs=(spec,),
                          spans=spans, loc=loc)
@@ -527,9 +538,9 @@ class _Parser:
         inner = self._shape(SQUARE, '', _SQUARE_PLAN, loc, origin=(500, 500))
         placements = self._opt_placements('mmmm')
         specs = self._opt_specs(4)
-        labels_loc = self.scan.loc()
+        at = self.scan.pos
         raw = self.scan.need_group('[', ']', 'connector label list')
-        labels = _fields(raw, '`', 4, 'connector labels', labels_loc)
+        labels = self._fields(raw, '`', 4, 'connector labels', at)
         connector = Statement(CONNECTOR, placements=placements, specs=specs,
                               labels=tuple(labels), loc=loc)
         return replace(outer, inner=inner, connector=connector)
@@ -539,7 +550,7 @@ class _Parser:
         ch = self.scan.peek()
         if ch == '[' or not ch:
             return 0, default_border
-        loc = self.scan.loc()
+        at = self.scan.pos
         if ch == '{':
             digits = self.scan.opt_group('{', '}', 'grid mask')
             digits = ''.join(digits.split())
@@ -548,12 +559,13 @@ class _Parser:
         else:
             raise DiagnosticError(
                 PARSE_ERROR,
-                "expected a grid mask or '[' before %r" % ch, loc)
+                "expected a grid mask or '[' before %r" % ch, self.scan.loc())
         # str.isdigit alone also passes digits such as U+00B2
         if not (digits.isascii() and digits.isdigit()):
             raise DiagnosticError(
-                PARSE_ERROR, 'grid mask must be a decimal number', loc)
-        _check_digits(digits, 'grid mask', loc)
+                PARSE_ERROR, 'grid mask must be a decimal number',
+                self.scan.loc(at))
+        self._check_digits(digits, 'grid mask', at)
         border = self._opt_spans(default_border)
         return int(digits), border
 
@@ -666,6 +678,22 @@ _KEYWORDS = {
 }
 
 _KEYWORD_OF = {(c, kind): kw for kw, (c, kind, _) in _KEYWORDS.items()}
+
+
+def decode_source(data: bytes, filename: str) -> str:
+    """The text of a source file's bytes, which must be UTF-8.
+
+    A byte that breaks UTF-8 is a ``ParseError``, located as the scanner
+    would locate a character at its offset.
+    """
+    try:
+        return data.decode('utf-8')
+    except UnicodeDecodeError as exc:
+        before = _one_break(data[:exc.start].decode('utf-8'))
+        raise DiagnosticError(
+            PARSE_ERROR, 'byte 0x%02X is not valid UTF-8' % data[exc.start],
+            SourceLoc(filename, before.count('\n') + 1,
+                      len(before) - before.rfind('\n'))) from None
 
 
 def parse_document(text: str, filename: str = '<input>') -> list[Statement]:

@@ -170,27 +170,43 @@ def _frame(fmt: Format,
 
 def _bounds(resolved: ResolvedScene
             ) -> tuple[float, float, float, float] | None:
-    xs: list[float] = []
-    ys: list[float] = []
+    """Least and greatest x and y over boxes, arrow points and labels."""
+    if not resolved.boxes and not resolved.arrows:
+        return None
+    lo_x = lo_y = math.inf
+    hi_x = hi_y = -math.inf
     for box in resolved.boxes:
-        xs += [box.min_x, box.max_x]
-        ys += [box.min_y, box.max_y]
+        if box.min_x < lo_x:
+            lo_x = box.min_x
+        if box.min_y < lo_y:
+            lo_y = box.min_y
+        if box.max_x > hi_x:
+            hi_x = box.max_x
+        if box.max_y > hi_y:
+            hi_y = box.max_y
     for arrow in resolved.arrows:
-        points = [arrow.start, arrow.end]
-        if arrow.controls:
-            points += list(arrow.controls)
-        for px, py in points:
-            xs.append(px)
-            ys.append(py)
+        for x, y in (arrow.start, arrow.end, *(arrow.controls or ())):
+            if x < lo_x:
+                lo_x = x
+            if x > hi_x:
+                hi_x = x
+            if y < lo_y:
+                lo_y = y
+            if y > hi_y:
+                hi_y = y
         for label in arrow.labels:
-            rect = label.backing or (
+            min_x, min_y, max_x, max_y = label.backing or (
                 label.x - label.width / 2.0, label.y - label.height / 2.0,
                 label.x + label.width / 2.0, label.y + label.height / 2.0)
-            xs += [rect[0], rect[2]]
-            ys += [rect[1], rect[3]]
-    if not xs:
-        return None
-    return min(xs), min(ys), max(xs), max(ys)
+            if min_x < lo_x:
+                lo_x = min_x
+            if min_y < lo_y:
+                lo_y = min_y
+            if max_x > hi_x:
+                hi_x = max_x
+            if max_y > hi_y:
+                hi_y = max_y
+    return lo_x, lo_y, hi_x, hi_y
 
 
 # ---- arrows -----------------------------------------------------------

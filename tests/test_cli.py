@@ -268,12 +268,28 @@ def test_internal_error_names_the_file_and_the_batch_goes_on(tmp_path, capsys,
         'good.scene.json', 'good.svg']
 
 
-def test_unreadable_encoding_exits_2_and_the_batch_goes_on(tmp_path, capsys):
+def test_a_source_that_is_not_utf8_is_a_located_parse_error(tmp_path, capsys):
     latin = tmp_path / 'latin.dxy'
     latin.write_bytes(b'\\bfig\\place(0,0)[\xe9]\\efig\n')
     good = write(tmp_path, 'good.dxy', SQUARE)
-    assert main([str(latin), str(good)]) == 2
-    assert capsys.readouterr().err.startswith('%s: error: ' % latin)
+    assert main([str(latin), str(good)]) == 1
+    assert capsys.readouterr().err == (
+        '%s:1:18: error: ParseError: byte 0xE9 is not valid UTF-8\n' % latin)
+    assert (tmp_path / 'good.svg').exists()
+
+
+def test_a_bad_byte_is_located_as_the_scanner_counts(tmp_path, capsys):
+    # CRLF and a lone CR each end one line, and a multibyte character
+    # before the bad byte on its line is one column
+    source = tmp_path / 'crlf.dxy'
+    source.write_bytes(b'\\bfig\r\n\\place(0,0)[A]\r'
+                       b'\\place(0,500)[\xce\xbbx\xff]\r\n\\efig\r\n')
+    good = write(tmp_path, 'good.dxy', SQUARE)
+    assert main([str(source), str(good)]) == 1
+    assert capsys.readouterr().err == (
+        '%s:3:17: error: ParseError: byte 0xFF is not valid UTF-8\n'
+        % source)
+    assert not (tmp_path / 'crlf.svg').exists()
     assert (tmp_path / 'good.svg').exists()
 
 

@@ -586,16 +586,19 @@ class ReferenceScanner:
         self.col = 1
         bad = parser._CONTROL_RE.search(self.text)
         if bad:
-            before = self.text[:bad.start()]
             raise DiagnosticError(
                 PARSE_ERROR,
                 'control character U+%04X is not allowed in source text'
-                % ord(bad.group()),
-                SourceLoc(filename, before.count('\n') + 1,
-                          len(before) - before.rfind('\n')))
+                % ord(bad.group()), self.loc(bad.start()))
 
-    def loc(self):
-        return SourceLoc(self.filename, self.line, self.col)
+    def loc(self, at=None):
+        """The stepped line and column, or those of an earlier offset
+        counted from the start of the text."""
+        if at is None:
+            return SourceLoc(self.filename, self.line, self.col)
+        before = self.text[:at]
+        return SourceLoc(self.filename, before.count('\n') + 1,
+                         len(before) - before.rfind('\n'))
 
     @property
     def more(self):
