@@ -41,7 +41,6 @@ from .model import (
     NodeInstance,
     RenderConfig,
     Scene,
-    dedupe_nodes,
 )
 from .parser import Statement, strip_group
 
@@ -169,20 +168,22 @@ _WALKS = {
 
 
 class _FigureBuilder:
+    """A figure's arrows, and its nodes by (x, y, text, anchor) in the
+    order first placed; a real node takes the slot of its phantom twin."""
+
     def __init__(self) -> None:
-        self.nodes: list[NodeInstance] = []
+        self.nodes: dict[tuple[int, int, str, str], NodeInstance] = {}
         self.arrows: list[ArrowInstance] = []
 
     def node(self, pos: LogicalPoint, text: str, anchor: str = 'center',
              phantom: bool = False) -> None:
-        self.nodes.append(NodeInstance(pos, text, anchor, phantom))
-
-    def arrow(self, instance: ArrowInstance) -> None:
-        self.arrows.append(instance)
+        key = (pos.x, pos.y, text, anchor)
+        kept = self.nodes.get(key)
+        if kept is None or kept.phantom and not phantom:
+            self.nodes[key] = NodeInstance(pos, text, anchor, phantom)
 
     def scene(self) -> Scene:
-        return dedupe_nodes(
-            Scene(tuple(self.nodes), tuple(self.arrows), ()))
+        return Scene(tuple(self.nodes.values()), tuple(self.arrows), ())
 
 
 class Lowerer:
@@ -254,7 +255,11 @@ class Lowerer:
                 MISPLACED_CONSTRUCTOR,
                 "'\\%s' must appear between '\\bfig' and '\\efig'"
                 % parser.surface_keyword(stmt), stmt.loc)
-        self._HANDLERS[c](self, self._figure, stmt)
+        walk = _WALKS.get((c, stmt.kind))
+        if walk is None:
+            self._HANDLERS[c](self, self._figure, stmt)
+        else:
+            self._walk(self._figure, stmt, walk, stmt.origin, *stmt.spans)
 
     # ---- the single-arrow core ----------------------------------------
 
@@ -279,8 +284,8 @@ class Lowerer:
             return
         if src == dst:
             raise DiagnosticError(DEGENERATE_ARROW, 'zero-length arrow')
-        fig.arrow(ArrowInstance(src, dst, style, text, rule,
-                                src_text=a, dst_text=b))
+        fig.arrows.append(ArrowInstance(src, dst, style, text, rule,
+                                        src_text=a, dst_text=b))
 
     # ---- plain constructors -------------------------------------------
 
@@ -291,8 +296,8 @@ class Lowerer:
         dx, dy = stmt.spans
         if dx == 0 and dy == 0:
             raise DiagnosticError(DEGENERATE_ARROW, 'zero-length arrow')
-        fig.arrow(ArrowInstance(stmt.origin, stmt.origin.shifted(dx, dy),
-                                style))
+        fig.arrows.append(ArrowInstance(
+            stmt.origin, stmt.origin.shifted(dx, dy), style))
 
     def _place(self, fig: _FigureBuilder, stmt: Statement) -> None:
         fig.node(stmt.origin, strip_group(stmt.nodes[0]), anchor=stmt.anchor)
@@ -326,10 +331,9 @@ class Lowerer:
                 "loop leaves and returns along '%s'" % stmt.loop_out)
         text = strip_group(stmt.nodes[0])
         fig.node(stmt.origin, text)
-        fig.arrow(ArrowInstance(stmt.origin, stmt.origin, ArrowStyle(),
-                                src_text=text, dst_text=text,
-                                loop_out=stmt.loop_out,
-                                loop_in=stmt.loop_in))
+        fig.arrows.append(ArrowInstance(
+            stmt.origin, stmt.origin, ArrowStyle(), src_text=text,
+            dst_text=text, loop_out=stmt.loop_out, loop_in=stmt.loop_in))
 
     # ---- table walks --------------------------------------------------
 
@@ -367,16 +371,11 @@ class Lowerer:
             blank = at[k].shifted(ux * stmt.border[0], uy * stmt.border[-1])
             if ux < 0 or uy > 0:
                 if walk.node_first:
-                    # dedupe_nodes drops the repeat _emit makes of it
+                    # ahead of the blank; _emit's repeat keeps this slot
                     fig.node(at[k], strip_group(texts[k]))
                 self._emit(fig, blank, at[k], 'a', '>', '0', texts[k], '')
             else:
                 self._emit(fig, at[k], blank, 'a', '>', texts[k], '0', '')
-
-    def _shape(self, fig: _FigureBuilder, stmt: Statement) -> None:
-        dx, dy = stmt.spans
-        self._walk(fig, stmt, _WALKS[stmt.constructor, stmt.kind],
-                   stmt.origin, dx, dy)
 
     def _width(self, stmt: Statement, *edges: tuple[int, int, int]) -> int:
         """Widest auto-spaced morphism of the (source, target, label)s."""
@@ -449,18 +448,18 @@ class Lowerer:
     # ---- inline fragments -----------------------------------------------
 
     def _inline_fragment(self, stmt: Statement) -> InlineFragment:
-        kind = stmt.kind
+        kind, styles = stmt.kind, self._styles
         if kind == 'twoar':
             dx, dy = stmt.spans
             if dx == 0 and dy == 0:
                 raise DiagnosticError(
                     DEGENERATE_ARROW, 'the double arrow needs a direction')
-            part = InlineArrowPart(parse_arrow_spec('=>'), '', '', '')
+            part = InlineArrowPart(styles['=>'], '', '', '')
             return InlineFragment(kind, twoar_end(dx, dy), (part,),
                                   unit_scale=0.1)
         if kind in ('rlimto', 'llimto'):
-            spec = '->' if kind == 'rlimto' else '<-'
-            part = InlineArrowPart(parse_arrow_spec(spec), '', '', '')
+            part = InlineArrowPart(styles['->' if kind == 'rlimto' else '<-'],
+                                   '', '', '')
             return InlineFragment(kind, LogicalPoint(100, 0), (part,),
                                   tip_scale=0.8, raise_pt=2.0)
         specs = tuple(strip_group(s) for s in stmt.specs)
@@ -470,10 +469,10 @@ class Lowerer:
             length = stmt.length or metrics.inline_length(sup, sub, 200, cfg)
             parts = (
                 InlineArrowPart(
-                    replace(parse_arrow_spec(specs[0]), parallel_offset_pt=2.5),
+                    replace(styles[specs[0]], parallel_offset_pt=2.5),
                     sup, '', ''),
                 InlineArrowPart(
-                    replace(parse_arrow_spec(specs[1]), parallel_offset_pt=-2.5),
+                    replace(styles[specs[1]], parallel_offset_pt=-2.5),
                     '', sub, ''),
             )
         elif kind == 'three':
@@ -483,35 +482,28 @@ class Lowerer:
             if metrics.text_advance(mid) == 0:
                 mid = ''
             parts = (
-                InlineArrowPart(parse_arrow_spec(specs[1]), '', '', mid),
+                InlineArrowPart(styles[specs[1]], '', '', mid),
                 InlineArrowPart(
-                    replace(parse_arrow_spec(specs[0]), parallel_offset_pt=4.5),
+                    replace(styles[specs[0]], parallel_offset_pt=4.5),
                     sup, '', ''),
                 InlineArrowPart(
-                    replace(parse_arrow_spec(specs[2]), parallel_offset_pt=-4.5),
+                    replace(styles[specs[2]], parallel_offset_pt=-4.5),
                     '', sub, ''),
             )
         else:
             length = stmt.length or metrics.inline_length(sup, sub, 100, cfg)
-            parts = (InlineArrowPart(parse_arrow_spec(specs[0]), sup, sub, ''),)
+            parts = (InlineArrowPart(styles[specs[0]], sup, sub, ''),)
         return InlineFragment(kind, LogicalPoint(length, 0), parts)
 
     _HANDLERS = {
-        parser.MORPHISM: _shape,
         parser.VECT: _vect,
-        parser.SQUARE: _shape,
         parser.AUTO_SQUARE: _auto_square,
-        parser.DIAMOND: _shape,
-        parser.TRIANGLE: _shape,
-        parser.TRIANGLE_PAIR: _shape,
         parser.PULLBACK: _pullback,
         parser.H_SQUARES: _hsquares,
         parser.H_AUTO_SQUARES: _hsquares,
         parser.V_SQUARES: _vsquares,
         parser.V_AUTO_SQUARES: _vsquares,
         parser.CUBE: _cube,
-        parser.GRID_3X3: _shape,
-        parser.GRID_3X2: _shape,
         parser.PLACE: _place,
         parser.NODE: _node,
         parser.NAMED_ARROW: _named_arrow,

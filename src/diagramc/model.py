@@ -169,21 +169,6 @@ class Scene:
     inlines: Tuple[InlineFragment, ...] = ()
 
 
-def dedupe_nodes(scene: Scene) -> Scene:
-    """Collapse repeated (pos, text, anchor) nodes; a non-phantom wins over a phantom twin."""
-    kept: list[NodeInstance] = []
-    # a plain tuple hashes in C; a LogicalPoint would call its __hash__
-    index: dict[Tuple[int, int, str, str], int] = {}
-    for node in scene.nodes:
-        k = (node.pos.x, node.pos.y, node.text, node.anchor)
-        if k not in index:
-            index[k] = len(kept)
-            kept.append(node)
-        elif kept[index[k]].phantom and not node.phantom:
-            kept[index[k]] = node
-    return replace(scene, nodes=tuple(kept))
-
-
 def translate(scene: Scene, dx: int, dy: int) -> Scene:
     """Shift every coordinate; used to state translation equivariance."""
     return Scene(

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from diagramc.lowering import lower_document
 from diagramc.model import (
     ORIGIN,
     ArrowInstance,
@@ -10,10 +11,10 @@ from diagramc.model import (
     NodeInstance,
     RenderConfig,
     Scene,
-    dedupe_nodes,
     to_physical,
     translate,
 )
+from diagramc.parser import parse_document
 
 
 def test_point_arithmetic():
@@ -54,31 +55,32 @@ def _node(x, y, text, phantom=False):
     return NodeInstance(LogicalPoint(x, y), text, phantom=phantom)
 
 
+def figure_nodes(source):
+    """(text, x, y, anchor, phantom) of each node of the last figure."""
+    scene = lower_document(parse_document(source))[-1]
+    return [(n.text, n.pos.x, n.pos.y, n.anchor, n.phantom)
+            for n in scene.nodes]
+
+
 def test_dedupe_keeps_first_occurrence():
-    scene = Scene(
-        nodes=(_node(0, 0, 'A'), _node(1, 0, 'B'), _node(0, 0, 'A'),
-               _node(0, 0, 'C')),
-        arrows=(), inlines=())
-    out = dedupe_nodes(scene)
-    assert [n.text for n in out.nodes] == ['A', 'B', 'C']
+    nodes = figure_nodes('\\bfig \\place(0,0)[A] \\place(500,0)[B] '
+                         '\\place(0,0)[A] \\place(0,0)[C] \\efig')
+    assert [text for text, *_ in nodes] == ['A', 'B', 'C']
 
 
 def test_dedupe_promotes_phantom_in_place():
-    scene = Scene(
-        nodes=(_node(0, 0, 'A', phantom=True), _node(1, 0, 'B'),
-               _node(0, 0, 'A')),
-        arrows=(), inlines=())
-    out = dedupe_nodes(scene)
-    assert [n.text for n in out.nodes] == ['A', 'B']
-    assert not out.nodes[0].phantom
+    # \arrow places both ends as phantoms; \place then makes P real
+    nodes = figure_nodes(
+        '\\bfig \\node p(0,0)[P] \\node q(500,0)[Q] \\efig\n'
+        '\\bfig \\arrow/->/[p`q;f] \\place(0,0)[P] \\efig')
+    assert nodes == [('P', 0, 0, 'center', False),
+                     ('Q', 500, 0, 'center', True)]
 
 
 def test_dedupe_respects_anchor_in_key():
-    scene = Scene(
-        nodes=(_node(0, 0, 'A'),
-               NodeInstance(LogicalPoint(0, 0), 'A', anchor='l')),
-        arrows=(), inlines=())
-    assert len(dedupe_nodes(scene).nodes) == 2
+    nodes = figure_nodes('\\bfig \\place(0,0)[A] \\place[l](0,0)[A] '
+                         '\\place(0,0)[A] \\efig')
+    assert [anchor for _, _, _, anchor, _ in nodes] == ['center', 'l']
 
 
 def test_translate_moves_nodes_and_arrows():
