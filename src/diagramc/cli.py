@@ -76,11 +76,8 @@ def _unit_texts(unit: Scene):
 
 
 def _scan_glyphs(units: list[Scene], metrics: MetricsTable) -> list[str]:
-    unknown: set[str] = set()
-    for unit in units:
-        for text in _unit_texts(unit):
-            unknown |= metrics.unknown_tokens(text)
-    return sorted(unknown)
+    texts = set(chain.from_iterable(map(_unit_texts, units)))
+    return sorted(set().union(*map(metrics.unknown_tokens, texts)))
 
 
 def _output_paths(path: str, out_dir: str | None, count: int, ext: str
@@ -154,14 +151,14 @@ def _lower_file(path: str, args: argparse.Namespace, metrics: MetricsTable,
 
 def _compile_file(path: str, units: list[Scene], args: argparse.Namespace,
                   metrics: MetricsTable, cfg: RenderConfig,
-                  sources: dict[str | tuple[int, int], str],
+                  sources: dict[tuple[int, int], str],
                   missing: dict[str, str],
                   written: dict[tuple[int, int], str]) -> int:
     """Render and write the outputs of one lowered input.
 
-    ``sources`` holds the inputs by absolute path and by file identity.
-    An input with no file has no identity, so ``missing`` holds those by
-    real path, which an output reaching one through a linked directory
+    ``sources`` holds the inputs by file identity.  An input with no
+    file has no identity, so ``missing`` holds those by real path, which
+    an output naming one, or reaching it through a linked directory,
     resolves to.  ``written`` holds the outputs written so far by file
     identity, which a later output has whether it names the file or links
     to it.  An output found in any of them fails this input before any
@@ -171,8 +168,8 @@ def _compile_file(path: str, units: list[Scene], args: argparse.Namespace,
                for ext in _EXTENSIONS[args.format]}
     for out in sum(outputs.values(), []):
         ident = _file_id(out)
-        source = sources.get(os.path.abspath(out)) or sources.get(ident)
-        if source is None and ident is None and missing:
+        source = sources.get(ident)
+        if ident is None and missing:
             source = missing.get(os.path.realpath(out))
         if source is not None:
             clash = '%s would overwrite the input %s through %s' % (
@@ -205,28 +202,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         metrics = (MetricsTable.from_file(metrics_path) if metrics_path
                    else MetricsTable.builtin())
-    except (OSError, ValueError) as exc:
-        print('diagramc: error: %s' % exc, file=sys.stderr)
-        return 2
-    try:
         cfg = RenderConfig(em_pt=args.em_pt,
                            object_margin_pt=args.margin_pt,
                            label_scale=args.label_scale)
-    except ValueError as exc:
+        if args.out_dir is not None:
+            os.makedirs(args.out_dir, exist_ok=True)
+    except (OSError, ValueError) as exc:
         print('diagramc: error: %s' % exc, file=sys.stderr)
         return 2
-    if args.out_dir is not None:
-        try:
-            os.makedirs(args.out_dir, exist_ok=True)
-        except OSError as exc:
-            print('diagramc: error: %s' % exc, file=sys.stderr)
-            return 2
-    # the inputs by name and by file identity, or by real path when
-    # there is no file, so no output overwrites one
-    sources: dict[str | tuple[int, int], str] = {}
+    # the inputs by file identity, or by real path when there is no
+    # file, so no output overwrites one
+    sources: dict[tuple[int, int], str] = {}
     missing: dict[str, str] = {}
     for path in args.inputs:
-        sources[os.path.abspath(path)] = path
         ident = _file_id(path)
         if ident is None:
             missing[os.path.realpath(path)] = path

@@ -6,6 +6,7 @@ stay exact; IEEE floor-after-float-division gets 100/2/0.1 wrong.
 from __future__ import annotations
 
 import re
+from codecs import BOM_UTF8
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Dict, Set
@@ -57,8 +58,9 @@ class MetricsTable:
         defaults; `#` starts a comment.  Keys may be a literal character, a
         decimal codepoint, U+XXXX, or a control word like \\alpha.  Every
         number is ASCII digits, at most MAX_DIGITS of them, so values are
-        never negative; a codepoint is at most U+10FFFF.  A bad line, or
-        one that is not UTF-8, is a ValueError naming the file and line.
+        never negative; a codepoint is at most U+10FFFF.  One leading byte
+        order mark is skipped.  A bad line, or one that is not UTF-8, is
+        a ValueError naming the file and line.
         """
         advances = _builtin_advances()
         fallback = DEFAULT_ADVANCE
@@ -67,7 +69,8 @@ class MetricsTable:
             data = fh.read()
         # lines break where text mode would break them: at \n, \r\n and
         # \r, none of which can sit inside a UTF-8 sequence
-        for lineno, raw in enumerate(data.splitlines(), 1):
+        lines = data.removeprefix(BOM_UTF8).splitlines()
+        for lineno, raw in enumerate(lines, 1):
             try:
                 text = raw.decode("utf-8")
             except UnicodeDecodeError:

@@ -33,6 +33,7 @@ whole pieces of the group.  An integer literal has at most
 from __future__ import annotations
 
 import re
+from codecs import BOM_UTF8
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -683,9 +684,11 @@ _KEYWORD_OF = {(c, kind): kw for kw, (c, kind, _) in _KEYWORDS.items()}
 def decode_source(data: bytes, filename: str) -> str:
     """The text of a source file's bytes, which must be UTF-8.
 
-    A byte that breaks UTF-8 is a ``ParseError``, located as the scanner
-    would locate a character at its offset.
+    One leading byte order mark is skipped.  A byte that breaks UTF-8 is
+    a ``ParseError``, located as the scanner would locate a character at
+    its offset.
     """
+    data = data.removeprefix(BOM_UTF8)
     try:
         return data.decode('utf-8')
     except UnicodeDecodeError as exc:

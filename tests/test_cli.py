@@ -138,6 +138,25 @@ def test_strict_turns_unknown_glyphs_into_errors(tmp_path, capsys):
     assert not (tmp_path / 'uni.svg').exists()
 
 
+def test_each_distinct_text_is_scanned_once_for_glyphs(tmp_path, capsys,
+                                                     monkeypatch):
+    scanned = []
+    unknown_tokens = cli.MetricsTable.unknown_tokens
+
+    def counting(table, text):
+        scanned.append(text)
+        return unknown_tokens(table, text)
+
+    monkeypatch.setattr(cli.MetricsTable, 'unknown_tokens', counting)
+    source = write(tmp_path, 'rep.dxy',
+                   '\\bfig\\square[A`β`A`α;f`f`α`f]\\efig\n')
+    assert main([str(source)]) == 0
+    assert sorted(scanned) == ['A', 'f', 'α', 'β']
+    assert capsys.readouterr().err == ''.join(
+        "%s: warning: no metrics for %r; using the fallback advance\n"
+        % (source, glyph) for glyph in 'αβ')
+
+
 def test_metrics_file_drives_auto_width(tmp_path):
     table = write(tmp_path, 'wide.metrics', 'A 4000\nB 4000\n')
     source = write(tmp_path, 'auto.dxy',
@@ -291,6 +310,34 @@ def test_a_bad_byte_is_located_as_the_scanner_counts(tmp_path, capsys):
         % source)
     assert not (tmp_path / 'crlf.svg').exists()
     assert (tmp_path / 'good.svg').exists()
+
+
+def test_one_leading_byte_order_mark_is_skipped(tmp_path, capsys):
+    bom = b'\xef\xbb\xbf'
+    plain = write(tmp_path, 'plain.dxy', SQUARE)
+    marked = tmp_path / 'marked.dxy'
+    marked.write_bytes(bom + SQUARE.encode('utf-8'))
+    table = tmp_path / 'bom.tab'
+    table.write_bytes(bom + b'A 600\n')
+    out = tmp_path / 'out'
+    assert main(['--metrics', str(table), '-o', str(out), str(plain),
+                 str(marked)]) == 0
+    assert capsys.readouterr().err == ''
+    for ext in ('svg', 'scene.json'):
+        assert (out / ('marked.' + ext)).read_bytes() == \
+            (out / ('plain.' + ext)).read_bytes()
+    # a byte after the mark is located as it would be without it, and
+    # only one mark is skipped
+    bad = tmp_path / 'bad.dxy'
+    bad.write_bytes(bom + b'ab\xe9\n')
+    twice = tmp_path / 'twice.dxy'
+    twice.write_bytes(bom + bom + SQUARE.encode('utf-8'))
+    assert main([str(bad), str(twice)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == '%s:1:3: error: ParseError: byte 0xE9 is not valid ' \
+        'UTF-8' % bad
+    assert err[1].startswith(
+        "%s:1:1: error: ParseError: unexpected character '\\ufeff'" % twice)
 
 
 def test_the_second_input_writing_one_path_fails_and_writes_nothing(
