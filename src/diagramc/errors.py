@@ -1,7 +1,7 @@
 """Diagnostic errors with stable codes and source positions."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .model import Record
 
 # Stable diagnostic codes, asserted by tests and printed by the CLI.
 UNBALANCED_GROUP = "UnbalancedGroup"
@@ -23,11 +23,11 @@ INTERNAL_ERROR = "InternalError"
 OUTPUT_COLLISION = "OutputCollision"
 
 
-@dataclass(frozen=True)
-class SourceLoc:
-    file: str
-    line: int
-    col: int
+class SourceLoc(Record):
+    __slots__ = _values = ('file', 'line', 'col')
+
+    def __init__(self, file: str, line: int, col: int) -> None:
+        self._fill(file, line, col)
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.col}"

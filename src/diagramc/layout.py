@@ -9,7 +9,6 @@ and every later stage is pure float geometry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .arrows import resolve_compass
 from .errors import NODES_OVERLAP, DiagnosticError
@@ -24,6 +23,7 @@ from .model import (
     InlineFragment,
     Memo,
     NodeInstance,
+    Record,
     RenderConfig,
     Scene,
     resolve_label_side,
@@ -42,51 +42,55 @@ _LABEL_GAP = 2.0      # clearance between a side label's box and its arrow, pt
 _LOOP_REACH_EM = 2.0  # distance from a loop's ends to its control points, em
 
 
-@dataclass(frozen=True)
-class NodeBox:
-    """Clip rectangle (margin included) and text origin of one node."""
+class NodeBox(Record):
+    """Clip rectangle (margin included) and text origin of one node;
+    ``text_x`` is the center of the text run."""
 
-    min_x: float
-    min_y: float
-    max_x: float
-    max_y: float
-    text_x: float       # center of the text run
-    baseline_y: float
-    text: str
-    phantom: bool = False
+    __slots__ = _values = ('min_x', 'min_y', 'max_x', 'max_y', 'text_x',
+                           'baseline_y', 'text', 'phantom')
+
+    def __init__(self, min_x: float, min_y: float, max_x: float, max_y: float,
+                 text_x: float, baseline_y: float, text: str,
+                 phantom: bool = False) -> None:
+        self._fill(min_x, min_y, max_x, max_y, text_x, baseline_y, text,
+                   phantom)
 
 
-@dataclass(frozen=True)
-class Label:
+class Label(Record):
     """A placed arrow label; x, y is the center of its text box."""
 
-    x: float
-    y: float
-    text: str
-    side: str           # left | right | mid
-    width: float
-    height: float
-    backing: tuple[float, float, float, float] | None = None
+    __slots__ = _values = ('x', 'y', 'text', 'side', 'width', 'height',
+                           'backing')
+
+    def __init__(self, x: float, y: float, text: str,
+                 side: str,  # left | right | mid
+                 width: float, height: float,
+                 backing: tuple[float, float, float, float] | None = None
+                 ) -> None:
+        self._fill(x, y, text, side, width, height, backing)
 
 
-@dataclass(frozen=True)
-class ResolvedArrow:
-    start: Point
-    end: Point
-    style: ArrowStyle
-    labels: tuple[Label, ...] = ()
-    controls: tuple[Point, Point] | None = None
-    tip_scale: float = 1.0
+class ResolvedArrow(Record):
+    __slots__ = _values = ('start', 'end', 'style', 'labels', 'controls',
+                           'tip_scale')
+
+    def __init__(self, start: Point, end: Point, style: ArrowStyle,
+                 labels: tuple[Label, ...] = (),
+                 controls: tuple[Point, Point] | None = None,
+                 tip_scale: float = 1.0) -> None:
+        self._fill(start, end, style, labels, controls, tip_scale)
 
     @property
     def is_loop(self) -> bool:
         return self.controls is not None
 
 
-@dataclass(frozen=True)
-class ResolvedScene:
-    boxes: tuple[NodeBox, ...]
-    arrows: tuple[ResolvedArrow, ...]
+class ResolvedScene(Record):
+    __slots__ = _values = ('boxes', 'arrows')
+
+    def __init__(self, boxes: tuple[NodeBox, ...],
+                 arrows: tuple[ResolvedArrow, ...]) -> None:
+        self._fill(boxes, arrows)
 
 
 class _Advances(Memo):

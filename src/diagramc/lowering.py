@@ -15,8 +15,6 @@ re-braced when handed down a macro chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from . import parser
 from .arrows import parse_arrow_spec, resolve_compass
 from .errors import (
@@ -39,6 +37,7 @@ from .model import (
     LogicalPoint,
     Memo,
     NodeInstance,
+    Record,
     RenderConfig,
     Scene,
 )
@@ -76,8 +75,13 @@ def twoar_end(dx: int, dy: int) -> LogicalPoint:
 _OMIT = ArrowStyle(shaft='invisible', head='none')
 
 
-@dataclass(frozen=True)
-class _Walk:
+def _shifted(style: ArrowStyle, offset: float) -> ArrowStyle:
+    """``style`` drawn ``offset`` pt to the left of its path."""
+    return ArrowStyle(style.tail, style.shaft, style.head, style.mid, offset,
+                      style.reversed)
+
+
+class _Walk(Record):
     """The lattice walk a shape constructor expands into.
 
     ``nodes`` places each payload node at integer multiples of (dx, dy)
@@ -90,14 +94,16 @@ class _Walk:
       is set, joins the node and a blank '0' placed (ux * bx, uy * by)
       away, (bx, by) being the grid's border reach.  A border reaching
       left or up comes into the node and is stored forward, out of the
-      blank.
+      blank; it names the grid node before the blank if ``node_first``
+      (the 3x3 walk), and after it otherwise (the 3x2 walk).
     """
 
-    nodes: tuple[tuple[int, int], ...]
-    rows: tuple[tuple[int, ...], ...]
-    # an incoming border names the grid node before the blank in the 3x3
-    # walk, and after it in the 3x2 walk
-    node_first: bool = False
+    __slots__ = _values = ('nodes', 'rows', 'node_first')
+
+    def __init__(self, nodes: tuple[tuple[int, int], ...],
+                 rows: tuple[tuple[int, ...], ...],
+                 node_first: bool = False) -> None:
+        self._fill(nodes, rows, node_first)
 
     @property
     def mask_bits(self) -> int:
@@ -468,12 +474,8 @@ class Lowerer:
         if kind == 'two':
             length = stmt.length or metrics.inline_length(sup, sub, 200, cfg)
             parts = (
-                InlineArrowPart(
-                    replace(styles[specs[0]], parallel_offset_pt=2.5),
-                    sup, '', ''),
-                InlineArrowPart(
-                    replace(styles[specs[1]], parallel_offset_pt=-2.5),
-                    '', sub, ''),
+                InlineArrowPart(_shifted(styles[specs[0]], 2.5), sup, '', ''),
+                InlineArrowPart(_shifted(styles[specs[1]], -2.5), '', sub, ''),
             )
         elif kind == 'three':
             length = stmt.length or max(
@@ -483,12 +485,8 @@ class Lowerer:
                 mid = ''
             parts = (
                 InlineArrowPart(styles[specs[1]], '', '', mid),
-                InlineArrowPart(
-                    replace(styles[specs[0]], parallel_offset_pt=4.5),
-                    sup, '', ''),
-                InlineArrowPart(
-                    replace(styles[specs[2]], parallel_offset_pt=-4.5),
-                    '', sub, ''),
+                InlineArrowPart(_shifted(styles[specs[0]], 4.5), sup, '', ''),
+                InlineArrowPart(_shifted(styles[specs[2]], -4.5), '', sub, ''),
             )
         else:
             length = stmt.length or metrics.inline_length(sup, sub, 100, cfg)

@@ -7,11 +7,9 @@ from __future__ import annotations
 
 import re
 from codecs import BOM_UTF8
-from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Dict, Set
 
-from .model import DEFAULT_MARGIN, MAX_DIGITS, RenderConfig
+from .model import DEFAULT_MARGIN, MAX_DIGITS, Record, RenderConfig
 
 DEFAULT_ADVANCE = 500      # milli-em, every printable ASCII glyph
 DEFAULT_ASCENT = 700
@@ -30,21 +28,24 @@ _CODEPOINT_RE = re.compile(r"[Uu]\+([0-9A-Fa-f]+)|([0-9]+)")
 _ESCAPED_SPECIALS = ("\\%", "\\&", "\\#", "\\_", "\\$", "\\{", "\\}")
 
 
-def _builtin_advances() -> Dict[str, int]:
+def _builtin_advances() -> dict[str, int]:
     table = {chr(c): DEFAULT_ADVANCE for c in range(0x20, 0x7F)}
     for seq in _ESCAPED_SPECIALS:
         table[seq] = DEFAULT_ADVANCE
     return table
 
 
-@dataclass(frozen=True)
-class MetricsTable:
-    """Immutable advance table; safe for concurrent reads."""
+class MetricsTable(Record):
+    """Immutable advance table; safe for concurrent reads.  ``ascent`` and
+    ``descent`` are milli-em above and below the baseline."""
 
-    advances: Dict[str, int] = field(default_factory=_builtin_advances)
-    fallback: int = DEFAULT_ADVANCE
-    ascent: int = DEFAULT_ASCENT    # milli-em above the baseline
-    descent: int = DEFAULT_DESCENT  # milli-em below the baseline
+    __slots__ = _values = ('advances', 'fallback', 'ascent', 'descent')
+
+    def __init__(self, advances: dict[str, int] | None = None,
+                 fallback: int = DEFAULT_ADVANCE, ascent: int = DEFAULT_ASCENT,
+                 descent: int = DEFAULT_DESCENT) -> None:
+        self._fill(_builtin_advances() if advances is None else advances,
+                   fallback, ascent, descent)
 
     @classmethod
     def builtin(cls) -> "MetricsTable":
@@ -111,7 +112,7 @@ class MetricsTable:
             return total
         return int(total * scale)
 
-    def unknown_tokens(self, text: str) -> Set[str]:
+    def unknown_tokens(self, text: str) -> set[str]:
         return {t for t in _TOKEN_RE.findall(text) if t not in self.advances}
 
     # -- physical and logical widths ---------------------------------------

@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Any, Callable, Optional, Tuple
+from collections.abc import Callable
+from operator import attrgetter
 
 # One logical unit is 0.01 em.  All constructor arithmetic stays in integer
 # logical units; conversion to points happens only at render time.
@@ -24,7 +24,7 @@ class Memo(dict):
 
     __slots__ = ('function',)
 
-    def __init__(self, function: Callable[[Any], Any]) -> None:
+    def __init__(self, function: Callable[[object], object]) -> None:
         self.function = function
 
     def __missing__(self, key):
@@ -32,10 +32,52 @@ class Memo(dict):
         return value
 
 
-@dataclass(frozen=True)
-class LogicalPoint:
-    x: int
-    y: int
+class Record:
+    """Immutable slotted record, the base of every value type.
+
+    Equality, hashing and ``repr`` read the fields named in ``_values``;
+    a slot left out of them (a source location) is never compared.  No
+    attribute can be set, so ``__init__`` passes every slot, in order as
+    copies need, to ``_fill``, which writes each through its ``_setters``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls._values)
+        cls._setters = tuple(getattr(cls, n).__set__ for n in cls.__slots__)
+
+    def _fill(self, *values: object) -> None:
+        for put, value in zip(self._setters, values):
+            put(self, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, n) for n in self.__slots__)
+
+    def __repr__(self) -> str:
+        return '%s(%s)' % (type(self).__qualname__, ', '.join(
+            '%s=%r' % item for item in zip(self._values, self._key(self))))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError('%s is immutable' % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+
+class LogicalPoint(Record):
+    __slots__ = _values = ('x', 'y')
+
+    def __init__(self, x: int, y: int) -> None:
+        set_x, set_y = self._setters   # the most built record skips _fill
+        set_x(self, x)
+        set_y(self, y)
 
     def shifted(self, dx: int, dy: int) -> "LogicalPoint":
         return LogicalPoint(self.x + dx, self.y + dy)
@@ -44,54 +86,55 @@ class LogicalPoint:
 ORIGIN = LogicalPoint(0, 0)
 
 
-@dataclass(frozen=True)
-class RenderConfig:
+class RenderConfig(Record):
     """Physical rendering knobs; geometry in logical units never depends on these."""
 
-    em_pt: float = 10.0
-    object_margin_pt: float = 3.0
-    label_scale: float = 1.0
+    __slots__ = _values = ('em_pt', 'object_margin_pt', 'label_scale')
 
-    def __post_init__(self) -> None:
+    def __init__(self, em_pt: float = 10.0, object_margin_pt: float = 3.0,
+                 label_scale: float = 1.0) -> None:
+        settings = (em_pt, object_margin_pt, label_scale)
         # nan passes every sign test below, and inf overflows layout
-        for setting in fields(self):
-            value = getattr(self, setting.name)
+        for name, value in zip(self._values, settings):
             if not math.isfinite(value):
-                raise ValueError("%s must be finite, got %r"
-                                 % (setting.name, value))
-        if self.em_pt <= 0:
+                raise ValueError("%s must be finite, got %r" % (name, value))
+        if em_pt <= 0:
             raise ValueError("em_pt must be positive")
-        if self.object_margin_pt < 0:
+        if object_margin_pt < 0:
             raise ValueError("object_margin_pt must be non-negative")
-        if self.label_scale <= 0:
+        if label_scale <= 0:
             raise ValueError("label_scale must be positive")
+        self._fill(*settings)
 
     @property
     def axis(self) -> float:
         return 0.25 * self.em_pt
 
 
-def to_physical(p: LogicalPoint, cfg: RenderConfig) -> Tuple[float, float]:
+def to_physical(p: LogicalPoint, cfg: RenderConfig) -> tuple[float, float]:
     """Logical units to points; exact IEEE double arithmetic, no rounding."""
     return (p.x * UNIT_EM * cfg.em_pt, p.y * UNIT_EM * cfg.em_pt)
 
 
-@dataclass(frozen=True)
-class ArrowStyle:
-    tail: str = "none"        # none | mono | hook_up | hook_down | bar
-    shaft: str = "solid"      # solid | dashed | dotted | double | invisible
-    head: str = "normal"      # none | normal | double_head
-    mid: str = "none"         # none | tick | cross
-    parallel_offset_pt: float = 0.0
-    reversed: bool = False
+class ArrowStyle(Record):
+    __slots__ = _values = ('tail', 'shaft', 'head', 'mid',
+                           'parallel_offset_pt', 'reversed')
+
+    def __init__(self, tail: str = "none",  # none | mono | hook_up | hook_down | bar
+                 shaft: str = "solid",  # solid | dashed | dotted | double | invisible
+                 head: str = "normal",  # none | normal | double_head
+                 mid: str = "none",     # none | tick | cross
+                 parallel_offset_pt: float = 0.0,
+                 reversed: bool = False) -> None:
+        self._fill(tail, shaft, head, mid, parallel_offset_pt, reversed)
 
 
-@dataclass(frozen=True)
-class NodeInstance:
-    pos: LogicalPoint
-    text: str
-    anchor: str = "center"
-    phantom: bool = False
+class NodeInstance(Record):
+    __slots__ = _values = ('pos', 'text', 'anchor', 'phantom')
+
+    def __init__(self, pos: LogicalPoint, text: str, anchor: str = "center",
+                 phantom: bool = False) -> None:
+        self._fill(pos, text, anchor, phantom)
 
 
 LEFT = "left"
@@ -120,62 +163,55 @@ def resolve_label_side(rule: str, dx: int, dy: int) -> str:
     return NO_SIDE
 
 
-@dataclass(frozen=True)
-class ArrowInstance:
-    src: LogicalPoint
-    dst: LogicalPoint
-    style: ArrowStyle
-    label: str = ""
-    label_rule: str = "none"  # l | m | r | a | b | none
-    # Extent references: text of the node whose box clips this end, None for
-    # bare vectors that join raw coordinates.
-    src_text: Optional[str] = None
-    dst_text: Optional[str] = None
-    loop_out: Optional[str] = None
-    loop_in: Optional[str] = None
+class ArrowInstance(Record):
+    """``src_text`` and ``dst_text`` are the texts of the nodes whose boxes
+    clip the ends, None for bare vectors."""
+
+    __slots__ = _values = ('src', 'dst', 'style', 'label', 'label_rule',
+                           'src_text', 'dst_text', 'loop_out', 'loop_in')
+
+    def __init__(self, src: LogicalPoint, dst: LogicalPoint, style: ArrowStyle,
+                 label: str = "",
+                 label_rule: str = "none",  # l | m | r | a | b | none
+                 src_text: str | None = None, dst_text: str | None = None,
+                 loop_out: str | None = None, loop_in: str | None = None
+                 ) -> None:
+        self._fill(src, dst, style, label, label_rule, src_text, dst_text,
+                   loop_out, loop_in)
 
     @property
     def is_loop(self) -> bool:
         return self.loop_out is not None
 
-    def span(self) -> Tuple[int, int]:
+    def span(self) -> tuple[int, int]:
         return (self.dst.x - self.src.x, self.dst.y - self.src.y)
 
 
-@dataclass(frozen=True)
-class InlineArrowPart:
-    style: ArrowStyle
-    sup: str = ""
-    sub: str = ""
-    mid: str = ""
+class InlineArrowPart(Record):
+    __slots__ = _values = ('style', 'sup', 'sub', 'mid')
+
+    def __init__(self, style: ArrowStyle, sup: str = "", sub: str = "",
+                 mid: str = "") -> None:
+        self._fill(style, sup, sub, mid)
 
 
-@dataclass(frozen=True)
-class InlineFragment:
+class InlineFragment(Record):
     """A standalone arrow fragment rendered outside any figure."""
 
-    kind: str
-    end: LogicalPoint
-    parts: Tuple[InlineArrowPart, ...]
-    unit_scale: float = 1.0   # twoar renders at 0.001 em per unit
-    tip_scale: float = 1.0
-    raise_pt: float = 0.0
+    __slots__ = _values = ('kind', 'end', 'parts', 'unit_scale', 'tip_scale',
+                           'raise_pt')
+
+    def __init__(self, kind: str, end: LogicalPoint,
+                 parts: tuple[InlineArrowPart, ...],
+                 unit_scale: float = 1.0,  # twoar renders at 0.001 em per unit
+                 tip_scale: float = 1.0, raise_pt: float = 0.0) -> None:
+        self._fill(kind, end, parts, unit_scale, tip_scale, raise_pt)
 
 
-@dataclass(frozen=True)
-class Scene:
-    nodes: Tuple[NodeInstance, ...] = ()
-    arrows: Tuple[ArrowInstance, ...] = ()
-    inlines: Tuple[InlineFragment, ...] = ()
+class Scene(Record):
+    __slots__ = _values = ('nodes', 'arrows', 'inlines')
 
-
-def translate(scene: Scene, dx: int, dy: int) -> Scene:
-    """Shift every coordinate; used to state translation equivariance."""
-    return Scene(
-        nodes=tuple(replace(n, pos=n.pos.shifted(dx, dy)) for n in scene.nodes),
-        arrows=tuple(
-            replace(a, src=a.src.shifted(dx, dy), dst=a.dst.shifted(dx, dy))
-            for a in scene.arrows
-        ),
-        inlines=scene.inlines,
-    )
+    def __init__(self, nodes: tuple[NodeInstance, ...] = (),
+                 arrows: tuple[ArrowInstance, ...] = (),
+                 inlines: tuple[InlineFragment, ...] = ()) -> None:
+        self._fill(nodes, arrows, inlines)

@@ -33,10 +33,9 @@ whole pieces of the group.  An integer literal has at most
 from __future__ import annotations
 
 import re
-from codecs import BOM_UTF8
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from codecs import BOM_UTF8
+from collections.abc import Callable
 
 from .errors import (
     ARITY_ERROR,
@@ -46,7 +45,7 @@ from .errors import (
     DiagnosticError,
     SourceLoc,
 )
-from .model import MAX_DIGITS, ORIGIN, LogicalPoint
+from .model import MAX_DIGITS, ORIGIN, LogicalPoint, Record
 
 __all__ = [
     'Statement',
@@ -94,8 +93,7 @@ BEGIN_FIG = 'BeginFig'
 END_FIG = 'EndFig'
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(Record):
     """One parsed constructor with all defaults filled in.
 
     Text fields (specs, node text, labels, names) are verbatim source
@@ -105,28 +103,27 @@ class Statement:
     by equality so printed-and-reparsed statements compare equal.
     """
 
-    constructor: str
-    kind: str = ''
-    origin: LogicalPoint = ORIGIN
-    placements: str = ''
-    specs: tuple[str, ...] = ()
-    spans: tuple[int, ...] = ()
-    nodes: tuple[str, ...] = ()
-    labels: tuple[str, ...] = ()
-    mask: int = 0
-    border: tuple[int, ...] = ()
-    inner: 'Statement | None' = None
-    trident: 'Statement | None' = None
-    connector: 'Statement | None' = None
-    name: str = ''
-    anchor: str = 'center'
-    loop_out: str = ''
-    loop_in: str = ''
-    length: int = 0
-    sup: str = ''
-    sub: str = ''
-    mid: str = ''
-    loc: SourceLoc | None = field(default=None, compare=False, repr=False)
+    _values = ('constructor', 'kind', 'origin', 'placements', 'specs',
+               'spans', 'nodes', 'labels', 'mask', 'border', 'inner',
+               'trident', 'connector', 'name', 'anchor', 'loop_out',
+               'loop_in', 'length', 'sup', 'sub', 'mid')
+    __slots__ = _values + ('loc',)
+
+    def __init__(self, constructor: str, kind: str = '',
+                 origin: LogicalPoint = ORIGIN, placements: str = '',
+                 specs: tuple[str, ...] = (), spans: tuple[int, ...] = (),
+                 nodes: tuple[str, ...] = (), labels: tuple[str, ...] = (),
+                 mask: int = 0, border: tuple[int, ...] = (),
+                 inner: Statement | None = None,
+                 trident: Statement | None = None,
+                 connector: Statement | None = None, name: str = '',
+                 anchor: str = 'center', loop_out: str = '',
+                 loop_in: str = '', length: int = 0, sup: str = '',
+                 sub: str = '', mid: str = '',
+                 loc: SourceLoc | None = None) -> None:
+        self._fill(constructor, kind, origin, placements, specs, spans, nodes,
+                   labels, mask, border, inner, trident, connector, name,
+                   anchor, loop_out, loop_in, length, sup, sub, mid, loc)
 
 
 def matching_brace(text: str, i: int, depth: int = 0) -> int:
@@ -325,8 +322,7 @@ class _Scanner:
         return self.text[start:self.pos]
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(Record):
     """Argument plan of a shape: one default placement letter per slot.
 
     Each slot also takes one arrow spec and one label.  A grid's plan
@@ -334,14 +330,16 @@ class _Plan:
     the spans and the payload.
     """
 
-    placements: str
-    spans: tuple[int, ...]
-    n_nodes: int
-    border: tuple[int, ...] = ()
+    __slots__ = _values = ('placements', 'spans', 'n_nodes', 'border')
+
+    def __init__(self, placements: str, spans: tuple[int, ...], n_nodes: int,
+                 border: tuple[int, ...] = ()) -> None:
+        self._fill(placements, spans, n_nodes, border)
 
 
 _SQUARE_PLAN = _Plan('alrb', (500, 500), 4)
 _TRIDENT_PLAN = _Plan('amb', (500, 500), 1)
+_CUBE_PLAN = _Plan('alrb', (1500, 1500), 4)
 
 _INLINE_SPECS = {'to': 1, 'two': 2, 'three': 3}
 _INLINE_PRESETS = {
@@ -534,8 +532,7 @@ class _Parser:
         return Statement(constructor, inner=square, trident=trident, loc=loc)
 
     def _cube(self, constructor: str, kind: str, loc: SourceLoc) -> Statement:
-        outer = self._shape(constructor, kind,
-                            replace(_SQUARE_PLAN, spans=(1500, 1500)), loc)
+        outer = self._shape(constructor, kind, _CUBE_PLAN, loc)
         inner = self._shape(SQUARE, '', _SQUARE_PLAN, loc, origin=(500, 500))
         placements = self._opt_placements('mmmm')
         specs = self._opt_specs(4)
@@ -544,7 +541,9 @@ class _Parser:
         labels = self._fields(raw, '`', 4, 'connector labels', at)
         connector = Statement(CONNECTOR, placements=placements, specs=specs,
                               labels=tuple(labels), loc=loc)
-        return replace(outer, inner=inner, connector=connector)
+        return Statement(constructor, kind, outer.origin, outer.placements,
+                         outer.specs, outer.spans, outer.nodes, outer.labels,
+                         inner=inner, connector=connector, loc=loc)
 
     def _mask(self, default_border: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         self.scan.skip_blank()

@@ -1,5 +1,10 @@
-"""Folds the test_acceptance.py results into one line per criterion."""
+"""Folds the test_acceptance.py results into one line per criterion, and
+holds the fixtures several test modules share."""
 import re
+
+import pytest
+
+from diagramc.model import ArrowInstance, NodeInstance, Scene
 
 CRITERIA = {
     1: 'constructor defaults (placements, specs, spans; exact)',
@@ -15,6 +20,23 @@ CRITERIA = {
 }
 
 NODE_RE = re.compile(r'test_acceptance\.py::test_c(\d\d)')
+
+
+def _translate(scene, dx, dy):
+    """``scene`` with every coordinate shifted by (dx, dy)."""
+    nodes = tuple(NodeInstance(n.pos.shifted(dx, dy), n.text, n.anchor,
+                               n.phantom) for n in scene.nodes)
+    arrows = tuple(ArrowInstance(
+        a.src.shifted(dx, dy), a.dst.shifted(dx, dy), a.style, a.label,
+        a.label_rule, a.src_text, a.dst_text, a.loop_out, a.loop_in)
+        for a in scene.arrows)
+    return Scene(nodes, arrows, scene.inlines)
+
+
+@pytest.fixture
+def translate():
+    """The scene translation the equivariance tests shift by."""
+    return _translate
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

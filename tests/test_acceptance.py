@@ -19,7 +19,6 @@ import random
 import time
 import xml.etree.ElementTree as ET
 from collections import Counter
-from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,6 +60,11 @@ def walk(scene):
     """Arrows in draw order as ((sx, sy), (dx, dy), label, rule)."""
     return [((a.src.x, a.src.y), (a.dst.x, a.dst.y), a.label, a.label_rule)
             for a in scene.arrows]
+
+
+def astuple(style):
+    """Every field of an arrow style, in field order."""
+    return tuple(getattr(style, name) for name in type(style).__slots__)
 
 
 def arrow_set(scene):

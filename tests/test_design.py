@@ -3,7 +3,6 @@
 import ast
 import copy
 import random
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -146,7 +145,7 @@ def test_render_config_holds_only_what_the_cli_sets(tmp_path, monkeypatch):
     source = tmp_path / 'a.dxy'
     source.write_text('\\to\n', encoding='utf-8')
     assert cli.main([str(source)]) == 0
-    assert calls == [sorted(f.name for f in dataclasses.fields(RenderConfig))]
+    assert calls == [sorted(RenderConfig.__slots__)]
 
 
 # ---- the driver ---------------------------------------------------------------
@@ -257,7 +256,8 @@ def test_compiling_leaves_no_cache_behind(tmp_path):
         encoding='utf-8')
     corpus.append(unseen)
     table = diagramc.MetricsTable.builtin()
-    fields = {name: copy.copy(value) for name, value in vars(table).items()}
+    fields = {name: copy.copy(getattr(table, name))
+              for name in type(table).__slots__}
     before = module_state()
     out = tmp_path / 'out'
     assert cli.main(['-o', str(out)] + [str(p) for p in corpus]) == 0
@@ -267,4 +267,5 @@ def test_compiling_leaves_no_cache_behind(tmp_path):
             svg.render(unit, table)
             scenefile.dump_scene(unit)
     assert module_state() == before
-    assert vars(table) == fields
+    assert {name: getattr(table, name)
+            for name in type(table).__slots__} == fields

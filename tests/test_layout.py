@@ -305,8 +305,7 @@ def test_limit_arrow_is_raised_and_shrunk():
 
 # ---- whole-scene sanity -----------------------------------------------------
 
-def test_translation_moves_everything_rigidly():
-    from diagramc.model import translate
+def test_translation_moves_everything_rigidly(translate):
     scenes = compile_source('\\bfig\\square[A`B`C`D;f`g`h`k]\\efig')
     base = resolve_scene(scenes[0])
     moved = resolve_scene(translate(scenes[0], 300, -700))

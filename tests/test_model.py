@@ -1,20 +1,29 @@
+import copy
+import math
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
-from diagramc.lowering import lower_document
+from diagramc.errors import SourceLoc
+from diagramc.layout import Label, NodeBox, ResolvedArrow, ResolvedScene
+from diagramc.lowering import _Walk, lower_document
+from diagramc.metrics import MetricsTable
 from diagramc.model import (
     ORIGIN,
     ArrowInstance,
     ArrowStyle,
+    InlineArrowPart,
+    InlineFragment,
     LogicalPoint,
     Memo,
     NodeInstance,
+    Record,
     RenderConfig,
     Scene,
     to_physical,
-    translate,
 )
-from diagramc.parser import parse_document
+from diagramc.parser import Statement, _Plan, parse_document
 
 
 def test_point_arithmetic():
@@ -83,7 +92,7 @@ def test_dedupe_respects_anchor_in_key():
     assert [anchor for _, _, _, anchor, _ in nodes] == ['center', 'l']
 
 
-def test_translate_moves_nodes_and_arrows():
+def test_translate_moves_nodes_and_arrows(translate):
     scene = Scene(
         nodes=(_node(0, 0, 'A'), _node(500, 0, 'B')),
         arrows=(ArrowInstance(ORIGIN, LogicalPoint(500, 0), ArrowStyle(),
@@ -130,3 +139,162 @@ def test_a_memo_miss_that_raises_stores_nothing():
             memo['x']
     assert calls == ['x', 'x']
     assert memo == {}
+
+
+# ---- records -----------------------------------------------------------------
+
+P, Q = LogicalPoint(1, 2), LogicalPoint(3, 4)
+STYLE = ArrowStyle('mono', 'dashed', 'double_head', 'tick', 2.5, True)
+LOC = SourceLoc('a.dxy', 2, 7)
+LABEL = Label(1.0, 2.0, 'f', 'left', 5.0, 10.0)
+BOX = NodeBox(1.0, 2.0, 3.0, 4.0, 2.0, 3.0, 'A')
+
+# the arguments of one record of each class, one per slot, in slot order
+SAMPLES = {
+    LogicalPoint: (3, -4),
+    RenderConfig: (11.0, 2.0, 0.5),
+    ArrowStyle: ('mono', 'dashed', 'double_head', 'tick', 2.5, True),
+    NodeInstance: (P, 'A', 'l', True),
+    ArrowInstance: (P, Q, STYLE, 'f', 'a', 'A', 'B', 'u', 'r'),
+    InlineArrowPart: (STYLE, 'x', 'y', 'z'),
+    InlineFragment: ('two', P, (InlineArrowPart(STYLE),), 0.1, 0.8, 2.0),
+    Scene: ((NodeInstance(P, 'A'),), (ArrowInstance(P, Q, STYLE),), ()),
+    SourceLoc: ('a.dxy', 2, 7),
+    NodeBox: (1.0, 2.0, 3.0, 4.0, 2.0, 3.0, 'A', True),
+    Label: (1.0, 2.0, 'f', 'left', 5.0, 10.0, (0.0, 1.0, 2.0, 3.0)),
+    ResolvedArrow: ((0.0, 1.0), (2.0, 3.0), STYLE, (LABEL,),
+                    ((1.0, 1.0), (2.0, 2.0)), 0.8),
+    ResolvedScene: ((BOX,), ()),
+    MetricsTable: ({'A': 600}, 400, 800, 200),
+    Statement: ('Square', 'x', P, 'alrb', ('>',) * 4, (500, 500),
+                ('A', 'B', 'C', 'D'), ('f', 'g', 'h', 'k'), 5, (400,),
+                None, None, None, 'n', 'l', 'u', 'd', 300, 's', 't', 'm', LOC),
+    _Plan: ('alrb', (500, 500), 4, (400, 400)),
+    _Walk: (((0, 0), (1, 1)), ((0, 0, 1),), True),
+}
+RECORDS = sorted(SAMPLES, key=lambda cls: cls.__name__)
+# fields carried along for diagnostics but left out of equality
+OUTSIDE = {Statement: {'loc'}}
+
+
+def other(value):
+    """A value unequal to ``value``, of a type its field takes."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, LogicalPoint):
+        return value.shifted(1, 1)
+    if isinstance(value, ArrowStyle):
+        return ArrowStyle()
+    if isinstance(value, SourceLoc):
+        return SourceLoc(value.file, value.line + 1, value.col)
+    if isinstance(value, dict):
+        return {**value, 'Z': 1}
+    if value is None:
+        return 'n'
+    if isinstance(value, str):
+        return value + '!'
+    return value + (None,)   # a tuple
+
+
+def test_every_record_class_has_a_sample():
+    assert set(Record.__subclasses__()) == set(SAMPLES)
+
+
+@pytest.mark.parametrize('cls', RECORDS, ids=lambda cls: cls.__name__)
+def test_a_record_holds_what_it_was_given(cls):
+    # by position, and by keyword for every field but the first
+    named = dict(zip(cls.__slots__, SAMPLES[cls]))
+    first = named.pop(cls.__slots__[0])
+    for record in (cls(*SAMPLES[cls]), cls(first, **named)):
+        assert tuple(getattr(record, name) for name in cls.__slots__) == \
+            SAMPLES[cls]
+
+
+@pytest.mark.parametrize('cls', RECORDS, ids=lambda cls: cls.__name__)
+def test_equal_value_fields_make_equal_records(cls):
+    values = SAMPLES[cls]
+    a, b = cls(*values), cls(*pickle.loads(pickle.dumps(values)))
+    assert a == b and not a != b
+    if cls is MetricsTable:   # it holds a dict, as it always has
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    assert repr(a) == repr(b)
+    for i, name in enumerate(cls.__slots__):
+        changed = cls(*values[:i], other(values[i]), *values[i + 1:])
+        if name in OUTSIDE.get(cls, ()):
+            assert changed == a and hash(changed) == hash(a), name
+            assert name not in repr(changed)
+        else:
+            assert changed != a and not changed == a, name
+
+
+def test_records_of_different_classes_never_compare_equal():
+    records = [cls(*SAMPLES[cls]) for cls in RECORDS]
+    for a in records:
+        for b in records:
+            assert (a == b) == (a is b)
+        assert a != tuple(getattr(a, name) for name in a._values)
+    # the same field values in two classes
+    assert SourceLoc('a', 1, 2) != _Walk('a', 1, 2)
+    assert LogicalPoint(1, 2) != ResolvedScene(1, 2)
+
+
+@pytest.mark.parametrize('cls', RECORDS, ids=lambda cls: cls.__name__)
+def test_a_record_cannot_be_changed(cls):
+    record = cls(*SAMPLES[cls])
+    for name in (*cls.__slots__, 'other'):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert record == cls(*SAMPLES[cls])
+
+
+@pytest.mark.parametrize('cls', RECORDS, ids=lambda cls: cls.__name__)
+def test_a_record_copies_and_pickles_whole(cls):
+    record = cls(*SAMPLES[cls])
+    for twin in (copy.copy(record), copy.deepcopy(record),
+                 pickle.loads(pickle.dumps(record))):
+        assert type(twin) is cls and twin == record
+        assert [getattr(twin, name) for name in cls.__slots__] == \
+            list(SAMPLES[cls])
+
+
+def test_statements_that_differ_only_in_loc_compare_equal():
+    first, second = parse_document('\\square[A`B`C`D;f`g`h`k]\n'
+                                   '  \\square[A`B`C`D;f`g`h`k]\n', 'a.dxy')
+    assert (first.loc.line, second.loc.line, second.loc.col) == (1, 2, 3)
+    assert first == second and hash(first) == hash(second)
+    assert repr(first) == repr(second)
+
+
+@pytest.mark.parametrize('setting', ['em_pt', 'object_margin_pt',
+                                     'label_scale'])
+@pytest.mark.parametrize('value', [math.nan, math.inf, -math.inf])
+def test_render_config_rejects_values_that_are_not_finite(setting, value):
+    with pytest.raises(ValueError, match='%s must be finite' % setting):
+        RenderConfig(**{setting: value})
+
+
+@pytest.mark.parametrize('setting, value', [
+    ('em_pt', 0.0), ('em_pt', -1.0), ('label_scale', 0.0),
+    ('label_scale', -2.0), ('object_margin_pt', -0.5)])
+def test_render_config_rejects_sizes_out_of_range(setting, value):
+    with pytest.raises(ValueError, match=setting):
+        RenderConfig(**{setting: value})
+    assert RenderConfig(object_margin_pt=0.0).object_margin_pt == 0.0
+
+
+def test_each_metrics_table_gets_its_own_advances():
+    a, b = MetricsTable(), MetricsTable.builtin()
+    assert a.advances == b.advances and a.advances is not b.advances
+
+
+def test_record_repr_names_each_value_field():
+    assert repr(LogicalPoint(3, -4)) == 'LogicalPoint(x=3, y=-4)'
+    assert repr(SourceLoc('a.dxy', 1, 2)) == \
+        "SourceLoc(file='a.dxy', line=1, col=2)"
