@@ -8,8 +8,6 @@ integer logical units; nothing here depends on the render configuration.
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring
-
 from .model import (
     ArrowInstance,
     ArrowStyle,
@@ -95,6 +93,11 @@ def scene_to_dict(scene: Scene) -> dict:
 # since -0.0 == 0.0 would share one key.
 
 _INF = float('inf')
+# what json.dumps(..., ensure_ascii=False) escapes in a string: the quote,
+# the backslash and every code point below U+0020, which is not printable
+_ESCAPES = str.maketrans({**{chr(c): '\\u%04x' % c for c in range(0x20)},
+                          '"': '\\"', '\\': '\\\\', '\b': '\\b', '\f': '\\f',
+                          '\n': '\\n', '\r': '\\r', '\t': '\\t'})
 _STYLE_KEYS = 'tail shaft head mid parallel_offset_pt reversed'
 _BOOL = ('false', 'true')   # indexed by a bool
 
@@ -120,7 +123,9 @@ _PART_STYLE = _template(_STYLE_KEYS, 5)
 def _leaf(value) -> str:
     """One scalar, written as json.dumps writes it."""
     if isinstance(value, str):
-        return encode_basestring(value)
+        if value.isprintable():   # replace is quicker than a translate
+            return '"%s"' % value.replace('\\', '\\\\').replace('"', '\\"')
+        return '"%s"' % value.translate(_ESCAPES)
     if value is None:
         return 'null'
     if value is True:

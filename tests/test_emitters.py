@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diagramc import compile_source, dump_scene, scene_to_dict
+from diagramc import scenefile
 from diagramc import svg as svg_module
 from diagramc.model import (ArrowInstance, ArrowStyle, InlineArrowPart,
                             InlineFragment, LogicalPoint, Memo, NodeInstance,
@@ -435,6 +436,14 @@ def test_scalar_leaves_match_json_dumps(value):
     scene = Scene((), (ArrowInstance(LogicalPoint(0, 0), LogicalPoint(1, 0),
                                      style),))
     assert dump_scene(scene) == reference_json(scene)
+
+
+def test_strings_are_quoted_as_json_dumps_quotes_them():
+    # every code point in one string, lone surrogates and controls included,
+    # and printable strings, which take a quicker path
+    for text in (''.join(map(chr, range(0x110000))), 'A\\times "B"\\',
+                 'caf\u00e9 \u2192', ''):
+        assert scenefile._leaf(text) == json.dumps(text, ensure_ascii=False)
 
 
 # ---- memoized formatters ---------------------------------------------------
