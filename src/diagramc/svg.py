@@ -17,7 +17,7 @@ gave for the same tree, and ``tests/golden/`` pins them.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from collections.abc import Callable
 
 from .layout import ResolvedArrow, ResolvedScene, resolve_scene
 from .metrics import MetricsTable

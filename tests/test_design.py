@@ -2,7 +2,10 @@
 
 import ast
 import copy
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -129,6 +132,18 @@ def test_every_keyword_prints_back():
     for keyword, (constructor, kind, _) in parser._KEYWORDS.items():
         stmt = parser.Statement(constructor, kind=kind)
         assert parser.surface_keyword(stmt) == keyword
+
+
+# ---- start-up ---------------------------------------------------------------
+
+def test_importing_the_cli_loads_no_heavy_stdlib_module():
+    # -S skips site, which on some installs imports typing by itself
+    code = ('import diagramc.cli, sys; print(" ".join(sorted(sys.modules.keys()'
+            ' & {"dataclasses", "inspect", "typing", "json"})))')
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run([sys.executable, '-S', '-c', code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == []
 
 
 # ---- settings ---------------------------------------------------------------
