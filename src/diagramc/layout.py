@@ -208,7 +208,8 @@ def _resolve_segment(arrow: ArrowInstance, clips: dict[_ClipKey, NodeBox],
         raise DiagnosticError(
             NODES_OVERLAP,
             "the boxes around '%s' and '%s' overlap; no room is left for "
-            'the arrow between them' % (arrow.src_text, arrow.dst_text))
+            'the arrow between them' % (arrow.src_text, arrow.dst_text),
+            arrow.loc, arrow.constructor)
     start = (p0[0] + t0 * dx, p0[1] + t0 * dy)
     end = (p0[0] + t1 * dx, p0[1] + t1 * dy)
     shift = arrow.style.parallel_offset_pt

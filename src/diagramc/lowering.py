@@ -26,6 +26,7 @@ from .errors import (
     UNBALANCED_FIGURE,
     UNKNOWN_NODE,
     DiagnosticError,
+    SourceLoc,
 )
 from .metrics import MetricsTable
 from .model import (
@@ -206,6 +207,8 @@ class Lowerer:
         self._defined: set[str] = set()
         self._figure: _FigureBuilder | None = None
         self._figure_loc = None
+        # loc and constructor (its keyword) of the statement being lowered
+        self._source: dict[str, SourceLoc | str | None] = {}
 
     def lower_document(self, statements: list[Statement]) -> list[Scene]:
         units: list[Scene] = []
@@ -215,11 +218,12 @@ class Lowerer:
         self._figure = None
         self._figure_loc = None
         for stmt in statements:
+            self._source = {'loc': stmt.loc,
+                            'constructor': parser.surface_keyword(stmt)}
             try:
                 self._statement(units, stmt)
             except DiagnosticError as err:
-                raise err.with_context(
-                    stmt.loc, parser.surface_keyword(stmt)) from None
+                raise err.with_context(**self._source) from None
         if self._figure is not None:
             raise DiagnosticError(
                 UNBALANCED_FIGURE, 'a figure is opened but never closed',
@@ -290,8 +294,8 @@ class Lowerer:
             return
         if src == dst:
             raise DiagnosticError(DEGENERATE_ARROW, 'zero-length arrow')
-        fig.arrows.append(ArrowInstance(src, dst, style, text, rule,
-                                        src_text=a, dst_text=b))
+        fig.arrows.append(ArrowInstance(src, dst, style, text, rule, a, b,
+                                        **self._source))
 
     # ---- plain constructors -------------------------------------------
 
@@ -303,7 +307,7 @@ class Lowerer:
         if dx == 0 and dy == 0:
             raise DiagnosticError(DEGENERATE_ARROW, 'zero-length arrow')
         fig.arrows.append(ArrowInstance(
-            stmt.origin, stmt.origin.shifted(dx, dy), style))
+            stmt.origin, stmt.origin.shifted(dx, dy), style, **self._source))
 
     def _place(self, fig: _FigureBuilder, stmt: Statement) -> None:
         fig.node(stmt.origin, strip_group(stmt.nodes[0]), anchor=stmt.anchor)
@@ -339,7 +343,8 @@ class Lowerer:
         fig.node(stmt.origin, text)
         fig.arrows.append(ArrowInstance(
             stmt.origin, stmt.origin, ArrowStyle(), src_text=text,
-            dst_text=text, loop_out=stmt.loop_out, loop_in=stmt.loop_in))
+            dst_text=text, loop_out=stmt.loop_out, loop_in=stmt.loop_in,
+            **self._source))
 
     # ---- table walks --------------------------------------------------
 

@@ -165,19 +165,21 @@ def resolve_label_side(rule: str, dx: int, dy: int) -> str:
 
 class ArrowInstance(Record):
     """``src_text`` and ``dst_text`` are the texts of the nodes whose boxes
-    clip the ends, None for bare vectors."""
+    clip the ends, None for bare vectors.  ``loc`` and ``constructor`` name
+    the statement it comes from, for diagnostics, outside its value."""
 
-    __slots__ = _values = ('src', 'dst', 'style', 'label', 'label_rule',
-                           'src_text', 'dst_text', 'loop_out', 'loop_in')
+    _values = ('src', 'dst', 'style', 'label', 'label_rule', 'src_text',
+               'dst_text', 'loop_out', 'loop_in')
+    __slots__ = _values + ('loc', 'constructor')
 
     def __init__(self, src: LogicalPoint, dst: LogicalPoint, style: ArrowStyle,
                  label: str = "",
                  label_rule: str = "none",  # l | m | r | a | b | none
                  src_text: str | None = None, dst_text: str | None = None,
-                 loop_out: str | None = None, loop_in: str | None = None
-                 ) -> None:
+                 loop_out: str | None = None, loop_in: str | None = None,
+                 loc: object = None, constructor: str | None = None) -> None:
         self._fill(src, dst, style, label, label_rule, src_text, dst_text,
-                   loop_out, loop_in)
+                   loop_out, loop_in, loc, constructor)
 
     @property
     def is_loop(self) -> bool:

@@ -28,8 +28,8 @@ def _translate(scene, dx, dy):
                                n.phantom) for n in scene.nodes)
     arrows = tuple(ArrowInstance(
         a.src.shifted(dx, dy), a.dst.shifted(dx, dy), a.style, a.label,
-        a.label_rule, a.src_text, a.dst_text, a.loop_out, a.loop_in)
-        for a in scene.arrows)
+        a.label_rule, a.src_text, a.dst_text, a.loop_out, a.loop_in, a.loc,
+        a.constructor) for a in scene.arrows)
     return Scene(nodes, arrows, scene.inlines)
 
 

@@ -89,16 +89,29 @@ def test_parse_error_reports_location_and_exits_1(tmp_path, capsys):
     assert not (tmp_path / 'bad.scene.json').exists()
 
 
-def test_render_time_error_has_no_location(tmp_path, capsys):
+def test_render_time_error_names_its_statement(tmp_path, capsys):
     crowded = ('\\bfig\\node p(0,0)[A]\\node q(30,0)[B]'
                '\\arrow/->/[p`q;f]\\efig\n')
     source = write(tmp_path, 'tight.dxy', crowded)
     assert main([str(source)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith('%s: error: NodesOverlap:' % source)
+    assert err.startswith('%s:1:37: error: NodesOverlap:' % source)
+    assert err.rstrip().endswith('[in \\arrow]')
     # the scene format stays purely logical, so it still compiles
     assert main(['--format', 'scene', str(source)]) == 0
     assert (tmp_path / 'tight.scene.json').exists()
+
+
+def test_overlap_in_a_shape_reports_its_line_and_keyword(tmp_path, capsys):
+    source = write(tmp_path, 'ov.dxy',
+                   '\\bfig\n\\square<60,600>[AAAAAAAA`BBBBBBBBB`C`D;f`g`h`k]\n'
+                   '\\efig\n')
+    assert main([str(source)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("%s:2:1: error: NodesOverlap: the boxes around 'C' and 'D' "
+                   'overlap; no room is left for the arrow between them '
+                   '[in \\square]\n' % source)
+    assert not (tmp_path / 'ov.svg').exists()
 
 
 def test_missing_input_exits_2(tmp_path, capsys):

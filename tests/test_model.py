@@ -155,7 +155,7 @@ SAMPLES = {
     RenderConfig: (11.0, 2.0, 0.5),
     ArrowStyle: ('mono', 'dashed', 'double_head', 'tick', 2.5, True),
     NodeInstance: (P, 'A', 'l', True),
-    ArrowInstance: (P, Q, STYLE, 'f', 'a', 'A', 'B', 'u', 'r'),
+    ArrowInstance: (P, Q, STYLE, 'f', 'a', 'A', 'B', 'u', 'r', LOC, 'square'),
     InlineArrowPart: (STYLE, 'x', 'y', 'z'),
     InlineFragment: ('two', P, (InlineArrowPart(STYLE),), 0.1, 0.8, 2.0),
     Scene: ((NodeInstance(P, 'A'),), (ArrowInstance(P, Q, STYLE),), ()),
@@ -174,7 +174,7 @@ SAMPLES = {
 }
 RECORDS = sorted(SAMPLES, key=lambda cls: cls.__name__)
 # fields carried along for diagnostics but left out of equality
-OUTSIDE = {Statement: {'loc'}}
+OUTSIDE = {ArrowInstance: {'loc', 'constructor'}, Statement: {'loc'}}
 
 
 def other(value):
