@@ -20,6 +20,7 @@ colliding outputs.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from itertools import chain
@@ -222,12 +223,20 @@ def main(argv: list[str] | None = None) -> int:
             sources[ident] = path
     written: dict[tuple[int, int], str] = {}
     status = 0
-    for path in args.inputs:
-        code, units = _lower_file(path, args, metrics, cfg)
-        if code == 0:
-            code = _compile_file(path, units, args, metrics, cfg, sources,
-                                 missing, written)
-        status = max(status, code)
+    # compiling makes no reference cycles, so the cyclic collector would
+    # only walk the records the batch builds; it is restored as it was
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for path in args.inputs:
+            code, units = _lower_file(path, args, metrics, cfg)
+            if code == 0:
+                code = _compile_file(path, units, args, metrics, cfg,
+                                     sources, missing, written)
+            status = max(status, code)
+    finally:
+        if collecting:
+            gc.enable()
     return status
 
 

@@ -17,6 +17,7 @@ from .model import (
     LEFT,
     MID,
     NO_SIDE,
+    RIGHT,
     UNIT_EM,
     ArrowInstance,
     ArrowStyle,
@@ -52,8 +53,16 @@ class NodeBox(Record):
     def __init__(self, min_x: float, min_y: float, max_x: float, max_y: float,
                  text_x: float, baseline_y: float, text: str,
                  phantom: bool = False) -> None:
-        self._fill(min_x, min_y, max_x, max_y, text_x, baseline_y, text,
-                   phantom)
+        (set_min_x, set_min_y, set_max_x, set_max_y, set_text_x,
+         set_baseline_y, set_text, set_phantom) = self._setters
+        set_min_x(self, min_x)
+        set_min_y(self, min_y)
+        set_max_x(self, max_x)
+        set_max_y(self, max_y)
+        set_text_x(self, text_x)
+        set_baseline_y(self, baseline_y)
+        set_text(self, text)
+        set_phantom(self, phantom)
 
 
 class Label(Record):
@@ -67,7 +76,15 @@ class Label(Record):
                  width: float, height: float,
                  backing: tuple[float, float, float, float] | None = None
                  ) -> None:
-        self._fill(x, y, text, side, width, height, backing)
+        (set_x, set_y, set_text, set_side, set_width, set_height,
+         set_backing) = self._setters
+        set_x(self, x)
+        set_y(self, y)
+        set_text(self, text)
+        set_side(self, side)
+        set_width(self, width)
+        set_height(self, height)
+        set_backing(self, backing)
 
 
 class ResolvedArrow(Record):
@@ -78,7 +95,14 @@ class ResolvedArrow(Record):
                  labels: tuple[Label, ...] = (),
                  controls: tuple[Point, Point] | None = None,
                  tip_scale: float = 1.0) -> None:
-        self._fill(start, end, style, labels, controls, tip_scale)
+        (set_start, set_end, set_style, set_labels, set_controls,
+         set_tip_scale) = self._setters
+        set_start(self, start)
+        set_end(self, end)
+        set_style(self, style)
+        set_labels(self, labels)
+        set_controls(self, controls)
+        set_tip_scale(self, tip_scale)
 
     @property
     def is_loop(self) -> bool:
@@ -258,14 +282,10 @@ def _resolve_inline(fragment: InlineFragment, metrics: MetricsTable,
         shift = part.style.parallel_offset_pt
         s = _offset(start, nx, ny, shift)
         e = _offset(end, nx, ny, shift)
-        labels = []
-        if part.sup:
-            labels.append(_place_label(part.sup, 'left', s, e, metrics, cfg))
-        if part.sub:
-            labels.append(_place_label(part.sub, 'right', s, e, metrics, cfg))
-        if part.mid:
-            labels.append(_place_label(part.mid, 'mid', s, e, metrics, cfg))
-        arrows.append(ResolvedArrow(s, e, part.style, tuple(labels),
+        labels = tuple(_place_label(text, side, s, e, metrics, cfg)
+                       for text, side in ((part.sup, LEFT), (part.sub, RIGHT),
+                                          (part.mid, MID)) if text)
+        arrows.append(ResolvedArrow(s, e, part.style, labels,
                                     tip_scale=fragment.tip_scale))
     return arrows
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import re
 from codecs import BOM_UTF8
 from itertools import repeat
+from types import MappingProxyType
 
 from .model import DEFAULT_MARGIN, MAX_DIGITS, Record, RenderConfig
 
@@ -44,8 +45,13 @@ class MetricsTable(Record):
     def __init__(self, advances: dict[str, int] | None = None,
                  fallback: int = DEFAULT_ADVANCE, ascent: int = DEFAULT_ASCENT,
                  descent: int = DEFAULT_DESCENT) -> None:
-        self._fill(_builtin_advances() if advances is None else advances,
-                   fallback, ascent, descent)
+        table = _builtin_advances() if advances is None else dict(advances)
+        self._fill(MappingProxyType(table), fallback, ascent, descent)
+
+    def __reduce__(self) -> tuple:
+        # a mappingproxy neither pickles nor copies; its dict does
+        return type(self), (dict(self.advances), self.fallback, self.ascent,
+                            self.descent)
 
     @classmethod
     def builtin(cls) -> "MetricsTable":

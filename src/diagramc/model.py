@@ -1,7 +1,6 @@
 """Core scene model: logical-unit geometry, render configuration, scene instances."""
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from operator import attrgetter
 
@@ -13,6 +12,11 @@ DEFAULT_MARGIN = 150
 # Longest integer literal in a source or a metrics table: any longer one is
 # an error, well before int() or the float arithmetic of layout would fail.
 MAX_DIGITS = 9
+
+# Bounds of the render settings: within them, layout's float arithmetic on
+# coordinates and advances of MAX_DIGITS digits neither overflows nor
+# rounds a length to zero.
+MIN_SETTING, MAX_SETTING = 1e-6, 1e6
 
 
 class Memo(dict):
@@ -37,8 +41,9 @@ class Record:
 
     Equality, hashing and ``repr`` read the fields named in ``_values``;
     a slot left out of them (a source location) is never compared.  No
-    attribute can be set, so ``__init__`` passes every slot, in order as
-    copies need, to ``_fill``, which writes each through its ``_setters``."""
+    attribute can be set, so ``__init__`` writes each slot through its
+    setter in ``_setters``: a hot record calls each one itself, a cold one
+    passes every slot, in order as copies need, to ``_fill``."""
 
     __slots__ = ()
 
@@ -75,7 +80,7 @@ class LogicalPoint(Record):
     __slots__ = _values = ('x', 'y')
 
     def __init__(self, x: int, y: int) -> None:
-        set_x, set_y = self._setters   # the most built record skips _fill
+        set_x, set_y = self._setters
         set_x(self, x)
         set_y(self, y)
 
@@ -94,16 +99,12 @@ class RenderConfig(Record):
     def __init__(self, em_pt: float = 10.0, object_margin_pt: float = 3.0,
                  label_scale: float = 1.0) -> None:
         settings = (em_pt, object_margin_pt, label_scale)
-        # nan passes every sign test below, and inf overflows layout
-        for name, value in zip(self._values, settings):
-            if not math.isfinite(value):
-                raise ValueError("%s must be finite, got %r" % (name, value))
-        if em_pt <= 0:
-            raise ValueError("em_pt must be positive")
-        if object_margin_pt < 0:
-            raise ValueError("object_margin_pt must be non-negative")
-        if label_scale <= 0:
-            raise ValueError("label_scale must be positive")
+        # nan fails every comparison; only the margin may be zero
+        for name, value, least in zip(self._values, settings,
+                                      (MIN_SETTING, 0.0, MIN_SETTING)):
+            if not least <= value <= MAX_SETTING:
+                raise ValueError("%s must be finite and within [%g, %g], "
+                                 "got %r" % (name, least, MAX_SETTING, value))
         self._fill(*settings)
 
     @property
@@ -134,7 +135,11 @@ class NodeInstance(Record):
 
     def __init__(self, pos: LogicalPoint, text: str, anchor: str = "center",
                  phantom: bool = False) -> None:
-        self._fill(pos, text, anchor, phantom)
+        set_pos, set_text, set_anchor, set_phantom = self._setters
+        set_pos(self, pos)
+        set_text(self, text)
+        set_anchor(self, anchor)
+        set_phantom(self, phantom)
 
 
 LEFT = "left"
@@ -178,8 +183,20 @@ class ArrowInstance(Record):
                  src_text: str | None = None, dst_text: str | None = None,
                  loop_out: str | None = None, loop_in: str | None = None,
                  loc: object = None, constructor: str | None = None) -> None:
-        self._fill(src, dst, style, label, label_rule, src_text, dst_text,
-                   loop_out, loop_in, loc, constructor)
+        (set_src, set_dst, set_style, set_label, set_label_rule, set_src_text,
+         set_dst_text, set_loop_out, set_loop_in, set_loc,
+         set_constructor) = self._setters
+        set_src(self, src)
+        set_dst(self, dst)
+        set_style(self, style)
+        set_label(self, label)
+        set_label_rule(self, label_rule)
+        set_src_text(self, src_text)
+        set_dst_text(self, dst_text)
+        set_loop_out(self, loop_out)
+        set_loop_in(self, loop_in)
+        set_loc(self, loc)
+        set_constructor(self, constructor)
 
     @property
     def is_loop(self) -> bool:

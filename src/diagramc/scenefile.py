@@ -12,7 +12,6 @@ from .model import (
     ArrowInstance,
     ArrowStyle,
     InlineFragment,
-    LogicalPoint,
     Memo,
     NodeInstance,
     Scene,
@@ -21,76 +20,16 @@ from .model import (
 __all__ = ['scene_to_dict', 'dump_scene']
 
 
-def _point(p: LogicalPoint) -> dict:
-    return {'x': p.x, 'y': p.y}
-
-
-def _style(style: ArrowStyle) -> dict:
-    return {
-        'tail': style.tail,
-        'shaft': style.shaft,
-        'head': style.head,
-        'mid': style.mid,
-        'parallel_offset_pt': style.parallel_offset_pt,
-        'reversed': style.reversed,
-    }
-
-
-def _node(node: NodeInstance) -> dict:
-    return {
-        'pos': _point(node.pos),
-        'text': node.text,
-        'anchor': node.anchor,
-        'phantom': node.phantom,
-    }
-
-
-def _arrow(arrow: ArrowInstance) -> dict:
-    return {
-        'from': _point(arrow.src),
-        'to': _point(arrow.dst),
-        'style': _style(arrow.style),
-        'label': arrow.label,
-        'label_rule': arrow.label_rule,
-        'source_extent': arrow.src_text,
-        'target_extent': arrow.dst_text,
-        'loop_out': arrow.loop_out,
-        'loop_in': arrow.loop_in,
-    }
-
-
-def _fragment(fragment: InlineFragment) -> dict:
-    return {
-        'kind': fragment.kind,
-        'end': _point(fragment.end),
-        'unit_scale': fragment.unit_scale,
-        'tip_scale': fragment.tip_scale,
-        'raise_pt': fragment.raise_pt,
-        'arrows': [
-            {'style': _style(part.style), 'sup': part.sup,
-             'sub': part.sub, 'mid': part.mid}
-            for part in fragment.parts
-        ],
-    }
-
-
-def scene_to_dict(scene: Scene) -> dict:
-    return {
-        'nodes': [_node(n) for n in scene.nodes],
-        'arrows': [_arrow(a) for a in scene.arrows],
-        'inlines': [_fragment(f) for f in scene.inlines],
-    }
-
-
 # ---- canonical text ----------------------------------------------------
 #
-# The bytes are those of json.dumps(scene_to_dict(scene), indent=2,
-# ensure_ascii=False) plus a newline, written without building the dict:
-# each record shape is one format string, and each slot is filled by the
-# formatter of its field's type.  Lattice coordinates are ints, written
-# by %d; flags are bools; texts are str or None, encoded by _leaf once
-# per scene through a Memo; the float fields go through _leaf each time,
-# since -0.0 == 0.0 would share one key.
+# The bytes are those of json.dumps(data, indent=2, ensure_ascii=False)
+# plus a newline, where data holds each record as a dict of its fields in
+# the key order below, but no dict is built: each record shape is one
+# format string, and each slot is filled by the formatter of its field's
+# type.  Lattice coordinates are ints, written by %d; flags are bools;
+# texts are str or None, encoded by _leaf once per scene through a Memo;
+# the float fields go through _leaf each time, since -0.0 == 0.0 would
+# share one key.
 
 _INF = float('inf')
 # what json.dumps(..., ensure_ascii=False) escapes in a string: the quote,
@@ -195,3 +134,9 @@ def dump_scene(scene: Scene) -> str:
         _list([_node_text(n, strings) for n in scene.nodes], 1),
         _list([_arrow_text(a, strings) for a in scene.arrows], 1),
         _list([_fragment_text(f, strings) for f in scene.inlines], 1))
+
+
+def scene_to_dict(scene: Scene) -> dict:
+    """The scene as the JSON data its canonical text holds."""
+    import json   # only library callers pay for it, not the CLI's start-up
+    return json.loads(dump_scene(scene))

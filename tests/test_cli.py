@@ -234,7 +234,8 @@ def test_metrics_not_utf8_exits_2_naming_the_line(tmp_path, capsys):
 # ---- configuration ---------------------------------------------------------
 
 @pytest.mark.parametrize('flag', ['--em-pt', '--margin-pt', '--label-scale'])
-@pytest.mark.parametrize('value', ['nan', 'inf', '-inf'])
+@pytest.mark.parametrize('value', ['nan', 'inf', '-inf', '1.1e6', '1e200',
+                                   '1e306'])
 def test_non_finite_settings_exit_2_and_write_nothing(tmp_path, capsys, flag,
                                                       value):
     source = write(tmp_path, 'dia.dxy', SQUARE)
@@ -245,8 +246,9 @@ def test_non_finite_settings_exit_2_and_write_nothing(tmp_path, capsys, flag,
 
 def test_bad_em_size_exits_2(tmp_path, capsys):
     source = write(tmp_path, 'dia.dxy', SQUARE)
-    assert main(['--em-pt', '0', str(source)]) == 2
-    assert 'diagramc: error:' in capsys.readouterr().err
+    for value in ('0', '5e-324'):   # the least double rounds lengths to 0
+        assert main(['--em-pt', value, str(source)]) == 2
+        assert 'diagramc: error:' in capsys.readouterr().err
 
 
 def test_em_pt_scales_svg_but_not_scene(tmp_path):

@@ -2,10 +2,12 @@
 
 import ast
 import copy
+import gc
 import os
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -71,6 +73,13 @@ def test_memo_is_the_only_class_that_fills_missing_keys():
                     and item.name == '__missing__' for item in node.body):
                 found.add((name, node.name))
     assert found == {('model', 'Memo')}
+
+
+def test_the_package_stays_within_its_line_budget():
+    # the same bytes from less code: the budget only ever shrinks
+    lines = sum(path.read_text(encoding='utf-8').count('\n')
+                for path in PACKAGE.glob('*.py'))
+    assert lines <= 3000, lines
 
 
 # ---- the constructor tables -----------------------------------------------
@@ -271,8 +280,7 @@ def test_compiling_leaves_no_cache_behind(tmp_path):
         encoding='utf-8')
     corpus.append(unseen)
     table = diagramc.MetricsTable.builtin()
-    fields = {name: copy.copy(getattr(table, name))
-              for name in type(table).__slots__}
+    twin = copy.copy(table)   # equal fields, its own copy of the advances
     before = module_state()
     out = tmp_path / 'out'
     assert cli.main(['-o', str(out)] + [str(p) for p in corpus]) == 0
@@ -282,5 +290,123 @@ def test_compiling_leaves_no_cache_behind(tmp_path):
             svg.render(unit, table)
             scenefile.dump_scene(unit)
     assert module_state() == before
-    assert {name: getattr(table, name)
-            for name in type(table).__slots__} == fields
+    assert table == twin and table.advances is not twin.advances
+
+
+# ---- reference cycles and the cyclic collector -------------------------------
+
+def failing_inputs(directory):
+    """One input per way a file fails."""
+    sources = {
+        'parse-error': b'\\bfig\\square[A`B`C`D;f`g`h`k\n',
+        'not-utf8': b'\\bfig\\place(0,0)[\xe9]\\efig\n',
+        'overlap': b'\\bfig\\morphism(0,0)<10,0>[XXXX`YYYY;f]\\efig\n',
+        'internal': b'\\bfig\\morphism(0,0)<500,0>[Huge`B;f]\\efig\n',
+    }
+    for name, data in sources.items():
+        (directory / (name + '.dxy')).write_bytes(data)
+    return [directory / (name + '.dxy') for name in sources]
+
+
+@pytest.fixture
+def batch(tmp_path, monkeypatch):
+    """The corpus and the failing inputs, with a fault injected into
+    layout for the node 'Huge'."""
+    def node_box(node, metrics, cfg):
+        if node.text == 'Huge':
+            raise OverflowError('int too large to convert to float')
+        return original(node, metrics, cfg)
+
+    original = layout.node_box
+    monkeypatch.setattr(layout, 'node_box', node_box)
+    corpus = sorted((Path(__file__).parent / 'corpus').glob('*.dxy'))
+    return corpus + failing_inputs(tmp_path)
+
+
+@pytest.fixture
+def garbage():
+    """Every object the cyclic collector finds unreachable, kept in a
+    list, for what the test runs with the collector off."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        yield gc.garbage
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+def from_the_package(obj):
+    if isinstance(obj, types.FrameType):
+        return obj.f_code.co_filename.startswith(str(PACKAGE))
+    return type(obj).__module__.split('.')[0] == 'diagramc'
+
+
+def test_compiling_makes_no_reference_cycles(batch, garbage):
+    # the CLI runs its batch without the collector: this is why that is safe
+    failures = []
+    for path in batch:
+        try:
+            text = parser.decode_source(path.read_bytes(), str(path))
+            for unit in diagramc.compile_source(text, str(path)):
+                svg.render(unit)
+                scenefile.dump_scene(unit)
+        except (errors.DiagnosticError, OverflowError) as exc:
+            failures.append((path.stem, getattr(exc, 'code', 'internal')))
+    assert failures == [('parse-error', 'UnbalancedGroup'),
+                        ('not-utf8', 'ParseError'), ('overlap', 'NodesOverlap'),
+                        ('internal', 'internal')]
+    assert gc.collect() == 0
+    assert garbage == []
+
+
+def test_the_cli_batch_leaves_no_cycle_of_its_own(batch, garbage, tmp_path):
+    # argparse builds cycles of its own; nothing of the compiler's may be
+    # among what the collector finds
+    out = tmp_path / 'out'
+    assert cli.main(['-o', str(out)] + [str(p) for p in batch]) == 1
+    gc.collect()
+    assert [obj for obj in garbage if from_the_package(obj)] == []
+
+
+@pytest.mark.parametrize('enabled', [True, False])
+def test_the_cli_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch,
+                                                     enabled):
+    good = tmp_path / 'good.dxy'
+    good.write_text('\\to\n', encoding='utf-8')
+    bad, = failing_inputs(tmp_path)[:1]
+    runs = [([str(good)], 0), ([str(bad)], 1),
+            ([str(tmp_path / 'missing.dxy')], 2),     # fails in the loop
+            (['--em-pt', '0', str(good)], 2)]         # fails before it
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    restore = gc.enable if gc.isenabled() else gc.disable
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for argv, status in runs:
+            assert cli.main(argv) == status
+            assert gc.isenabled() == enabled, argv
+        monkeypatch.setattr(cli, '_compile_file', interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main([str(good)])
+        assert gc.isenabled() == enabled
+    finally:
+        restore()
+
+
+def test_the_library_never_touches_the_collector(monkeypatch):
+    touched = []
+    for name in ('enable', 'disable', 'collect', 'freeze', 'set_threshold'):
+        monkeypatch.setattr(gc, name, lambda *a, _name=name: touched.append(
+            _name))
+    for unit in diagramc.compile_source('\\bfig\\square[A`B`C`D;f`g`h`k]'
+                                        '\\efig\\to'):
+        svg.render(unit)
+        scenefile.dump_scene(unit)
+    assert touched == []

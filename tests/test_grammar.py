@@ -7,7 +7,8 @@ specs come from the spec tables, wrapped in raw layers with tick and
 offset suffixes; texts carry braces, escapes and non-ASCII characters.
 The only allowed outcomes are a ``DiagnosticError``, or outputs with no
 NaN or infinity: an SVG whose tags hold finite numbers only, and a scene
-file that strict JSON accepts.
+file that strict JSON accepts.  The same holds under any render settings
+within their bounds.
 """
 
 import json
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from diagramc import arrows, compile_source, dump_scene, parser, render
 from diagramc.errors import DiagnosticError
+from diagramc.model import MAX_SETTING, MIN_SETTING, RenderConfig
 
 
 # the one kind of value that may go to extremes in an example, if any:
@@ -180,14 +182,33 @@ def _reject(constant):
     raise ValueError('%s is not JSON' % constant)
 
 
-@settings(max_examples=300, deadline=None)
-@given(SOURCES)
-def test_a_source_compiles_or_fails_with_a_diagnostic(source):
+def compiles_or_fails_with_a_diagnostic(source, cfg=None):
     try:
-        outputs = [(render(unit), dump_scene(unit))
-                   for unit in compile_source(source, 'fuzz.dxy')]
+        outputs = [(render(unit, None, cfg), dump_scene(unit))
+                   for unit in compile_source(source, 'fuzz.dxy', None, cfg)]
     except DiagnosticError:
         return
     for svg, scene in outputs:
         assert not _NOT_FINITE.search(''.join(_TAG.findall(svg))), svg
         json.loads(scene, parse_constant=_reject)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SOURCES)
+def test_a_source_compiles_or_fails_with_a_diagnostic(source):
+    compiles_or_fails_with_a_diagnostic(source)
+
+
+# every setting RenderConfig takes, its bounds among them
+SIZES = st.one_of(st.floats(MIN_SETTING, MAX_SETTING),
+                  st.sampled_from([MIN_SETTING, 1.0, MAX_SETTING]))
+MARGINS = st.one_of(st.floats(0.0, MAX_SETTING),
+                    st.sampled_from([0.0, MAX_SETTING]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(SOURCES, SIZES, MARGINS, SIZES)
+def test_any_settings_compile_or_fail_with_a_diagnostic(source, em_pt, margin,
+                                                        label_scale):
+    compiles_or_fails_with_a_diagnostic(
+        source, RenderConfig(em_pt, margin, label_scale))

@@ -10,6 +10,8 @@ from diagramc.layout import Label, NodeBox, ResolvedArrow, ResolvedScene
 from diagramc.lowering import _Walk, lower_document
 from diagramc.metrics import MetricsTable
 from diagramc.model import (
+    MAX_SETTING,
+    MIN_SETTING,
     ORIGIN,
     ArrowInstance,
     ArrowStyle,
@@ -217,7 +219,7 @@ def test_equal_value_fields_make_equal_records(cls):
     values = SAMPLES[cls]
     a, b = cls(*values), cls(*pickle.loads(pickle.dumps(values)))
     assert a == b and not a != b
-    if cls is MetricsTable:   # it holds a dict, as it always has
+    if cls is MetricsTable:   # its advances, a mapping, do not hash
         with pytest.raises(TypeError):
             hash(a)
     else:
@@ -282,16 +284,36 @@ def test_render_config_rejects_values_that_are_not_finite(setting, value):
 
 @pytest.mark.parametrize('setting, value', [
     ('em_pt', 0.0), ('em_pt', -1.0), ('label_scale', 0.0),
-    ('label_scale', -2.0), ('object_margin_pt', -0.5)])
+    ('label_scale', -2.0), ('object_margin_pt', -0.5),
+    ('em_pt', 5e-324), ('label_scale', 9.9e-7),
+    ('em_pt', 1.000001e6), ('object_margin_pt', 1e7), ('label_scale', 1e306)])
 def test_render_config_rejects_sizes_out_of_range(setting, value):
     with pytest.raises(ValueError, match=setting):
         RenderConfig(**{setting: value})
     assert RenderConfig(object_margin_pt=0.0).object_margin_pt == 0.0
 
 
+def test_render_config_takes_its_bounds():
+    assert RenderConfig(MIN_SETTING, 0.0, MIN_SETTING) == \
+        RenderConfig(1e-6, 0.0, 1e-6)
+    assert RenderConfig(MAX_SETTING, MAX_SETTING, MAX_SETTING).em_pt == 1e6
+
+
 def test_each_metrics_table_gets_its_own_advances():
     a, b = MetricsTable(), MetricsTable.builtin()
     assert a.advances == b.advances and a.advances is not b.advances
+
+
+def test_a_metrics_table_cannot_be_changed_through_its_advances():
+    given = {'A': 600}
+    table = MetricsTable(given)
+    with pytest.raises(TypeError):
+        table.advances['A'] = 900
+    with pytest.raises(TypeError):
+        del table.advances['A']
+    given['A'] = 900    # the table holds its own copy
+    assert table.text_advance('AA') == 1200
+    assert table.advances == {'A': 600}
 
 
 def test_record_repr_names_each_value_field():
