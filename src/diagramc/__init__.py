@@ -10,15 +10,8 @@ from .errors import DiagnosticError, SourceLoc
 from .layout import resolve_scene
 from .lowering import Lowerer, lower_document
 from .metrics import MetricsTable
-from .model import (
-    ArrowInstance,
-    ArrowStyle,
-    InlineFragment,
-    LogicalPoint,
-    NodeInstance,
-    RenderConfig,
-    Scene,
-)
+from .model import (ArrowInstance, ArrowStyle, InlineFragment, LogicalPoint,
+                    NodeInstance, RenderConfig, Scene)
 from .parser import Statement, parse_document, print_document
 from .scenefile import dump_scene, scene_to_dict
 from .svg import render

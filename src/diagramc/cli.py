@@ -9,7 +9,11 @@ files after it.  Inputs go through one at a time, in the order given.
 An input fails with an ``OutputCollision``, before it writes anything,
 when one of its outputs is an input or was written by an earlier input
 of the run, by name or as the same file through a link; the files after
-it still compile.
+it still compile.  Outputs go to hidden temp files beside them, renamed
+into place once all of an input's are written, so no output is ever
+half-written; one that already holds the same bytes is left untouched.
+Outputs an earlier run made with another unit count are warned of, and
+left in place.
 
 Exit status: 0 when everything compiled, 1 when any file failed with a
 diagnostic (a source that is not UTF-8 among them), 2 for invocation
@@ -37,6 +41,7 @@ METRICS_ENV = 'DIAGRAMC_METRICS'
 
 _EXTENSIONS = {'scene': ('scene.json',), 'svg': ('svg',),
                'both': ('scene.json', 'svg')}
+_SLICE = 1 << 16   # characters encoded and written at a time
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -81,29 +86,61 @@ def _scan_glyphs(units: list[Scene], metrics: MetricsTable) -> list[str]:
     return sorted(set().union(*map(metrics.unknown_tokens, texts)))
 
 
-def _output_paths(path: str, out_dir: str | None, count: int, ext: str
-                  ) -> list[str]:
+def _prefix(path: str, out_dir: str | None) -> str:
+    """The outputs' path for ``path``, less their number and extension."""
     stem = os.path.splitext(os.path.basename(path))[0]
     directory = out_dir if out_dir is not None else (
         os.path.dirname(path) or '.')
-    prefix = os.path.join(directory, stem)
-    if count == 1:
-        return ['%s.%s' % (prefix, ext)]
-    return ['%s.%d.%s' % (prefix, n + 1, ext) for n in range(count)]
+    return os.path.join(directory, stem)
 
 
-def _file_id(path: str) -> tuple[int, int] | None:
-    """(device, inode) of the file at ``path``, links followed, or None."""
+def _stale(prefix: str, count: int, ext: str):
+    """Outputs of ``prefix`` under another unit count than ``count``: the
+    other form of name, then each number past it up to the first missing."""
+    if count != 1:
+        yield prefix + '.' + ext
+    n = count + 1 if count > 1 else 1
+    while _stat('%s.%d.%s' % (prefix, n, ext)):
+        yield '%s.%d.%s' % (prefix, n, ext)
+        n += 1
+
+
+def _stat(path: str) -> os.stat_result | None:
+    """The file at ``path``, links followed, or None."""
     try:
-        stat = os.stat(path)
+        return os.stat(path)
     except OSError:   # nothing there yet; a write error is reported later
         return None
+
+
+def _slices(text: str):
+    """The UTF-8 of ``text``, a bounded slice at a time."""
+    for start in range(0, len(text), _SLICE):
+        yield text[start:start + _SLICE].encode('utf-8')
+
+
+def _write(path: str, text: str, old: os.stat_result | None,
+           temps: dict[str, str]) -> tuple[int, int]:
+    """Write ``text``, the output ``path``, to a new hidden file beside
+    it, kept in ``temps``; return that file's identity.  If ``old``, the
+    file at ``path``, holds the same bytes, keep it and return its own."""
+    if old and old.st_size == (len(text) if text.isascii() else
+                               sum(map(len, _slices(text)))):
+        try:
+            with open(path, 'rb') as handle:
+                if all(handle.read(len(chunk)) == chunk
+                       for chunk in _slices(text)):
+                    return old.st_dev, old.st_ino
+        except OSError:   # not a file it can read: write it anew
+            pass
+    head, tail = os.path.split(path)
+    temp = os.path.join(head, '.%s.%d.tmp' % (tail, os.getpid()))
+    with open(temp, 'xb') as handle:   # never an existing file
+        temps[path] = temp
+        for chunk in _slices(text):
+            handle.write(chunk)
+        stat = os.fstat(handle.fileno())
     return stat.st_dev, stat.st_ino
-
-
-def _write(path: str, text: str) -> None:
-    with open(path, 'w', encoding='utf-8', newline='\n') as handle:
-        handle.write(text)
 
 
 def _failure(path: str, exc: Exception) -> int:
@@ -163,14 +200,19 @@ def _compile_file(path: str, units: list[Scene], args: argparse.Namespace,
     resolves to.  ``written`` holds the outputs written so far by file
     identity, which a later output has whether it names the file or links
     to it.  An output found in any of them fails this input before any
-    write; an output joins ``written`` once it is written.
+    write; an output joins ``written`` once it has its name.
     """
-    outputs = {ext: _output_paths(path, args.out_dir, len(units), ext)
+    prefix = _prefix(path, args.out_dir)
+    numbers = (['.'] if len(units) == 1 else
+               ['.%d.' % (n + 1) for n in range(len(units))])
+    outputs = {ext: [prefix + number + ext for number in numbers]
                for ext in _EXTENSIONS[args.format]}
-    for out in sum(outputs.values(), []):
-        ident = _file_id(out)
+    found = {}   # each output path: the file there now, or None
+    for out in chain.from_iterable(outputs.values()):
+        found[out] = stat = _stat(out)
+        ident = stat and (stat.st_dev, stat.st_ino)
         source = sources.get(ident)
-        if ident is None and missing:
+        if stat is None and missing:
             source = missing.get(os.path.realpath(out))
         if source is not None:
             clash = '%s would overwrite the input %s through %s' % (
@@ -182,18 +224,35 @@ def _compile_file(path: str, units: list[Scene], args: argparse.Namespace,
         print('diagramc: error: %s: %s' % (OUTPUT_COLLISION, clash),
               file=sys.stderr)
         return 2
+    temps: dict[str, str] = {}   # output path: its temp, until renamed
+    idents = {}
     try:
-        # every SVG renders before the first write, so a layout error
+        # each text goes to a temp as soon as it is made; only when every
+        # one is written do they take their names, so a layout error
         # leaves no outputs behind
-        rendered = ([render(unit, metrics, cfg) for unit in units]
-                    if 'svg' in outputs else [])
-        for out, text in chain(
-                zip(outputs.get('scene.json', ()), map(dump_scene, units)),
-                zip(outputs.get('svg', ()), rendered)):
-            _write(out, text)
-            written[_file_id(out)] = path
+        for n, unit in enumerate(units):
+            if 'svg' in outputs:
+                out = outputs['svg'][n]
+                idents[out] = _write(out, render(unit, metrics, cfg),
+                                     found[out], temps)
+            if 'scene.json' in outputs:
+                out = outputs['scene.json'][n]
+                idents[out] = _write(out, dump_scene(unit), found[out], temps)
+        for out in found:
+            if out in temps:
+                os.replace(temps[out], out)
+                del temps[out]
+            written[idents[out]] = path
     except Exception as exc:   # one bad file never stops the batch
+        if isinstance(exc, OSError):
+            exc.filename = out   # the output it was writing, not a temp
         return _failure(path, exc)
+    finally:
+        for temp in temps.values():
+            try:
+                os.unlink(temp)
+            except OSError:
+                pass
     return 0
 
 
@@ -216,12 +275,13 @@ def main(argv: list[str] | None = None) -> int:
     sources: dict[tuple[int, int], str] = {}
     missing: dict[str, str] = {}
     for path in args.inputs:
-        ident = _file_id(path)
-        if ident is None:
+        stat = _stat(path)
+        if stat is None:
             missing[os.path.realpath(path)] = path
         else:
-            sources[ident] = path
+            sources[stat.st_dev, stat.st_ino] = path
     written: dict[tuple[int, int], str] = {}
+    compiled = []   # (input, its unit count) of each that wrote outputs
     status = 0
     # compiling makes no reference cycles, so the cyclic collector would
     # only walk the records the batch builds; it is restored as it was
@@ -233,10 +293,21 @@ def main(argv: list[str] | None = None) -> int:
             if code == 0:
                 code = _compile_file(path, units, args, metrics, cfg,
                                      sources, missing, written)
+                if code == 0:
+                    compiled.append((path, len(units)))
             status = max(status, code)
     finally:
         if collecting:
             gc.enable()
+    # outputs of an earlier run with another unit count; none is deleted
+    claimed = written.keys() | sources.keys()
+    for path, count in compiled:
+        for ext in _EXTENSIONS[args.format]:
+            for out in _stale(_prefix(path, args.out_dir), count, ext):
+                stat = _stat(out)
+                if stat and (stat.st_dev, stat.st_ino) not in claimed:
+                    print('%s: warning: stale output %s left in place'
+                          % (path, out), file=sys.stderr)
     return status
 
 

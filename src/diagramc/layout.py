@@ -13,28 +13,12 @@ import math
 from .arrows import resolve_compass
 from .errors import NODES_OVERLAP, DiagnosticError
 from .metrics import MetricsTable
-from .model import (
-    LEFT,
-    MID,
-    NO_SIDE,
-    RIGHT,
-    UNIT_EM,
-    ArrowInstance,
-    ArrowStyle,
-    InlineFragment,
-    Memo,
-    NodeInstance,
-    Record,
-    RenderConfig,
-    Scene,
-    resolve_label_side,
-    to_physical,
-)
+from .model import (LEFT, MID, NO_SIDE, RIGHT, UNIT_EM, ArrowInstance,
+                    ArrowStyle, InlineFragment, Memo, NodeInstance, Record,
+                    RenderConfig, Scene, resolve_label_side, to_physical)
 
-__all__ = [
-    'NodeBox', 'Label', 'ResolvedArrow', 'ResolvedScene',
-    'node_box', 'resolve_scene',
-]
+__all__ = ['NodeBox', 'Label', 'ResolvedArrow', 'ResolvedScene', 'node_box',
+           'resolve_scene']
 
 Point = tuple[float, float]
 _ClipKey = tuple[int, int, str]   # a node's position and text

@@ -17,39 +17,17 @@ from __future__ import annotations
 
 from . import parser
 from .arrows import parse_arrow_spec, resolve_compass
-from .errors import (
-    DEGENERATE_ARROW,
-    DEGENERATE_LOOP,
-    DUPLICATE_NODE,
-    MASK_OUT_OF_RANGE,
-    MISPLACED_CONSTRUCTOR,
-    UNBALANCED_FIGURE,
-    UNKNOWN_NODE,
-    DiagnosticError,
-    SourceLoc,
-)
+from .errors import (DEGENERATE_ARROW, DEGENERATE_LOOP, DUPLICATE_NODE,
+                     MASK_OUT_OF_RANGE, MISPLACED_CONSTRUCTOR,
+                     UNBALANCED_FIGURE, UNKNOWN_NODE, DiagnosticError,
+                     SourceLoc)
 from .metrics import MetricsTable
-from .model import (
-    RULE_LETTERS,
-    ArrowInstance,
-    ArrowStyle,
-    InlineArrowPart,
-    InlineFragment,
-    LogicalPoint,
-    Memo,
-    NodeInstance,
-    Record,
-    RenderConfig,
-    Scene,
-)
+from .model import (RULE_LETTERS, ArrowInstance, ArrowStyle, InlineArrowPart,
+                    InlineFragment, LogicalPoint, Memo, NodeInstance, Record,
+                    RenderConfig, Scene)
 from .parser import Statement, strip_group
 
-__all__ = [
-    'Lowerer',
-    'lower_document',
-    'tex_div',
-    'twoar_end',
-]
+__all__ = ['Lowerer', 'lower_document', 'tex_div', 'twoar_end']
 
 
 def tex_div(a: int, b: int) -> int:

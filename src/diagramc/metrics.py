@@ -70,8 +70,8 @@ class MetricsTable(Record):
         a ValueError naming the file and line.
         """
         advances = _builtin_advances()
-        fallback = DEFAULT_ADVANCE
-        ascent, descent = DEFAULT_ASCENT, DEFAULT_DESCENT
+        header = {"fallback": DEFAULT_ADVANCE, "ascent": DEFAULT_ASCENT,
+                  "descent": DEFAULT_DESCENT}
         with open(path, "rb") as fh:
             data = fh.read()
         # lines break where text mode would break them: at \n, \r\n and
@@ -94,16 +94,11 @@ class MetricsTable(Record):
                 raise ValueError(f"{path}:{lineno}: {value!r} is not a "
                                  f"non-negative integer of at most "
                                  f"{MAX_DIGITS} digits")
-            advance = int(value)
-            if key == "fallback":
-                fallback = advance
-            elif key == "ascent":
-                ascent = advance
-            elif key == "descent":
-                descent = advance
+            if key in header:
+                header[key] = int(value)
             else:
-                advances[_parse_key(key, path, lineno)] = advance
-        return cls(advances=advances, fallback=fallback, ascent=ascent, descent=descent)
+                advances[_parse_key(key, path, lineno)] = int(value)
+        return cls(advances=advances, **header)
 
     # -- raw advances -------------------------------------------------------
 

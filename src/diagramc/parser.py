@@ -37,25 +37,13 @@ from bisect import bisect_right
 from codecs import BOM_UTF8
 from collections.abc import Callable
 
-from .errors import (
-    ARITY_ERROR,
-    PARSE_ERROR,
-    UNBALANCED_GROUP,
-    UNKNOWN_CONSTRUCTOR,
-    DiagnosticError,
-    SourceLoc,
-)
+from .errors import (ARITY_ERROR, PARSE_ERROR, UNBALANCED_GROUP,
+                     UNKNOWN_CONSTRUCTOR, DiagnosticError, SourceLoc)
 from .model import MAX_DIGITS, ORIGIN, LogicalPoint, Record
 
 __all__ = [
-    'Statement',
-    'decode_source',
-    'matching_brace',
-    'parse_document',
-    'print_document',
-    'print_statement',
-    'strip_group',
-    'split_fields',
+    'Statement', 'decode_source', 'matching_brace', 'parse_document',
+    'print_document', 'print_statement', 'strip_group', 'split_fields',
     'surface_keyword',
     'MORPHISM', 'VECT', 'SQUARE', 'AUTO_SQUARE', 'DIAMOND',
     'TRIANGLE', 'TRIANGLE_PAIR', 'PULLBACK', 'TRIDENT',

@@ -8,14 +8,8 @@ integer logical units; nothing here depends on the render configuration.
 
 from __future__ import annotations
 
-from .model import (
-    ArrowInstance,
-    ArrowStyle,
-    InlineFragment,
-    Memo,
-    NodeInstance,
-    Scene,
-)
+from .model import (ArrowInstance, ArrowStyle, InlineFragment, Memo,
+                    NodeInstance, Scene)
 
 __all__ = ['scene_to_dict', 'dump_scene']
 
@@ -48,7 +42,7 @@ def _template(keys: str, depth: int, slot: str = '%s') -> str:
     return '{%s\n%s}' % (body, '  ' * depth)
 
 
-_DOC = _template('nodes arrows inlines', 0) + '\n'
+_DOC = (_template('nodes arrows inlines', 0) + '\n').split('%s')
 _NODE = _template('pos text anchor phantom', 2)
 _ARROW = _template('from to style label label_rule source_extent '
                    'target_extent loop_out loop_in', 2)
@@ -130,10 +124,18 @@ def _fragment_text(fragment: InlineFragment, strings: Memo) -> str:
 def dump_scene(scene: Scene) -> str:
     """Serialize one scene unit to its canonical JSON text."""
     strings = Memo(_leaf)
-    return _DOC % (
-        _list([_node_text(n, strings) for n in scene.nodes], 1),
-        _list([_arrow_text(a, strings) for a in scene.arrows], 1),
-        _list([_fragment_text(f, strings) for f in scene.inlines], 1))
+    # the whole document in one list, joined once; a comma follows each item
+    doc = []
+    for head, text, records in zip(_DOC, (_node_text, _arrow_text,
+                                          _fragment_text),
+                                   (scene.nodes, scene.arrows, scene.inlines)):
+        doc.append(head + ('[\n    ' if records else '[]'))
+        for record in records:
+            doc += (text(record, strings), ',\n    ')
+        if records:
+            doc[-1] = '\n  ]'
+    doc.append(_DOC[3])
+    return ''.join(doc)
 
 
 def scene_to_dict(scene: Scene) -> dict:

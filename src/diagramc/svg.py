@@ -37,7 +37,7 @@ _FONT = "Georgia, 'Times New Roman', serif"
 
 _DASH = {'dashed': '4 2', 'dotted': '1 2'}
 
-_XML_DECL = '<?xml version="1.0" encoding="UTF-8"?>\n'
+_XML_DECL = '<?xml version="1.0" encoding="UTF-8"?>'
 
 Point = tuple[float, float]
 Format = Callable[[float], str]
@@ -76,19 +76,6 @@ def _escape(text: str) -> str:
     if '>' in text:
         text = text.replace('>', '&gt;')
     return text
-
-
-def _group(cls: str, children: list[str], pad: str, child_pad: str) -> str:
-    """One ``<g>`` at indent ``pad``, each child on its own line.
-
-    ``child_pad`` goes in front of every child; it is empty when the
-    children are groups that carry their own indentation.
-    """
-    if not children:
-        return '%s<g class="%s" />' % (pad, cls)
-    sep = '\n' + child_pad
-    return '%s<g class="%s">%s%s\n%s</g>' % (pad, cls, sep, sep.join(children),
-                                            pad)
 
 
 # Each element writer returns one element line, unindented; the group
@@ -138,13 +125,16 @@ def render_resolved(resolved: ResolvedScene, metrics: MetricsTable,
     # text (-0.0 and 0.0 both print 0, 1 and 1.0 both print 1)
     fmt = Memo(_fmt).__getitem__
     arrows = [_arrow(fmt, arrow, metrics, cfg) for arrow in resolved.arrows]
-    nodes = [_text(fmt, 'node', box.text_x, box.baseline_y, box.text,
-                   cfg.em_pt)
+    nodes = ['    ' + _text(fmt, 'node', box.text_x, box.baseline_y,
+                              box.text, cfg.em_pt)
              for box in resolved.boxes if box.text and not box.phantom]
-    return '%s%s\n%s\n%s\n</svg>\n' % (
-        _XML_DECL, _frame(fmt, _bounds(resolved)),
-        _group('arrows', arrows, '  ', ''),
-        _group('nodes', nodes, '  ', '    '))
+    # the lines of the whole document in one list, joined once
+    doc = [_XML_DECL, _frame(fmt, _bounds(resolved))]
+    for cls, children in (('arrows', arrows), ('nodes', nodes)):
+        doc += (['  <g class="%s">' % cls, *children, '  </g>'] if children
+                else ['  <g class="%s" />' % cls])
+    doc.append('</svg>\n')
+    return '\n'.join(doc)
 
 
 def _frame(fmt: Format,
@@ -254,7 +244,9 @@ def _arrow(fmt: Format, arrow: ResolvedArrow, metrics: MetricsTable,
         ascent = metrics.ascent * size / 1000.0
         baseline = label.y + label.height / 2.0 - ascent
         g.append(_text(fmt, 'label', label.x, baseline, label.text, size))
-    return _group('arrow', g, '    ', '      ')
+    if not g:
+        return '    <g class="arrow" />'
+    return '    <g class="arrow">\n      %s\n    </g>' % '\n      '.join(g)
 
 
 def _emit_shaft(fmt: Format, g: list[str], arrow: ResolvedArrow, shaft: str,

@@ -375,9 +375,9 @@ def test_numbered_outputs_collide_with_a_dotted_stem(tmp_path, capsys,
     writes = []
     real_write = cli._write
 
-    def recording(path, text):
+    def recording(path, *rest):
         writes.append(path)
-        real_write(path, text)
+        return real_write(path, *rest)
 
     monkeypatch.setattr(cli, '_write', recording)
     two = write(tmp_path, 'x.dxy', SQUARE + SQUARE)    # x.1.svg, x.2.svg
@@ -592,9 +592,9 @@ def _run_batch(root, batch, argv):
         current[0] = path
         return real_lower(path, *rest)
 
-    def writing(path, text):
+    def writing(path, *rest):
         writes.append((current[0], os.path.abspath(path)))
-        real_write(path, text)
+        return real_write(path, *rest)
 
     stderr = io.StringIO()
     with mock.patch.object(cli, '_lower_file', lowering), \
@@ -710,3 +710,176 @@ def test_a_failed_write_exits_2_and_names_the_output(tmp_path, capsys):
     assert err.startswith('%s: error: ' % (tmp_path / 'a.svg'))
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         'a.dxy', 'a.scene.json', 'a.svg']
+
+
+# ---- how outputs are written ---------------------------------------------
+
+TWO = SQUARE + '\\bfig\\morphism(0,0)<10,0>[XXXX`YYYY;f]\\efig\n'
+
+
+def temps(directory):
+    return sorted(p.name for p in directory.iterdir()
+                  if p.name.endswith('.tmp'))
+
+
+def failing_slices(error):
+    """cli._slices that gives one slice of a text, then raises ``error``."""
+    def slices(text):
+        yield text[:64].encode('utf-8')
+        raise error
+    return slices
+
+
+def test_a_write_that_fails_partway_keeps_the_old_file(tmp_path, capsys,
+                                                      monkeypatch):
+    source = write(tmp_path, 'a.dxy', SQUARE)
+    (tmp_path / 'a.svg').write_bytes(b'old svg')
+    monkeypatch.setattr(cli, '_slices', failing_slices(
+        OSError(28, 'No space left on device')))
+    assert main([str(source)]) == 2
+    assert capsys.readouterr().err == (
+        '%s: error: No space left on device\n' % (tmp_path / 'a.svg'))
+    assert (tmp_path / 'a.svg').read_bytes() == b'old svg'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ['a.dxy', 'a.svg']
+
+
+def test_a_layout_error_in_a_later_figure_writes_no_output(tmp_path, capsys):
+    source = write(tmp_path, 'two.dxy', TWO)
+    (tmp_path / 'two.1.svg').write_bytes(b'old')
+    assert main([str(source)]) == 1
+    assert 'NodesOverlap' in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ['two.1.svg',
+                                                          'two.dxy']
+    assert (tmp_path / 'two.1.svg').read_bytes() == b'old'
+
+
+@pytest.mark.parametrize('where', ['write', 'render'])
+def test_an_interrupt_leaves_no_temp(tmp_path, monkeypatch, where):
+    source = write(tmp_path, 'two.dxy', SQUARE + SQUARE)
+    if where == 'write':
+        monkeypatch.setattr(cli, '_slices', failing_slices(KeyboardInterrupt))
+    else:   # the second figure, once the first one's outputs are written
+        real_render = cli.render
+        renders = []
+
+        def render(*args):
+            renders.append(args)
+            if len(renders) == 2:
+                raise KeyboardInterrupt
+            return real_render(*args)
+
+        monkeypatch.setattr(cli, 'render', render)
+    with pytest.raises(KeyboardInterrupt):
+        main([str(source)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ['two.dxy']
+
+
+def test_each_output_is_written_before_the_next_is_made(tmp_path,
+                                                        monkeypatch):
+    source = write(tmp_path, 'two.dxy', SQUARE + SQUARE)
+    seen = []
+    for name in ('render', 'dump_scene'):
+        def making(*args, _real=getattr(cli, name)):
+            seen.append(temps(tmp_path))
+            return _real(*args)
+
+        monkeypatch.setattr(cli, name, making)
+    assert main([str(source)]) == 0
+    made = ['.two.%s.%d.tmp' % (name, os.getpid())
+            for name in ('1.svg', '1.scene.json', '2.svg')]
+    assert seen == [[], made[:1], sorted(made[:2]), sorted(made)]
+    assert temps(tmp_path) == []
+
+
+def test_a_temp_name_in_use_is_never_overwritten(tmp_path, capsys):
+    source = write(tmp_path, 'a.dxy', SQUARE)
+    taken = tmp_path / ('.a.svg.%d.tmp' % os.getpid())
+    taken.write_bytes(b'not ours')
+    assert main([str(source)]) == 2
+    assert capsys.readouterr().err.startswith(
+        '%s: error: File exists' % (tmp_path / 'a.svg'))
+    assert taken.read_bytes() == b'not ours'
+    assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name,
+                                                          'a.dxy']
+
+
+def test_a_rebuild_rewrites_only_what_changed(tmp_path):
+    # the inline arrow's label is not ASCII: its UTF-8 is longer than
+    # the text, and the size check must count bytes
+    source = write(tmp_path, 'multi.dxy', SQUARE + '\\to^{\u00e9}\n')
+    out = tmp_path / 'out'
+    assert main(['-o', str(out), str(source)]) == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert len(names) == 4
+    for path in out.iterdir():
+        os.utime(path, (1e9, 1e9))
+    before = {p.name: (p.stat().st_ino, p.read_bytes())
+              for p in out.iterdir()}
+    assert main(['-o', str(out), str(source)]) == 0
+    for path in out.iterdir():
+        assert path.stat().st_mtime == 1e9, path.name
+        assert (path.stat().st_ino, path.read_bytes()) == before[path.name]
+    # a changed file, of its own size or not, is written anew
+    svg = out / 'multi.2.svg'
+    svg.write_bytes(before['multi.2.svg'][1].replace(b'<g', b'<G', 1))
+    (out / 'multi.1.svg').write_bytes(b'short')
+    assert main(['-o', str(out), str(source)]) == 0
+    for path in out.iterdir():
+        assert path.read_bytes() == before[path.name][1]
+        changed = path.name in ('multi.1.svg', 'multi.2.svg')
+        assert (path.stat().st_mtime != 1e9) == changed, path.name
+    assert sorted(p.name for p in out.iterdir()) == names
+
+
+def test_an_output_that_is_a_link_is_replaced_not_followed(tmp_path):
+    source = write(tmp_path, 'a.dxy', SQUARE)
+    target = tmp_path / 'elsewhere.svg'
+    target.write_bytes(b'kept')
+    (tmp_path / 'a.svg').symlink_to(target)
+    assert main([str(source)]) == 0
+    assert not (tmp_path / 'a.svg').is_symlink()
+    assert (tmp_path / 'a.svg').read_text(encoding='utf-8').startswith(
+        '<?xml')
+    assert target.read_bytes() == b'kept'
+
+
+def test_new_outputs_take_their_mode_from_the_umask(tmp_path):
+    source = write(tmp_path, 'a.dxy', SQUARE)
+    old = os.umask(0o027)
+    try:
+        assert main([str(source)]) == 0
+    finally:
+        os.umask(old)
+    for name in ('a.svg', 'a.scene.json'):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o640
+
+
+def test_outputs_left_by_another_unit_count_are_named(tmp_path, capsys):
+    source = write(tmp_path, 'two.dxy', SQUARE + SQUARE)
+    assert main([str(source)]) == 0
+    source.write_text(SQUARE, encoding='utf-8')
+    assert main([str(source)]) == 0
+    assert capsys.readouterr().err == ''.join(
+        '%s: warning: stale output %s left in place\n'
+        % (source, tmp_path / name)
+        for name in ('two.1.scene.json', 'two.2.scene.json', 'two.1.svg',
+                     'two.2.svg'))
+    assert len(list(tmp_path.iterdir())) == 7     # nothing is deleted
+    # back to two figures: the plain names are left over, and only the
+    # format asked for is looked at
+    source.write_text(SQUARE + SQUARE, encoding='utf-8')
+    assert main(['--format', 'svg', str(source)]) == 0
+    assert capsys.readouterr().err == (
+        '%s: warning: stale output %s left in place\n'
+        % (source, tmp_path / 'two.svg'))
+
+
+def test_an_output_of_another_input_is_not_stale(tmp_path, capsys):
+    two = write(tmp_path, 'x.dxy', SQUARE + SQUARE)   # x.1.svg, x.2.svg
+    assert main(['--format', 'svg', str(two)]) == 0
+    write(tmp_path, 'x.dxy', SQUARE)                  # x.svg
+    dotted = write(tmp_path, 'x.1.dxy', SQUARE)       # x.1.svg
+    assert main(['--format', 'svg', str(two), str(dotted)]) == 0
+    assert capsys.readouterr().err == (
+        '%s: warning: stale output %s left in place\n'
+        % (two, tmp_path / 'x.2.svg'))

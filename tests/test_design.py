@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -243,6 +244,36 @@ def test_the_cli_calls_through_each_traced_entry_point(tmp_path,
         ('diagramc', 'parse_document'), ('parser', 'parse_document'),
         ('diagramc', 'dump_scene'), ('scenefile', 'dump_scene'),
         ('scenefile', 'scene_to_dict')}
+
+
+# ---- peak memory ---------------------------------------------------------------
+
+def test_the_cli_peak_stays_near_what_it_writes(tmp_path):
+    # each output goes to disk as soon as it is made, from one join of its
+    # lines, a slice at a time.  Measured on two figures of 2,000 arrows:
+    # the peak was 1.52x the bytes written, and 2.17x when every SVG of an
+    # input was held until the first write and each document was copied
+    # three times over; the bound is the first with 25% headroom.
+    lines = []
+    for _ in range(2):
+        lines.append('\\bfig')
+        lines += ['\\morphism(%d,%d)|a|/>/<600,0>[A_{%d}`B_{%d};f_{%d}]'
+                  % (i % 50 * 1500, i // 50 * 1000, i, i, i)
+                  for i in range(2000)]
+        lines.append('\\efig')
+    source = tmp_path / 'big.dxy'
+    source.write_text('\n'.join(lines) + '\n', encoding='utf-8')
+    out = tmp_path / 'out'
+    tracemalloc.start()
+    try:
+        assert cli.main(['-o', str(out), str(source)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = sum(path.stat().st_size for path in out.iterdir())
+    assert sorted(path.name for path in out.iterdir()) == [
+        'big.1.scene.json', 'big.1.svg', 'big.2.scene.json', 'big.2.svg']
+    assert peak <= 1.9 * written, peak / written
 
 
 # ---- memo lifetime -----------------------------------------------------------
