@@ -8,17 +8,17 @@ fault in the compiler (reported as ``InternalError``), never stops the
 files after it.  Inputs go through one at a time, in the order given.
 An input fails with an ``OutputCollision``, before it writes anything,
 when one of its outputs is an input or was written by an earlier input
-of the run, by name or as the same file through a link; the files after
-it still compile.  Outputs go to hidden temp files beside them, renamed
-into place once all of an input's are written, so no output is ever
-half-written; one that already holds the same bytes is left untouched.
-Outputs an earlier run made with another unit count are warned of, and
-left in place.
+of the run, by name or as the same file through a link; an output that
+is a directory fails it as early.  The files after it still compile.
+Outputs go to hidden temp files beside them, renamed into place once all
+of an input's are written, so no output is ever half-written; one that
+already holds the same bytes is left untouched.  Outputs an earlier run
+made with another unit count are warned of, and left in place.
 
 Exit status: 0 when everything compiled, 1 when any file failed with a
 diagnostic (a source that is not UTF-8 among them), 2 for invocation
-problems such as inputs that cannot be opened, a bad metrics table or
-colliding outputs.
+problems such as inputs that cannot be opened, a bad metrics table, an
+output directory that is a file, or colliding outputs.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import gc
 import os
 import sys
 from itertools import chain
+from stat import S_ISDIR
 
 from .errors import INTERNAL_ERROR, OUTPUT_COLLISION, DiagnosticError
 from .lowering import Lowerer
@@ -219,6 +220,9 @@ def _compile_file(path: str, units: list[Scene], args: argparse.Namespace,
                 path, source, out)
         elif ident in written:
             clash = '%s and %s both write %s' % (written[ident], path, out)
+        elif stat and S_ISDIR(stat.st_mode):   # no file can be renamed onto it
+            print('%s: error: Is a directory' % out, file=sys.stderr)
+            return 2
         else:
             continue
         print('diagramc: error: %s: %s' % (OUTPUT_COLLISION, clash),
@@ -268,6 +272,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.out_dir is not None:
             os.makedirs(args.out_dir, exist_ok=True)
     except (OSError, ValueError) as exc:
+        if isinstance(exc, FileExistsError):   # a file that is no directory
+            exc = '%s: Not a directory' % args.out_dir
         print('diagramc: error: %s' % exc, file=sys.stderr)
         return 2
     # the inputs by file identity, or by real path when there is no

@@ -159,16 +159,17 @@ def node_box(node: NodeInstance, metrics: MetricsTable,
 def _exit_param(box: NodeBox, px: float, py: float, dx: float,
                 dy: float) -> float:
     """Parameter t at which the ray (px, py) + t (dx, dy) leaves box."""
-    t = math.inf
+    # what min(min(inf, tx), ty) returns: the first of equal values
+    tx = ty = math.inf
     if dx > 0.0:
-        t = min(t, (box.max_x - px) / dx)
+        tx = (box.max_x - px) / dx
     elif dx < 0.0:
-        t = min(t, (box.min_x - px) / dx)
+        tx = (box.min_x - px) / dx
     if dy > 0.0:
-        t = min(t, (box.max_y - py) / dy)
+        ty = (box.max_y - py) / dy
     elif dy < 0.0:
-        t = min(t, (box.min_y - py) / dy)
-    return t
+        ty = (box.min_y - py) / dy
+    return ty if ty < tx else tx
 
 
 def _place_label(text: str, side: str, start: Point, end: Point,
@@ -199,27 +200,29 @@ def _offset(p: Point, nx: float, ny: float, amount: float) -> Point:
 def _resolve_segment(arrow: ArrowInstance, clips: dict[_ClipKey, NodeBox],
                      metrics: MetricsTable, cfg: RenderConfig
                      ) -> ResolvedArrow:
-    p0 = to_physical(arrow.src, cfg)
-    p1 = to_physical(arrow.dst, cfg)
-    dx = p1[0] - p0[0]
-    dy = p1[1] - p0[1]
+    src, dst, em = arrow.src, arrow.dst, cfg.em_pt
+    # to_physical of each end: its operations in its order
+    x0, y0 = src.x * UNIT_EM * em, src.y * UNIT_EM * em
+    x1, y1 = dst.x * UNIT_EM * em, dst.y * UNIT_EM * em
+    dx = x1 - x0
+    dy = y1 - y0
     t0, t1 = 0.0, 1.0
     if arrow.src_text is not None:
-        box = clips.get((arrow.src.x, arrow.src.y, arrow.src_text))
+        box = clips.get((src.x, src.y, arrow.src_text))
         if box is not None:
-            t0 = _exit_param(box, p0[0], p0[1], dx, dy)
+            t0 = _exit_param(box, x0, y0, dx, dy)
     if arrow.dst_text is not None:
-        box = clips.get((arrow.dst.x, arrow.dst.y, arrow.dst_text))
+        box = clips.get((dst.x, dst.y, arrow.dst_text))
         if box is not None:
-            t1 = 1.0 - _exit_param(box, p1[0], p1[1], -dx, -dy)
+            t1 = 1.0 - _exit_param(box, x1, y1, -dx, -dy)
     if t0 >= t1:
         raise DiagnosticError(
             NODES_OVERLAP,
             "the boxes around '%s' and '%s' overlap; no room is left for "
             'the arrow between them' % (arrow.src_text, arrow.dst_text),
             arrow.loc, arrow.constructor)
-    start = (p0[0] + t0 * dx, p0[1] + t0 * dy)
-    end = (p0[0] + t1 * dx, p0[1] + t1 * dy)
+    start = (x0 + t0 * dx, y0 + t0 * dy)
+    end = (x0 + t1 * dx, y0 + t1 * dy)
     shift = arrow.style.parallel_offset_pt
     if shift:
         length = math.hypot(dx, dy)
@@ -228,8 +231,8 @@ def _resolve_segment(arrow: ArrowInstance, clips: dict[_ClipKey, NodeBox],
         end = _offset(end, nx, ny, shift)
     labels = ()
     if arrow.label:
-        sdx, sdy = arrow.span()
-        side = resolve_label_side(arrow.label_rule, sdx, sdy)
+        side = resolve_label_side(arrow.label_rule, dst.x - src.x,
+                                  dst.y - src.y)
         if side != NO_SIDE:
             labels = (_place_label(arrow.label, side, start, end,
                                    metrics, cfg),)

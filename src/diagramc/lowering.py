@@ -251,10 +251,6 @@ class Lowerer:
 
     # ---- the single-arrow core ----------------------------------------
 
-    def _style(self, spec: str) -> ArrowStyle:
-        """The style of a spec as the source gives it, braces and all."""
-        return self._styles[strip_group(spec)]
-
     def _emit(self, fig: _FigureBuilder, src: LogicalPoint, dst: LogicalPoint,
               letter: str, spec: str, text_a: str, text_b: str, label: str,
               src_phantom: bool = False, dst_phantom: bool = False) -> None:
@@ -263,14 +259,15 @@ class Lowerer:
         b = strip_group(text_b)
         fig.node(src, a, phantom=src_phantom)
         fig.node(dst, b, phantom=dst_phantom)
-        style = self._style(spec)
+        style = self._styles[strip_group(spec)]
         rule = letter if letter in RULE_LETTERS else 'none'
         text = strip_group(label)
         if rule == 'none' or (rule == 'm' and self.metrics.text_advance(text) == 0):
             rule, text = 'none', ''
-        if style == _OMIT and not text:
+        # the shaft and the coordinates first: Record.__eq__ runs in Python
+        if style.shaft == 'invisible' and style == _OMIT and not text:
             return
-        if src == dst:
+        if src.x == dst.x and src.y == dst.y:
             raise DiagnosticError(DEGENERATE_ARROW, 'zero-length arrow')
         fig.arrows.append(ArrowInstance(src, dst, style, text, rule, a, b,
                                         **self._source))
@@ -278,8 +275,8 @@ class Lowerer:
     # ---- plain constructors -------------------------------------------
 
     def _vect(self, fig: _FigureBuilder, stmt: Statement) -> None:
-        style = self._style(stmt.specs[0])
-        if style == _OMIT:
+        style = self._styles[strip_group(stmt.specs[0])]
+        if style.shaft == 'invisible' and style == _OMIT:
             return
         dx, dy = stmt.spans
         if dx == 0 and dy == 0:

@@ -141,6 +141,8 @@ def strip_group(text: str) -> str:
 
 def split_fields(text: str, sep: str) -> list[str]:
     """Split on ``sep`` at brace depth zero, honoring backslash escapes."""
+    if '{' not in text and '}' not in text and '\\' not in text:
+        return text.split(sep)
     # blank out each escape, keeping offsets: a separator left then
     # splits where the braces before it balance
     plain = _ESCAPE_RE.sub('\0\0', text) if '\\' in text else text
@@ -208,10 +210,6 @@ class _Scanner:
         line = bisect_right(self._starts, pos)
         return SourceLoc(self.filename, line, pos - self._starts[line - 1] + 1)
 
-    @property
-    def more(self) -> bool:
-        return self.pos < len(self.text)
-
     def peek(self) -> str:
         return self.text[self.pos:self.pos + 1]
 
@@ -250,8 +248,10 @@ class _Scanner:
             ch = text[i]
             if depth == 0 and ch == closer:
                 self.pos = pos
-                parts.append(text[start:i])
-                return ''.join(parts)
+                if parts:   # a line break or a comment cut the text
+                    parts.append(text[start:i])
+                    return ''.join(parts)
+                return text[start:i]
             if ch == '{':
                 depth += 1
             elif ch == '}':
@@ -269,29 +269,29 @@ class _Scanner:
                 start = pos
 
     def opt_group(self, opener: str, closer: str, what: str) -> str | None:
-        self.skip_blank()
-        if self.peek() != opener:
+        text = self.text
+        self.pos = at = _BLANK_RE.match(text, self.pos).end()
+        if text[at:at + 1] != opener:
             return None
-        self.pos += 1
-        return self._group(self.pos - 1, closer, what)
+        self.pos = at + 1
+        return self._group(at, closer, what)
 
     def need_group(self, opener: str, closer: str, what: str) -> str:
-        self.skip_blank()
-        if self.peek() != opener:
+        raw = self.opt_group(opener, closer, what)
+        if raw is None:
             raise DiagnosticError(
                 PARSE_ERROR,
                 "expected '%s' opening the %s" % (opener, what), self.loc())
-        self.pos += 1
-        return self._group(self.pos - 1, closer, what)
+        return raw
 
     def take_token(self, what: str) -> str:
         """One undelimited argument: a group, a control word, or a char."""
         self.skip_blank()
-        if not self.more:
+        ch = self.peek()
+        if not ch:
             raise DiagnosticError(
                 PARSE_ERROR, 'expected %s, found end of input' % what,
                 self.loc())
-        ch = self.peek()
         if ch == '{':
             self.pos += 1
             return self._group(self.pos - 1, '}', what)
@@ -301,7 +301,7 @@ class _Scanner:
         start = self.pos
         self.pos += 1
         if ch == '\\':
-            if not self.more:
+            if not self.peek():
                 raise DiagnosticError(
                     PARSE_ERROR, 'expected %s after backslash' % what,
                     self.loc())
@@ -338,9 +338,6 @@ _INLINE_PRESETS = {
     'epileft': ('<<-',),
 }
 
-_ANCHOR_LETTERS = frozenset('lrud')
-
-
 class _Parser:
     def __init__(self, text: str, filename: str):
         self.scan = _Scanner(text, filename)
@@ -349,7 +346,7 @@ class _Parser:
         statements = []
         while True:
             self.scan.skip_blank()
-            if not self.scan.more:
+            if not self.scan.peek():
                 return statements
             statements.append(self._statement())
 
@@ -367,20 +364,17 @@ class _Parser:
                 UNKNOWN_CONSTRUCTOR,
                 "control symbol '\\%s' is not a constructor"
                 % self.scan.peek(), loc)
-        try:
-            return self._dispatch(keyword, loc)
-        except DiagnosticError as err:
-            raise err.with_context(loc, keyword) from None
-
-    def _dispatch(self, keyword: str, loc: SourceLoc) -> Statement:
         if keyword not in _KEYWORDS:
             raise DiagnosticError(
                 UNKNOWN_CONSTRUCTOR,
-                '\\%s is not a diagram constructor' % keyword, loc)
+                '\\%s is not a diagram constructor' % keyword, loc, keyword)
         constructor, kind, how = _KEYWORDS[keyword]
-        if isinstance(how, _Plan):
-            return self._shape(constructor, kind, how, loc)
-        return how(self, constructor, kind, loc)
+        try:
+            if isinstance(how, _Plan):
+                return self._shape(constructor, kind, how, loc)
+            return how(self, constructor, kind, loc)
+        except DiagnosticError as err:
+            raise err.with_context(loc, keyword) from None
 
     # ---- shared argument groups -------------------------------------
 
@@ -470,6 +464,8 @@ class _Parser:
         return tuple(nodes), tuple(labels)
 
     def _int(self, text: str, what: str) -> int:
+        if len(text) <= MAX_DIGITS and text.isascii() and text.isdigit():
+            return int(text)
         cleaned = strip_group(text).strip()
         if not _INT_RE.match(cleaned):
             raise DiagnosticError(
@@ -567,16 +563,13 @@ class _Parser:
 
     def _anchor(self, raw: str) -> str:
         letters = ''.join(raw.split())
-        if letters == '':
-            return 'center'
-        if (len(letters) <= 2 and set(letters) <= _ANCHOR_LETTERS
-                and len(set(letters) & {'l', 'r'}) <= 1
-                and len(set(letters) & {'u', 'd'}) <= 1
-                and len(set(letters)) == len(letters)):
-            # canonical order puts the horizontal letter first
-            horizontal = ''.join(c for c in letters if c in 'lr')
-            vertical = ''.join(c for c in letters if c in 'ud')
-            return horizontal + vertical
+        # at most one of l and r, one of u and d, and nothing else; the
+        # canonical order puts the horizontal letter first
+        horizontal = ''.join(c for c in letters if c in 'lr')
+        vertical = ''.join(c for c in letters if c in 'ud')
+        if (len(horizontal) <= 1 and len(vertical) <= 1
+                and len(horizontal) + len(vertical) == len(letters)):
+            return horizontal + vertical or 'center'
         raise DiagnosticError(
             PARSE_ERROR, 'bad anchor %r' % raw, self.scan.loc())
 

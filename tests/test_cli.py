@@ -68,6 +68,17 @@ def test_out_dir_is_created(tmp_path):
     assert (out / 'dia.svg').exists()
 
 
+def test_an_out_dir_that_is_a_file_exits_2_and_writes_nothing(tmp_path,
+                                                              capsys):
+    source = write(tmp_path, 'dia.dxy', SQUARE)
+    out = write(tmp_path, 'outf', 'kept')
+    assert main(['-o', str(out), str(source)]) == 2
+    assert capsys.readouterr().err == (
+        'diagramc: error: %s: Not a directory\n' % out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ['dia.dxy', 'outf']
+    assert out.read_text(encoding='utf-8') == 'kept'
+
+
 def test_outputs_use_lf_and_end_with_newline(tmp_path):
     source = write(tmp_path, 'dia.dxy', SQUARE)
     assert main([str(source)]) == 0
@@ -703,13 +714,22 @@ def test_bad_literals_are_named_diagnostics(tmp_path, capsys, body, message):
 
 
 def test_a_failed_write_exits_2_and_names_the_output(tmp_path, capsys):
+    # an output that is a directory, or a link to one, fails its input
+    # before anything is written: no output of it is new
     source = write(tmp_path, 'a.dxy', SQUARE)
     (tmp_path / 'a.svg').mkdir()
     assert main([str(source)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith('%s: error: ' % (tmp_path / 'a.svg'))
+    assert capsys.readouterr().err == (
+        '%s: error: Is a directory\n' % (tmp_path / 'a.svg'))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ['a.dxy', 'a.svg']
+    source = write(tmp_path, 'b.dxy', SQUARE)
+    (tmp_path / 'b.svg').symlink_to('a.svg')
+    assert main([str(source)]) == 2
+    assert capsys.readouterr().err == (
+        '%s: error: Is a directory\n' % (tmp_path / 'b.svg'))
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        'a.dxy', 'a.scene.json', 'a.svg']
+        'a.dxy', 'a.svg', 'b.dxy', 'b.svg']
+    assert list((tmp_path / 'a.svg').iterdir()) == []
 
 
 # ---- how outputs are written ---------------------------------------------

@@ -137,6 +137,26 @@ def test_every_figure_keyword_lowers_through_one_table():
                 constructor in lowering.Lowerer._HANDLERS) == 1, keyword
 
 
+def test_lowering_shapes_compares_no_records(monkeypatch):
+    # Record.__eq__ runs in Python: the per-arrow path tests the spec's
+    # shaft and the end coordinates instead
+    statements = parser.parse_document(
+        '\\bfig\\square/>`-->`->>`=>/[A`B`C`D;f`g`h`k]'
+        '\\square(500,0)[B`E`D`F;p`q`r`s]'
+        + ''.join('\\%striangle(%d,1000)[A`B`C;f`g`h]' % (kind, 1000 * n)
+                  for n, kind in enumerate('pqdbAVCD'))
+        + '\\iiixiii(0,3000){4095}[A`B`C`D`E`F`G`H`I;a`b`c`d`e`f`g`h`i`j`k`l]'
+        '\\iiixii(0,5000){15}[A`B`C`D`E`F;a`b`c`d`e`f`g]\\efig')
+    calls = []
+    equal = model.Record.__eq__
+    monkeypatch.setattr(model.Record, '__eq__', lambda self, other: (
+        calls.append(type(self).__name__) or equal(self, other)))
+    scene, = lowering.lower_document(statements)
+    monkeypatch.undo()
+    assert len(scene.arrows) == 4 + 4 + 8 * 3 + 12 + 12 + 7 + 4
+    assert calls == []
+
+
 def test_every_keyword_prints_back():
     assert len(parser._KEYWORD_OF) == len(parser._KEYWORDS)
     for keyword, (constructor, kind, _) in parser._KEYWORDS.items():

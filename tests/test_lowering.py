@@ -127,6 +127,27 @@ def test_invisible_spec_with_label_keeps_arrow():
     assert scene.arrows[0].label == 'f'
 
 
+@pytest.mark.parametrize('body, arrows', [
+    # an invisible shaft drops the arrow only with no label, mark or
+    # offset (the two tests above hold the labelled and the bare spec)
+    ('\\morphism/@{}@<2pt>/[A`B;]', 1),
+    ('\\morphism/@{}|-*@{|}/[A`B;]', 1),
+    ('\\vect(0,0)/@{}@<2pt>/<1,1>', 1),
+    # an arrow is degenerate only when both coordinates meet, and a
+    # dropped one never is
+    ('\\morphism<0,500>[A`B;f]', 1),
+    ('\\morphism/{}/<0,0>[A`B;]', 0),
+    ('\\morphism/{}/<0,0>[A`B;f]', 'DegenerateArrow'),
+    ('\\square<0,0>[A`B`C`D;f`g`h`k]', 'DegenerateArrow'),
+])
+def test_arrows_dropped_and_degenerate(body, arrows):
+    try:
+        got = len(lower_figure(body).arrows)
+    except DiagnosticError as err:
+        got = err.code
+    assert got == arrows
+
+
 def test_unknown_placement_letter_drops_label():
     scene = lower_figure('\\morphism|x|[A`B;f]')
     assert (scene.arrows[0].label, scene.arrows[0].label_rule) == ('', 'none')

@@ -3,7 +3,7 @@
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diagramc import compile_source, parser
 from diagramc.errors import (
@@ -405,6 +405,33 @@ def test_non_integer_coordinate():
     assert 'integer' in info.value.message
 
 
+# what the general reader gives each text, the digit runs read by int()
+# among them: a value, or the code, message and location of its error
+@pytest.mark.parametrize('text, expected', [
+    ('0', 0),
+    ('000000007', 7),
+    ('999999999', 999999999),
+    ('1000000000', ('ParseError', 'span has 10 digits; at most 9 are allowed',
+                    'src.dxy:2:4')),
+    ('+5', 5),
+    ('-0', 0),
+    (' 5', 5),
+    ('{5}', 5),
+    ('\u0663', ('ParseError', "span must be an integer, got '\u0663'",
+                'src.dxy:2:4')),
+    ('\u00b2', ('ParseError', "span must be an integer, got '\u00b2'",
+                'src.dxy:2:4')),
+])
+def test_integer_reader_matches_the_general_reader(text, expected):
+    reader = parser._Parser('\\vect(0,0)\n/>/<', 'src.dxy')
+    reader.scan.pos = 14
+    try:
+        got = reader._int(text, 'span')
+    except DiagnosticError as err:
+        got = (err.code, err.message, str(err.loc))
+    assert got == expected
+
+
 def test_error_location_and_context():
     source = '\\bfig\n  \\square[A`B`C;f`g`h`k]\n\\efig\n'
     with pytest.raises(DiagnosticError) as info:
@@ -775,6 +802,16 @@ SOURCES = st.one_of(
 
 @given(GROUP_TEXT, st.sampled_from(',;`'))
 def test_split_fields_matches_reference(text, sep):
+    assert split_fields(text, sep) == reference_split_fields(text, sep)
+
+
+# the texts split_fields hands to str.split
+@given(st.text(alphabet='[]()<>|/`;,%\n\r\t a\u00e9', max_size=24),
+       st.sampled_from(',;`'))
+@example('', ',')
+@example(',', ',')
+@example('a,,b,', ',')
+def test_split_fields_without_braces_or_escapes_matches_reference(text, sep):
     assert split_fields(text, sep) == reference_split_fields(text, sep)
 
 
