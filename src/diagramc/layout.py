@@ -37,16 +37,8 @@ class NodeBox(Record):
     def __init__(self, min_x: float, min_y: float, max_x: float, max_y: float,
                  text_x: float, baseline_y: float, text: str,
                  phantom: bool = False) -> None:
-        (set_min_x, set_min_y, set_max_x, set_max_y, set_text_x,
-         set_baseline_y, set_text, set_phantom) = self._setters
-        set_min_x(self, min_x)
-        set_min_y(self, min_y)
-        set_max_x(self, max_x)
-        set_max_y(self, max_y)
-        set_text_x(self, text_x)
-        set_baseline_y(self, baseline_y)
-        set_text(self, text)
-        set_phantom(self, phantom)
+        self._fill(min_x, min_y, max_x, max_y, text_x, baseline_y, text,
+                   phantom)
 
 
 class Label(Record):
@@ -60,15 +52,7 @@ class Label(Record):
                  width: float, height: float,
                  backing: tuple[float, float, float, float] | None = None
                  ) -> None:
-        (set_x, set_y, set_text, set_side, set_width, set_height,
-         set_backing) = self._setters
-        set_x(self, x)
-        set_y(self, y)
-        set_text(self, text)
-        set_side(self, side)
-        set_width(self, width)
-        set_height(self, height)
-        set_backing(self, backing)
+        self._fill(x, y, text, side, width, height, backing)
 
 
 class ResolvedArrow(Record):
@@ -79,14 +63,7 @@ class ResolvedArrow(Record):
                  labels: tuple[Label, ...] = (),
                  controls: tuple[Point, Point] | None = None,
                  tip_scale: float = 1.0) -> None:
-        (set_start, set_end, set_style, set_labels, set_controls,
-         set_tip_scale) = self._setters
-        set_start(self, start)
-        set_end(self, end)
-        set_style(self, style)
-        set_labels(self, labels)
-        set_controls(self, controls)
-        set_tip_scale(self, tip_scale)
+        self._fill(start, end, style, labels, controls, tip_scale)
 
     @property
     def is_loop(self) -> bool:

@@ -333,11 +333,11 @@ class Lowerer:
         ``slots`` its slot for each walk slot, None dropping that edge;
         both default to the identity.
         """
-        bits = walk.mask_bits
-        if not 0 <= stmt.mask < 1 << bits:
+        # nothing may be left above the walk's bits; a negative mask leaves -1
+        if stmt.mask and stmt.mask >> walk.mask_bits:
             raise DiagnosticError(
-                MASK_OUT_OF_RANGE,
-                'grid mask %d does not fit in %d bits' % (stmt.mask, bits))
+                MASK_OUT_OF_RANGE, 'grid mask %d does not fit in %d bits'
+                % (stmt.mask, walk.mask_bits))
         texts = stmt.nodes if nodes is None else [stmt.nodes[i] for i in nodes]
         at = walk.at(origin, dx, dy)
         p, s, l = stmt.placements, stmt.specs, stmt.labels

@@ -41,19 +41,24 @@ class Record:
 
     Equality, hashing and ``repr`` read the fields named in ``_values``;
     a slot left out of them (a source location) is never compared.  No
-    attribute can be set, so ``__init__`` writes each slot through its
-    setter in ``_setters``: a hot record calls each one itself, a cold one
-    passes every slot, in order as copies need, to ``_fill``."""
+    attribute can be set, so each class gets its own ``_fill(self, <its
+    slots in order>)``, compiled when the class is made, as
+    ``collections.namedtuple`` compiles its ``__new__``: it writes each
+    slot through its member descriptor's ``__set__``, and every
+    ``__init__`` ends in one call to it."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls._key = attrgetter(*cls._values)
-        cls._setters = tuple(getattr(cls, n).__set__ for n in cls.__slots__)
-
-    def _fill(self, *values: object) -> None:
-        for put, value in zip(self._setters, values):
-            put(self, value)
+        names = cls.__slots__
+        setters = {'_set_' + n: getattr(cls, n).__set__ for n in names}
+        source = 'def _fill(self, %s):\n%s' % (', '.join(names), ''.join(
+            '    _set_%s(self, %s)\n' % (n, n) for n in names))
+        # its own file name keeps each class's filler apart in a profile
+        exec(compile(source, '<%s._fill>' % cls.__qualname__, 'exec'),
+             setters)
+        cls._fill = setters['_fill']
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -80,9 +85,7 @@ class LogicalPoint(Record):
     __slots__ = _values = ('x', 'y')
 
     def __init__(self, x: int, y: int) -> None:
-        set_x, set_y = self._setters
-        set_x(self, x)
-        set_y(self, y)
+        self._fill(x, y)
 
     def shifted(self, dx: int, dy: int) -> "LogicalPoint":
         return LogicalPoint(self.x + dx, self.y + dy)
@@ -135,11 +138,7 @@ class NodeInstance(Record):
 
     def __init__(self, pos: LogicalPoint, text: str, anchor: str = "center",
                  phantom: bool = False) -> None:
-        set_pos, set_text, set_anchor, set_phantom = self._setters
-        set_pos(self, pos)
-        set_text(self, text)
-        set_anchor(self, anchor)
-        set_phantom(self, phantom)
+        self._fill(pos, text, anchor, phantom)
 
 
 LEFT = "left"
@@ -183,20 +182,8 @@ class ArrowInstance(Record):
                  src_text: str | None = None, dst_text: str | None = None,
                  loop_out: str | None = None, loop_in: str | None = None,
                  loc: object = None, constructor: str | None = None) -> None:
-        (set_src, set_dst, set_style, set_label, set_label_rule, set_src_text,
-         set_dst_text, set_loop_out, set_loop_in, set_loc,
-         set_constructor) = self._setters
-        set_src(self, src)
-        set_dst(self, dst)
-        set_style(self, style)
-        set_label(self, label)
-        set_label_rule(self, label_rule)
-        set_src_text(self, src_text)
-        set_dst_text(self, dst_text)
-        set_loop_out(self, loop_out)
-        set_loop_in(self, loop_in)
-        set_loc(self, loc)
-        set_constructor(self, constructor)
+        self._fill(src, dst, style, label, label_rule, src_text, dst_text,
+                   loop_out, loop_in, loc, constructor)
 
     @property
     def is_loop(self) -> bool:

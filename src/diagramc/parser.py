@@ -186,15 +186,17 @@ def _one_break(text: str) -> str:
 class _Scanner:
     """Offset cursor with group scanning.
 
-    Only the offset moves as text is read.  The offsets at which lines
-    start are listed once per source, and a location asked for is found
-    by bisecting that list, for the offset now or any other.
+    Only the offset moves as text is read, and ``opened`` keeps the
+    offset of the last group's opener, where errors about its contents
+    point.  The offsets at which lines start are listed once per source,
+    and a location asked for is found by bisecting that list, for the
+    offset now or any other.
     """
 
     def __init__(self, text: str, filename: str):
         self.text = _one_break(text)
         self.filename = filename
-        self.pos = 0
+        self.pos = self.opened = 0
         self._starts = [0] + [m.end() for m in re.finditer('\n', self.text)]
         # no emitter can write these: XML 1.0 forbids them outright
         bad = _CONTROL_RE.search(self.text)
@@ -232,6 +234,7 @@ class _Scanner:
 
     def _group(self, opened: int, closer: str, what: str) -> str:
         """The text of the group opened at offset ``opened``."""
+        self.opened = opened
         text = self.text
         search = _GROUP_STOPS.search
         parts: list[str] = []
@@ -382,33 +385,30 @@ class _Parser:
     # only when it fails: most checks pass, and a location costs a bisect
     # and a SourceLoc.
 
-    def _fields(self, raw: str, sep: str, count: int, what: str,
-                at: int) -> list[str]:
-        """``raw`` split on ``sep``; anything but ``count`` fields is an
-        error at offset ``at``."""
+    def _fields(self, raw: str, sep: str, count: int, what: str) -> list[str]:
+        """``raw``, the last group read, split on ``sep``; anything but
+        ``count`` fields is an error at the group's opener."""
         parts = split_fields(raw, sep)
         if len(parts) != count:
             raise DiagnosticError(
                 ARITY_ERROR,
                 'expected %d %s, got %d' % (count, what, len(parts)),
-                self.scan.loc(at))
+                self.scan.loc(self.scan.opened))
         return parts
 
-    def _check_digits(self, digits: str, what: str,
-                      at: int | None = None) -> None:
+    def _check_digits(self, digits: str, what: str, at: int) -> None:
         if len(digits) > MAX_DIGITS:
             raise DiagnosticError(
                 PARSE_ERROR, '%s has %d digits; at most %d are allowed'
                 % (what, len(digits), MAX_DIGITS), self.scan.loc(at))
 
     def _raw_pair(self, what: str) -> tuple[str, str]:
-        at = self.scan.pos
         raw = self.scan.need_group('(', ')', what)
         parts = split_fields(raw, ',')
         if len(parts) != 2:
             raise DiagnosticError(
                 ARITY_ERROR, '%s needs 2 components, got %d'
-                % (what, len(parts)), self.scan.loc(at))
+                % (what, len(parts)), self.scan.loc(self.scan.opened))
         return parts[0], parts[1]
 
     def _pair(self, what: str = 'coordinate pair') -> tuple[int, int]:
@@ -428,9 +428,9 @@ class _Parser:
         letters = ''.join(raw.split())
         if len(letters) != len(default):
             raise DiagnosticError(
-                ARITY_ERROR,
-                'expected %d placement letters, got %d'
-                % (len(default), len(letters)), self.scan.loc())
+                ARITY_ERROR, 'expected %d placement letters, got %d'
+                % (len(default), len(letters)),
+                self.scan.loc(self.scan.opened))
         return letters
 
     def _opt_specs(self, count: int) -> tuple[str, ...]:
@@ -439,31 +439,29 @@ class _Parser:
             return ('>',) * count
         if count == 1:
             return (raw,)
-        return tuple(self._fields(raw, '`', count, 'arrow specs',
-                                  self.scan.pos))
+        return tuple(self._fields(raw, '`', count, 'arrow specs'))
 
     def _opt_spans(self, defaults: tuple[int, ...]) -> tuple[int, ...]:
-        at = self.scan.pos
         raw = self.scan.opt_group('<', '>', 'span list')
         if raw is None:
             return defaults
-        parts = self._fields(raw, ',', len(defaults), 'span entries', at)
+        parts = self._fields(raw, ',', len(defaults), 'span entries')
         return tuple(self._int(p, 'span') for p in parts)
 
     def _payload(self, n_nodes: int, n_labels: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        at = self.scan.pos
         raw = self.scan.need_group('[', ']', 'node and label list')
         # labels run from the first ';' on, later ones included
         head, *tail = split_fields(raw, ';')
         if not tail:
             raise DiagnosticError(
                 PARSE_ERROR, "expected ';' separating nodes from labels",
-                self.scan.loc(at))
-        nodes = self._fields(head, '`', n_nodes, 'nodes', at)
-        labels = self._fields(';'.join(tail), '`', n_labels, 'labels', at)
+                self.scan.loc(self.scan.opened))
+        nodes = self._fields(head, '`', n_nodes, 'nodes')
+        labels = self._fields(';'.join(tail), '`', n_labels, 'labels')
         return tuple(nodes), tuple(labels)
 
     def _int(self, text: str, what: str) -> int:
+        """``text``, a field of the last group read, as an integer."""
         if len(text) <= MAX_DIGITS and text.isascii() and text.isdigit():
             return int(text)
         cleaned = strip_group(text).strip()
@@ -471,8 +469,8 @@ class _Parser:
             raise DiagnosticError(
                 PARSE_ERROR,
                 '%s must be an integer, got %r' % (what, text.strip()),
-                self.scan.loc())
-        self._check_digits(cleaned.lstrip('+-'), what)
+                self.scan.loc(self.scan.opened))
+        self._check_digits(cleaned.lstrip('+-'), what, self.scan.opened)
         return int(cleaned)
 
     def _opt_prefixed(self, prefix: str, what: str) -> str:
@@ -501,9 +499,8 @@ class _Parser:
     def _vect(self, constructor: str, kind: str, loc: SourceLoc) -> Statement:
         origin = LogicalPoint(*self._pair())
         spec = self.scan.need_group('/', '/', 'arrow spec')
-        at = self.scan.pos
         raw = self.scan.need_group('<', '>', 'span pair')
-        parts = self._fields(raw, ',', 2, 'span entries', at)
+        parts = self._fields(raw, ',', 2, 'span entries')
         spans = tuple(self._int(p, 'span') for p in parts)
         return Statement(constructor, origin=origin, specs=(spec,),
                          spans=spans, loc=loc)
@@ -520,9 +517,8 @@ class _Parser:
         inner = self._shape(SQUARE, '', _SQUARE_PLAN, loc, origin=(500, 500))
         placements = self._opt_placements('mmmm')
         specs = self._opt_specs(4)
-        at = self.scan.pos
         raw = self.scan.need_group('[', ']', 'connector label list')
-        labels = self._fields(raw, '`', 4, 'connector labels', at)
+        labels = self._fields(raw, '`', 4, 'connector labels')
         connector = Statement(CONNECTOR, placements=placements, specs=specs,
                               labels=tuple(labels), loc=loc)
         return Statement(constructor, kind, outer.origin, outer.placements,
@@ -570,8 +566,8 @@ class _Parser:
         if (len(horizontal) <= 1 and len(vertical) <= 1
                 and len(horizontal) + len(vertical) == len(letters)):
             return horizontal + vertical or 'center'
-        raise DiagnosticError(
-            PARSE_ERROR, 'bad anchor %r' % raw, self.scan.loc())
+        raise DiagnosticError(PARSE_ERROR, 'bad anchor %r' % raw,
+                              self.scan.loc(self.scan.opened))
 
     def _node(self, constructor: str, kind: str, loc: SourceLoc) -> Statement:
         name = self.scan.take_token('node name')

@@ -282,9 +282,12 @@ def test_margin_flag_reaches_clipping(tmp_path):
 
 def test_module_entry_point(tmp_path):
     source = write(tmp_path, 'dia.dxy', SQUARE)
+    # the child runs the package under test, installed or not
+    package_root = pathlib.Path(cli.__file__).parent.parent
     result = subprocess.run(
         [sys.executable, '-m', 'diagramc', str(source)],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(package_root)))
     assert result.returncode == 0
     assert (tmp_path / 'dia.svg').exists()
 

@@ -3,10 +3,12 @@
 import ast
 import copy
 import gc
+import inspect
 import os
 import random
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 import types
 from pathlib import Path
@@ -74,6 +76,44 @@ def test_memo_is_the_only_class_that_fills_missing_keys():
                     and item.name == '__missing__' for item in node.body):
                 found.add((name, node.name))
     assert found == {('model', 'Memo')}
+
+
+def record_classes():
+    """Every ``model.Record`` subclass the package defines."""
+    found, todo = [], [model.Record]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        found += subclasses
+        todo += subclasses
+    return sorted((cls for cls in found
+                   if cls.__module__.startswith('diagramc.')),
+                  key=lambda cls: (cls.__module__, cls.__qualname__))
+
+
+@pytest.mark.parametrize('cls', record_classes(),
+                         ids=lambda cls: cls.__qualname__)
+def test_every_record_fills_its_slots_through_one_filler(cls):
+    # one way to build a record: __init__ ends in self._fill(<its slots>)
+    params = inspect.signature(cls._fill).parameters.values()
+    assert [p.name for p in params] == ['self', *cls.__slots__]
+    assert {p.kind for p in params} == {
+        inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    init, = ast.parse(textwrap.dedent(inspect.getsource(cls.__init__))).body
+    calls = [node for node in ast.walk(init) if isinstance(node, ast.Call)
+             and getattr(node.func, 'attr', None) == '_fill']
+    last = init.body[-1]
+    assert len(calls) == 1
+    assert isinstance(last, ast.Expr) and last.value is calls[0]
+
+
+def test_only_the_record_base_names_the_slot_setters():
+    for name in set(STAGE) - {'model'}:
+        tree = ast.parse((PACKAGE / (name + '.py')).read_text(encoding='utf-8'))
+        for node in ast.walk(tree):
+            named = (node.id if isinstance(node, ast.Name) else
+                     node.attr if isinstance(node, ast.Attribute) else
+                     node.value if isinstance(node, ast.Constant) else None)
+            assert named not in ('_setters', '__set__'), (name, node.lineno)
 
 
 def test_the_package_stays_within_its_line_budget():

@@ -21,7 +21,7 @@ from diagramc.model import (
     LogicalPoint,
     resolve_label_side,
 )
-from diagramc.parser import parse_document
+from diagramc.parser import Statement, parse_document
 
 
 def lower(source):
@@ -556,6 +556,18 @@ def test_grid_mask_out_of_range():
         lower_figure('\\iiixii(0,0){16}' + GRID_PAYLOAD_3X2)
     assert info.value.code == 'MaskOutOfRange'
     assert info.value.constructor == 'iiixii'
+
+    # no source writes a negative mask, but a statement built by hand can
+    begin, grid, end = parse_document(
+        '\\bfig\n\\iiixii(0,0){5}%s\n\\efig' % GRID_PAYLOAD_3X2)
+    negative = Statement(grid.constructor, grid.kind, grid.origin,
+                         grid.placements, grid.specs, grid.spans, grid.nodes,
+                         grid.labels, -1, grid.border, loc=grid.loc)
+    with pytest.raises(DiagnosticError) as info:
+        lower_document([begin, negative, end])
+    assert info.value.code == 'MaskOutOfRange'
+    assert info.value.message == 'grid mask -1 does not fit in 4 bits'
+    assert lower_document([begin, grid, end])   # the same grid, mask 5
 
 
 # ---- named nodes ----------------------------------------------------------

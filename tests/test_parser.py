@@ -423,8 +423,9 @@ def test_non_integer_coordinate():
                 'src.dxy:2:4')),
 ])
 def test_integer_reader_matches_the_general_reader(text, expected):
+    # an integer's errors point at the opener of its group, the '<'
     reader = parser._Parser('\\vect(0,0)\n/>/<', 'src.dxy')
-    reader.scan.pos = 14
+    reader.scan.opened = 14
     try:
         got = reader._int(text, 'span')
     except DiagnosticError as err:
@@ -443,6 +444,47 @@ def test_error_location_and_context():
     assert (err.loc.line, err.loc.col) == (2, 10)
     assert err.format().startswith('dia.dxy:2:10: error: ArityError:')
     assert err.format().endswith('[in \\square]')
+
+
+# One case per error about a group's contents.  Each group runs over a
+# line break, and the error points at its opener, not past its closer.
+@pytest.mark.parametrize('source, code, message, where', [
+    ('\\morphism(0,0)<1x,\n  0>[A`B;f]',
+     'ParseError', "span must be an integer, got '1x'", '1:15'),
+    ('\\morphism<1234567890,\n0>[A`B;f]',
+     'ParseError', 'span has 10 digits; at most 9 are allowed', '1:10'),
+    ('\\morphism(1x,\n 0)[A`B;f]',
+     'ParseError', "coordinate pair must be an integer, got '1x'", '1:10'),
+    ('\\morphism\n  (1,2,\n 3)[A`B;f]', 'ArityError',
+     'coordinate pair needs 2 components, got 3', '2:3'),
+    ('\\morphism <1,\n2,3>[A`B;f]',
+     'ArityError', 'expected 2 span entries, got 3', '1:11'),
+    ('\\square|al\n|[A`B`C`D;f`g`h`k]',
+     'ArityError', 'expected 4 placement letters, got 2', '1:8'),
+    ('\\square/>`>\n/[A`B`C`D;f`g`h`k]',
+     'ArityError', 'expected 4 arrow specs, got 2', '1:8'),
+    ('\\morphism [A`B\n f]', 'ParseError',
+     "expected ';' separating nodes from labels", '1:11'),
+    ('\\morphism [A`B`C;\nf]',
+     'ArityError', 'expected 2 nodes, got 3', '1:11'),
+    ('\\morphism [A`B;f`\ng]',
+     'ArityError', 'expected 1 labels, got 2', '1:11'),
+    ('\\place[q\n](0,0)[X]', 'ParseError', "bad anchor 'q '", '1:7'),
+    ('\\vect(0,0)/>/<1,\n2x>',
+     'ParseError', "span must be an integer, got '2x'", '1:14'),
+    ('\\iiixiii(0,0){1}<4,\n0,0>' + GRID_PAYLOAD_3X3,
+     'ArityError', 'expected 2 span entries, got 3', '1:17'),
+    ('\\Loop(0,0){A}(a,\nb,c)',
+     'ArityError', 'direction pair needs 2 components, got 3', '1:14'),
+    ('\\cube[A`B`C`D;f`g`h`k][a`b`c`d;p`q`r`s][x`y\n`z]',
+     'ArityError', 'expected 4 connector labels, got 3', '1:40'),
+])
+def test_errors_about_a_group_point_at_its_opener(source, code, message,
+                                                  where):
+    with pytest.raises(DiagnosticError) as info:
+        parse_document(source, 'a.dxy')
+    assert (info.value.code, info.value.message) == (code, message)
+    assert str(info.value.loc) == 'a.dxy:' + where
 
 
 # ---- printing --------------------------------------------------------
@@ -603,12 +645,13 @@ def reference_split_fields(text, sep):
 
 
 class ReferenceScanner:
-    """Character cursor with line/column bumped on every step."""
+    """Character cursor with line/column bumped on every step; ``opened``
+    is the offset of the last group's opener, as in the scanner."""
 
     def __init__(self, text, filename):
         self.text = text.replace('\r\n', '\n').replace('\r', '\n')
         self.filename = filename
-        self.pos = 0
+        self.pos = self.opened = 0
         self.line = 1
         self.col = 1
         bad = parser._CONTROL_RE.search(self.text)
@@ -708,6 +751,7 @@ class ReferenceScanner:
         if self.peek() != opener:
             return None
         opened_at = self.loc()
+        self.opened = self.pos
         self.take()
         return self.scan_group(closer, what, opened_at)
 
@@ -718,6 +762,7 @@ class ReferenceScanner:
                 PARSE_ERROR,
                 "expected '%s' opening the %s" % (opener, what), self.loc())
         opened_at = self.loc()
+        self.opened = self.pos
         self.take()
         return self.scan_group(closer, what, opened_at)
 
@@ -730,6 +775,7 @@ class ReferenceScanner:
         ch = self.peek()
         if ch == '{':
             opened_at = self.loc()
+            self.opened = self.pos
             self.take()
             return self.scan_group('}', what, opened_at)
         if ch == '}':
