@@ -10,8 +10,11 @@ An input fails with an ``OutputCollision``, before it writes anything,
 when one of its outputs is an input or was written by an earlier input
 of the run, by name or as the same file through a link; an output that
 is a directory fails it as early.  The files after it still compile.
-Outputs go to hidden temp files beside them, renamed into place once all
-of an input's are written, so no output is ever half-written; one that
+Each unit's scene file is made and written first; the unit's scene is
+then let go, and its SVG is made from the scene layout resolved, so the
+scene's records are freed before the SVG text is built.  Outputs go to
+hidden temp files beside them, renamed into place once all of an
+input's are written, so no output is ever half-written; one that
 already holds the same bytes is left untouched.  Outputs an earlier run
 made with another unit count are warned of, and left in place.
 
@@ -144,6 +147,13 @@ def _write(path: str, text: str, old: os.stat_result | None,
     return stat.st_dev, stat.st_ino
 
 
+def _take(units: list[Scene], n: int) -> Scene:
+    """Unit ``n``, its slot in ``units`` set to None, so that the caller
+    holds its only reference."""
+    unit, units[n] = units[n], None
+    return unit
+
+
 def _failure(path: str, exc: Exception) -> int:
     """Report why one input failed; return the exit status it earns."""
     if isinstance(exc, DiagnosticError):
@@ -234,14 +244,16 @@ def _compile_file(path: str, units: list[Scene], args: argparse.Namespace,
         # each text goes to a temp as soon as it is made; only when every
         # one is written do they take their names, so a layout error
         # leaves no outputs behind
-        for n, unit in enumerate(units):
-            if 'svg' in outputs:
-                out = outputs['svg'][n]
-                idents[out] = _write(out, render(unit, metrics, cfg),
-                                     found[out], temps)
+        for n in range(len(units)):
             if 'scene.json' in outputs:
                 out = outputs['scene.json'][n]
-                idents[out] = _write(out, dump_scene(unit), found[out], temps)
+                idents[out] = _write(out, dump_scene(units[n]), found[out],
+                                     temps)
+            if 'svg' in outputs:
+                # the scene is freed once resolved, before its SVG is made
+                out = outputs['svg'][n]
+                idents[out] = _write(out, render(_take(units, n), metrics,
+                                                 cfg), found[out], temps)
         for out in found:
             if out in temps:
                 os.replace(temps[out], out)
@@ -269,13 +281,19 @@ def main(argv: list[str] | None = None) -> int:
         cfg = RenderConfig(em_pt=args.em_pt,
                            object_margin_pt=args.margin_pt,
                            label_scale=args.label_scale)
-        if args.out_dir is not None:
-            os.makedirs(args.out_dir, exist_ok=True)
     except (OSError, ValueError) as exc:
-        if isinstance(exc, FileExistsError):   # a file that is no directory
-            exc = '%s: Not a directory' % args.out_dir
         print('diagramc: error: %s' % exc, file=sys.stderr)
         return 2
+    if args.out_dir is not None:
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as exc:
+            reason = ('Not a directory'   # it exists, but as a file
+                      if isinstance(exc, FileExistsError)
+                      else exc.strerror or exc)
+            print('diagramc: error: %s: %s' % (exc.filename or args.out_dir,
+                                               reason), file=sys.stderr)
+            return 2
     # the inputs by file identity, or by real path when there is no
     # file, so no output overwrites one
     sources: dict[tuple[int, int], str] = {}

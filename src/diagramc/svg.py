@@ -111,12 +111,17 @@ def _text(fmt: Format, cls: str, x: float, baseline_y: float, content: str,
 
 def render(scene: Scene, metrics: MetricsTable | None = None,
            cfg: RenderConfig | None = None) -> str:
-    """Render one scene unit to SVG text."""
+    """Render one scene unit to SVG text.
+
+    The scene is let go once it is resolved: a caller that passes its
+    only reference frees the scene's records before the text is made."""
     if metrics is None:
         metrics = MetricsTable.builtin()
     if cfg is None:
         cfg = RenderConfig()
-    return render_resolved(resolve_scene(scene, metrics, cfg), metrics, cfg)
+    resolved = resolve_scene(scene, metrics, cfg)
+    del scene
+    return render_resolved(resolved, metrics, cfg)
 
 
 def render_resolved(resolved: ResolvedScene, metrics: MetricsTable,

@@ -79,6 +79,18 @@ def test_an_out_dir_that_is_a_file_exits_2_and_writes_nothing(tmp_path,
     assert out.read_text(encoding='utf-8') == 'kept'
 
 
+@pytest.mark.parametrize('below', ['sub', 'sub/deeper'])
+def test_an_out_dir_below_a_file_exits_2_and_names_the_path(tmp_path, capsys,
+                                                            below):
+    source = write(tmp_path, 'dia.dxy', SQUARE)
+    write(tmp_path, 'outf', 'kept')
+    out = tmp_path / 'outf' / below
+    assert main(['-o', str(out), str(source)]) == 2
+    assert capsys.readouterr().err == (
+        'diagramc: error: %s: Not a directory\n' % (tmp_path / 'outf' / 'sub'))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ['dia.dxy', 'outf']
+
+
 def test_outputs_use_lf_and_end_with_newline(tmp_path):
     source = write(tmp_path, 'dia.dxy', SQUARE)
     assert main([str(source)]) == 0
@@ -755,15 +767,17 @@ def failing_slices(error):
 
 def test_a_write_that_fails_partway_keeps_the_old_file(tmp_path, capsys,
                                                       monkeypatch):
+    # the scene file is the first output written
     source = write(tmp_path, 'a.dxy', SQUARE)
-    (tmp_path / 'a.svg').write_bytes(b'old svg')
+    (tmp_path / 'a.scene.json').write_bytes(b'old scene')
     monkeypatch.setattr(cli, '_slices', failing_slices(
         OSError(28, 'No space left on device')))
     assert main([str(source)]) == 2
     assert capsys.readouterr().err == (
-        '%s: error: No space left on device\n' % (tmp_path / 'a.svg'))
-    assert (tmp_path / 'a.svg').read_bytes() == b'old svg'
-    assert sorted(p.name for p in tmp_path.iterdir()) == ['a.dxy', 'a.svg']
+        '%s: error: No space left on device\n' % (tmp_path / 'a.scene.json'))
+    assert (tmp_path / 'a.scene.json').read_bytes() == b'old scene'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ['a.dxy',
+                                                          'a.scene.json']
 
 
 def test_a_layout_error_in_a_later_figure_writes_no_output(tmp_path, capsys):
@@ -809,7 +823,7 @@ def test_each_output_is_written_before_the_next_is_made(tmp_path,
         monkeypatch.setattr(cli, name, making)
     assert main([str(source)]) == 0
     made = ['.two.%s.%d.tmp' % (name, os.getpid())
-            for name in ('1.svg', '1.scene.json', '2.svg')]
+            for name in ('1.scene.json', '1.svg', '2.scene.json')]
     assert seen == [[], made[:1], sorted(made[:2]), sorted(made)]
     assert temps(tmp_path) == []
 
