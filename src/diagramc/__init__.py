@@ -8,11 +8,11 @@ stages are importable for tools that inspect scenes directly.
 from .arrows import parse_arrow_spec, resolve_compass
 from .errors import DiagnosticError, SourceLoc
 from .layout import resolve_scene
-from .lowering import Lowerer, lower_document
+from .lowering import Lowerer
 from .metrics import MetricsTable
 from .model import (ArrowInstance, ArrowStyle, InlineFragment, LogicalPoint,
                     NodeInstance, RenderConfig, Scene)
-from .parser import Statement, parse_document, print_document
+from .parser import Statement, parse_document
 from .scenefile import dump_scene, scene_to_dict
 from .svg import render
 
@@ -22,9 +22,8 @@ __all__ = [
     'ArrowInstance', 'ArrowStyle', 'DiagnosticError', 'InlineFragment',
     'LogicalPoint', 'Lowerer', 'MetricsTable', 'NodeInstance',
     'RenderConfig', 'Scene', 'SourceLoc', 'Statement',
-    'compile_source', 'dump_scene', 'lower_document', 'parse_arrow_spec',
-    'parse_document', 'print_document', 'render', 'resolve_compass',
-    'resolve_scene', 'scene_to_dict',
+    'compile_source', 'dump_scene', 'parse_arrow_spec', 'parse_document',
+    'render', 'resolve_compass', 'resolve_scene', 'scene_to_dict',
 ]
 
 
@@ -32,4 +31,5 @@ def compile_source(text: str, filename: str = '<input>',
                    metrics: MetricsTable | None = None,
                    config: RenderConfig | None = None) -> list[Scene]:
     """Parse and lower source text to its list of scene units."""
-    return lower_document(parse_document(text, filename), metrics, config)
+    return Lowerer(metrics, config).lower_document(
+        parse_document(text, filename))

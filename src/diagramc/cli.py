@@ -282,6 +282,9 @@ def main(argv: list[str] | None = None) -> int:
                            object_margin_pt=args.margin_pt,
                            label_scale=args.label_scale)
     except (OSError, ValueError) as exc:
+        if isinstance(exc, OSError):   # a ValueError names its file:line
+            exc = '%s: %s' % (exc.filename or metrics_path,
+                              exc.strerror or exc)
         print('diagramc: error: %s' % exc, file=sys.stderr)
         return 2
     if args.out_dir is not None:

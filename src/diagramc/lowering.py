@@ -7,6 +7,11 @@ and arrow emissions as the equivalent sequence of plain morphisms, in
 the exact order the drawing walks them, so scene files are stable golden
 artifacts.
 
+A statement is lowered by its keyword: ``\\bfig`` and ``\\efig`` open and
+close a figure, a shape draws its walk in ``_WALKS``, the other figure
+constructors have a method in ``Lowerer._HANDLERS``, and a keyword in
+neither table is running text, an inline loop or an inline arrow.
+
 All coordinate arithmetic here is integer logical units.  Text fields
 arrive verbatim from the parser and lose one level of braces at each
 point of use (:func:`~.parser.strip_group`), matching how arguments are
@@ -15,7 +20,6 @@ re-braced when handed down a macro chain.
 
 from __future__ import annotations
 
-from . import parser
 from .arrows import parse_arrow_spec, resolve_compass
 from .errors import (DEGENERATE_ARROW, DEGENERATE_LOOP, DUPLICATE_NODE,
                      MASK_OUT_OF_RANGE, MISPLACED_CONSTRUCTOR,
@@ -27,7 +31,7 @@ from .model import (RULE_LETTERS, ArrowInstance, ArrowStyle, InlineArrowPart,
                     RenderConfig, Scene)
 from .parser import Statement, strip_group
 
-__all__ = ['Lowerer', 'lower_document', 'tex_div', 'twoar_end']
+__all__ = ['Lowerer', 'tex_div', 'twoar_end']
 
 
 def tex_div(a: int, b: int) -> int:
@@ -99,42 +103,42 @@ _SQUARE = _Walk(((0, 1), (1, 1), (0, 0), (1, 0)),
                 ((3, 2, 3), (1, 0, 2), (0, 0, 1), (2, 1, 3)))
 
 _WALKS = {
-    (parser.MORPHISM, ''): _Walk(((0, 0), (1, 1)), ((0, 0, 1),)),
-    (parser.SQUARE, ''): _SQUARE,
-    (parser.DIAMOND, ''): _Walk(
+    'morphism': _Walk(((0, 0), (1, 1)), ((0, 0, 1),)),
+    'square': _SQUARE,
+    'Diamond': _Walk(
         ((1, 2), (0, 1), (2, 1), (1, 0)),
         ((2, 1, 3), (3, 2, 3), (0, 0, 1), (1, 0, 2))),
-    (parser.TRIANGLE, 'p'): _Walk(
+    'ptriangle': _Walk(
         ((0, 1), (1, 1), (0, 0)), ((0, 0, 1), (1, 0, 2), (2, 1, 2))),
-    (parser.TRIANGLE, 'q'): _Walk(
+    'qtriangle': _Walk(
         ((0, 1), (1, 1), (1, 0)), ((0, 0, 1), (1, 0, 2), (2, 1, 2))),
-    (parser.TRIANGLE, 'd'): _Walk(
+    'dtriangle': _Walk(
         ((1, 1), (0, 0), (1, 0)), ((2, 1, 2), (0, 0, 1), (1, 0, 2))),
-    (parser.TRIANGLE, 'b'): _Walk(
+    'btriangle': _Walk(
         ((0, 1), (0, 0), (1, 0)), ((2, 1, 2), (0, 0, 1), (1, 0, 2))),
-    (parser.TRIANGLE, 'A'): _Walk(
+    'Atriangle': _Walk(
         ((1, 1), (0, 0), (2, 0)), ((2, 1, 2), (0, 0, 1), (1, 0, 2))),
-    (parser.TRIANGLE, 'V'): _Walk(
+    'Vtriangle': _Walk(
         ((0, 1), (2, 1), (1, 0)), ((1, 0, 2), (0, 0, 1), (2, 1, 2))),
-    (parser.TRIANGLE, 'C'): _Walk(
+    'Ctriangle': _Walk(
         ((1, 2), (0, 1), (1, 0)), ((2, 1, 2), (0, 0, 1), (1, 0, 2))),
     # the D walk hands slot 1 to the A->B edge and slot 0 to A->C,
     # unlike its siblings
-    (parser.TRIANGLE, 'D'): _Walk(
+    'Dtriangle': _Walk(
         ((0, 2), (1, 1), (0, 0)), ((2, 1, 2), (1, 0, 1), (0, 0, 2))),
-    (parser.TRIANGLE_PAIR, 'A'): _Walk(
+    'Atrianglepair': _Walk(
         ((1, 1), (0, 0), (1, 0), (2, 0)),
         ((3, 1, 2), (4, 2, 3), (0, 0, 1), (1, 0, 2), (2, 0, 3))),
-    (parser.TRIANGLE_PAIR, 'V'): _Walk(
+    'Vtrianglepair': _Walk(
         ((0, 1), (1, 1), (2, 1), (1, 0)),
         ((0, 0, 1), (2, 0, 3), (1, 1, 2), (3, 1, 3), (4, 2, 3))),
-    (parser.TRIANGLE_PAIR, 'C'): _Walk(
+    'Ctrianglepair': _Walk(
         ((0, 2), (-1, 1), (0, 1), (0, 0)),
         ((4, 2, 3), (2, 1, 2), (3, 1, 3), (0, 0, 1), (1, 0, 2))),
-    (parser.TRIANGLE_PAIR, 'D'): _Walk(
+    'Dtrianglepair': _Walk(
         ((0, 2), (0, 1), (1, 1), (0, 0)),
         ((2, 1, 2), (3, 1, 3), (0, 0, 1), (1, 0, 2), (4, 2, 3))),
-    (parser.GRID_3X3, ''): _Walk(
+    'iiixiii': _Walk(
         ((0, 2), (1, 2), (2, 2), (0, 1), (1, 1), (2, 1), (0, 0), (1, 0),
          (2, 0)),
         ((5, 3, -1, 0), (5, 3, 4), (6, 4, 5), (6, 5, 1, 0),
@@ -144,7 +148,7 @@ _WALKS = {
          (10, 7, 0, -1), (8, 8, 1, 0), (11, 8, 0, -1),
          (7, 3, 6), (8, 4, 7), (9, 5, 8)),
         node_first=True),
-    (parser.GRID_3X2, ''): _Walk(
+    'iiixii': _Walk(
         ((0, 1), (1, 1), (2, 1), (0, 0), (1, 0), (2, 0)),
         ((2, 3, -1, 0), (5, 3, 4), (6, 4, 5), (3, 5, 1, 0),
          (0, 0, -1, 0), (0, 0, 1), (2, 0, 3), (1, 1, 2), (3, 1, 4),
@@ -196,8 +200,7 @@ class Lowerer:
         self._figure = None
         self._figure_loc = None
         for stmt in statements:
-            self._source = {'loc': stmt.loc,
-                            'constructor': parser.surface_keyword(stmt)}
+            self._source = {'loc': stmt.loc, 'constructor': stmt.constructor}
             try:
                 self._statement(units, stmt)
             except DiagnosticError as err:
@@ -210,14 +213,14 @@ class Lowerer:
 
     def _statement(self, units: list[Scene], stmt: Statement) -> None:
         c = stmt.constructor
-        if c == parser.BEGIN_FIG:
+        if c == 'bfig':
             if self._figure is not None:
                 raise DiagnosticError(
                     UNBALANCED_FIGURE, 'figures do not nest', stmt.loc)
             self._figure = _FigureBuilder()
             self._figure_loc = stmt.loc
             return
-        if c == parser.END_FIG:
+        if c == 'efig':
             if self._figure is None:
                 raise DiagnosticError(
                     UNBALANCED_FIGURE,
@@ -225,25 +228,26 @@ class Lowerer:
             units.append(self._figure.scene())
             self._figure = None
             return
-        if c in (parser.INLINE_ARROW, parser.INLINE_LOOP):
+        walk = _WALKS.get(c)
+        if walk is None and c not in self._HANDLERS:
+            # running text: an inline loop or an inline arrow
             if self._figure is not None:
                 raise DiagnosticError(
                     MISPLACED_CONSTRUCTOR,
                     'inline arrows live in running text, not inside a '
                     'figure', stmt.loc)
-            if c == parser.INLINE_ARROW:
-                units.append(Scene((), (), (self._inline_fragment(stmt),)))
-            else:
+            if c == 'iloop':
                 fig = _FigureBuilder()
                 self._loop(fig, stmt)
                 units.append(fig.scene())
+            else:
+                units.append(Scene((), (), (self._inline_fragment(stmt),)))
             return
         if self._figure is None:
             raise DiagnosticError(
                 MISPLACED_CONSTRUCTOR,
-                "'\\%s' must appear between '\\bfig' and '\\efig'"
-                % parser.surface_keyword(stmt), stmt.loc)
-        walk = _WALKS.get((c, stmt.kind))
+                "'\\%s' must appear between '\\bfig' and '\\efig'" % c,
+                stmt.loc)
         if walk is None:
             self._HANDLERS[c](self, self._figure, stmt)
         else:
@@ -377,7 +381,7 @@ class Lowerer:
         self._walk(fig, stmt, _SQUARE, stmt.origin, width, stmt.spans[0])
 
     def _hsquares(self, fig: _FigureBuilder, stmt: Statement) -> None:
-        if stmt.constructor == parser.H_AUTO_SQUARES:
+        if stmt.constructor == 'hSquares':
             dy, = stmt.spans
             left = self._width(stmt, (0, 1, 0), (3, 4, 5))
             right = self._width(stmt, (1, 2, 1), (4, 5, 6))
@@ -390,7 +394,7 @@ class Lowerer:
                    dy, (1, 2, 4, 5), (1, None, 4, 6))
 
     def _vsquares(self, fig: _FigureBuilder, stmt: Statement) -> None:
-        if stmt.constructor == parser.V_AUTO_SQUARES:
+        if stmt.constructor == 'vSquares':
             # the upper pane's height comes from the first span: an
             # oddity, but a faithful one
             upper, lower = stmt.spans
@@ -434,7 +438,7 @@ class Lowerer:
     # ---- inline fragments -----------------------------------------------
 
     def _inline_fragment(self, stmt: Statement) -> InlineFragment:
-        kind, styles = stmt.kind, self._styles
+        kind, styles = stmt.constructor, self._styles
         if kind == 'twoar':
             dx, dy = stmt.spans
             if dx == 0 and dy == 0:
@@ -474,23 +478,16 @@ class Lowerer:
         return InlineFragment(kind, LogicalPoint(length, 0), parts)
 
     _HANDLERS = {
-        parser.VECT: _vect,
-        parser.AUTO_SQUARE: _auto_square,
-        parser.PULLBACK: _pullback,
-        parser.H_SQUARES: _hsquares,
-        parser.H_AUTO_SQUARES: _hsquares,
-        parser.V_SQUARES: _vsquares,
-        parser.V_AUTO_SQUARES: _vsquares,
-        parser.CUBE: _cube,
-        parser.PLACE: _place,
-        parser.NODE: _node,
-        parser.NAMED_ARROW: _named_arrow,
-        parser.LOOP: _loop,
+        'vect': _vect,
+        'Square': _auto_square,
+        'pullback': _pullback,
+        'hsquares': _hsquares,
+        'hSquares': _hsquares,
+        'vsquares': _vsquares,
+        'vSquares': _vsquares,
+        'cube': _cube,
+        'place': _place,
+        'node': _node,
+        'arrow': _named_arrow,
+        'Loop': _loop,
     }
-
-
-def lower_document(statements: list[Statement],
-                   metrics: MetricsTable | None = None,
-                   config: RenderConfig | None = None) -> list[Scene]:
-    """Lower a parsed document to a list of scene units."""
-    return Lowerer(metrics, config).lower_document(statements)

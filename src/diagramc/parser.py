@@ -16,7 +16,9 @@ omitted individually, but the ones that do appear must keep the order
 above.
 
 :func:`parse_document` turns source text into :class:`Statement` records
-with every default filled in.  Field text is stored verbatim; one level
+with every default filled in, each named by its keyword.  ``_KEYWORDS``
+registers every keyword once, with the argument plan of a shape or the
+reader of its groups.  Field text is stored verbatim; one level
 of braces is stripped by :func:`strip_group` at the point of use, which
 is how the arguments behave when handed down a macro chain.
 
@@ -41,67 +43,36 @@ from .errors import (ARITY_ERROR, PARSE_ERROR, UNBALANCED_GROUP,
                      UNKNOWN_CONSTRUCTOR, DiagnosticError, SourceLoc)
 from .model import MAX_DIGITS, ORIGIN, LogicalPoint, Record
 
-__all__ = [
-    'Statement', 'decode_source', 'matching_brace', 'parse_document',
-    'print_document', 'print_statement', 'strip_group', 'split_fields',
-    'surface_keyword',
-    'MORPHISM', 'VECT', 'SQUARE', 'AUTO_SQUARE', 'DIAMOND',
-    'TRIANGLE', 'TRIANGLE_PAIR', 'PULLBACK', 'TRIDENT',
-    'H_SQUARES', 'H_AUTO_SQUARES', 'V_SQUARES', 'V_AUTO_SQUARES',
-    'CUBE', 'CONNECTOR', 'GRID_3X3', 'GRID_3X2',
-    'PLACE', 'NODE', 'NAMED_ARROW', 'LOOP', 'INLINE_LOOP', 'INLINE_ARROW',
-    'BEGIN_FIG', 'END_FIG',
-]
-
-
-MORPHISM = 'Morphism'
-VECT = 'Vect'
-SQUARE = 'Square'
-AUTO_SQUARE = 'AutoSquare'
-DIAMOND = 'Diamond'
-TRIANGLE = 'Triangle'
-TRIANGLE_PAIR = 'TrianglePair'
-PULLBACK = 'Pullback'
-TRIDENT = 'Trident'
-H_SQUARES = 'HSquares'
-H_AUTO_SQUARES = 'HAutoSquares'
-V_SQUARES = 'VSquares'
-V_AUTO_SQUARES = 'VAutoSquares'
-CUBE = 'Cube'
-CONNECTOR = 'Connector'
-GRID_3X3 = 'Grid3x3'
-GRID_3X2 = 'Grid3x2'
-PLACE = 'Place'
-NODE = 'Node'
-NAMED_ARROW = 'NamedArrow'
-LOOP = 'Loop'
-INLINE_LOOP = 'InlineLoop'
-INLINE_ARROW = 'InlineArrow'
-BEGIN_FIG = 'BeginFig'
-END_FIG = 'EndFig'
+__all__ = ['Statement', 'decode_source', 'matching_brace', 'parse_document',
+           'strip_group', 'split_fields']
 
 
 class Statement(Record):
     """One parsed constructor with all defaults filled in.
 
-    Text fields (specs, node text, labels, names) are verbatim source
-    slices; coordinates and spans are integers in logical units.  Which
-    fields are meaningful depends on ``constructor``; unused ones keep
-    their empty defaults.  ``loc`` points at the keyword and is ignored
-    by equality so printed-and-reparsed statements compare equal.
+    ``constructor`` is the surface keyword the statement was written
+    with, such as ``'ptriangle'``.  The parts of a compound statement
+    carry keywords too: a pullback's and a cube's inner square are
+    ``'square'``, and the pullback's trident and the cube's connector
+    take their owner's keyword.  Text fields (specs, node text, labels,
+    names) are verbatim source slices; coordinates and spans are
+    integers in logical units.  Which fields are meaningful depends on
+    ``constructor``; unused ones keep their empty defaults.  ``loc``
+    points at the keyword and is ignored by equality, so the same
+    statement written in two places compares equal.
     """
 
-    _values = ('constructor', 'kind', 'origin', 'placements', 'specs',
-               'spans', 'nodes', 'labels', 'mask', 'border', 'inner',
-               'trident', 'connector', 'name', 'anchor', 'loop_out',
-               'loop_in', 'length', 'sup', 'sub', 'mid')
+    _values = ('constructor', 'origin', 'placements', 'specs', 'spans',
+               'nodes', 'labels', 'mask', 'border', 'inner', 'trident',
+               'connector', 'name', 'anchor', 'loop_out', 'loop_in',
+               'length', 'sup', 'sub', 'mid')
     __slots__ = _values + ('loc',)
 
-    def __init__(self, constructor: str, kind: str = '',
-                 origin: LogicalPoint = ORIGIN, placements: str = '',
-                 specs: tuple[str, ...] = (), spans: tuple[int, ...] = (),
-                 nodes: tuple[str, ...] = (), labels: tuple[str, ...] = (),
-                 mask: int = 0, border: tuple[int, ...] = (),
+    def __init__(self, constructor: str, origin: LogicalPoint = ORIGIN,
+                 placements: str = '', specs: tuple[str, ...] = (),
+                 spans: tuple[int, ...] = (), nodes: tuple[str, ...] = (),
+                 labels: tuple[str, ...] = (), mask: int = 0,
+                 border: tuple[int, ...] = (),
                  inner: Statement | None = None,
                  trident: Statement | None = None,
                  connector: Statement | None = None, name: str = '',
@@ -109,7 +80,7 @@ class Statement(Record):
                  loop_in: str = '', length: int = 0, sup: str = '',
                  sub: str = '', mid: str = '',
                  loc: SourceLoc | None = None) -> None:
-        self._fill(constructor, kind, origin, placements, specs, spans, nodes,
+        self._fill(constructor, origin, placements, specs, spans, nodes,
                    labels, mask, border, inner, trident, connector, name,
                    anchor, loop_out, loop_in, length, sup, sub, mid, loc)
 
@@ -367,15 +338,15 @@ class _Parser:
                 UNKNOWN_CONSTRUCTOR,
                 "control symbol '\\%s' is not a constructor"
                 % self.scan.peek(), loc)
-        if keyword not in _KEYWORDS:
+        how = _KEYWORDS.get(keyword)
+        if how is None:
             raise DiagnosticError(
                 UNKNOWN_CONSTRUCTOR,
                 '\\%s is not a diagram constructor' % keyword, loc, keyword)
-        constructor, kind, how = _KEYWORDS[keyword]
         try:
             if isinstance(how, _Plan):
-                return self._shape(constructor, kind, how, loc)
-            return how(self, constructor, kind, loc)
+                return self._shape(keyword, how, loc)
+            return how(self, keyword, loc)
         except DiagnosticError as err:
             raise err.with_context(loc, keyword) from None
 
@@ -482,7 +453,7 @@ class _Parser:
 
     # ---- constructors ------------------------------------------------
 
-    def _shape(self, constructor: str, kind: str, plan: _Plan, loc: SourceLoc,
+    def _shape(self, keyword: str, plan: _Plan, loc: SourceLoc,
                origin: tuple[int, int] | None = (0, 0)) -> Statement:
         """A shape's groups; with ``origin=None`` there is no origin group."""
         at = ORIGIN if origin is None else self._opt_origin(origin)
@@ -492,36 +463,36 @@ class _Parser:
         mask, border = self._mask(plan.border) if plan.border else (0, ())
         nodes, labels = self._payload(plan.n_nodes, len(plan.placements))
         return Statement(
-            constructor, kind=kind, origin=at, placements=placements,
+            keyword, origin=at, placements=placements,
             specs=specs, spans=spans, mask=mask, border=border, nodes=nodes,
             labels=labels, loc=loc)
 
-    def _vect(self, constructor: str, kind: str, loc: SourceLoc) -> Statement:
+    def _vect(self, keyword: str, loc: SourceLoc) -> Statement:
         origin = LogicalPoint(*self._pair())
         spec = self.scan.need_group('/', '/', 'arrow spec')
         raw = self.scan.need_group('<', '>', 'span pair')
         parts = self._fields(raw, ',', 2, 'span entries')
         spans = tuple(self._int(p, 'span') for p in parts)
-        return Statement(constructor, origin=origin, specs=(spec,),
-                         spans=spans, loc=loc)
+        return Statement(keyword, origin=origin, specs=(spec,), spans=spans,
+                         loc=loc)
 
-    def _pullback(self, constructor: str, kind: str, loc: SourceLoc) -> Statement:
-        square = self._shape(SQUARE, '', _SQUARE_PLAN, loc)
+    def _pullback(self, keyword: str, loc: SourceLoc) -> Statement:
+        square = self._shape('square', _SQUARE_PLAN, loc)
         # the trident continues from the square's far corner and has no
         # origin group of its own
-        trident = self._shape(TRIDENT, '', _TRIDENT_PLAN, loc, origin=None)
-        return Statement(constructor, inner=square, trident=trident, loc=loc)
+        trident = self._shape(keyword, _TRIDENT_PLAN, loc, origin=None)
+        return Statement(keyword, inner=square, trident=trident, loc=loc)
 
-    def _cube(self, constructor: str, kind: str, loc: SourceLoc) -> Statement:
-        outer = self._shape(constructor, kind, _CUBE_PLAN, loc)
-        inner = self._shape(SQUARE, '', _SQUARE_PLAN, loc, origin=(500, 500))
+    def _cube(self, keyword: str, loc: SourceLoc) -> Statement:
+        outer = self._shape(keyword, _CUBE_PLAN, loc)
+        inner = self._shape('square', _SQUARE_PLAN, loc, origin=(500, 500))
         placements = self._opt_placements('mmmm')
         specs = self._opt_specs(4)
         raw = self.scan.need_group('[', ']', 'connector label list')
         labels = self._fields(raw, '`', 4, 'connector labels')
-        connector = Statement(CONNECTOR, placements=placements, specs=specs,
+        connector = Statement(keyword, placements=placements, specs=specs,
                               labels=tuple(labels), loc=loc)
-        return Statement(constructor, kind, outer.origin, outer.placements,
+        return Statement(keyword, outer.origin, outer.placements,
                          outer.specs, outer.spans, outer.nodes, outer.labels,
                          inner=inner, connector=connector, loc=loc)
 
@@ -549,12 +520,12 @@ class _Parser:
         border = self._opt_spans(default_border)
         return int(digits), border
 
-    def _place(self, constructor: str, kind: str, loc: SourceLoc) -> Statement:
+    def _place(self, keyword: str, loc: SourceLoc) -> Statement:
         anchor_raw = self.scan.opt_group('[', ']', 'anchor')
         anchor = 'center' if anchor_raw is None else self._anchor(anchor_raw)
         origin = LogicalPoint(*self._pair())
         text = self.scan.need_group('[', ']', 'node text')
-        return Statement(constructor, origin=origin, nodes=(text,),
+        return Statement(keyword, origin=origin, nodes=(text,),
                          anchor=anchor, loc=loc)
 
     def _anchor(self, raw: str) -> str:
@@ -569,92 +540,89 @@ class _Parser:
         raise DiagnosticError(PARSE_ERROR, 'bad anchor %r' % raw,
                               self.scan.loc(self.scan.opened))
 
-    def _node(self, constructor: str, kind: str, loc: SourceLoc) -> Statement:
+    def _node(self, keyword: str, loc: SourceLoc) -> Statement:
         name = self.scan.take_token('node name')
         origin = LogicalPoint(*self._pair())
         text = self.scan.need_group('[', ']', 'node text')
-        return Statement(constructor, name=name, origin=origin, nodes=(text,),
+        return Statement(keyword, name=name, origin=origin, nodes=(text,),
                          loc=loc)
 
-    def _arrow(self, constructor: str, kind: str, loc: SourceLoc) -> Statement:
+    def _arrow(self, keyword: str, loc: SourceLoc) -> Statement:
         placements = self._opt_placements('a')
         specs = self._opt_specs(1)
         nodes, labels = self._payload(2, 1)
-        return Statement(constructor, placements=placements, specs=specs,
+        return Statement(keyword, placements=placements, specs=specs,
                          nodes=nodes, labels=labels, loc=loc)
 
-    def _loop(self, constructor: str, kind: str, loc: SourceLoc) -> Statement:
-        origin = LogicalPoint(*self._pair()) if constructor == LOOP else ORIGIN
+    def _loop(self, keyword: str, loc: SourceLoc) -> Statement:
+        origin = LogicalPoint(*self._pair()) if keyword == 'Loop' else ORIGIN
         text = self.scan.take_token('loop text')
         out_dir, in_dir = self._raw_pair('direction pair')
-        return Statement(constructor, origin=origin, nodes=(text,),
+        return Statement(keyword, origin=origin, nodes=(text,),
                          loop_out=out_dir.strip(), loop_in=in_dir.strip(),
                          loc=loc)
 
-    def _inline(self, constructor: str, kind: str, loc: SourceLoc) -> Statement:
-        if kind in _INLINE_PRESETS:
-            specs = _INLINE_PRESETS[kind]
+    def _inline(self, keyword: str, loc: SourceLoc) -> Statement:
+        if keyword in _INLINE_PRESETS:
+            specs = _INLINE_PRESETS[keyword]
         else:
-            specs = self._opt_specs(_INLINE_SPECS[kind])
+            specs = self._opt_specs(_INLINE_SPECS[keyword])
         length = self._opt_spans((0,))[0]
         sup = self._opt_prefixed('^', 'superscript label')
-        mid = self._opt_prefixed('|', 'middle label') if kind == 'three' else ''
+        mid = (self._opt_prefixed('|', 'middle label') if keyword == 'three'
+               else '')
         sub = self._opt_prefixed('_', 'subscript label')
-        return Statement(constructor, kind=kind, specs=specs, length=length,
-                         sup=sup, mid=mid, sub=sub, loc=loc)
+        return Statement(keyword, specs=specs, length=length, sup=sup, mid=mid,
+                         sub=sub, loc=loc)
 
-    def _twoar(self, constructor: str, kind: str, loc: SourceLoc) -> Statement:
+    def _twoar(self, keyword: str, loc: SourceLoc) -> Statement:
         spans = self._pair('direction pair')
-        return Statement(constructor, kind=kind, spans=spans, loc=loc)
+        return Statement(keyword, spans=spans, loc=loc)
 
-    def _bare(self, constructor: str, kind: str, loc: SourceLoc) -> Statement:
-        return Statement(constructor, kind=kind, loc=loc)
+    def _bare(self, keyword: str, loc: SourceLoc) -> Statement:
+        return Statement(keyword, loc=loc)
 
 
-# Every surface keyword: (constructor, kind) and either the argument plan
-# of a shape or the reader of its groups.
+# Every surface keyword: the argument plan of a shape, or the reader of
+# its groups.
 _KEYWORDS = {
-    'morphism': (MORPHISM, '', _Plan('a', (500, 0), 2)),
-    'square': (SQUARE, '', _SQUARE_PLAN),
-    'Square': (AUTO_SQUARE, '', _Plan('alrb', (500,), 4)),
-    'Diamond': (DIAMOND, '', _Plan('lrlr', (400, 400), 4)),
-    'ptriangle': (TRIANGLE, 'p', _Plan('alr', (500, 500), 3)),
-    'qtriangle': (TRIANGLE, 'q', _Plan('alr', (500, 500), 3)),
-    'dtriangle': (TRIANGLE, 'd', _Plan('lrb', (500, 500), 3)),
-    'btriangle': (TRIANGLE, 'b', _Plan('lrb', (500, 500), 3)),
-    'Atriangle': (TRIANGLE, 'A', _Plan('lrb', (500, 500), 3)),
-    'Vtriangle': (TRIANGLE, 'V', _Plan('alb', (500, 500), 3)),
-    'Ctriangle': (TRIANGLE, 'C', _Plan('arb', (500, 500), 3)),
-    'Dtriangle': (TRIANGLE, 'D', _Plan('lab', (500, 500), 3)),
-    'Atrianglepair': (TRIANGLE_PAIR, 'A', _Plan('lmrbb', (500, 500), 4)),
-    'Vtrianglepair': (TRIANGLE_PAIR, 'V', _Plan('aalmr', (500, 500), 4)),
-    'Ctrianglepair': (TRIANGLE_PAIR, 'C', _Plan('lrmlr', (500, 500), 4)),
-    'Dtrianglepair': (TRIANGLE_PAIR, 'D', _Plan('lrmlr', (500, 500), 4)),
-    'hsquares': (H_SQUARES, '', _Plan('aalmrbb', (500, 500, 500), 6)),
-    'hSquares': (H_AUTO_SQUARES, '', _Plan('aalmrbb', (500,), 6)),
-    'vsquares': (V_SQUARES, '', _Plan('aalmrbb', (500, 500, 500), 6)),
-    'vSquares': (V_AUTO_SQUARES, '', _Plan('alrmlrb', (500, 500), 6)),
-    'iiixiii': (GRID_3X3, '',
-                _Plan('aalmrmmlmrbb', (500, 500), 9, border=(400, 400))),
-    'iiixii': (GRID_3X2, '', _Plan('aalmrbb', (500, 500), 6, border=(400,))),
-    'vect': (VECT, '', _Parser._vect),
-    'pullback': (PULLBACK, '', _Parser._pullback),
-    'cube': (CUBE, '', _Parser._cube),
-    'place': (PLACE, '', _Parser._place),
-    'node': (NODE, '', _Parser._node),
-    'arrow': (NAMED_ARROW, '', _Parser._arrow),
-    'Loop': (LOOP, '', _Parser._loop),
-    'iloop': (INLINE_LOOP, '', _Parser._loop),
-    'twoar': (INLINE_ARROW, 'twoar', _Parser._twoar),
-    'rlimto': (INLINE_ARROW, 'rlimto', _Parser._bare),
-    'llimto': (INLINE_ARROW, 'llimto', _Parser._bare),
-    'bfig': (BEGIN_FIG, '', _Parser._bare),
-    'efig': (END_FIG, '', _Parser._bare),
-    **{kw: (INLINE_ARROW, kw, _Parser._inline)
-       for kw in (*_INLINE_SPECS, *_INLINE_PRESETS)},
+    'morphism': _Plan('a', (500, 0), 2),
+    'square': _SQUARE_PLAN,
+    'Square': _Plan('alrb', (500,), 4),
+    'Diamond': _Plan('lrlr', (400, 400), 4),
+    'ptriangle': _Plan('alr', (500, 500), 3),
+    'qtriangle': _Plan('alr', (500, 500), 3),
+    'dtriangle': _Plan('lrb', (500, 500), 3),
+    'btriangle': _Plan('lrb', (500, 500), 3),
+    'Atriangle': _Plan('lrb', (500, 500), 3),
+    'Vtriangle': _Plan('alb', (500, 500), 3),
+    'Ctriangle': _Plan('arb', (500, 500), 3),
+    'Dtriangle': _Plan('lab', (500, 500), 3),
+    'Atrianglepair': _Plan('lmrbb', (500, 500), 4),
+    'Vtrianglepair': _Plan('aalmr', (500, 500), 4),
+    'Ctrianglepair': _Plan('lrmlr', (500, 500), 4),
+    'Dtrianglepair': _Plan('lrmlr', (500, 500), 4),
+    'hsquares': _Plan('aalmrbb', (500, 500, 500), 6),
+    'hSquares': _Plan('aalmrbb', (500,), 6),
+    'vsquares': _Plan('aalmrbb', (500, 500, 500), 6),
+    'vSquares': _Plan('alrmlrb', (500, 500), 6),
+    'iiixiii': _Plan('aalmrmmlmrbb', (500, 500), 9, border=(400, 400)),
+    'iiixii': _Plan('aalmrbb', (500, 500), 6, border=(400,)),
+    'vect': _Parser._vect,
+    'pullback': _Parser._pullback,
+    'cube': _Parser._cube,
+    'place': _Parser._place,
+    'node': _Parser._node,
+    'arrow': _Parser._arrow,
+    'Loop': _Parser._loop,
+    'iloop': _Parser._loop,
+    'twoar': _Parser._twoar,
+    'rlimto': _Parser._bare,
+    'llimto': _Parser._bare,
+    'bfig': _Parser._bare,
+    'efig': _Parser._bare,
+    **{kw: _Parser._inline for kw in (*_INLINE_SPECS, *_INLINE_PRESETS)},
 }
-
-_KEYWORD_OF = {(c, kind): kw for kw, (c, kind, _) in _KEYWORDS.items()}
 
 
 def decode_source(data: bytes, filename: str) -> str:
@@ -678,92 +646,3 @@ def decode_source(data: bytes, filename: str) -> str:
 def parse_document(text: str, filename: str = '<input>') -> list[Statement]:
     """Parse source text into a list of statements."""
     return _Parser(text, filename).parse()
-
-
-def surface_keyword(stmt: Statement) -> str:
-    """The keyword a statement was written with, for diagnostics."""
-    return _KEYWORD_OF[stmt.constructor, stmt.kind]
-
-
-# ---- canonical printing ---------------------------------------------
-
-def _fmt_pair(point: LogicalPoint) -> str:
-    return '(%d,%d)' % (point.x, point.y)
-
-
-def _fmt_spans(spans: tuple[int, ...]) -> str:
-    return '<%s>' % ','.join(str(v) for v in spans)
-
-
-def _fmt_specs(specs: tuple[str, ...]) -> str:
-    return '/%s/' % '`'.join(specs)
-
-
-def _fmt_payload(nodes: tuple[str, ...], labels: tuple[str, ...]) -> str:
-    return '[%s;%s]' % ('`'.join(nodes), '`'.join(labels))
-
-
-def _shape_args(stmt: Statement, origin: bool = True) -> str:
-    grid = '{%d}%s' % (stmt.mask, _fmt_spans(stmt.border)) if stmt.border else ''
-    return ((_fmt_pair(stmt.origin) if origin else '')
-            + '|%s|' % stmt.placements + _fmt_specs(stmt.specs)
-            + _fmt_spans(stmt.spans) + grid
-            + _fmt_payload(stmt.nodes, stmt.labels))
-
-
-def print_statement(stmt: Statement) -> str:
-    """Render a statement back to canonical source.
-
-    Every optional group is written out explicitly, so parsing the
-    result yields a statement equal to the input.
-    """
-    keyword = surface_keyword(stmt)
-    how = _KEYWORDS[keyword][2]
-    c = stmt.constructor
-    if isinstance(how, _Plan):
-        return '\\%s%s' % (keyword, _shape_args(stmt))
-    if how is _Parser._bare:
-        return '\\' + keyword
-    if c == VECT:
-        return '\\vect%s/%s/%s' % (
-            _fmt_pair(stmt.origin), stmt.specs[0], _fmt_spans(stmt.spans))
-    if c == PULLBACK:
-        return '\\pullback%s %s' % (_shape_args(stmt.inner),
-                                    _shape_args(stmt.trident, origin=False))
-    if c == CUBE:
-        connector = stmt.connector
-        return '\\cube%s %s |%s|%s[%s]' % (
-            _shape_args(stmt), _shape_args(stmt.inner),
-            connector.placements, _fmt_specs(connector.specs),
-            '`'.join(connector.labels))
-    if c == PLACE:
-        anchor = '' if stmt.anchor == 'center' else '[%s]' % stmt.anchor
-        return '\\place%s%s[%s]' % (anchor, _fmt_pair(stmt.origin),
-                                    stmt.nodes[0])
-    if c == NODE:
-        return '\\node{%s}%s[%s]' % (stmt.name, _fmt_pair(stmt.origin),
-                                     stmt.nodes[0])
-    if c == NAMED_ARROW:
-        return '\\arrow|%s|/%s/%s' % (
-            stmt.placements, stmt.specs[0],
-            _fmt_payload(stmt.nodes, stmt.labels))
-    if c in (LOOP, INLINE_LOOP):
-        return '\\%s%s{%s}(%s,%s)' % (
-            keyword, _fmt_pair(stmt.origin) if c == LOOP else '',
-            stmt.nodes[0], stmt.loop_out, stmt.loop_in)
-    if stmt.kind == 'twoar':
-        return '\\twoar(%d,%d)' % stmt.spans
-    parts = ['\\', keyword]
-    if keyword in _INLINE_SPECS:
-        parts.append(_fmt_specs(stmt.specs))
-    parts.append('<%d>' % stmt.length)
-    parts.append('^{%s}' % stmt.sup)
-    if keyword == 'three':
-        parts.append('|{%s}' % stmt.mid)
-    parts.append('_{%s}' % stmt.sub)
-    return ''.join(parts)
-
-
-def print_document(statements: list[Statement]) -> str:
-    """Canonical one-statement-per-line rendering."""
-    return '\n'.join(print_statement(s) for s in statements) + '\n'

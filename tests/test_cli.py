@@ -220,11 +220,18 @@ def test_metrics_env_fallback_and_flag_precedence(tmp_path, monkeypatch,
     assert {n['pos']['x'] for n in data['nodes']} == {0, 1000}
 
 
-def test_bad_metrics_path_exits_2(tmp_path, capsys):
-    source = write(tmp_path, 'dia.dxy', SQUARE)
-    assert main(['--metrics', str(tmp_path / 'nope.metrics'),
-                 str(source)]) == 2
-    assert 'diagramc: error:' in capsys.readouterr().err
+def test_bad_metrics_path_exits_2(tmp_path, capsys, monkeypatch):
+    # named as given, with the system's reason, as a bad -o is
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, 'dia.dxy', SQUARE)
+    (tmp_path / 'd').mkdir()
+    missing = 'nothere: No such file or directory'
+    for option, env, reason in [(['--metrics', 'nothere'], '', missing),
+                                (['--metrics', 'd'], '', 'd: Is a directory'),
+                                ([], 'nothere', missing)]:
+        monkeypatch.setenv('DIAGRAMC_METRICS', env)
+        assert main(option + ['dia.dxy']) == 2
+        assert capsys.readouterr().err == 'diagramc: error: %s\n' % reason
 
 
 @pytest.mark.parametrize('line', [

@@ -126,19 +126,15 @@ def test_the_package_stays_within_its_line_budget():
 # ---- the constructor tables -----------------------------------------------
 
 def plans():
-    """(constructor, kind) -> argument plan, for every shape keyword."""
-    found = {}
-    for constructor, kind, how in parser._KEYWORDS.values():
-        if isinstance(how, parser._Plan):
-            found[constructor, kind] = how
-    return found
+    """Keyword -> argument plan, for every shape keyword."""
+    return {keyword: how for keyword, how in parser._KEYWORDS.items()
+            if isinstance(how, parser._Plan)}
 
 
-@pytest.mark.parametrize('key', sorted(lowering._WALKS),
-                         ids=lambda key: '%s%s' % key)
-def test_walk_matches_its_plan(key):
-    walk = lowering._WALKS[key]
-    plan = plans()[key]
+@pytest.mark.parametrize('keyword', sorted(lowering._WALKS))
+def test_walk_matches_its_plan(keyword):
+    walk = lowering._WALKS[keyword]
+    plan = plans()[keyword]
     assert len(walk.nodes) == plan.n_nodes
     assert len(set(walk.nodes)) == len(walk.nodes)
     edges = [row for row in walk.rows if len(row) == 3]
@@ -159,22 +155,90 @@ def test_walk_matches_its_plan(key):
         assert abs(ux) + abs(uy) == 1
 
 
-def test_only_the_pasted_squares_have_no_walk_of_their_own():
-    # they paste the square walk with a slot map instead
-    assert set(plans()) - set(lowering._WALKS) == {
-        (parser.AUTO_SQUARE, ''), (parser.H_SQUARES, ''),
-        (parser.H_AUTO_SQUARES, ''), (parser.V_SQUARES, ''),
-        (parser.V_AUTO_SQUARES, '')}
+# a statement of each keyword read by a reader of its own; the rest are
+# a shape's payload alone or the bare keyword
+READER_SOURCES = {
+    'vect': '\\vect(0,0)/>/<500,0>',
+    'pullback': '\\pullback[A`B`C`D;f`g`h`k][E;p`q`r]',
+    'cube': '\\cube[A`B`C`D;f`g`h`k][a`b`c`d;p`q`r`s][x`y`z`w]',
+    'place': '\\place(0,0)[X]',
+    'node': '\\node r(0,0)[R]',
+    'arrow': '\\arrow[p`q;f]',
+    'Loop': '\\Loop(0,0){A}(ul,ur)',
+    'iloop': '\\iloop{x}(d,r)',
+    'twoar': '\\twoar(1,0)',
+}
 
 
-def test_every_figure_keyword_lowers_through_one_table():
-    # a shape is drawn by its walk alone; the handlers hold the rest
-    outside = {parser.BEGIN_FIG, parser.END_FIG, parser.INLINE_ARROW,
-               parser.INLINE_LOOP}
-    for keyword, (constructor, kind, _) in parser._KEYWORDS.items():
-        if constructor not in outside:
-            assert ((constructor, kind) in lowering._WALKS) + (
-                constructor in lowering.Lowerer._HANDLERS) == 1, keyword
+def source_of(keyword):
+    """A one-statement source written with ``keyword``."""
+    how = parser._KEYWORDS[keyword]
+    if isinstance(how, parser._Plan):
+        return '\\%s[%s;%s]' % (keyword, '`'.join('A' * how.n_nodes),
+                                 '`'.join('f' * len(how.placements)))
+    return READER_SOURCES.get(keyword, '\\' + keyword)
+
+
+def with_parts(statements):
+    """The statements and, after each, its nested ones."""
+    for stmt in statements:
+        yield stmt
+        yield from with_parts(part for part in (stmt.inner, stmt.trident,
+                                                stmt.connector)
+                              if part is not None)
+
+
+def test_each_constructor_is_named_by_its_keyword_alone():
+    gone = ['MORPHISM', 'VECT', 'SQUARE', 'AUTO_SQUARE', 'DIAMOND',
+            'TRIANGLE', 'TRIANGLE_PAIR', 'PULLBACK', 'TRIDENT', 'H_SQUARES',
+            'H_AUTO_SQUARES', 'V_SQUARES', 'V_AUTO_SQUARES', 'CUBE',
+            'CONNECTOR', 'GRID_3X3', 'GRID_3X2', 'PLACE', 'NODE',
+            'NAMED_ARROW', 'LOOP', 'INLINE_LOOP', 'INLINE_ARROW', 'BEGIN_FIG',
+            'END_FIG', 'surface_keyword', '_KEYWORD_OF', 'print_statement',
+            'print_document']
+    assert [name for name in gone if hasattr(parser, name)] == []
+    assert not hasattr(diagramc, 'print_document')
+    assert not hasattr(lowering, 'lower_document')
+    assert not hasattr(diagramc, 'lower_document')
+    assert 'kind' not in parser.Statement.__slots__
+
+
+def test_every_statement_and_its_parts_carry_a_keyword():
+    statements = []
+    for keyword in parser._KEYWORDS:
+        stmt, = parser.parse_document(source_of(keyword))
+        assert stmt.constructor == keyword
+        statements.append(stmt)
+    for path in sorted((Path(__file__).parent / 'corpus').glob('*.dxy')):
+        statements += parser.parse_document(path.read_text(encoding='utf-8'))
+    # nested parts included, and every keyword among them
+    assert {stmt.constructor for stmt in with_parts(statements)} == \
+        set(parser._KEYWORDS)
+
+
+def test_every_keyword_lowers_by_exactly_one_route():
+    # bfig/efig bound a figure, a shape draws its walk, a handler draws
+    # the other figure constructors, and the rest is running text
+    walks, handlers = set(lowering._WALKS), set(lowering.Lowerer._HANDLERS)
+    assert not walks & handlers
+    assert not {'bfig', 'efig'} & (walks | handlers)
+    assert walks | handlers <= set(parser._KEYWORDS)
+    # the pasted squares paste the square walk with a slot map instead
+    assert set(plans()) - walks == {'Square', 'hsquares', 'hSquares',
+                                    'vsquares', 'vSquares'}
+    prelude = '\\bfig\\node p(0,0)[P]\\node q(500,0)[Q]\\efig'
+    for keyword in set(parser._KEYWORDS) - {'bfig', 'efig'}:
+        source = source_of(keyword)
+        figure = '\\bfig%s\\efig' % source
+        right, wrong = ((figure, source) if keyword in walks | handlers
+                        else (source, figure))
+        lowerer = lowering.Lowerer()
+        lowerer.lower_document(parser.parse_document(prelude))
+        assert len(lowerer.lower_document(parser.parse_document(right))) == 1
+        with pytest.raises(errors.DiagnosticError) as info:
+            lowerer.lower_document(parser.parse_document(wrong))
+        assert info.value.code == errors.MISPLACED_CONSTRUCTOR, keyword
+        assert info.value.constructor == keyword
 
 
 def test_lowering_shapes_compares_no_records(monkeypatch):
@@ -191,17 +255,10 @@ def test_lowering_shapes_compares_no_records(monkeypatch):
     equal = model.Record.__eq__
     monkeypatch.setattr(model.Record, '__eq__', lambda self, other: (
         calls.append(type(self).__name__) or equal(self, other)))
-    scene, = lowering.lower_document(statements)
+    scene, = lowering.Lowerer().lower_document(statements)
     monkeypatch.undo()
     assert len(scene.arrows) == 4 + 4 + 8 * 3 + 12 + 12 + 7 + 4
     assert calls == []
-
-
-def test_every_keyword_prints_back():
-    assert len(parser._KEYWORD_OF) == len(parser._KEYWORDS)
-    for keyword, (constructor, kind, _) in parser._KEYWORDS.items():
-        stmt = parser.Statement(constructor, kind=kind)
-        assert parser.surface_keyword(stmt) == keyword
 
 
 # ---- start-up ---------------------------------------------------------------

@@ -16,7 +16,8 @@ import re
 
 from hypothesis import given, settings, strategies as st
 
-from diagramc import arrows, compile_source, dump_scene, parser, render
+from diagramc import (arrows, compile_source, dump_scene, lowering, parser,
+                      render)
 from diagramc.errors import DiagnosticError
 from diagramc.model import MAX_SETTING, MIN_SETTING, RenderConfig
 
@@ -109,18 +110,18 @@ def optional(draw, text):
 @st.composite
 def statements(draw, keywords):
     keyword = draw(st.sampled_from(keywords))
-    constructor, kind, how = parser._KEYWORDS[keyword]
+    how = parser._KEYWORDS[keyword]
     head = '\\' + keyword
     point = '(%s,%s)' % (draw(INTS), draw(INTS))
     if isinstance(how, parser._Plan):
         return head + draw(shape_args(how))
-    if constructor == parser.VECT:
+    if how is parser._Parser._vect:
         return head + '%s/%s/<%s,%s>' % (point, draw(specs()), draw(INTS),
                                          draw(INTS))
-    if constructor == parser.PULLBACK:
+    if how is parser._Parser._pullback:
         return head + draw(shape_args(parser._SQUARE_PLAN)) + draw(
             shape_args(parser._TRIDENT_PLAN, origin=False))
-    if constructor == parser.CUBE:
+    if how is parser._Parser._cube:
         # outer and inner square: the same groups, other defaults
         args = draw(shape_args(parser._SQUARE_PLAN))
         args += draw(shape_args(parser._SQUARE_PLAN))
@@ -128,44 +129,42 @@ def statements(draw, keywords):
         args += optional(draw, '/%s/' % '`'.join(draw(specs())
                                                  for _ in range(4)))
         return head + args + '[%s]' % '`'.join(draw(TEXTS) for _ in range(4))
-    if constructor == parser.PLACE:
+    if how is parser._Parser._place:
         anchor = optional(draw, '[%s]' % draw(st.sampled_from(
             ['', 'l', 'rd', 'ul', 'x'])))
         return head + '%s%s[%s]' % (anchor, point, draw(TEXTS))
-    if constructor == parser.NODE:
+    if how is parser._Parser._node:
         return head + '{%s}%s[%s]' % (draw(NODE_NAMES), point, draw(TEXTS))
-    if constructor == parser.NAMED_ARROW:
+    if how is parser._Parser._arrow:
         return head + '%s%s[%s`%s;%s]' % (
             optional(draw, '|%s|' % draw(PLACEMENTS)),
             optional(draw, '/%s/' % draw(specs())),
             draw(NODE_NAMES), draw(NODE_NAMES), draw(TEXTS))
-    if constructor in (parser.LOOP, parser.INLINE_LOOP):
+    if how is parser._Parser._loop:
         return head + '%s{%s}(%s,%s)' % (
-            point if constructor == parser.LOOP else '', draw(TEXTS),
+            point if keyword == 'Loop' else '', draw(TEXTS),
             draw(DIRECTIONS), draw(DIRECTIONS))
-    if kind == 'twoar':
+    if how is parser._Parser._twoar:
         return head + '(%d,%d)' % (draw(st.integers(-6, 6)),
                                    draw(st.integers(-6, 6)))
     if how is parser._Parser._inline:
-        count = parser._INLINE_SPECS.get(kind)
+        count = parser._INLINE_SPECS.get(keyword)
         args = optional(draw, '/%s/' % '`'.join(
             draw(specs()) for _ in range(count))) if count else ''
         args += optional(draw, '<%s>' % draw(INTS))
         args += optional(draw, '^{%s}' % draw(TEXTS))
-        if kind == 'three':
+        if keyword == 'three':
             args += optional(draw, '|{%s}' % draw(TEXTS))
         args += optional(draw, '_{%s}' % draw(TEXTS))
         return head + args
     return head
 
 
-_FIGURE_ONLY = sorted(
-    kw for kw, (c, _, _) in parser._KEYWORDS.items()
-    if c not in (parser.INLINE_ARROW, parser.INLINE_LOOP, parser.BEGIN_FIG,
-                 parser.END_FIG))
-_RUNNING_TEXT = sorted(
-    kw for kw, (c, _, _) in parser._KEYWORDS.items()
-    if c in (parser.INLINE_ARROW, parser.INLINE_LOOP))
+# keywords with a walk or a handler live in figures; the rest but the
+# figure bounds are running text
+_FIGURE_ONLY = sorted({*lowering._WALKS, *lowering.Lowerer._HANDLERS})
+_RUNNING_TEXT = sorted(set(parser._KEYWORDS) - set(_FIGURE_ONLY)
+                       - {'bfig', 'efig'})
 
 FIGURES = st.lists(statements(_FIGURE_ONLY), max_size=4).map(
     lambda body: '\\bfig\n%s\n\\efig' % '\n'.join(body))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diagramc.errors import DiagnosticError
-from diagramc.lowering import Lowerer, lower_document, tex_div, twoar_end
+from diagramc.lowering import Lowerer, tex_div, twoar_end
 from diagramc.model import (
     LEFT,
     MID,
@@ -25,7 +25,7 @@ from diagramc.parser import Statement, parse_document
 
 
 def lower(source):
-    return lower_document(parse_document(source))
+    return Lowerer().lower_document(parse_document(source))
 
 
 def lower_figure(body):
@@ -560,14 +560,15 @@ def test_grid_mask_out_of_range():
     # no source writes a negative mask, but a statement built by hand can
     begin, grid, end = parse_document(
         '\\bfig\n\\iiixii(0,0){5}%s\n\\efig' % GRID_PAYLOAD_3X2)
-    negative = Statement(grid.constructor, grid.kind, grid.origin,
+    negative = Statement(grid.constructor, grid.origin,
                          grid.placements, grid.specs, grid.spans, grid.nodes,
                          grid.labels, -1, grid.border, loc=grid.loc)
     with pytest.raises(DiagnosticError) as info:
-        lower_document([begin, negative, end])
+        Lowerer().lower_document([begin, negative, end])
     assert info.value.code == 'MaskOutOfRange'
     assert info.value.message == 'grid mask -1 does not fit in 4 bits'
-    assert lower_document([begin, grid, end])   # the same grid, mask 5
+    # the same grid, mask 5
+    assert Lowerer().lower_document([begin, grid, end])
 
 
 # ---- named nodes ----------------------------------------------------------

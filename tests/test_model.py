@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from diagramc.errors import SourceLoc
 from diagramc.layout import Label, NodeBox, ResolvedArrow, ResolvedScene
-from diagramc.lowering import _Walk, lower_document
+from diagramc.lowering import Lowerer, _Walk
 from diagramc.metrics import MetricsTable
 from diagramc.model import (
     MAX_SETTING,
@@ -68,7 +68,7 @@ def _node(x, y, text, phantom=False):
 
 def figure_nodes(source):
     """(text, x, y, anchor, phantom) of each node of the last figure."""
-    scene = lower_document(parse_document(source))[-1]
+    scene = Lowerer().lower_document(parse_document(source))[-1]
     return [(n.text, n.pos.x, n.pos.y, n.anchor, n.phantom)
             for n in scene.nodes]
 
@@ -168,7 +168,7 @@ SAMPLES = {
                     ((1.0, 1.0), (2.0, 2.0)), 0.8),
     ResolvedScene: ((BOX,), ()),
     MetricsTable: ({'A': 600}, 400, 800, 200),
-    Statement: ('Square', 'x', P, 'alrb', ('>',) * 4, (500, 500),
+    Statement: ('square', P, 'alrb', ('>',) * 4, (500, 500),
                 ('A', 'B', 'C', 'D'), ('f', 'g', 'h', 'k'), 5, (400,),
                 None, None, None, 'n', 'l', 'u', 'd', 300, 's', 't', 'm', LOC),
     _Plan: ('alrb', (500, 500), 4, (400, 400)),
