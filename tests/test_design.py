@@ -216,16 +216,24 @@ def test_every_statement_and_its_parts_carry_a_keyword():
         set(parser._KEYWORDS)
 
 
-def test_every_keyword_lowers_by_exactly_one_route():
-    # bfig/efig bound a figure, a shape draws its walk, a handler draws
-    # the other figure constructors, and the rest is running text
+def test_only_the_pasted_squares_have_no_walk_of_their_own():
+    # they paste the square walk with a slot map instead
+    assert set(plans()) - set(lowering._WALKS) == {
+        'Square', 'hsquares', 'hSquares', 'vsquares', 'vSquares'}
+
+
+def test_every_figure_keyword_lowers_through_one_table():
+    # a shape is drawn by its walk alone; the handlers hold the rest
     walks, handlers = set(lowering._WALKS), set(lowering.Lowerer._HANDLERS)
     assert not walks & handlers
     assert not {'bfig', 'efig'} & (walks | handlers)
     assert walks | handlers <= set(parser._KEYWORDS)
-    # the pasted squares paste the square walk with a slot map instead
-    assert set(plans()) - walks == {'Square', 'hsquares', 'hSquares',
-                                    'vsquares', 'vSquares'}
+
+
+def test_every_keyword_lowers_by_exactly_one_route():
+    # bfig/efig bound a figure, a shape draws its walk, a handler draws
+    # the other figure constructors, and the rest is running text
+    walks, handlers = set(lowering._WALKS), set(lowering.Lowerer._HANDLERS)
     prelude = '\\bfig\\node p(0,0)[P]\\node q(500,0)[Q]\\efig'
     for keyword in set(parser._KEYWORDS) - {'bfig', 'efig'}:
         source = source_of(keyword)
