@@ -63,11 +63,14 @@ _REVERSED = {
     "<=": ("none", "double", "normal"),
 }
 
-# ASCII digits only, at most MAX_DIGITS on each side of the point, so the
-# offset stays finite; any other offset is an unsupported spec
-_OFFSET_RE = re.compile(r"@<(-?[0-9]{1,%d}(?:\.[0-9]{1,%d})?)pt>"
-                        % (MAX_DIGITS, MAX_DIGITS))
-_TICK_RE = re.compile(r"\|-\*@\{([|+])\}")
+# A run of suffixes: mid-shaft ticks (group 1: "|" or "+") and parallel
+# offsets (group 2).  Offsets take ASCII digits only, at most MAX_DIGITS
+# on each side of the point, so the offset stays finite; any other
+# suffix is an unsupported spec.  A repeated group keeps its last
+# capture, so the last tick and the last offset of the run win.
+_SUFFIXES_RE = re.compile(
+    r"(?:\|-\*@\{([|+])\}|@<(-?[0-9]{1,%d}(?:\.[0-9]{1,%d})?)pt>)*"
+    % (MAX_DIGITS, MAX_DIGITS))
 
 
 def parse_arrow_spec(spec: str) -> ArrowStyle:
@@ -79,7 +82,24 @@ def parse_arrow_spec(spec: str) -> ArrowStyle:
     name is looked up, each layer's suffixes apply from the innermost
     layer outward.  Every position in a message counts from the start of
     its own layer.
+
+    A direct route settles the common raw form: one layer "@{name}" whose
+    name is in the tables as written, then ticks and offsets only.
+    Everything else, every error included, goes to the general reader,
+    which unwraps the layers one matching brace at a time.
     """
+    if spec.startswith("@{"):
+        close = spec.find("}")
+        name = spec[2:close]
+        if close > 0 and (name in _FORWARD or name in _REVERSED):
+            run = _SUFFIXES_RE.match(spec, close + 1)
+            if run.end() == len(spec):
+                return _style(name, *_suffixes("none", 0.0, run))
+    return _parse_general(spec)
+
+
+def _parse_general(spec: str) -> ArrowStyle:
+    """:func:`parse_arrow_spec` for any spec, layer by layer."""
     depth = 0
     while spec.startswith("@{", 2 * depth):
         depth += 1
@@ -99,29 +119,34 @@ def parse_arrow_spec(spec: str) -> ArrowStyle:
     name = spec[2 * depth:ends[depth]]
     if name.startswith("@"):
         raise _unsupported(name, 1)
-    reverse = name in _REVERSED
-    if name in _FORWARD:
-        tail, shaft, head = _FORWARD[name]
-    elif reverse:
-        tail, shaft, head = _REVERSED[name]
-    else:
+    if name not in _FORWARD and name not in _REVERSED:
         layer = spec[2 * depth - 2:ends[depth - 1]] if depth else spec
         raise _unsupported(layer, 2 if depth else 0)
     mid, offset = "none", 0.0
     for k in range(depth - 1, -1, -1):
         start, end = 2 * k, ends[k]
-        pos = ends[k + 1] + 1
-        while pos < end:
-            match = _TICK_RE.match(spec, pos, end)
-            if match:
-                mid = "tick" if match.group(1) == "|" else "cross"
-            else:
-                match = _OFFSET_RE.match(spec, pos, end)
-                if not match:
-                    raise _unsupported(spec[start:end], pos - start)
-                offset = float(match.group(1))
-            pos = match.end()
-    return ArrowStyle(tail, shaft, head, mid, offset, reverse)
+        run = _SUFFIXES_RE.match(spec, ends[k + 1] + 1, end)
+        if run.end() < end:
+            raise _unsupported(spec[start:end], run.end() - start)
+        mid, offset = _suffixes(mid, offset, run)
+    return _style(name, mid, offset)
+
+
+def _suffixes(mid: str, offset: float, run: re.Match) -> tuple[str, float]:
+    """``mid`` and ``offset`` with the last tick and offset of ``run``."""
+    tick, shift = run.groups()
+    if tick is not None:
+        mid = "tick" if tick == "|" else "cross"
+    if shift is not None:
+        offset = float(shift)
+    return mid, offset
+
+
+def _style(name: str, mid: str, offset: float) -> ArrowStyle:
+    """The style of a name in the tables, with its suffixes' values."""
+    if name in _FORWARD:
+        return ArrowStyle(*_FORWARD[name], mid, offset, False)
+    return ArrowStyle(*_REVERSED[name], mid, offset, True)
 
 
 def _unsupported(spec: str, pos: int) -> DiagnosticError:

@@ -234,8 +234,8 @@ class Lowerer:
             if self._figure is not None:
                 raise DiagnosticError(
                     MISPLACED_CONSTRUCTOR,
-                    'inline arrows live in running text, not inside a '
-                    'figure', stmt.loc)
+                    'inline %s live in running text, not inside a figure'
+                    % ('loops' if c == 'iloop' else 'arrows'), stmt.loc)
             if c == 'iloop':
                 fig = _FigureBuilder()
                 self._loop(fig, stmt)

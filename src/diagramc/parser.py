@@ -23,13 +23,19 @@ of braces is stripped by :func:`strip_group` at the point of use, which
 is how the arguments behave when handed down a macro chain.
 
 Scanning goes from one delimiter to the next, never a character at a
-time.  The scanner keeps only an offset: a group is read by searching
-with one compiled pattern for the next escape, comment, line break,
-brace or closer, and the plain text in between is taken as one slice.
-Line and column are worked out only when a location is asked for.
-Fields split where the braces before a separator balance, counted over
-whole pieces of the group.  An integer literal has at most
-:data:`MAX_DIGITS` digits, and a grid mask only ASCII ones.
+time.  The scanner keeps only an offset.  A group takes a direct route
+when it is flat: the first closer after the opener ends it, and one
+pattern match checks that the text before that closer holds no line
+break, comment or nested brace, closes each brace and takes each
+escape whole.  Any other group, and every error, falls through to the
+general reader, which searches with one compiled pattern for the next
+escape, comment, line break, brace or closer and takes the plain text
+in between as one slice.  Line and column are worked out only when a
+location is asked for.  Fields split where the braces before a
+separator balance, counted over whole pieces of the group; escapes are
+blanked first only when a backslash stands right before a brace or the
+separator.  An integer literal has at most :data:`MAX_DIGITS` digits,
+and a grid mask only ASCII ones.
 """
 
 from __future__ import annotations
@@ -105,18 +111,40 @@ def matching_brace(text: str, i: int, depth: int = 0) -> int:
 
 def strip_group(text: str) -> str:
     """Remove one level of braces iff the text is exactly one group."""
-    if text[:1] == '{' and matching_brace(text, 0) == len(text) - 1:
+    if text[:1] != '{' or text[-1:] != '}':
+        return text
+    # with no '{' before the first '}' and no backslash right before it,
+    # that '}' closes the first group
+    close = text.find('}')
+    if text[close - 1] != '\\' and '{' not in text[1:close]:
+        return text[1:-1] if close == len(text) - 1 else text
+    if matching_brace(text, 0) == len(text) - 1:
         return text[1:-1]
     return text
 
 
 def split_fields(text: str, sep: str) -> list[str]:
     """Split on ``sep`` at brace depth zero, honoring backslash escapes."""
-    if '{' not in text and '}' not in text and '\\' not in text:
+    # only an escaped brace or separator moves a brace count or a split
+    # point; with none, the escapes need no blanking
+    if '\\' in text and ('\\{' in text or '\\}' in text
+                         or '\\' + sep in text):
+        return _split_general(text, sep)
+    if '{' not in text and '}' not in text:
         return text.split(sep)
+    return _split_balanced(text, text, sep)
+
+
+def _split_general(text: str, sep: str) -> list[str]:
+    """:func:`split_fields` for any text."""
     # blank out each escape, keeping offsets: a separator left then
     # splits where the braces before it balance
-    plain = _ESCAPE_RE.sub('\0\0', text) if '\\' in text else text
+    return _split_balanced(text, _ESCAPE_RE.sub('\0\0', text), sep)
+
+
+def _split_balanced(text: str, plain: str, sep: str) -> list[str]:
+    """``text`` split where ``plain``, its escapes blanked, has a ``sep``
+    with the braces before it balanced."""
     fields: list[str] = []
     start = end = depth = 0
     for piece in plain.split(sep):
@@ -140,6 +168,11 @@ _BRACE_STOPS = re.compile(r'\\.|[{}]', re.DOTALL)
 # per closer costs set-up time); a closer not the group's own is text.
 _GROUP_STOPS = re.compile(r'\\.?|%[^\n]*\n?[ \t]*|\n[ \t]*|[{})|/>\]]',
                           re.DOTALL)
+# A group's text when it needs no scan: no line break, comment or
+# nested brace, each escape taken whole and each brace closed
+_PLAIN = r'[^\\{}%\n]*'
+_FLAT_GROUP_RE = re.compile(
+    r'{0}(?:(?:\\[^\n]|\{{{0}(?:\\[^\n]{0})*\}}){0})*'.format(_PLAIN))
 # Blanks and comments between groups and statements
 _BLANK_RE = re.compile(r'(?:[ \t\n]+|%[^\n]*)*')
 _INT_RE = re.compile(r'[+-]?[0-9]+\Z')
@@ -205,6 +238,18 @@ class _Scanner:
 
     def _group(self, opened: int, closer: str, what: str) -> str:
         """The text of the group opened at offset ``opened``."""
+        # direct route: the first closer ends a flat group; anything else,
+        # an error included, is left to the general reader
+        text, pos = self.text, self.pos
+        end = text.find(closer, pos)
+        if end >= 0 and _FLAT_GROUP_RE.fullmatch(text, pos, end):
+            self.opened = opened
+            self.pos = end + 1
+            return text[pos:end]
+        return self._general_group(opened, closer, what)
+
+    def _general_group(self, opened: int, closer: str, what: str) -> str:
+        """:meth:`_group` for any group, scanned stop by stop."""
         self.opened = opened
         text = self.text
         search = _GROUP_STOPS.search

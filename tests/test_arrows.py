@@ -101,6 +101,24 @@ def test_nested_spec_errors_name_their_own_layer(spec, message):
 def test_nested_suffixes_apply_innermost_first():
     assert parse_arrow_spec('@{@{>}@<1pt>}@<2pt>').parallel_offset_pt == 2.0
     assert parse_arrow_spec('@{@{>}|-*@{+}}|-*@{|}').mid == 'tick'
+    # an outer layer keeps what it does not set
+    style = parse_arrow_spec('@{@{>}|-*@{+}@<1pt>}|-*@{|}')
+    assert (style.mid, style.parallel_offset_pt) == ('tick', 1.0)
+    style = parse_arrow_spec('@{@{>}|-*@{+}@<1pt>}@<-2pt>')
+    assert (style.mid, style.parallel_offset_pt) == ('cross', -2.0)
+
+
+@pytest.mark.parametrize('spec, expected', [
+    ('@{->}|-*@{+}@<1.5pt>', ArrowStyle(mid='cross', parallel_offset_pt=1.5)),
+    ('@{<-}|-*@{|}', ArrowStyle(mid='tick', reversed=True)),
+    ('@{>}|-*@{|}@<1pt>|-*@{+}@<-2pt>',
+     ArrowStyle(mid='cross', parallel_offset_pt=-2.0)),
+    ('@{>}@<-2pt>|-*@{+}@<1pt>|-*@{|}',
+     ArrowStyle(mid='tick', parallel_offset_pt=1.0)),
+    ('@{-->}@<0.000pt>', ArrowStyle(shaft='dashed', head='normal')),
+])
+def test_the_last_tick_and_the_last_offset_of_a_layer_win(spec, expected):
+    assert parse_arrow_spec(spec) == expected
 
 
 def test_spec_nested_3000_deep():

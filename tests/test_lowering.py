@@ -684,11 +684,17 @@ def test_shape_outside_figure():
 
 
 def test_inline_inside_figure():
-    with pytest.raises(DiagnosticError) as info:
-        lower('\\bfig \\to \\efig')
-    assert info.value.code == 'MisplacedConstructor'
-    with pytest.raises(DiagnosticError):
-        lower('\\bfig \\iloop{x}(d,r) \\efig')
+    # each running-text constructor is named for what it is
+    for source, line in [
+            ('\\bfig \\to \\efig',
+             '<input>:1:7: error: MisplacedConstructor: inline arrows live '
+             'in running text, not inside a figure [in \\to]'),
+            ('\\bfig \\iloop{x}(d,r) \\efig',
+             '<input>:1:7: error: MisplacedConstructor: inline loops live '
+             'in running text, not inside a figure [in \\iloop]')]:
+        with pytest.raises(DiagnosticError) as info:
+            lower(source)
+        assert info.value.format() == line
 
 
 def test_empty_figure_is_an_empty_scene():

@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diagramc import compile_source, parser
+from diagramc import arrows, compile_source, parser
 from diagramc.errors import (
     PARSE_ERROR, UNBALANCED_GROUP, DiagnosticError, SourceLoc)
 from diagramc.model import LogicalPoint, ORIGIN
@@ -862,9 +862,22 @@ SOURCES = st.one_of(
     edited_sources())
 
 
-@given(GROUP_TEXT, st.sampled_from(',;`'))
+# field texts with escapes that do and do not protect a brace or a
+# separator: split_fields blanks escapes only for the first kind
+FIELD_TEXT = st.lists(st.sampled_from(
+    ['a', ' ', '{', '}', ',', ';', '`', '\\eta', '\\ ', '\\a', '\\',
+     '\\\\', '\\{', '\\}', '\\,', '\\;', '\\`', '^{2}', '_{\\bar{Q}}']),
+    max_size=12).map(''.join)
+
+
+@given(st.one_of(GROUP_TEXT, FIELD_TEXT), st.sampled_from(',;`'))
+@example('{\\eta}^{1}`\\bar{Q}_{2};f', '`')
+@example('a\\`b`c', '`')
+@example('{a\\}b`c}`d', '`')
 def test_split_fields_matches_reference(text, sep):
-    assert split_fields(text, sep) == reference_split_fields(text, sep)
+    fields = split_fields(text, sep)
+    assert fields == reference_split_fields(text, sep)
+    assert fields == parser._split_general(text, sep)
 
 
 # the texts split_fields hands to str.split
@@ -959,3 +972,185 @@ def test_scanner_locations_behind_the_last_one_are_counted_again():
     assert scanner.loc() == SourceLoc('src.dxy', 1, 2)
     scanner.pos = 8
     assert scanner.loc() == SourceLoc('src.dxy', 3, 3)
+
+
+# ---- direct routes against the general readers ------------------------
+#
+# Groups, raw arrow specs and fields each have a direct route in front
+# of a general reader, and the route must give exactly what the general
+# reader gives: the same text, offsets, style, fields and diagnostics.
+# Fields are compared in test_split_fields_matches_reference above.
+
+GROUP_CLOSERS = ')]|/>}'
+# plain text, control words, every escape a route must take whole (an
+# escaped closer and an escaped backslash among them), comments, line
+# breaks, and the closers of other groups as text
+GROUP_ATOMS = st.sampled_from(
+    ['a', ' ', '0', '-', ',', '`', ';', '^', '_', '@', '\u00e9',
+     '\\eta', '\\\\', '\\', '\\{', '\\}', '\\%', '\\ ', '\\\n',
+     '%', '% c\n', '%}\n  ', '\n', '\n  ', '{', '}',
+     *GROUP_CLOSERS, *('\\' + c for c in GROUP_CLOSERS)])
+
+
+def group_bodies(depth=0):
+    """Group text with braces nested up to two deep."""
+    atoms = [GROUP_ATOMS]
+    if depth < 2:
+        atoms.append(group_bodies(depth + 1).map('{{{}}}'.format))
+    return st.lists(st.one_of(atoms), max_size=8).map(''.join)
+
+
+def read_group(read, text, at, closer):
+    """What ``read`` makes of the group opened at ``text[at]``."""
+    scan = parser._Scanner(text, 'src.dxy')
+    scan.pos = at + 1
+    try:
+        got = read(scan, at, closer, 'test group')
+    except DiagnosticError as err:
+        return ('error', err.code, err.message, err.loc, scan.opened)
+    return ('ok', got, scan.pos, scan.opened)
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(['', 'ab\n', '\\bfig\n  \\square']), group_bodies(),
+       st.sampled_from(GROUP_CLOSERS), st.sampled_from(['', 'x', '\n]}']),
+       st.booleans())
+@example('', 'a\\]b', ']', '', True)
+@example('', '{a]b}', ']', '', True)
+@example('', 'a% ]\n', ']', '', True)
+@example('', 'a\nb', ']', '', True)
+@example('', '\\\\', ']', '', True)
+@example('', 'a\\', ']', '', False)
+@example('x\n', '{a}b}', ']', '', True)
+def test_group_route_matches_the_general_reader(before, body, closer, after,
+                                                closed):
+    text = before + '[' + body + (closer if closed else '') + after
+    at = len(before)
+    assert (read_group(parser._Scanner._group, text, at, closer)
+            == read_group(parser._Scanner._general_group, text, at, closer))
+
+
+SPEC_NAMES = st.sampled_from(
+    [*arrows._FORWARD, *arrows._REVERSED,
+     'x', '@', '>>', '{', '}', '\\>', '<-x', '@{>}', '{>}'])
+SPEC_SUFFIXES = st.sampled_from(
+    ['|-*@{|}', '|-*@{+}', '@<3pt>', '@<-2.722pt>', '@<0.5pt>', '@<-0pt>',
+     '@<1.pt>', '@<.5pt>', '@<1234567890pt>', '@<1e3pt>', '@<3pt',
+     '@<\u0663pt>', '|-*@{x}', '|-*@{|}}', 'x', '}', '{', '@{', '\\'])
+
+
+@st.composite
+def raw_specs(draw):
+    """A table name or junk, wrapped in 0-3 layers of 0-3 suffixes."""
+    spec = draw(SPEC_NAMES)
+    for _ in range(draw(st.integers(0, 3))):
+        suffixes = draw(st.lists(SPEC_SUFFIXES, max_size=3))
+        spec = '@{%s}%s' % (spec, ''.join(suffixes))
+    if draw(st.booleans()):
+        spec = spec[:draw(st.integers(0, len(spec)))]
+    return spec
+
+
+def style_or_message(parse, spec):
+    try:
+        return parse(spec)
+    except DiagnosticError as err:
+        return (err.code, err.message, err.loc)
+
+
+@settings(max_examples=400)
+@given(raw_specs())
+@example('@{->}|-*@{|}@<1pt>|-*@{+}@<-2pt>')
+@example('@{->')
+@example('@{<-}@<1234567890pt>')
+@example('@{@{>}|-*@{|}}@<2pt>')
+def test_spec_route_matches_the_general_reader(spec):
+    assert (style_or_message(arrows.parse_arrow_spec, spec)
+            == style_or_message(arrows._parse_general, spec))
+
+
+@given(st.lists(st.sampled_from(['{', '}', 'a', '\\', '\\eta', '^', '\\}',
+                                 '\\{', '\\\\']), max_size=10).map(''.join))
+@example('{\\eta}^{1002}')
+@example('{\\eta}')
+@example('{a\\}')
+@example('{}')
+def test_strip_group_matches_the_brace_scan(text):
+    whole = text[:1] == '{' and reference_matching_brace(text, 0) == len(text) - 1
+    assert strip_group(text) == (text[1:-1] if whole else text)
+
+
+@pytest.fixture
+def general_calls(monkeypatch):
+    """Counts of calls into each general reader."""
+    calls = {}
+    for owner, name in ((parser._Scanner, '_general_group'),
+                        (parser, '_split_general'),
+                        (arrows, '_parse_general')):
+        def counted(*args, _real=getattr(owner, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def many_files_source():
+    """Figures shaped like the benchmark's many-files inputs: unique
+    texts with control words and braces, raw specs with ticks and
+    offsets, one constructor per figure."""
+    bases = ['A', 'FB', 'G(X)', '\\alpha', '\\Sigma A', 'H\\otimes K',
+             '\\bar{Q}', 'T^{2}']
+    label_bases = ['f', '\\phi', 'g\\circ h', '\\eta', 'p', '\\lambda']
+    names = [*arrows._FORWARD, *arrows._REVERSED]
+    names = [n for n in names if '{' not in n]
+    ticks = ['', '|-*@{|}', '|-*@{+}']
+    serial = iter(range(1000, 100000))
+
+    def node(k):
+        return '%s_{%d}' % (bases[k % len(bases)], next(serial))
+
+    def label(k):
+        return '{%s}^{%d}' % (label_bases[k % len(label_bases)], next(serial))
+
+    def spec(k):
+        return '@{%s}%s@<%.3fpt>' % (names[k % len(names)],
+                                     ticks[k % len(ticks)], k / 7 - 2)
+
+    figures = []
+    shapes = [('morphism', 1, 2, '<1200,-600>'), ('square', 4, 4, '<1200,500>'),
+              ('Square', 4, 4, '<600>'), ('ptriangle', 3, 3, '<1200,500>'),
+              ('hSquares', 7, 6, '<600>'), ('vSquares', 7, 6, '<600,500>')]
+    k = 0
+    for keyword, slots, n_nodes, spans in shapes * 3:
+        specs = '`'.join(spec(k + i) for i in range(slots))
+        nodes = '`'.join(node(k + i) for i in range(n_nodes))
+        labels = '`'.join(label(k + i) for i in range(slots))
+        figures.append('%% figure\n\\bfig\n\\%s(0,0)|%s|/%s/%s[%s;%s]\n\\efig\n'
+                       % (keyword, 'a' * slots, specs, spans, nodes,
+                          labels))
+        k += slots
+    return '\n'.join(figures)
+
+
+def test_many_files_shapes_take_every_direct_route(general_calls):
+    units = compile_source(many_files_source())
+    assert len(units) == 18
+    assert general_calls == {}
+
+
+@pytest.mark.parametrize('source, reader', [
+    ('\\bfig\\morphism[{A{B}}`C;f]\\efig', '_general_group'),
+    ('\\bfig\\morphism[A`\n  C;f]\\efig', '_general_group'),
+    ('\\bfig\\morphism[A`C;f % note\n]\\efig', '_general_group'),
+    ('\\bfig\\morphism[A\\]`C;f]\\efig', '_general_group'),
+    ('\\bfig\\morphism|a|/@{@{>}}/[A`C;f]\\efig', '_parse_general'),
+    ('\\bfig\\morphism|a|/@{>}@<1.5pt>|-*@{x}/[A`C;f]\\efig',
+     '_parse_general'),
+    ('\\bfig\\morphism[A\\`B`C;f]\\efig', '_split_general'),
+])
+def test_other_shapes_take_the_general_reader(general_calls, source, reader):
+    try:
+        compile_source(source)
+    except DiagnosticError:
+        pass
+    assert general_calls.get(reader, 0) >= 1
