@@ -13,7 +13,7 @@ from .metrics import MetricsTable
 from .model import (ArrowInstance, ArrowStyle, InlineFragment, LogicalPoint,
                     NodeInstance, RenderConfig, Scene)
 from .parser import Statement, parse_document
-from .scenefile import dump_scene, scene_to_dict
+from .scenefile import dump_scene
 from .svg import render
 
 __version__ = '0.1.0'
@@ -23,7 +23,7 @@ __all__ = [
     'LogicalPoint', 'Lowerer', 'MetricsTable', 'NodeInstance',
     'RenderConfig', 'Scene', 'SourceLoc', 'Statement',
     'compile_source', 'dump_scene', 'parse_arrow_spec', 'parse_document',
-    'render', 'resolve_compass', 'resolve_scene', 'scene_to_dict',
+    'render', 'resolve_compass', 'resolve_scene',
 ]
 
 

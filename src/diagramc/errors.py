@@ -26,9 +26,6 @@ OUTPUT_COLLISION = "OutputCollision"
 class SourceLoc(Record):
     __slots__ = _values = ('file', 'line', 'col')
 
-    def __init__(self, file: str, line: int, col: int) -> None:
-        self._fill(file, line, col)
-
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.col}"
 

@@ -14,8 +14,8 @@ from .arrows import resolve_compass
 from .errors import NODES_OVERLAP, DiagnosticError
 from .metrics import MetricsTable
 from .model import (LEFT, MID, NO_SIDE, RIGHT, UNIT_EM, ArrowInstance,
-                    ArrowStyle, InlineFragment, Memo, NodeInstance, Record,
-                    RenderConfig, Scene, resolve_label_side, to_physical)
+                    InlineFragment, Memo, NodeInstance, Record, RenderConfig,
+                    Scene, resolve_label_side, to_physical)
 
 __all__ = ['NodeBox', 'Label', 'ResolvedArrow', 'ResolvedScene', 'node_box',
            'resolve_scene']
@@ -33,37 +33,22 @@ class NodeBox(Record):
 
     __slots__ = _values = ('min_x', 'min_y', 'max_x', 'max_y', 'text_x',
                            'baseline_y', 'text', 'phantom')
-
-    def __init__(self, min_x: float, min_y: float, max_x: float, max_y: float,
-                 text_x: float, baseline_y: float, text: str,
-                 phantom: bool = False) -> None:
-        self._fill(min_x, min_y, max_x, max_y, text_x, baseline_y, text,
-                   phantom)
+    _defaults = dict(phantom=False)
 
 
 class Label(Record):
-    """A placed arrow label; x, y is the center of its text box."""
+    """A placed arrow label; x, y is the center of its text box, and
+    ``side`` is left, right or mid."""
 
     __slots__ = _values = ('x', 'y', 'text', 'side', 'width', 'height',
                            'backing')
-
-    def __init__(self, x: float, y: float, text: str,
-                 side: str,  # left | right | mid
-                 width: float, height: float,
-                 backing: tuple[float, float, float, float] | None = None
-                 ) -> None:
-        self._fill(x, y, text, side, width, height, backing)
+    _defaults = dict(backing=None)
 
 
 class ResolvedArrow(Record):
     __slots__ = _values = ('start', 'end', 'style', 'labels', 'controls',
                            'tip_scale')
-
-    def __init__(self, start: Point, end: Point, style: ArrowStyle,
-                 labels: tuple[Label, ...] = (),
-                 controls: tuple[Point, Point] | None = None,
-                 tip_scale: float = 1.0) -> None:
-        self._fill(start, end, style, labels, controls, tip_scale)
+    _defaults = dict(labels=(), controls=None, tip_scale=1.0)
 
     @property
     def is_loop(self) -> bool:
@@ -72,10 +57,6 @@ class ResolvedArrow(Record):
 
 class ResolvedScene(Record):
     __slots__ = _values = ('boxes', 'arrows')
-
-    def __init__(self, boxes: tuple[NodeBox, ...],
-                 arrows: tuple[ResolvedArrow, ...]) -> None:
-        self._fill(boxes, arrows)
 
 
 class _Advances(Memo):

@@ -82,11 +82,7 @@ class _Walk(Record):
     """
 
     __slots__ = _values = ('nodes', 'rows', 'node_first')
-
-    def __init__(self, nodes: tuple[tuple[int, int], ...],
-                 rows: tuple[tuple[int, ...], ...],
-                 node_first: bool = False) -> None:
-        self._fill(nodes, rows, node_first)
+    _defaults = dict(node_first=False)
 
     @property
     def mask_bits(self) -> int:
@@ -330,8 +326,10 @@ class Lowerer:
     def _walk(self, fig: _FigureBuilder, stmt: Statement, walk: _Walk,
               origin: LogicalPoint, dx: int, dy: int,
               nodes: tuple[int, ...] | None = None,
-              slots: tuple[int | None, ...] | None = None) -> None:
-        """Draw ``walk`` from ``origin`` at pitch (dx, dy).
+              slots: tuple[int | None, ...] | None = None
+              ) -> list[LogicalPoint]:
+        """Draw ``walk`` from ``origin`` at pitch (dx, dy); return the
+        point of each walk node.
 
         ``nodes`` picks the statement's node for each walk node, and
         ``slots`` its slot for each walk slot, None dropping that edge;
@@ -366,6 +364,7 @@ class Lowerer:
                 self._emit(fig, blank, at[k], 'a', '>', '0', texts[k], '')
             else:
                 self._emit(fig, at[k], blank, 'a', '>', texts[k], '0', '')
+        return at
 
     def _width(self, stmt: Statement, *edges: tuple[int, int, int]) -> int:
         """Widest auto-spaced morphism of the (source, target, label)s."""
@@ -411,9 +410,8 @@ class Lowerer:
 
     def _pullback(self, fig: _FigureBuilder, stmt: Statement) -> None:
         square, tri = stmt.inner, stmt.trident
-        dx, dy = square.spans
-        self._walk(fig, square, _SQUARE, square.origin, dx, dy)
-        corners = _SQUARE.at(square.origin, dx, dy)
+        corners = self._walk(fig, square, _SQUARE, square.origin,
+                             *square.spans)
         w, h = tri.spans
         apex = corners[0].shifted(-w, h)
         # the trident reaches B, A and C, in slot order
@@ -424,10 +422,9 @@ class Lowerer:
 
     def _cube(self, fig: _FigureBuilder, stmt: Statement) -> None:
         inner, conn = stmt.inner, stmt.connector
-        self._walk(fig, stmt, _SQUARE, stmt.origin, *stmt.spans)
-        self._walk(fig, inner, _SQUARE, inner.origin, *inner.spans)
-        outer_at = _SQUARE.at(stmt.origin, *stmt.spans)
-        inner_at = _SQUARE.at(inner.origin, *inner.spans)
+        outer_at = self._walk(fig, stmt, _SQUARE, stmt.origin, *stmt.spans)
+        inner_at = self._walk(fig, inner, _SQUARE, inner.origin,
+                              *inner.spans)
         # connectors run outer corner to inner corner: top-right first,
         # then top-left, bottom-left, bottom-right
         for k in (1, 0, 2, 3):

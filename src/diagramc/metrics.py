@@ -55,7 +55,8 @@ class MetricsTable(Record):
 
     @classmethod
     def builtin(cls) -> "MetricsTable":
-        return cls()
+        """The builtin table, made once at import: no table ever changes."""
+        return _BUILTIN
 
     @classmethod
     def from_file(cls, path: str) -> "MetricsTable":
@@ -138,6 +139,9 @@ class MetricsTable(Record):
         widest = max(self.text_advance(sup, cfg.label_scale),
                      self.text_advance(sub, cfg.label_scale))
         return max(widest // _UNIT_MILLI_EM + DEFAULT_MARGIN, floor_units)
+
+
+_BUILTIN = MetricsTable()
 
 
 def _parse_key(key: str, path: str, lineno: int) -> str:

@@ -44,21 +44,30 @@ class Record:
     attribute can be set, so each class gets its own ``_fill(self, <its
     slots in order>)``, compiled when the class is made, as
     ``collections.namedtuple`` compiles its ``__new__``: it writes each
-    slot through its member descriptor's ``__set__``, and every
-    ``__init__`` ends in one call to it."""
+    slot through its member descriptor's ``__set__``, and a slot named in
+    the class dict ``_defaults`` may be left out.  The filler is the
+    ``__init__`` of a class that writes none; one that checks its
+    arguments ends its ``__init__`` in one call to it."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls._key = attrgetter(*cls._values)
         names = cls.__slots__
-        setters = {'_set_' + n: getattr(cls, n).__set__ for n in names}
-        source = 'def _fill(self, %s):\n%s' % (', '.join(names), ''.join(
+        scope = {'_set_' + n: getattr(cls, n).__set__ for n in names}
+        defaults = scope['_defaults'] = cls.__dict__.get('_defaults', {})
+        source = 'def _fill(self, %s):\n%s' % (', '.join(
+            '%s=_defaults[%r]' % (n, n) if n in defaults else n
+            for n in names), ''.join(
             '    _set_%s(self, %s)\n' % (n, n) for n in names))
         # its own file name keeps each class's filler apart in a profile
-        exec(compile(source, '<%s._fill>' % cls.__qualname__, 'exec'),
-             setters)
-        cls._fill = setters['_fill']
+        exec(compile(source, '<%s._fill>' % cls.__qualname__, 'exec'), scope)
+        cls._fill = fill = scope['_fill']
+        if '__init__' not in cls.__dict__:
+            # a wrong call names the class: "LogicalPoint.__init__() ..."
+            fill.__name__ = '__init__'
+            fill.__qualname__ = cls.__qualname__ + '.__init__'
+            cls.__init__ = fill
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -83,9 +92,6 @@ class Record:
 
 class LogicalPoint(Record):
     __slots__ = _values = ('x', 'y')
-
-    def __init__(self, x: int, y: int) -> None:
-        self._fill(x, y)
 
     def shifted(self, dx: int, dy: int) -> "LogicalPoint":
         return LogicalPoint(self.x + dx, self.y + dy)
@@ -121,24 +127,19 @@ def to_physical(p: LogicalPoint, cfg: RenderConfig) -> tuple[float, float]:
 
 
 class ArrowStyle(Record):
+    """How one arrow is drawn.  ``tail`` is none, mono, hook_up, hook_down
+    or bar; ``shaft`` solid, dashed, dotted, double or invisible; ``head``
+    none, normal or double_head; ``mid`` none, tick or cross."""
+
     __slots__ = _values = ('tail', 'shaft', 'head', 'mid',
                            'parallel_offset_pt', 'reversed')
-
-    def __init__(self, tail: str = "none",  # none | mono | hook_up | hook_down | bar
-                 shaft: str = "solid",  # solid | dashed | dotted | double | invisible
-                 head: str = "normal",  # none | normal | double_head
-                 mid: str = "none",     # none | tick | cross
-                 parallel_offset_pt: float = 0.0,
-                 reversed: bool = False) -> None:
-        self._fill(tail, shaft, head, mid, parallel_offset_pt, reversed)
+    _defaults = dict(tail='none', shaft='solid', head='normal', mid='none',
+                     parallel_offset_pt=0.0, reversed=False)
 
 
 class NodeInstance(Record):
     __slots__ = _values = ('pos', 'text', 'anchor', 'phantom')
-
-    def __init__(self, pos: LogicalPoint, text: str, anchor: str = "center",
-                 phantom: bool = False) -> None:
-        self._fill(pos, text, anchor, phantom)
+    _defaults = dict(anchor='center', phantom=False)
 
 
 LEFT = "left"
@@ -169,21 +170,16 @@ def resolve_label_side(rule: str, dx: int, dy: int) -> str:
 
 class ArrowInstance(Record):
     """``src_text`` and ``dst_text`` are the texts of the nodes whose boxes
-    clip the ends, None for bare vectors.  ``loc`` and ``constructor`` name
-    the statement it comes from, for diagnostics, outside its value."""
+    clip the ends, None for bare vectors.  ``label_rule`` is one of l, m,
+    r, a, b or none.  ``loc`` and ``constructor`` name the statement it
+    comes from, for diagnostics, outside its value."""
 
     _values = ('src', 'dst', 'style', 'label', 'label_rule', 'src_text',
                'dst_text', 'loop_out', 'loop_in')
     __slots__ = _values + ('loc', 'constructor')
-
-    def __init__(self, src: LogicalPoint, dst: LogicalPoint, style: ArrowStyle,
-                 label: str = "",
-                 label_rule: str = "none",  # l | m | r | a | b | none
-                 src_text: str | None = None, dst_text: str | None = None,
-                 loop_out: str | None = None, loop_in: str | None = None,
-                 loc: object = None, constructor: str | None = None) -> None:
-        self._fill(src, dst, style, label, label_rule, src_text, dst_text,
-                   loop_out, loop_in, loc, constructor)
+    _defaults = dict(label='', label_rule='none', src_text=None,
+                     dst_text=None, loop_out=None, loop_in=None, loc=None,
+                     constructor=None)
 
     @property
     def is_loop(self) -> bool:
@@ -195,10 +191,7 @@ class ArrowInstance(Record):
 
 class InlineArrowPart(Record):
     __slots__ = _values = ('style', 'sup', 'sub', 'mid')
-
-    def __init__(self, style: ArrowStyle, sup: str = "", sub: str = "",
-                 mid: str = "") -> None:
-        self._fill(style, sup, sub, mid)
+    _defaults = dict(sup='', sub='', mid='')
 
 
 class InlineFragment(Record):
@@ -206,18 +199,10 @@ class InlineFragment(Record):
 
     __slots__ = _values = ('kind', 'end', 'parts', 'unit_scale', 'tip_scale',
                            'raise_pt')
-
-    def __init__(self, kind: str, end: LogicalPoint,
-                 parts: tuple[InlineArrowPart, ...],
-                 unit_scale: float = 1.0,  # twoar renders at 0.001 em per unit
-                 tip_scale: float = 1.0, raise_pt: float = 0.0) -> None:
-        self._fill(kind, end, parts, unit_scale, tip_scale, raise_pt)
+    # twoar renders at unit_scale 0.1, 0.001 em per unit
+    _defaults = dict(unit_scale=1.0, tip_scale=1.0, raise_pt=0.0)
 
 
 class Scene(Record):
     __slots__ = _values = ('nodes', 'arrows', 'inlines')
-
-    def __init__(self, nodes: tuple[NodeInstance, ...] = (),
-                 arrows: tuple[ArrowInstance, ...] = (),
-                 inlines: tuple[InlineFragment, ...] = ()) -> None:
-        self._fill(nodes, arrows, inlines)
+    _defaults = dict(nodes=(), arrows=(), inlines=())

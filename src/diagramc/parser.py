@@ -23,14 +23,15 @@ of braces is stripped by :func:`strip_group` at the point of use, which
 is how the arguments behave when handed down a macro chain.
 
 Scanning goes from one delimiter to the next, never a character at a
-time.  The scanner keeps only an offset.  A group takes a direct route
-when it is flat: the first closer after the opener ends it, and one
-pattern match checks that the text before that closer holds no line
-break, comment or nested brace, closes each brace and takes each
-escape whole.  Any other group, and every error, falls through to the
-general reader, which searches with one compiled pattern for the next
-escape, comment, line break, brace or closer and takes the plain text
-in between as one slice.  Line and column are worked out only when a
+time.  The scanner keeps its offset, the last group opener's offset and
+where each line starts.  A group takes a direct route when it is flat:
+the first closer after the opener ends it, and one pattern match checks
+that the text before that closer holds no line break, comment or nested
+brace, closes each brace and takes each escape whole.  Any other group,
+and every error, falls through to the general reader, which searches
+with one compiled pattern for the next escape, comment, line break,
+brace or closer and takes the plain text in between as one slice.  Line
+and column are worked out from the line starts, and only when a
 location is asked for.  Fields split where the braces before a
 separator balance, counted over whole pieces of the group; escapes are
 blanked first only when a backslash stands right before a brace or the
@@ -73,22 +74,11 @@ class Statement(Record):
                'connector', 'name', 'anchor', 'loop_out', 'loop_in',
                'length', 'sup', 'sub', 'mid')
     __slots__ = _values + ('loc',)
-
-    def __init__(self, constructor: str, origin: LogicalPoint = ORIGIN,
-                 placements: str = '', specs: tuple[str, ...] = (),
-                 spans: tuple[int, ...] = (), nodes: tuple[str, ...] = (),
-                 labels: tuple[str, ...] = (), mask: int = 0,
-                 border: tuple[int, ...] = (),
-                 inner: Statement | None = None,
-                 trident: Statement | None = None,
-                 connector: Statement | None = None, name: str = '',
-                 anchor: str = 'center', loop_out: str = '',
-                 loop_in: str = '', length: int = 0, sup: str = '',
-                 sub: str = '', mid: str = '',
-                 loc: SourceLoc | None = None) -> None:
-        self._fill(constructor, origin, placements, specs, spans, nodes,
-                   labels, mask, border, inner, trident, connector, name,
-                   anchor, loop_out, loop_in, length, sup, sub, mid, loc)
+    _defaults = dict(origin=ORIGIN, placements='', specs=(), spans=(),
+                     nodes=(), labels=(), mask=0, border=(), inner=None,
+                     trident=None, connector=None, name='', anchor='center',
+                     loop_out='', loop_in='', length=0, sup='', sub='',
+                     mid='', loc=None)
 
 
 def matching_brace(text: str, i: int, depth: int = 0) -> int:
@@ -338,10 +328,7 @@ class _Plan(Record):
     """
 
     __slots__ = _values = ('placements', 'spans', 'n_nodes', 'border')
-
-    def __init__(self, placements: str, spans: tuple[int, ...], n_nodes: int,
-                 border: tuple[int, ...] = ()) -> None:
-        self._fill(placements, spans, n_nodes, border)
+    _defaults = dict(border=())
 
 
 _SQUARE_PLAN = _Plan('alrb', (500, 500), 4)

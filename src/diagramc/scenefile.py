@@ -11,7 +11,7 @@ from __future__ import annotations
 from .model import (ArrowInstance, ArrowStyle, InlineFragment, Memo,
                     NodeInstance, Scene)
 
-__all__ = ['scene_to_dict', 'dump_scene']
+__all__ = ['dump_scene']
 
 
 # ---- canonical text ----------------------------------------------------
@@ -136,9 +136,3 @@ def dump_scene(scene: Scene) -> str:
             doc[-1] = '\n  ]'
     doc.append(_DOC[3])
     return ''.join(doc)
-
-
-def scene_to_dict(scene: Scene) -> dict:
-    """The scene as the JSON data its canonical text holds."""
-    import json   # only library callers pay for it, not the CLI's start-up
-    return json.loads(dump_scene(scene))

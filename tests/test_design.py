@@ -90,20 +90,54 @@ def record_classes():
                   key=lambda cls: (cls.__module__, cls.__qualname__))
 
 
+# the records that check or convert their arguments before filling
+CHECKED = {'RenderConfig', 'MetricsTable'}
+
+
 @pytest.mark.parametrize('cls', record_classes(),
                          ids=lambda cls: cls.__qualname__)
 def test_every_record_fills_its_slots_through_one_filler(cls):
-    # one way to build a record: __init__ ends in self._fill(<its slots>)
+    # one way to build a record: its __init__ is its _fill(<its slots>),
+    # or, for a record that checks its arguments, ends in one call to it
     params = inspect.signature(cls._fill).parameters.values()
     assert [p.name for p in params] == ['self', *cls.__slots__]
     assert {p.kind for p in params} == {
         inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    defaults = cls.__dict__.get('_defaults', {})
+    assert set(defaults) <= set(cls.__slots__)
+    assert {p.name: p.default for p in params
+            if p.default is not p.empty} == defaults
+    if cls.__qualname__ not in CHECKED:
+        assert cls.__init__ is cls._fill
+        assert cls.__init__.__name__ == '__init__'
+        assert cls.__init__.__qualname__ == cls.__qualname__ + '.__init__'
+        return
+    assert '__init__' in cls.__dict__ and cls.__init__ is not cls._fill
     init, = ast.parse(textwrap.dedent(inspect.getsource(cls.__init__))).body
     calls = [node for node in ast.walk(init) if isinstance(node, ast.Call)
              and getattr(node.func, 'attr', None) == '_fill']
     last = init.body[-1]
     assert len(calls) == 1
     assert isinstance(last, ast.Expr) and last.value is calls[0]
+
+
+def test_a_wrong_call_names_the_record():
+    with pytest.raises(TypeError, match=r"^LogicalPoint\.__init__\(\) "
+                       r"missing 1 required positional argument: 'y'$"):
+        model.LogicalPoint(1)
+    with pytest.raises(TypeError, match=r"^Statement\.__init__\(\) got an "
+                       r"unexpected keyword argument 'kind'$"):
+        parser.Statement('square', kind='square')
+
+
+def test_a_statement_lists_its_keyword_then_its_defaulted_fields():
+    params = inspect.signature(parser.Statement).parameters.values()
+    defaulted = [p.name for p in params if p.default is not p.empty]
+    assert [p.name for p in params] == ['constructor', *defaulted]
+    assert defaulted == list(parser.Statement.__slots__[1:])
+    assert len(defaulted) == 20
+    assert parser.Statement('square', spans=(1, 2)) == parser.Statement(
+        'square', model.ORIGIN, '', (), (1, 2))
 
 
 def test_only_the_record_base_names_the_slot_setters():
@@ -329,8 +363,7 @@ TRACED = [
     ('MetricsTable', 'morphism_width'), ('layout', 'node_box'),
     ('svg', 'resolve_scene'), ('svg', 'render_resolved'),
     ('diagramc', 'dump_scene'), ('cli', 'dump_scene'),
-    ('scenefile', 'dump_scene'), ('scenefile', 'scene_to_dict'),
-    ('cli', 'main'),
+    ('scenefile', 'dump_scene'), ('cli', 'main'),
 ]
 
 
@@ -363,12 +396,18 @@ def test_the_cli_calls_through_each_traced_entry_point(tmp_path,
     source.write_text('\\bfig\\Square[A`B`C`D;f`g`h`k]\\efig\n',
                       encoding='utf-8')
     assert cli.main([str(source)]) == 0
-    # the CLI reaches these names; the package-level aliases and
-    # scene_to_dict serve library callers and are checked above
+    # the CLI reaches these names; the package-level aliases serve
+    # library callers and are checked above
     assert {key for key in calls} == set(TRACED) - {
         ('diagramc', 'parse_document'), ('parser', 'parse_document'),
-        ('diagramc', 'dump_scene'), ('scenefile', 'dump_scene'),
-        ('scenefile', 'scene_to_dict')}
+        ('diagramc', 'dump_scene'), ('scenefile', 'dump_scene')}
+
+
+def test_the_scene_is_read_back_with_json_not_a_helper():
+    # scene_to_dict was json.loads(dump_scene(scene)), and only tests
+    # called it
+    assert not hasattr(scenefile, 'scene_to_dict')
+    assert not hasattr(diagramc, 'scene_to_dict')
 
 
 # ---- peak memory ---------------------------------------------------------------

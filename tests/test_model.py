@@ -304,6 +304,12 @@ def test_each_metrics_table_gets_its_own_advances():
     assert a.advances == b.advances and a.advances is not b.advances
 
 
+def test_the_builtin_table_is_made_once():
+    # a library caller that passes no table pays for none
+    assert MetricsTable.builtin() is MetricsTable.builtin()
+    assert Lowerer().metrics is MetricsTable.builtin()
+
+
 def test_a_metrics_table_cannot_be_changed_through_its_advances():
     given = {'A': 600}
     table = MetricsTable(given)
