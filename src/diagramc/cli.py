@@ -177,33 +177,12 @@ def _failure(path: str, exc: Exception) -> int:
     return 1
 
 
-def _lower_file(path: str, args: argparse.Namespace, metrics: MetricsTable,
-                cfg: RenderConfig) -> tuple[int, list[Scene]]:
-    """Read, parse and lower one input: (exit status, its units)."""
-    try:
-        with open(path, 'rb') as handle:
-            text = decode_source(handle.read(), path)
-        units = Lowerer(metrics, cfg).lower_document(
-            parse_document(text, filename=path))
-        unknown = _scan_glyphs(units, metrics)
-    except Exception as exc:   # one bad file never stops the batch
-        return _failure(path, exc), []
-    if unknown:
-        severity = 'error' if args.strict else 'warning'
-        for glyph in unknown:
-            print('%s: %s: no metrics for %r; using the fallback advance'
-                  % (path, severity, glyph), file=sys.stderr)
-        if args.strict:
-            return 1, []
-    return 0, units
-
-
-def _compile_file(path: str, units: list[Scene], args: argparse.Namespace,
-                  metrics: MetricsTable, cfg: RenderConfig,
-                  sources: dict[tuple[int, int], str],
-                  missing: dict[str, str],
-                  written: dict[tuple[int, int], str]) -> int:
-    """Render and write the outputs of one lowered input.
+def _compile_input(path: str, args: argparse.Namespace,
+                   metrics: MetricsTable, cfg: RenderConfig,
+                   sources: dict[tuple[int, int], str],
+                   missing: dict[str, str],
+                   written: dict[tuple[int, int], str]) -> tuple[int, int]:
+    """Compile and write one input: (exit status, its unit count).
 
     ``sources`` holds the inputs by file identity.  An input with no
     file has no identity, so ``missing`` holds those by real path, which
@@ -213,6 +192,21 @@ def _compile_file(path: str, units: list[Scene], args: argparse.Namespace,
     to it.  An output found in any of them fails this input before any
     write; an output joins ``written`` once it has its name.
     """
+    try:
+        with open(path, 'rb') as handle:
+            text = decode_source(handle.read(), path)
+        units = Lowerer(metrics, cfg).lower_document(
+            parse_document(text, filename=path))
+        unknown = _scan_glyphs(units, metrics)
+    except Exception as exc:   # one bad file never stops the batch
+        return _failure(path, exc), 0
+    if unknown:
+        severity = 'error' if args.strict else 'warning'
+        for glyph in unknown:
+            print('%s: %s: no metrics for %r; using the fallback advance'
+                  % (path, severity, glyph), file=sys.stderr)
+        if args.strict:
+            return 1, 0
     prefix = _prefix(path, args.out_dir)
     numbers = (['.'] if len(units) == 1 else
                ['.%d.' % (n + 1) for n in range(len(units))])
@@ -232,12 +226,12 @@ def _compile_file(path: str, units: list[Scene], args: argparse.Namespace,
             clash = '%s and %s both write %s' % (written[ident], path, out)
         elif stat and S_ISDIR(stat.st_mode):   # no file can be renamed onto it
             print('%s: error: Is a directory' % out, file=sys.stderr)
-            return 2
+            return 2, 0
         else:
             continue
         print('diagramc: error: %s: %s' % (OUTPUT_COLLISION, clash),
               file=sys.stderr)
-        return 2
+        return 2, 0
     temps: dict[str, str] = {}   # output path: its temp, until renamed
     idents = {}
     try:
@@ -262,14 +256,14 @@ def _compile_file(path: str, units: list[Scene], args: argparse.Namespace,
     except Exception as exc:   # one bad file never stops the batch
         if isinstance(exc, OSError):
             exc.filename = out   # the output it was writing, not a temp
-        return _failure(path, exc)
+        return _failure(path, exc), 0
     finally:
         for temp in temps.values():
             try:
                 os.unlink(temp)
             except OSError:
                 pass
-    return 0
+    return 0, len(units)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -316,12 +310,10 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         for path in args.inputs:
-            code, units = _lower_file(path, args, metrics, cfg)
+            code, count = _compile_input(path, args, metrics, cfg, sources,
+                                         missing, written)
             if code == 0:
-                code = _compile_file(path, units, args, metrics, cfg,
-                                     sources, missing, written)
-                if code == 0:
-                    compiled.append((path, len(units)))
+                compiled.append((path, count))
             status = max(status, code)
     finally:
         if collecting:

@@ -158,10 +158,9 @@ def _offset(p: Point, nx: float, ny: float, amount: float) -> Point:
 def _resolve_segment(arrow: ArrowInstance, clips: dict[_ClipKey, NodeBox],
                      metrics: MetricsTable, cfg: RenderConfig
                      ) -> ResolvedArrow:
-    src, dst, em = arrow.src, arrow.dst, cfg.em_pt
-    # to_physical of each end: its operations in its order
-    x0, y0 = src.x * UNIT_EM * em, src.y * UNIT_EM * em
-    x1, y1 = dst.x * UNIT_EM * em, dst.y * UNIT_EM * em
+    src, dst = arrow.src, arrow.dst
+    x0, y0 = to_physical(src, cfg)
+    x1, y1 = to_physical(dst, cfg)
     dx = x1 - x0
     dy = y1 - y0
     t0, t1 = 0.0, 1.0

@@ -103,9 +103,6 @@ class MetricsTable(Record):
 
     # -- raw advances -------------------------------------------------------
 
-    def token_advance(self, token: str) -> int:
-        return self.advances.get(token, self.fallback)
-
     def text_advance(self, text: str, scale: float = 1.0) -> int:
         """Sum of advances in milli-em; no kerning, no math spacing."""
         total = sum(map(self.advances.get, _TOKEN_RE.findall(text),

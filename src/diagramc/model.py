@@ -185,9 +185,6 @@ class ArrowInstance(Record):
     def is_loop(self) -> bool:
         return self.loop_out is not None
 
-    def span(self) -> tuple[int, int]:
-        return (self.dst.x - self.src.x, self.dst.y - self.src.y)
-
 
 class InlineArrowPart(Record):
     __slots__ = _values = ('style', 'sup', 'sub', 'mid')

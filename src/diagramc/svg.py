@@ -69,13 +69,7 @@ def _dash(dash: str | None) -> str:
 
 def _escape(text: str) -> str:
     """Character data escaped as ElementTree escapes it."""
-    if '&' in text:
-        text = text.replace('&', '&amp;')
-    if '<' in text:
-        text = text.replace('<', '&lt;')
-    if '>' in text:
-        text = text.replace('>', '&gt;')
-    return text
+    return text.replace('&', '&amp;').replace('<', '&lt;').replace('>', '&gt;')
 
 
 # Each element writer returns one element line, unindented; the group

@@ -169,9 +169,33 @@ def test_unknown_glyphs_warn_by_default(tmp_path, capsys):
 
 def test_strict_turns_unknown_glyphs_into_errors(tmp_path, capsys):
     source = write(tmp_path, 'uni.dxy', '\\bfig\\place(0,0)[α]\\efig\n')
-    assert main(['--strict', str(source)]) == 1
-    assert 'error: no metrics' in capsys.readouterr().err
-    assert not (tmp_path / 'uni.svg').exists()
+    # a scene-only run never lays a unit out, so the check cannot rest
+    # on layout's measuring
+    for fmt in ('both', 'scene'):
+        assert main(['--strict', '--format', fmt, str(source)]) == 1
+        assert capsys.readouterr().err == (
+            "%s: error: no metrics for 'α'; using the fallback advance\n"
+            % source)
+        assert os.listdir(tmp_path) == ['uni.dxy']
+
+
+@pytest.mark.parametrize('body, glyphs', [
+    # a label whose placement is no rule letter is dropped, not drawn
+    ('\\bfig\\morphism|x|[A`B;\\alpha]\\efig', []),
+    # a phantom node's text, named in the figure after its own: one warning
+    ('\\bfig\\node p(0,0)[\\gamma]\\efig\n'
+     '\\bfig\\node q(500,0)[Q]\\arrow[p`q;f]\\efig', ['\\gamma']),
+    # inline labels above, below and on the shaft
+    ('\\to^{\\alpha}_{\\beta}\n\\three|{\\gamma}',
+     ['\\alpha', '\\beta', '\\gamma']),
+])
+def test_the_glyph_check_reads_each_drawn_text(tmp_path, capsys, body,
+                                               glyphs):
+    source = write(tmp_path, 'g.dxy', body + '\n')
+    assert main([str(source)]) == 0
+    assert capsys.readouterr().err == ''.join(
+        "%s: warning: no metrics for %r; using the fallback advance\n"
+        % (source, glyph) for glyph in glyphs)
 
 
 def test_each_distinct_text_is_scanned_once_for_glyphs(tmp_path, capsys,
@@ -619,18 +643,18 @@ def _run_batch(root, batch, argv):
     before = {path: pathlib.Path(path).read_bytes() for path in inputs
               if os.path.exists(path)}
     writes, current = [], [None]
-    real_lower, real_write = cli._lower_file, cli._write
+    real_compile, real_write = cli._compile_input, cli._write
 
-    def lowering(path, *rest):
+    def compiling(path, *rest):
         current[0] = path
-        return real_lower(path, *rest)
+        return real_compile(path, *rest)
 
     def writing(path, *rest):
         writes.append((current[0], os.path.abspath(path)))
         return real_write(path, *rest)
 
     stderr = io.StringIO()
-    with mock.patch.object(cli, '_lower_file', lowering), \
+    with mock.patch.object(cli, '_compile_input', compiling), \
             mock.patch.object(cli, '_write', writing), \
             contextlib.redirect_stderr(stderr):
         status = main(argv + inputs)

@@ -410,6 +410,26 @@ def test_the_scene_is_read_back_with_json_not_a_helper():
     assert not hasattr(diagramc, 'scene_to_dict')
 
 
+def _nodes_of(function):
+    return list(ast.walk(ast.parse(textwrap.dedent(inspect.getsource(
+        function)))))
+
+
+def test_each_job_is_done_in_one_place():
+    # one CLI function per input; no accessor only tests called
+    assert not hasattr(cli, '_lower_file')
+    assert not hasattr(cli, '_compile_file')
+    assert not hasattr(metrics.MetricsTable, 'token_advance')
+    assert not hasattr(model.ArrowInstance, 'span')
+    # an arrow's ends go through the one logical-to-point formula
+    names = {node.id for node in _nodes_of(layout._resolve_segment)
+             if isinstance(node, ast.Name)}
+    assert 'to_physical' in names and 'UNIT_EM' not in names
+    # str.replace already returns a text without the character unchanged
+    assert not any(isinstance(node, (ast.In, ast.NotIn))
+                   for node in _nodes_of(svg._escape))
+
+
 # ---- peak memory ---------------------------------------------------------------
 
 def test_the_cli_peak_stays_near_what_it_writes(tmp_path):
@@ -614,7 +634,7 @@ def test_the_cli_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch,
         for argv, status in runs:
             assert cli.main(argv) == status
             assert gc.isenabled() == enabled, argv
-        monkeypatch.setattr(cli, '_compile_file', interrupt)
+        monkeypatch.setattr(cli, '_compile_input', interrupt)
         with pytest.raises(KeyboardInterrupt):
             cli.main([str(good)])
         assert gc.isenabled() == enabled

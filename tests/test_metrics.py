@@ -17,7 +17,7 @@ CFG = RenderConfig()
 def test_builtin_covers_printable_ascii():
     table = MetricsTable.builtin()
     for code in range(0x20, 0x7F):
-        assert table.token_advance(chr(code)) == DEFAULT_ADVANCE
+        assert table.advances.get(chr(code), table.fallback) == DEFAULT_ADVANCE
     assert table.ascent == DEFAULT_ASCENT
     assert table.descent == DEFAULT_DESCENT
 
@@ -40,7 +40,7 @@ def test_text_advance_matches_token_loop(text, scale):
     tokens = re.findall(r'\\[A-Za-z]+|\\.|.', text, re.DOTALL)
     total = 0
     for token in tokens:
-        total += table.token_advance(token)
+        total += table.advances.get(token, table.fallback)
     assert table.text_advance(text, scale) == int(total * scale)
 
 
@@ -114,10 +114,10 @@ def test_from_file_overrides(tmp_path):
         'descent 400\n',
         encoding='utf-8')
     table = MetricsTable.from_file(str(path))
-    assert table.token_advance('f') == 300
-    assert table.token_advance('A') == 700
-    assert table.token_advance('B') == 900
-    assert table.token_advance('\\otimes') == 800
+    assert table.advances.get('f', table.fallback) == 300
+    assert table.advances.get('A', table.fallback) == 700
+    assert table.advances.get('B', table.fallback) == 900
+    assert table.advances.get('\\otimes', table.fallback) == 800
     assert table.fallback == 450
     assert table.ascent == 600
     assert table.descent == 400
@@ -141,8 +141,8 @@ def test_from_file_takes_the_widest_values(tmp_path):
     path.write_text('U+10FFFF 999999999\n1114111 0\nu+41 000000007\n'
                     'descent 0\n', encoding='utf-8')
     table = MetricsTable.from_file(str(path))
-    assert table.token_advance('\U0010ffff') == 0
-    assert table.token_advance('A') == 7
+    assert table.advances.get('\U0010ffff', table.fallback) == 0
+    assert table.advances.get('A', table.fallback) == 7
     assert table.descent == 0
 
 
@@ -172,5 +172,5 @@ def test_from_file_breaks_lines_as_text_mode_does(tmp_path, newline):
     path.write_bytes(newline.join(['α 700', '\\beta 800', ''])
                      .encode('utf-8'))
     table = MetricsTable.from_file(str(path))
-    assert table.token_advance('α') == 700
-    assert table.token_advance('\\beta') == 800
+    assert table.advances.get('α', table.fallback) == 700
+    assert table.advances.get('\\beta', table.fallback) == 800

@@ -108,7 +108,6 @@ def test_translate_moves_nodes_and_arrows(translate):
 
 def test_arrow_span_and_loop_flag():
     arrow = ArrowInstance(LogicalPoint(2, 3), LogicalPoint(5, 1), ArrowStyle())
-    assert arrow.span() == (3, -2)
     assert not arrow.is_loop
     loop = ArrowInstance(ORIGIN, ORIGIN, ArrowStyle(), loop_out='u',
                          loop_in='r')
