@@ -41,8 +41,7 @@ from .parser import decode_source, parse_document
 from .scenefile import dump_scene
 from .svg import render
 
-METRICS_ENV = 'DIAGRAMC_METRICS'
-
+_DEFAULT = RenderConfig()   # each setting's default, for its option
 _EXTENSIONS = {'scene': ('scene.json',), 'svg': ('svg',),
                'both': ('scene.json', 'svg')}
 _SLICE = 1 << 16   # characters encoded and written at a time
@@ -59,14 +58,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    default='both', help='which outputs to write')
     p.add_argument('-o', '--out-dir', metavar='DIR',
                    help='output directory (default: next to each input)')
-    p.add_argument('--em-pt', type=float, default=10.0, metavar='PT',
-                   help='font size; one em in points')
-    p.add_argument('--margin-pt', type=float, default=3.0, metavar='PT',
+    p.add_argument('--em-pt', type=float, default=_DEFAULT.em_pt,
+                   metavar='PT', help='font size; one em in points')
+    p.add_argument('--margin-pt', type=float,
+                   default=_DEFAULT.object_margin_pt, metavar='PT',
                    help='clearance between node text and arrow ends')
     p.add_argument('--metrics', metavar='FILE',
-                   help='glyph advance table '
-                        '(default: $%s, then builtin)' % METRICS_ENV)
-    p.add_argument('--label-scale', type=float, default=1.0, metavar='S',
+                   help='glyph advance table (default: builtin)')
+    p.add_argument('--label-scale', type=float,
+                   default=_DEFAULT.label_scale, metavar='S',
                    help='label size relative to node text')
     p.add_argument('--strict', action='store_true',
                    help='fail on glyphs missing from the metrics table')
@@ -268,16 +268,15 @@ def _compile_input(path: str, args: argparse.Namespace,
 
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    metrics_path = args.metrics or os.environ.get(METRICS_ENV)
     try:
-        metrics = (MetricsTable.from_file(metrics_path) if metrics_path
+        metrics = (MetricsTable.from_file(args.metrics) if args.metrics
                    else MetricsTable.builtin())
         cfg = RenderConfig(em_pt=args.em_pt,
                            object_margin_pt=args.margin_pt,
                            label_scale=args.label_scale)
     except (OSError, ValueError) as exc:
         if isinstance(exc, OSError):   # a ValueError names its file:line
-            exc = '%s: %s' % (exc.filename or metrics_path,
+            exc = '%s: %s' % (exc.filename or args.metrics,
                               exc.strerror or exc)
         print('diagramc: error: %s' % exc, file=sys.stderr)
         return 2

@@ -153,10 +153,11 @@ _WALKS = {
 
 
 class _FigureBuilder:
-    """A figure's arrows, and its nodes by (x, y, text, anchor) in the
-    order first placed; a real node takes the slot of its phantom twin."""
+    """A figure's ``\\bfig`` loc, arrows, and nodes by (x, y, text, anchor)
+    in first-placed order; a real node takes the slot of its phantom twin."""
 
-    def __init__(self) -> None:
+    def __init__(self, loc: SourceLoc | None = None) -> None:
+        self.loc = loc
         self.nodes: dict[tuple[int, int, str, str], NodeInstance] = {}
         self.arrows: list[ArrowInstance] = []
 
@@ -172,30 +173,23 @@ class _FigureBuilder:
 
 
 class Lowerer:
-    """Statement-to-scene translator; named nodes stay for later documents."""
+    """Statement-to-scene translator; named nodes last for one document."""
 
     def __init__(self, metrics: MetricsTable | None = None,
                  config: RenderConfig | None = None):
         self.metrics = metrics if metrics is not None else MetricsTable.builtin()
         self.config = config if config is not None else RenderConfig()
-        self.registry: dict[str, tuple[LogicalPoint, str]] = {}
         # styles by spec text, parsed once for the life of this Lowerer;
         # a miss reads the module's parse_arrow_spec when it happens
         self._styles = Memo(lambda spec: parse_arrow_spec(spec))
-        self._defined: set[str] = set()
-        self._figure: _FigureBuilder | None = None
-        self._figure_loc = None
-        # loc and constructor (its keyword) of the statement being lowered
-        self._source: dict[str, SourceLoc | str | None] = {}
 
     def lower_document(self, statements: list[Statement]) -> list[Scene]:
         units: list[Scene] = []
-        # the registry keeps earlier documents' nodes for \arrow to name,
-        # but each document may define a name once
-        self._defined = set()
-        self._figure = None
-        self._figure_loc = None
+        # this document's named nodes, for \arrow to name in any figure
+        self._nodes: dict[str, tuple[LogicalPoint, str]] = {}
+        self._figure: _FigureBuilder | None = None
         for stmt in statements:
+            # loc and constructor (its keyword) of the statement lowered
             self._source = {'loc': stmt.loc, 'constructor': stmt.constructor}
             try:
                 self._statement(units, stmt)
@@ -204,23 +198,20 @@ class Lowerer:
         if self._figure is not None:
             raise DiagnosticError(
                 UNBALANCED_FIGURE, 'a figure is opened but never closed',
-                self._figure_loc, 'bfig')
+                self._figure.loc, 'bfig')
         return units
 
     def _statement(self, units: list[Scene], stmt: Statement) -> None:
         c = stmt.constructor
         if c == 'bfig':
             if self._figure is not None:
-                raise DiagnosticError(
-                    UNBALANCED_FIGURE, 'figures do not nest', stmt.loc)
-            self._figure = _FigureBuilder()
-            self._figure_loc = stmt.loc
+                raise DiagnosticError(UNBALANCED_FIGURE, 'figures do not nest')
+            self._figure = _FigureBuilder(stmt.loc)
             return
         if c == 'efig':
             if self._figure is None:
                 raise DiagnosticError(
-                    UNBALANCED_FIGURE,
-                    "'\\efig' without a matching '\\bfig'", stmt.loc)
+                    UNBALANCED_FIGURE, "'\\efig' without a matching '\\bfig'")
             units.append(self._figure.scene())
             self._figure = None
             return
@@ -231,7 +222,7 @@ class Lowerer:
                 raise DiagnosticError(
                     MISPLACED_CONSTRUCTOR,
                     'inline %s live in running text, not inside a figure'
-                    % ('loops' if c == 'iloop' else 'arrows'), stmt.loc)
+                    % ('loops' if c == 'iloop' else 'arrows'))
             if c == 'iloop':
                 fig = _FigureBuilder()
                 self._loop(fig, stmt)
@@ -242,8 +233,7 @@ class Lowerer:
         if self._figure is None:
             raise DiagnosticError(
                 MISPLACED_CONSTRUCTOR,
-                "'\\%s' must appear between '\\bfig' and '\\efig'" % c,
-                stmt.loc)
+                "'\\%s' must appear between '\\bfig' and '\\efig'" % c)
         if walk is None:
             self._HANDLERS[c](self, self._figure, stmt)
         else:
@@ -288,21 +278,20 @@ class Lowerer:
         fig.node(stmt.origin, strip_group(stmt.nodes[0]), anchor=stmt.anchor)
 
     def _node(self, fig: _FigureBuilder, stmt: Statement) -> None:
-        if stmt.name in self._defined:
+        if stmt.name in self._nodes:
             raise DiagnosticError(
                 DUPLICATE_NODE,
                 "node '%s' is already defined" % stmt.name)
-        self._defined.add(stmt.name)
-        self.registry[stmt.name] = (stmt.origin, stmt.nodes[0])
+        self._nodes[stmt.name] = (stmt.origin, stmt.nodes[0])
         fig.node(stmt.origin, strip_group(stmt.nodes[0]))
 
     def _named_arrow(self, fig: _FigureBuilder, stmt: Statement) -> None:
         names = [strip_group(n) for n in stmt.nodes]
         for name in names:
-            if name not in self.registry:
+            if name not in self._nodes:
                 raise DiagnosticError(
                     UNKNOWN_NODE, "node '%s' is not defined" % name)
-        (src, src_text), (dst, dst_text) = (self.registry[n] for n in names)
+        (src, src_text), (dst, dst_text) = (self._nodes[n] for n in names)
         self._emit(fig, src, dst, stmt.placements, stmt.specs[0], src_text,
                    dst_text, stmt.labels[0], src_phantom=True,
                    dst_phantom=True)

@@ -228,15 +228,18 @@ def test_metrics_file_drives_auto_width(tmp_path):
     assert xs == {0, 800}
 
 
-def test_metrics_env_fallback_and_flag_precedence(tmp_path, monkeypatch,
-                                                  capsys):
-    env_table = write(tmp_path, 'env.metrics', 'fallback 900\nA 4000\n')
-    monkeypatch.setenv('DIAGRAMC_METRICS', str(env_table))
+def test_the_environment_chooses_no_metrics_table(tmp_path, monkeypatch):
+    # only --metrics picks a table: every output is a function of the
+    # source and the flags
     source = write(tmp_path, 'auto.dxy',
                    '\\bfig\\Square[A`A`C`D;f`g`h`k]\\efig\n')
+    outputs = ('auto.scene.json', 'auto.svg')
     assert main([str(source)]) == 0
-    data = json.loads((tmp_path / 'auto.scene.json').read_text())
-    assert {n['pos']['x'] for n in data['nodes']} == {0, 800}
+    plain = [(tmp_path / name).read_bytes() for name in outputs]
+    env_table = write(tmp_path, 'env.metrics', 'fallback 900\nA 4000\n')
+    monkeypatch.setenv('DIAGRAMC_METRICS', str(env_table))
+    assert main([str(source)]) == 0
+    assert [(tmp_path / name).read_bytes() for name in outputs] == plain
 
     flag_table = write(tmp_path, 'flag.metrics', 'A 6000\n')
     assert main(['--metrics', str(flag_table), str(source)]) == 0
@@ -249,12 +252,9 @@ def test_bad_metrics_path_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write(tmp_path, 'dia.dxy', SQUARE)
     (tmp_path / 'd').mkdir()
-    missing = 'nothere: No such file or directory'
-    for option, env, reason in [(['--metrics', 'nothere'], '', missing),
-                                (['--metrics', 'd'], '', 'd: Is a directory'),
-                                ([], 'nothere', missing)]:
-        monkeypatch.setenv('DIAGRAMC_METRICS', env)
-        assert main(option + ['dia.dxy']) == 2
+    for option, reason in [('nothere', 'nothere: No such file or directory'),
+                           ('d', 'd: Is a directory')]:
+        assert main(['--metrics', option, 'dia.dxy']) == 2
         assert capsys.readouterr().err == 'diagramc: error: %s\n' % reason
 
 

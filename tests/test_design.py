@@ -60,6 +60,21 @@ def test_no_module_imports_a_later_stage(name):
         assert STAGE[imported] <= STAGE[name], (name, imported)
 
 
+def test_no_module_reads_the_environment():
+    # every output byte is a function of the source and the flags alone
+    for name in STAGE:
+        tree = ast.parse((PACKAGE / (name + '.py')).read_text(encoding='utf-8'))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+        assert not names & {'environ', 'environb', 'getenv', 'getenvb'}, name
+
+
 @pytest.mark.parametrize('name', ['layout', 'scenefile', 'svg'])
 def test_stages_after_lowering_see_only_scenes(name):
     assert not package_imports(name) & {'parser', 'lowering'}
@@ -266,7 +281,8 @@ def test_every_figure_keyword_lowers_through_one_table():
 
 def test_every_keyword_lowers_by_exactly_one_route():
     # bfig/efig bound a figure, a shape draws its walk, a handler draws
-    # the other figure constructors, and the rest is running text
+    # the other figure constructors, and the rest is running text; the
+    # nodes \arrow names are defined earlier in the same document
     walks, handlers = set(lowering._WALKS), set(lowering.Lowerer._HANDLERS)
     prelude = '\\bfig\\node p(0,0)[P]\\node q(500,0)[Q]\\efig'
     for keyword in set(parser._KEYWORDS) - {'bfig', 'efig'}:
@@ -274,11 +290,10 @@ def test_every_keyword_lowers_by_exactly_one_route():
         figure = '\\bfig%s\\efig' % source
         right, wrong = ((figure, source) if keyword in walks | handlers
                         else (source, figure))
-        lowerer = lowering.Lowerer()
-        lowerer.lower_document(parser.parse_document(prelude))
-        assert len(lowerer.lower_document(parser.parse_document(right))) == 1
+        lower = lowering.Lowerer().lower_document
+        assert len(lower(parser.parse_document(prelude + right))) == 2
         with pytest.raises(errors.DiagnosticError) as info:
-            lowerer.lower_document(parser.parse_document(wrong))
+            lower(parser.parse_document(prelude + wrong))
         assert info.value.code == errors.MISPLACED_CONSTRUCTOR, keyword
         assert info.value.constructor == keyword
 

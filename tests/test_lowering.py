@@ -790,12 +790,15 @@ def test_limit_arrows():
     assert left.parts[0].style.reversed
 
 
-def test_lowerer_reuse_keeps_registry():
+def test_lowerer_reuse_forgets_named_nodes():
+    # a named node lasts for its own document, however the Lowerer is kept
     lowerer = Lowerer()
     lowerer.lower_document(parse_document('\\bfig \\node p(0,0)[P] \\efig'))
-    scenes = lowerer.lower_document(
-        parse_document('\\bfig \\node q(9,9)[Q] \\arrow/->/[p`q;f] \\efig'))
-    assert arrow_tuples(scenes[0])[0][:2] == ((0, 0), (9, 9))
+    with pytest.raises(DiagnosticError) as info:
+        lowerer.lower_document(parse_document(
+            '\\bfig \\node q(9,9)[Q] \\arrow/->/[p`q;f] \\efig'))
+    assert info.value.code == 'UnknownNode'
+    assert "'p'" in info.value.message
 
 
 def test_lowerer_lowers_the_same_document_twice():
