@@ -7,10 +7,11 @@ and arrow emissions as the equivalent sequence of plain morphisms, in
 the exact order the drawing walks them, so scene files are stable golden
 artifacts.
 
-A statement is lowered by its keyword: ``\\bfig`` and ``\\efig`` open and
-close a figure, a shape draws its walk in ``_WALKS``, the other figure
-constructors have a method in ``Lowerer._HANDLERS``, and a keyword in
-neither table is running text, an inline loop or an inline arrow.
+``Lowerer.lower_document`` lowers each statement by its keyword in one
+loop, which holds the document's named nodes and its open figure:
+``\\bfig`` and ``\\efig`` open and close a figure, a shape draws its walk
+in ``_WALKS``, the other figure constructors have a method in
+``Lowerer._HANDLERS``, and the rest is running text.
 
 All coordinate arithmetic here is integer logical units.  Text fields
 arrive verbatim from the parser and lose one level of braces at each
@@ -23,8 +24,7 @@ from __future__ import annotations
 from .arrows import parse_arrow_spec, resolve_compass
 from .errors import (DEGENERATE_ARROW, DEGENERATE_LOOP, DUPLICATE_NODE,
                      MASK_OUT_OF_RANGE, MISPLACED_CONSTRUCTOR,
-                     UNBALANCED_FIGURE, UNKNOWN_NODE, DiagnosticError,
-                     SourceLoc)
+                     UNBALANCED_FIGURE, UNKNOWN_NODE, DiagnosticError)
 from .metrics import MetricsTable
 from .model import (RULE_LETTERS, ArrowInstance, ArrowStyle, InlineArrowPart,
                     InlineFragment, LogicalPoint, Memo, NodeInstance, Record,
@@ -154,10 +154,14 @@ _WALKS = {
 
 class _FigureBuilder:
     """A figure's ``\\bfig`` loc, arrows, and nodes by (x, y, text, anchor)
-    in first-placed order; a real node takes the slot of its phantom twin."""
+    in first-placed order (a real node takes the slot of its phantom twin);
+    its document's named nodes, and the statement its arrows come from."""
 
-    def __init__(self, loc: SourceLoc | None = None) -> None:
-        self.loc = loc
+    def __init__(self, names: dict[str, tuple[LogicalPoint, str]],
+                 stmt: Statement) -> None:
+        self.names = names
+        self.loc = stmt.loc
+        self.stmt = stmt
         self.nodes: dict[tuple[int, int, str, str], NodeInstance] = {}
         self.arrows: list[ArrowInstance] = []
 
@@ -168,12 +172,18 @@ class _FigureBuilder:
         if kept is None or kept.phantom and not phantom:
             self.nodes[key] = NodeInstance(pos, text, anchor, phantom)
 
+    def arrow(self, *values, **fields) -> None:
+        stmt = self.stmt
+        self.arrows.append(ArrowInstance(
+            *values, loc=stmt.loc, constructor=stmt.constructor, **fields))
+
     def scene(self) -> Scene:
         return Scene(tuple(self.nodes.values()), tuple(self.arrows), ())
 
 
 class Lowerer:
-    """Statement-to-scene translator; named nodes last for one document."""
+    """Statement-to-scene translator holding only settings and a spec memo;
+    a document's named nodes and open figure live in its own call."""
 
     def __init__(self, metrics: MetricsTable | None = None,
                  config: RenderConfig | None = None):
@@ -186,58 +196,54 @@ class Lowerer:
     def lower_document(self, statements: list[Statement]) -> list[Scene]:
         units: list[Scene] = []
         # this document's named nodes, for \arrow to name in any figure
-        self._nodes: dict[str, tuple[LogicalPoint, str]] = {}
-        self._figure: _FigureBuilder | None = None
+        names: dict[str, tuple[LogicalPoint, str]] = {}
+        fig: _FigureBuilder | None = None
         for stmt in statements:
-            # loc and constructor (its keyword) of the statement lowered
-            self._source = {'loc': stmt.loc, 'constructor': stmt.constructor}
+            c = stmt.constructor
+            walk = _WALKS.get(c)
             try:
-                self._statement(units, stmt)
+                if c == 'bfig':
+                    if fig is not None:
+                        raise DiagnosticError(UNBALANCED_FIGURE,
+                                              'figures do not nest')
+                    fig = _FigureBuilder(names, stmt)
+                elif c == 'efig':
+                    if fig is None:
+                        raise DiagnosticError(
+                            UNBALANCED_FIGURE,
+                            "'\\efig' without a matching '\\bfig'")
+                    units.append(fig.scene())
+                    fig = None
+                elif walk is not None or c in self._HANDLERS:
+                    if fig is None:
+                        raise DiagnosticError(
+                            MISPLACED_CONSTRUCTOR,
+                            "'\\%s' must appear between '\\bfig' and "
+                            "'\\efig'" % c)
+                    fig.stmt = stmt
+                    if walk is None:
+                        self._HANDLERS[c](self, fig, stmt)
+                    else:
+                        self._walk(fig, stmt, walk, stmt.origin, *stmt.spans)
+                elif fig is not None:
+                    # running text: an inline loop or an inline arrow
+                    raise DiagnosticError(
+                        MISPLACED_CONSTRUCTOR,
+                        'inline %s live in running text, not inside a figure'
+                        % ('loops' if c == 'iloop' else 'arrows'))
+                elif c == 'iloop':
+                    loop = _FigureBuilder(names, stmt)
+                    self._loop(loop, stmt)
+                    units.append(loop.scene())
+                else:
+                    units.append(Scene((), (), (self._inline_fragment(stmt),)))
             except DiagnosticError as err:
-                raise err.with_context(**self._source) from None
-        if self._figure is not None:
+                raise err.with_context(stmt.loc, c) from None
+        if fig is not None:
             raise DiagnosticError(
                 UNBALANCED_FIGURE, 'a figure is opened but never closed',
-                self._figure.loc, 'bfig')
+                fig.loc, 'bfig')
         return units
-
-    def _statement(self, units: list[Scene], stmt: Statement) -> None:
-        c = stmt.constructor
-        if c == 'bfig':
-            if self._figure is not None:
-                raise DiagnosticError(UNBALANCED_FIGURE, 'figures do not nest')
-            self._figure = _FigureBuilder(stmt.loc)
-            return
-        if c == 'efig':
-            if self._figure is None:
-                raise DiagnosticError(
-                    UNBALANCED_FIGURE, "'\\efig' without a matching '\\bfig'")
-            units.append(self._figure.scene())
-            self._figure = None
-            return
-        walk = _WALKS.get(c)
-        if walk is None and c not in self._HANDLERS:
-            # running text: an inline loop or an inline arrow
-            if self._figure is not None:
-                raise DiagnosticError(
-                    MISPLACED_CONSTRUCTOR,
-                    'inline %s live in running text, not inside a figure'
-                    % ('loops' if c == 'iloop' else 'arrows'))
-            if c == 'iloop':
-                fig = _FigureBuilder()
-                self._loop(fig, stmt)
-                units.append(fig.scene())
-            else:
-                units.append(Scene((), (), (self._inline_fragment(stmt),)))
-            return
-        if self._figure is None:
-            raise DiagnosticError(
-                MISPLACED_CONSTRUCTOR,
-                "'\\%s' must appear between '\\bfig' and '\\efig'" % c)
-        if walk is None:
-            self._HANDLERS[c](self, self._figure, stmt)
-        else:
-            self._walk(self._figure, stmt, walk, stmt.origin, *stmt.spans)
 
     # ---- the single-arrow core ----------------------------------------
 
@@ -259,8 +265,7 @@ class Lowerer:
             return
         if src.x == dst.x and src.y == dst.y:
             raise DiagnosticError(DEGENERATE_ARROW, 'zero-length arrow')
-        fig.arrows.append(ArrowInstance(src, dst, style, text, rule, a, b,
-                                        **self._source))
+        fig.arrow(src, dst, style, text, rule, a, b)
 
     # ---- plain constructors -------------------------------------------
 
@@ -271,27 +276,25 @@ class Lowerer:
         dx, dy = stmt.spans
         if dx == 0 and dy == 0:
             raise DiagnosticError(DEGENERATE_ARROW, 'zero-length arrow')
-        fig.arrows.append(ArrowInstance(
-            stmt.origin, stmt.origin.shifted(dx, dy), style, **self._source))
+        fig.arrow(stmt.origin, stmt.origin.shifted(dx, dy), style)
 
     def _place(self, fig: _FigureBuilder, stmt: Statement) -> None:
         fig.node(stmt.origin, strip_group(stmt.nodes[0]), anchor=stmt.anchor)
 
     def _node(self, fig: _FigureBuilder, stmt: Statement) -> None:
-        if stmt.name in self._nodes:
+        if stmt.name in fig.names:
             raise DiagnosticError(
-                DUPLICATE_NODE,
-                "node '%s' is already defined" % stmt.name)
-        self._nodes[stmt.name] = (stmt.origin, stmt.nodes[0])
+                DUPLICATE_NODE, "node '%s' is already defined" % stmt.name)
+        fig.names[stmt.name] = (stmt.origin, stmt.nodes[0])
         fig.node(stmt.origin, strip_group(stmt.nodes[0]))
 
     def _named_arrow(self, fig: _FigureBuilder, stmt: Statement) -> None:
         names = [strip_group(n) for n in stmt.nodes]
         for name in names:
-            if name not in self._nodes:
+            if name not in fig.names:
                 raise DiagnosticError(
                     UNKNOWN_NODE, "node '%s' is not defined" % name)
-        (src, src_text), (dst, dst_text) = (self._nodes[n] for n in names)
+        (src, src_text), (dst, dst_text) = (fig.names[n] for n in names)
         self._emit(fig, src, dst, stmt.placements, stmt.specs[0], src_text,
                    dst_text, stmt.labels[0], src_phantom=True,
                    dst_phantom=True)
@@ -305,10 +308,8 @@ class Lowerer:
                 "loop leaves and returns along '%s'" % stmt.loop_out)
         text = strip_group(stmt.nodes[0])
         fig.node(stmt.origin, text)
-        fig.arrows.append(ArrowInstance(
-            stmt.origin, stmt.origin, ArrowStyle(), src_text=text,
-            dst_text=text, loop_out=stmt.loop_out, loop_in=stmt.loop_in,
-            **self._source))
+        fig.arrow(stmt.origin, stmt.origin, ArrowStyle(), src_text=text,
+                  dst_text=text, loop_out=stmt.loop_out, loop_in=stmt.loop_in)
 
     # ---- table walks --------------------------------------------------
 
@@ -430,12 +431,11 @@ class Lowerer:
             if dx == 0 and dy == 0:
                 raise DiagnosticError(
                     DEGENERATE_ARROW, 'the double arrow needs a direction')
-            part = InlineArrowPart(styles['=>'], '', '', '')
+            part = InlineArrowPart(styles['=>'])
             return InlineFragment(kind, twoar_end(dx, dy), (part,),
                                   unit_scale=0.1)
         if kind in ('rlimto', 'llimto'):
-            part = InlineArrowPart(styles['->' if kind == 'rlimto' else '<-'],
-                                   '', '', '')
+            part = InlineArrowPart(styles['->' if kind == 'rlimto' else '<-'])
             return InlineFragment(kind, LogicalPoint(100, 0), (part,),
                                   tip_scale=0.8, raise_pt=2.0)
         specs = tuple(strip_group(s) for s in stmt.specs)
@@ -444,8 +444,8 @@ class Lowerer:
         if kind == 'two':
             length = stmt.length or metrics.inline_length(sup, sub, 200, cfg)
             parts = (
-                InlineArrowPart(_shifted(styles[specs[0]], 2.5), sup, '', ''),
-                InlineArrowPart(_shifted(styles[specs[1]], -2.5), '', sub, ''),
+                InlineArrowPart(_shifted(styles[specs[0]], 2.5), sup),
+                InlineArrowPart(_shifted(styles[specs[1]], -2.5), sub=sub),
             )
         elif kind == 'three':
             length = stmt.length or max(
@@ -454,13 +454,13 @@ class Lowerer:
             if metrics.text_advance(mid) == 0:
                 mid = ''
             parts = (
-                InlineArrowPart(styles[specs[1]], '', '', mid),
-                InlineArrowPart(_shifted(styles[specs[0]], 4.5), sup, '', ''),
-                InlineArrowPart(_shifted(styles[specs[2]], -4.5), '', sub, ''),
+                InlineArrowPart(styles[specs[1]], mid=mid),
+                InlineArrowPart(_shifted(styles[specs[0]], 4.5), sup),
+                InlineArrowPart(_shifted(styles[specs[2]], -4.5), sub=sub),
             )
         else:
             length = stmt.length or metrics.inline_length(sup, sub, 100, cfg)
-            parts = (InlineArrowPart(styles[specs[0]], sup, sub, ''),)
+            parts = (InlineArrowPart(styles[specs[0]], sup, sub),)
         return InlineFragment(kind, LogicalPoint(length, 0), parts)
 
     _HANDLERS = {

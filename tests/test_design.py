@@ -75,6 +75,24 @@ def test_no_module_reads_the_environment():
         assert not names & {'environ', 'environb', 'getenv', 'getenvb'}, name
 
 
+def test_only_the_lowerer_constructor_sets_its_attributes():
+    # a document's state lives in lower_document's frame, not on the
+    # Lowerer, so that nothing of one document outlives its call
+    tree = ast.parse((PACKAGE / 'lowering.py').read_text(encoding='utf-8'))
+    cls, = [node for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == 'Lowerer']
+    assigned = []
+    for method in cls.body:
+        if isinstance(method, ast.FunctionDef) and method.name != '__init__':
+            me = method.args.args[0].arg
+            assigned += [(method.name, node.attr) for node in ast.walk(method)
+                         if isinstance(node, ast.Attribute)
+                         and isinstance(node.ctx, (ast.Store, ast.Del))
+                         and isinstance(node.value, ast.Name)
+                         and node.value.id == me]
+    assert assigned == []
+
+
 @pytest.mark.parametrize('name', ['layout', 'scenefile', 'svg'])
 def test_stages_after_lowering_see_only_scenes(name):
     assert not package_imports(name) & {'parser', 'lowering'}

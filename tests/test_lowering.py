@@ -801,6 +801,29 @@ def test_lowerer_reuse_forgets_named_nodes():
     assert "'p'" in info.value.message
 
 
+@pytest.mark.parametrize('source, message', [
+    ('\\bfig \\node p(0,0)[P] \\morphism[A`B;f] \\efig \\to', None),
+    # raised with a figure open and four arrows lowered in it
+    ('\\bfig\\square[A`B`C`D;f`g`h`k]\\bfig', 'figures do not nest'),
+    # raised after the last statement
+    ('\\bfig \\node p(0,0)[P] \\square[A`B`C`D;f`g`h`k]', 'never closed'),
+])
+def test_lowerer_keeps_no_document_state(source, message):
+    # named nodes, the open figure and the statement being lowered live in
+    # the call; the Lowerer keeps its settings and its spec memo alone
+    kept = {'metrics', 'config', '_styles'}
+    lowerer = Lowerer()
+    assert set(vars(lowerer)) == kept
+    if message is None:
+        assert len(lowerer.lower_document(parse_document(source))) == 2
+    else:
+        with pytest.raises(DiagnosticError) as info:
+            lowerer.lower_document(parse_document(source))
+        assert info.value.code == 'UnbalancedFigure'
+        assert message in info.value.message
+    assert set(vars(lowerer)) == kept
+
+
 def test_lowerer_lowers_the_same_document_twice():
     lowerer = Lowerer()
     source = parse_document('\\bfig \\node a(0,0)[A] \\node b(500,0)[B] '
