@@ -24,19 +24,24 @@ is how the arguments behave when handed down a macro chain.
 
 Scanning goes from one delimiter to the next, never a character at a
 time.  The scanner keeps its offset, the last group opener's offset and
-where each line starts.  A group takes a direct route when it is flat:
-the first closer after the opener ends it, and one pattern match checks
-that the text before that closer holds no line break, comment or nested
-brace, closes each brace and takes each escape whole.  Any other group,
-and every error, falls through to the general reader, which searches
-with one compiled pattern for the next escape, comment, line break,
-brace or closer and takes the plain text in between as one slice.  Line
-and column are worked out from the line starts, and only when a
-location is asked for.  Fields split where the braces before a
-separator balance, counted over whole pieces of the group; escapes are
-blanked first only when a backslash stands right before a brace or the
-separator.  An integer literal has at most :data:`MAX_DIGITS` digits,
-and a grid mask only ASCII ones.
+where each line starts.  There are three ways to read groups, each
+falling through to the next.  A shape statement whose groups follow one
+another with nothing between them takes the statement route when its
+specs and payload are flat and its other groups plain text: one pattern
+match reads all its groups, and their texts go through the same splits
+and checks as below.  Otherwise each group is read on its own, by the
+group route when it is flat: the first closer after the opener ends it,
+and one pattern match checks that the text before that closer holds no
+line break, comment or nested brace, closes each brace and takes each
+escape whole.  Any other group, and every error, falls through to the
+general reader, which searches with one compiled pattern for the next
+escape, comment, line break, brace or closer and takes the plain text in
+between as one slice.  Line and column are worked out from the line
+starts, and only when a location is asked for.  Fields split where the
+braces before a separator balance, counted over whole pieces of the
+group; escapes are blanked first only when a backslash stands right
+before a brace or the separator.  An integer literal has at most
+:data:`MAX_DIGITS` digits, and a grid mask only ASCII ones.
 """
 
 from __future__ import annotations
@@ -159,10 +164,22 @@ _BRACE_STOPS = re.compile(r'\\.|[{}]', re.DOTALL)
 _GROUP_STOPS = re.compile(r'\\.?|%[^\n]*\n?[ \t]*|\n[ \t]*|[{})|/>\]]',
                           re.DOTALL)
 # A group's text when it needs no scan: no line break, comment or
-# nested brace, each escape taken whole and each brace closed
-_PLAIN = r'[^\\{}%\n]*'
+# nested brace, each escape taken whole and each brace closed.  Plain
+# text holds none of _NOT_PLAIN.
+_NOT_PLAIN = r'\\{}%\n'
+_PLAIN = r'[^%s]*' % _NOT_PLAIN
 _FLAT_GROUP_RE = re.compile(
     r'{0}(?:(?:\\[^\n]|\{{{0}(?:\\[^\n]{0})*\}}){0})*'.format(_PLAIN))
+# A shape statement whose groups follow one another with nothing between
+# them: origin, placements, specs, spans, a grid's mask (braced or bare)
+# and border, and the payload.  Specs and payload run to their first
+# closer, as the group route reads them, and are checked flat after the
+# match; the other groups hold plain text only.  No quantifier nests, so
+# a failed match costs one pass over each group.
+_SHAPE_RE = re.compile(
+    r'(?:\(([^%(p)s)]*)\))?(?:\|([^%(p)s|]*)\|)?(?:/([^/]*)/)?'
+    r'(?:<([^%(p)s>]*)>)?(?:(?:\{([0-9]+)\}|([0-9]+))(?:<([^%(p)s>]*)>)?)?'
+    r'\[([^\]]*)\]' % {'p': _NOT_PLAIN})
 # Blanks and comments between groups and statements
 _BLANK_RE = re.compile(r'(?:[ \t\n]+|%[^\n]*)*')
 _INT_RE = re.compile(r'[+-]?[0-9]+\Z')
@@ -406,7 +423,9 @@ class _Parser:
                 % (what, len(digits), MAX_DIGITS), self.scan.loc(at))
 
     def _raw_pair(self, what: str) -> tuple[str, str]:
-        raw = self.scan.need_group('(', ')', what)
+        return self._two(self.scan.need_group('(', ')', what), what)
+
+    def _two(self, raw: str, what: str) -> tuple[str, str]:
         parts = split_fields(raw, ',')
         if len(parts) != 2:
             raise DiagnosticError(
@@ -415,7 +434,10 @@ class _Parser:
         return parts[0], parts[1]
 
     def _pair(self, what: str = 'coordinate pair') -> tuple[int, int]:
-        first, second = self._raw_pair(what)
+        return self._int_pair(self.scan.need_group('(', ')', what), what)
+
+    def _int_pair(self, raw: str, what: str) -> tuple[int, int]:
+        first, second = self._two(raw, what)
         return self._int(first, what), self._int(second, what)
 
     def _opt_origin(self, default: tuple[int, int]) -> LogicalPoint:
@@ -424,8 +446,14 @@ class _Parser:
             return LogicalPoint(*default)
         return LogicalPoint(*self._pair())
 
+    # Each optional group has a reader and a function of its text, None
+    # when the group is absent; the statement route calls the latter.
+
     def _opt_placements(self, default: str) -> str:
-        raw = self.scan.opt_group('|', '|', 'placement list')
+        return self._placements(
+            self.scan.opt_group('|', '|', 'placement list'), default)
+
+    def _placements(self, raw: str | None, default: str) -> str:
         if raw is None:
             return default
         letters = ''.join(raw.split())
@@ -437,7 +465,9 @@ class _Parser:
         return letters
 
     def _opt_specs(self, count: int) -> tuple[str, ...]:
-        raw = self.scan.opt_group('/', '/', 'spec list')
+        return self._specs(self.scan.opt_group('/', '/', 'spec list'), count)
+
+    def _specs(self, raw: str | None, count: int) -> tuple[str, ...]:
         if raw is None:
             return ('>',) * count
         if count == 1:
@@ -445,14 +475,23 @@ class _Parser:
         return tuple(self._fields(raw, '`', count, 'arrow specs'))
 
     def _opt_spans(self, defaults: tuple[int, ...]) -> tuple[int, ...]:
-        raw = self.scan.opt_group('<', '>', 'span list')
+        return self._spans(self.scan.opt_group('<', '>', 'span list'),
+                           defaults)
+
+    def _spans(self, raw: str | None,
+               defaults: tuple[int, ...]) -> tuple[int, ...]:
         if raw is None:
             return defaults
         parts = self._fields(raw, ',', len(defaults), 'span entries')
         return tuple(self._int(p, 'span') for p in parts)
 
     def _payload(self, n_nodes: int, n_labels: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        raw = self.scan.need_group('[', ']', 'node and label list')
+        return self._nodes_labels(
+            self.scan.need_group('[', ']', 'node and label list'),
+            n_nodes, n_labels)
+
+    def _nodes_labels(self, raw: str, n_nodes: int, n_labels: int
+                      ) -> tuple[tuple[str, ...], tuple[str, ...]]:
         # labels run from the first ';' on, later ones included
         head, *tail = split_fields(raw, ';')
         if not tail:
@@ -465,7 +504,8 @@ class _Parser:
 
     def _int(self, text: str, what: str) -> int:
         """``text``, a field of the last group read, as an integer."""
-        if len(text) <= MAX_DIGITS and text.isascii() and text.isdigit():
+        digits = text[1:] if text[:1] == '-' else text
+        if len(digits) <= MAX_DIGITS and digits.isascii() and digits.isdigit():
             return int(text)
         cleaned = strip_group(text).strip()
         if not _INT_RE.match(cleaned):
@@ -488,6 +528,9 @@ class _Parser:
     def _shape(self, keyword: str, plan: _Plan, loc: SourceLoc,
                origin: tuple[int, int] | None = (0, 0)) -> Statement:
         """A shape's groups; with ``origin=None`` there is no origin group."""
+        statement = self._flat_shape(keyword, plan, loc, origin)
+        if statement is not None:
+            return statement
         at = ORIGIN if origin is None else self._opt_origin(origin)
         placements = self._opt_placements(plan.placements)
         specs = self._opt_specs(len(plan.placements))
@@ -498,6 +541,55 @@ class _Parser:
             keyword, origin=at, placements=placements,
             specs=specs, spans=spans, mask=mask, border=border, nodes=nodes,
             labels=labels, loc=loc)
+
+    def _flat_shape(self, keyword: str, plan: _Plan, loc: SourceLoc,
+                    origin: tuple[int, int] | None) -> Statement | None:
+        """:meth:`_shape` by the statement route, or None.
+
+        The route reads with one match a shape whose groups follow one
+        another with nothing between them, its specs and payload flat
+        and its other groups plain text.  Anything else, every error
+        included, is left to the group readers, which read it from the
+        same offset.
+        """
+        scan = self.scan
+        match = _SHAPE_RE.match(scan.text, scan.pos)
+        if match is None:
+            return None
+        (at, placements, specs, spans, braced, bare, border,
+         payload) = match.groups()
+        flat = _FLAT_GROUP_RE.fullmatch
+        if specs and flat(specs) is None or flat(payload) is None:
+            return None
+        mask = braced or bare
+        try:
+            if at is not None:
+                if origin is None:
+                    return None
+                at = LogicalPoint(*self._int_pair(at, 'coordinate pair'))
+            else:
+                at = ORIGIN if origin is None else LogicalPoint(*origin)
+            if mask is None:
+                mask, border = 0, plan.border
+            elif plan.border:
+                # the route drops its errors, so they need no location
+                mask = self._mask_bits(mask, scan.pos)
+                border = self._spans(border, plan.border)
+            else:
+                return None
+            n_slots = len(plan.placements)
+            nodes, labels = self._nodes_labels(payload, plan.n_nodes, n_slots)
+            statement = Statement(
+                keyword, origin=at,
+                placements=self._placements(placements, plan.placements),
+                specs=self._specs(specs, n_slots),
+                spans=self._spans(spans, plan.spans), mask=mask,
+                border=border, nodes=nodes, labels=labels, loc=loc)
+        except DiagnosticError:
+            return None
+        scan.opened = match.start(8) - 1
+        scan.pos = match.end()
+        return statement
 
     def _vect(self, keyword: str, loc: SourceLoc) -> Statement:
         origin = LogicalPoint(*self._pair())
@@ -543,14 +635,17 @@ class _Parser:
             raise DiagnosticError(
                 PARSE_ERROR,
                 "expected a grid mask or '[' before %r" % ch, self.scan.loc())
+        return self._mask_bits(digits, at), self._opt_spans(default_border)
+
+    def _mask_bits(self, digits: str, at: int) -> int:
+        """A grid mask's digits, the mask written at offset ``at``."""
         # str.isdigit alone also passes digits such as U+00B2
         if not (digits.isascii() and digits.isdigit()):
             raise DiagnosticError(
                 PARSE_ERROR, 'grid mask must be a decimal number',
                 self.scan.loc(at))
         self._check_digits(digits, 'grid mask', at)
-        border = self._opt_spans(default_border)
-        return int(digits), border
+        return int(digits)
 
     def _place(self, keyword: str, loc: SourceLoc) -> Statement:
         anchor_raw = self.scan.opt_group('[', ']', 'anchor')

@@ -433,7 +433,7 @@ def test_inline_fragments_match_json_dumps():
 
 
 @pytest.mark.parametrize('value', [3, 2.5, -0.0, 1e300, float('inf'),
-                                   float('-inf'), float('nan'), True])
+                                   float('-inf'), float('nan'), True, False])
 def test_scalar_leaves_match_json_dumps(value):
     style = ArrowStyle(parallel_offset_pt=value)
     scene = Scene((), (ArrowInstance(LogicalPoint(0, 0), LogicalPoint(1, 0),

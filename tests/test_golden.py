@@ -11,9 +11,12 @@ repository root and review the diff.
 """
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from diagramc import Lowerer, MetricsTable, RenderConfig, dump_scene
 from diagramc import parse_document, render
@@ -34,6 +37,25 @@ def test_corpus_outputs_match_goldens(tmp_path):
                  if (tmp_path / name).read_bytes()
                  != (GOLDEN_DIR / name).read_bytes()]
     assert differing == []
+
+
+# the oldest interpreter pyproject.toml admits, and those after the one
+# the suite mostly runs under: a pattern or syntax only some compile
+# shows here
+@pytest.mark.parametrize('version', ['3.10', '3.12', '3.13'])
+def test_other_interpreters_write_the_goldens(tmp_path, version):
+    found = shutil.which('python' + version)
+    probe = found and subprocess.run(
+        [found, '-c', 'import sys; print("%d.%d" % sys.version_info[:2])'],
+        capture_output=True, text=True)
+    if not probe or probe.returncode or probe.stdout.strip() != version:
+        pytest.skip('no working python%s on PATH' % version)
+    sources = sorted(str(p) for p in CORPUS_DIR.glob('*.dxy'))
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / 'src'))
+    subprocess.run([found, '-m', 'diagramc', '-o', str(tmp_path)] + sources,
+                   env=env, check=True, capture_output=True)
+    assert ({p.name: p.read_bytes() for p in tmp_path.iterdir()}
+            == {p.name: p.read_bytes() for p in GOLDEN_DIR.iterdir()})
 
 
 # ---- no memo outlives its unit ---------------------------------------------

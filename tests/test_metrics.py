@@ -127,7 +127,7 @@ def test_from_file_overrides(tmp_path):
     'f not-a-number', 'f -1', 'f +1', 'f 1_000', 'f 1234567890',
     'f \u0663', 'ascent -1', 'descent 1e3', 'fallback 0x10',
     'U+110000 500', 'U+ 500', 'U+-41 500', 'U+\uff11 500', '1114112 500',
-    '\u0663\u0663 500', '9' * 10 + ' 500', '-1 500',
+    '\u0663\u0663 500', '9' * 10 + ' 500', '-1 500', 'f', 'f 300 7',
 ])
 def test_from_file_rejects_junk(tmp_path, line):
     path = tmp_path / 'bad.txt'

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
@@ -174,6 +175,13 @@ SAMPLES = {
     _Walk: (((0, 0), (1, 1)), ((0, 0, 1),), True),
 }
 RECORDS = sorted(SAMPLES, key=lambda cls: cls.__name__)
+
+
+def fields(cls):
+    """The slots a record's constructor fills from its arguments; a
+    private slot is worked out from them."""
+    return [name for name in cls.__slots__ if not name.startswith('_')]
+
 # fields carried along for diagnostics but left out of equality
 OUTSIDE = {ArrowInstance: {'loc', 'constructor'}, Statement: {'loc'}}
 
@@ -206,10 +214,10 @@ def test_every_record_class_has_a_sample():
 @pytest.mark.parametrize('cls', RECORDS, ids=lambda cls: cls.__name__)
 def test_a_record_holds_what_it_was_given(cls):
     # by position, and by keyword for every field but the first
-    named = dict(zip(cls.__slots__, SAMPLES[cls]))
-    first = named.pop(cls.__slots__[0])
+    named = dict(zip(fields(cls), SAMPLES[cls]))
+    first = named.pop(fields(cls)[0])
     for record in (cls(*SAMPLES[cls]), cls(first, **named)):
-        assert tuple(getattr(record, name) for name in cls.__slots__) == \
+        assert tuple(getattr(record, name) for name in fields(cls)) == \
             SAMPLES[cls]
 
 
@@ -224,7 +232,7 @@ def test_equal_value_fields_make_equal_records(cls):
     else:
         assert hash(a) == hash(b)
     assert repr(a) == repr(b)
-    for i, name in enumerate(cls.__slots__):
+    for i, name in enumerate(fields(cls)):
         changed = cls(*values[:i], other(values[i]), *values[i + 1:])
         if name in OUTSIDE.get(cls, ()):
             assert changed == a and hash(changed) == hash(a), name
@@ -261,7 +269,7 @@ def test_a_record_copies_and_pickles_whole(cls):
     for twin in (copy.copy(record), copy.deepcopy(record),
                  pickle.loads(pickle.dumps(record))):
         assert type(twin) is cls and twin == record
-        assert [getattr(twin, name) for name in cls.__slots__] == \
+        assert [getattr(twin, name) for name in fields(cls)] == \
             list(SAMPLES[cls])
 
 
@@ -319,6 +327,29 @@ def test_a_metrics_table_cannot_be_changed_through_its_advances():
     given['A'] = 900    # the table holds its own copy
     assert table.text_advance('AA') == 1200
     assert table.advances == {'A': 600}
+
+
+def test_a_metrics_table_reads_tokens_through_its_own_dict():
+    table = MetricsTable({'A': 600, '\\eta': 900}, fallback=400)
+    behind = table._get.__self__
+    assert type(behind) is dict and behind == table.advances
+    assert isinstance(table.advances, MappingProxyType)
+    assert table.text_advance('A\\eta A') == 600 + 900 + 400 + 600
+    # the getter is no field: equality, hash, repr, copies and pickles
+    # go by the four fields alone, and each copy reads its own dict
+    assert table == MetricsTable({'A': 600, '\\eta': 900}, fallback=400)
+    assert repr(table) == ("MetricsTable(advances=mappingproxy({'A': 600, "
+                           "'\\\\eta': 900}), fallback=400, ascent=700, "
+                           "descent=300)")
+    for twin in (copy.copy(table), copy.deepcopy(table),
+                 pickle.loads(pickle.dumps(table))):
+        assert twin == table and repr(twin) == repr(table)
+        assert isinstance(twin.advances, MappingProxyType)
+        assert twin._get.__self__ == behind
+        assert twin._get.__self__ is not behind
+        assert twin.text_advance('A\\eta A') == 2500
+    with pytest.raises(TypeError):
+        hash(table)
 
 
 def test_record_repr_names_each_value_field():

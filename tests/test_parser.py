@@ -418,6 +418,17 @@ def test_non_integer_coordinate():
                 'src.dxy:2:4')),
     ('\u00b2', ('ParseError', "span must be an integer, got '\u00b2'",
                 'src.dxy:2:4')),
+    # a leading minus takes the fast path
+    ('-600', -600),
+    ('-999999999', -999999999),
+    ('-1000000000', ('ParseError',
+                     'span has 10 digits; at most 9 are allowed',
+                     'src.dxy:2:4')),
+    ('-', ('ParseError', "span must be an integer, got '-'", 'src.dxy:2:4')),
+    ('--5', ('ParseError', "span must be an integer, got '--5'",
+             'src.dxy:2:4')),
+    ('-\u0663', ('ParseError', "span must be an integer, got '-\u0663'",
+                 'src.dxy:2:4')),
 ])
 def test_integer_reader_matches_the_general_reader(text, expected):
     # an integer's errors point at the opener of its group, the '<'
@@ -811,7 +822,17 @@ class ReferenceScanner:
         return self.take()
 
 
-class ReferenceParser(parser._Parser):
+class GroupParser(parser._Parser):
+    """The parser with the statement route off: each group is read on
+    its own."""
+
+    def _flat_shape(self, *args):
+        return None
+
+
+class ReferenceParser(GroupParser):
+    # off the statement route: it jumps the offset past whole groups,
+    # which a scanner stepping line and column cannot follow
     def __init__(self, text, filename):
         self.scan = ReferenceScanner(text, filename)
 
@@ -941,6 +962,13 @@ def test_parse_document_matches_reference(text):
     ('\\node\\a1(0,0)[A]',
      ('error', 'ParseError', "expected '(' opening the coordinate pair",
       SourceLoc('src.dxy', 1, 8), 'node')),
+    # an undelimited argument missing at end of input
+    ('\\bfig\\node', ('error', 'ParseError',
+                      'expected node name, found end of input',
+                      SourceLoc('src.dxy', 1, 11), 'node')),
+    ('\\iloop', ('error', 'ParseError',
+                 'expected loop text, found end of input',
+                 SourceLoc('src.dxy', 1, 7), 'iloop')),
 ])
 def test_scanner_edge_diagnostics(source, expected):
     assert outcome(parse_document, source) == expected
@@ -1154,3 +1182,184 @@ def test_other_shapes_take_the_general_reader(general_calls, source, reader):
     except DiagnosticError:
         pass
     assert general_calls.get(reader, 0) >= 1
+
+
+# ---- the statement route against the group readers --------------------
+
+SHAPE_KEYWORDS = [keyword for keyword, how in parser._KEYWORDS.items()
+                  if isinstance(how, parser._Plan)] + ['pullback', 'cube']
+
+
+@st.composite
+def shape_statements(draw):
+    """A shape statement, each group there or not.  Now and then a field
+    list is one off, a number or a text is odd, a blank, comment or line
+    break stands between groups, or the statement is cut short."""
+    def odd():
+        return draw(st.integers(0, 39)) == 0
+
+    def pick(usual, unusual):
+        return draw(st.sampled_from(unusual if odd() else usual))
+
+    def fields(usual, unusual, count, sep):
+        if odd():
+            count = max(0, count + draw(st.sampled_from([-1, 1])))
+        return sep.join(pick(usual, unusual) for _ in range(count))
+
+    def numbers(count):
+        return fields(['0', '7', '500', '-600', '-0', '123456789',
+                       '-123456789'],
+                      ['+5', ' 5', '{5}', '1234567890', '-1234567890', '-',
+                       '5x', '\u0663', ''], count, ',')
+
+    def texts(count):
+        return fields(['A', 'f', '\\alpha', "A'", '{\\eta}', 'X_{1}', '',
+                       'a b', '\\`'],
+                      ['{a{b}}', '\\]', '`', ';', '\n', '% c\n', '\\', '}',
+                       '{', ']', '\\;'], count, '`')
+
+    def group(text, optional=True):
+        if optional and draw(st.booleans()) or not optional and odd():
+            return ''
+        return pick([''], [' ', '\n  ', '%c\n']) + text
+
+    def shape(plan, origin=True):
+        slots = len(plan.placements)
+        text = group('(%s)' % numbers(2)) if origin else ''
+        text += group('|%s|' % pick(
+            [plan.placements, 'a' * slots, ' '.join(plan.placements)],
+            ['ab', plan.placements + 'x']))
+        text += group('/%s/' % fields(['>', '->>', ' >->', '@{->}@<1.5pt>'],
+                                      ['{a/b}', '\\/', 'x\\', ''], slots, '`'))
+        text += group('<%s>' % numbers(len(plan.spans)))
+        if plan.border and draw(st.booleans()):
+            mask = pick(['4095', '0', '12'],
+                        ['1234567890', ' 5 ', '\u00b2', '', 'x'])
+            text += group(draw(st.sampled_from(['{%s}', '%s'])) % mask)
+            text += group('<%s>' % numbers(len(plan.border)))
+        return text + group('[%s;%s]' % (texts(plan.n_nodes), texts(slots)),
+                            optional=False)
+
+    keyword = draw(st.sampled_from(SHAPE_KEYWORDS))
+    if keyword == 'pullback':
+        text = shape(parser._SQUARE_PLAN) + shape(parser._TRIDENT_PLAN, False)
+    elif keyword == 'cube':
+        text = (shape(parser._CUBE_PLAN) + shape(parser._SQUARE_PLAN)
+                + '|mmmm|[w`x`y`z]')
+    else:
+        text = shape(parser._KEYWORDS[keyword])
+    text = '\\' + keyword + text
+    if odd():
+        text = text[:draw(st.integers(0, len(text)))]
+    return '\\bfig\n' + text + pick(['\n\\efig'], ['', ']'])
+
+
+def read_statements(parser_class, text):
+    """Each statement with its locations and the scanner's offsets after
+    it, up to the first diagnostic."""
+    reader = parser_class(text, 'src.dxy')
+    scan = reader.scan
+    read = []
+    try:
+        while True:
+            scan.skip_blank()
+            if not scan.peek():
+                return read
+            stmt = reader._statement()
+            read.append((stmt, _locs(stmt), scan.pos, scan.opened))
+    except DiagnosticError as err:
+        read.append(('error', err.code, err.message, err.loc,
+                     err.constructor, scan.pos, scan.opened))
+    return read
+
+
+@settings(max_examples=600)
+@given(shape_statements())
+@example('\\bfig\n\\square(0,-600)|alrb|/>`>`>`>/<500,500>[A`B`C`D;f`g`h`k]')
+@example('\\bfig\n\\iiixiii(0,0)|aalmrmmlmrbb|/>`>`>`>`>`>`>`>`>`>`>`>/'
+         '<500,500>{1234567890}' + GRID_PAYLOAD_3X3)
+@example('\\bfig\n\\iiixii(0,0)7<350>' + GRID_PAYLOAD_3X2)
+@example('\\bfig\n\\square(1234567890,0)[A`B`C`D;f`g`h`k]')
+@example('\\bfig\n\\square<500,500>{4095}[A`B`C`D;f`g`h`k]')
+@example('\\bfig\n\\morphism(0,0)[A`{B]`C};f]')
+@example('\\bfig\n\\pullback[A`B`C`D;f`g`h`k](0,0)[E;p`q`r]')
+@example('\\bfig\n\\morphism/x\\/[A`B;f]')
+@example('\\bfig\n\\morphism/{x/[A`B;f]}/[A`B;f]')
+@example('\\bfig\n\\morphism/>[A`B;f]')
+def test_statement_route_matches_the_group_readers(text):
+    assert (read_statements(parser._Parser, text)
+            == read_statements(GroupParser, text))
+
+
+@pytest.fixture
+def route_calls(monkeypatch):
+    """What the statement route returned, one entry per shape read:
+    True where it read the shape, False where it fell through."""
+    taken = []
+    real = parser._Parser._flat_shape
+
+    def counted(self, *args):
+        statement = real(self, *args)
+        taken.append(statement is not None)
+        return statement
+    monkeypatch.setattr(parser._Parser, '_flat_shape', counted)
+    return taken
+
+
+def big_figure_source():
+    """Shapes written as the benchmark's big-figure inputs write them:
+    every group, negative coordinates, grids with a braced mask and a
+    border, and a pullback's trident right after its square."""
+    payload4 = '[A`B`C`X_1;f`\\alpha`{\\eta}`Ff]'
+    return '\n'.join([
+        '\\bfig',
+        '\\square(0,-2400)|albr|/>`->>` >->`<-/<600,500>' + payload4,
+        '\\ptriangle(2400,-2400)|rla|/=`-->`..>/<600,500>'
+        '[A\\times B`P`Y_2;\\pi_1`g`h]',
+        '\\morphism(3000,-1800)|m|/=>/<-600,-600>[FA`GB;u]',
+        '\\iiixiii(400,-4400)|aalmrmmlmrbb|/>`>`>`>`>`>`>`>`>`>`>`>/'
+        '<500,500>{2730}<350,350>' + GRID_PAYLOAD_3X3,
+        '\\pullback(600,0)|alrb|/>`>`>`>/<600,500>' + payload4
+        + '|alr|/>`->>`>/<500,400>[E;p`q`r]',
+        '\\efig'])
+
+
+def test_benchmark_shapes_take_the_statement_route(route_calls):
+    statements = parse_document(big_figure_source() + many_files_source())
+    shapes = [s for s in statements if s.constructor not in ('bfig', 'efig')]
+    assert len(shapes) == 5 + 18
+    # the pullback reads two shapes
+    assert route_calls == [True] * (len(shapes) + 1)
+
+
+@pytest.mark.parametrize('source', [
+    # a blank, a comment or a line break between groups
+    '\\square (0,0)[A`B`C`D;f`g`h`k]',
+    '\\square(0,0) [A`B`C`D;f`g`h`k]',
+    '\\square(0,0)% c\n[A`B`C`D;f`g`h`k]',
+    '\\square(0,0)\n<500,500>[A`B`C`D;f`g`h`k]',
+    # ... or inside one
+    '\\square[A`B`C`D;f`g`\n h`k]',
+    '\\square[A`B`C`D;f`g`h`k % c\n]',
+    # a nested brace, an escaped closer, a brace in a plain group
+    '\\square[{A{B}}`B`C`D;f`g`h`k]',
+    '\\square[A\\]`B`C`D;f`g`h`k]',
+    '\\square/>`>`>`\\//[A`B`C`D;f`g`h`k]',
+    '\\square(0,{5})[A`B`C`D;f`g`h`k]',
+    # a number that is no integer, or one of too many digits
+    '\\square(0,5x)[A`B`C`D;f`g`h`k]',
+    '\\square<1234567890,500>[A`B`C`D;f`g`h`k]',
+    # a mask the route does not read
+    '\\iiixiii{ 5 }' + GRID_PAYLOAD_3X3,
+    # an origin group where the shape has none, a mask on a shape
+    # without one
+    '\\pullback[A`B`C`D;f`g`h`k](0,0)[E;p`q`r]',
+    '\\square<500,500>{5}[A`B`C`D;f`g`h`k]',
+])
+def test_irregular_shapes_fall_through_the_statement_route(route_calls,
+                                                           source):
+    try:
+        parse_document(source)
+    except DiagnosticError:
+        pass
+    assert False in route_calls
