@@ -24,24 +24,23 @@ is how the arguments behave when handed down a macro chain.
 
 Scanning goes from one delimiter to the next, never a character at a
 time.  The scanner keeps its offset, the last group opener's offset and
-where each line starts.  There are three ways to read groups, each
-falling through to the next.  A shape statement whose groups follow one
-another with nothing between them takes the statement route when its
+where each line starts.  There are two ways to read groups, the first
+falling through to the second.  A shape statement whose groups follow
+one another with nothing between them takes the statement route when its
 specs and payload are flat and its other groups plain text: one pattern
-match reads all its groups, and their texts go through the same splits
-and checks as below.  Otherwise each group is read on its own, by the
-group route when it is flat: the first closer after the opener ends it,
-and one pattern match checks that the text before that closer holds no
-line break, comment or nested brace, closes each brace and takes each
-escape whole.  Any other group, and every error, falls through to the
-general reader, which searches with one compiled pattern for the next
-escape, comment, line break, brace or closer and takes the plain text in
-between as one slice.  Line and column are worked out from the line
-starts, and only when a location is asked for.  Fields split where the
-braces before a separator balance, counted over whole pieces of the
-group; escapes are blanked first only when a backslash stands right
-before a brace or the separator.  An integer literal has at most
-:data:`MAX_DIGITS` digits, and a grid mask only ASCII ones.
+match reads all its groups, a flat group ending at its first closer, and
+their texts go through the same splits and checks as below.  A flat
+group holds no line break, comment or nested brace, closes each brace
+and takes each escape whole.  Any other statement, and every error,
+falls through to the group reader, which reads each group on its own: it
+searches with one compiled pattern for the next escape, comment, line
+break, brace or closer and takes the plain text in between as one slice.
+Line and column are worked out from the line starts, and only when a
+location is asked for.  Fields split where the braces before a separator
+balance, counted over whole pieces of the group; escapes are blanked
+first only when a backslash stands right before a brace or the
+separator.  An integer literal has at most :data:`MAX_DIGITS` digits,
+and a grid mask only ASCII ones.
 """
 
 from __future__ import annotations
@@ -163,9 +162,9 @@ _BRACE_STOPS = re.compile(r'\\.|[{}]', re.DOTALL)
 # per closer costs set-up time); a closer not the group's own is text.
 _GROUP_STOPS = re.compile(r'\\.?|%[^\n]*\n?[ \t]*|\n[ \t]*|[{})|/>\]]',
                           re.DOTALL)
-# A group's text when it needs no scan: no line break, comment or
-# nested brace, each escape taken whole and each brace closed.  Plain
-# text holds none of _NOT_PLAIN.
+# A flat group's text, which the statement route reads without a scan:
+# no line break, comment or nested brace, each escape taken whole and
+# each brace closed.  Plain text holds none of _NOT_PLAIN.
 _NOT_PLAIN = r'\\{}%\n'
 _PLAIN = r'[^%s]*' % _NOT_PLAIN
 _FLAT_GROUP_RE = re.compile(
@@ -173,8 +172,8 @@ _FLAT_GROUP_RE = re.compile(
 # A shape statement whose groups follow one another with nothing between
 # them: origin, placements, specs, spans, a grid's mask (braced or bare)
 # and border, and the payload.  Specs and payload run to their first
-# closer, as the group route reads them, and are checked flat after the
-# match; the other groups hold plain text only.  No quantifier nests, so
+# closer, where a flat group ends, and are checked flat after the match;
+# the other groups hold plain text only.  No quantifier nests, so
 # a failed match costs one pass over each group.
 _SHAPE_RE = re.compile(
     r'(?:\(([^%(p)s)]*)\))?(?:\|([^%(p)s|]*)\|)?(?:/([^/]*)/)?'
@@ -197,11 +196,13 @@ def _one_break(text: str) -> str:
 class _Scanner:
     """Offset cursor with group scanning.
 
-    Only the offset moves as text is read, and ``opened`` keeps the
-    offset of the last group's opener, where errors about its contents
-    point.  The offsets at which lines start are listed once per source,
-    and a location asked for is found by bisecting that list, for the
-    offset now or any other.
+    Every group is read by the one group reader, :meth:`_group`, unless
+    the statement route has read its whole statement already.  Only the
+    offset moves as text is read, and ``opened`` keeps the offset of the
+    last group's opener, where errors about its contents point.  The
+    offsets at which lines start are listed once per source, and a
+    location asked for is found by bisecting that list, for the offset
+    now or any other.
     """
 
     def __init__(self, text: str, filename: str):
@@ -244,19 +245,11 @@ class _Scanner:
         self.pos = _BLANK_RE.match(self.text, self.pos).end()
 
     def _group(self, opened: int, closer: str, what: str) -> str:
-        """The text of the group opened at offset ``opened``."""
-        # direct route: the first closer ends a flat group; anything else,
-        # an error included, is left to the general reader
-        text, pos = self.text, self.pos
-        end = text.find(closer, pos)
-        if end >= 0 and _FLAT_GROUP_RE.fullmatch(text, pos, end):
-            self.opened = opened
-            self.pos = end + 1
-            return text[pos:end]
-        return self._general_group(opened, closer, what)
+        """The text of the group opened at offset ``opened``.
 
-    def _general_group(self, opened: int, closer: str, what: str) -> str:
-        """:meth:`_group` for any group, scanned stop by stop."""
+        This is the one group reader: it scans any group stop by stop,
+        and reads each group the statement route leaves to it.
+        """
         self.opened = opened
         text = self.text
         search = _GROUP_STOPS.search
@@ -421,9 +414,6 @@ class _Parser:
             raise DiagnosticError(
                 PARSE_ERROR, '%s has %d digits; at most %d are allowed'
                 % (what, len(digits), MAX_DIGITS), self.scan.loc(at))
-
-    def _raw_pair(self, what: str) -> tuple[str, str]:
-        return self._two(self.scan.need_group('(', ')', what), what)
 
     def _two(self, raw: str, what: str) -> tuple[str, str]:
         parts = split_fields(raw, ',')
@@ -594,9 +584,8 @@ class _Parser:
     def _vect(self, keyword: str, loc: SourceLoc) -> Statement:
         origin = LogicalPoint(*self._pair())
         spec = self.scan.need_group('/', '/', 'arrow spec')
-        raw = self.scan.need_group('<', '>', 'span pair')
-        parts = self._fields(raw, ',', 2, 'span entries')
-        spans = tuple(self._int(p, 'span') for p in parts)
+        spans = self._spans(self.scan.need_group('<', '>', 'span pair'),
+                            (0, 0))
         return Statement(keyword, origin=origin, specs=(spec,), spans=spans,
                          loc=loc)
 
@@ -684,7 +673,8 @@ class _Parser:
     def _loop(self, keyword: str, loc: SourceLoc) -> Statement:
         origin = LogicalPoint(*self._pair()) if keyword == 'Loop' else ORIGIN
         text = self.scan.take_token('loop text')
-        out_dir, in_dir = self._raw_pair('direction pair')
+        what = 'direction pair'
+        out_dir, in_dir = self._two(self.scan.need_group('(', ')', what), what)
         return Statement(keyword, origin=origin, nodes=(text,),
                          loop_out=out_dir.strip(), loop_in=in_dir.strip(),
                          loc=loc)

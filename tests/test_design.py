@@ -461,6 +461,11 @@ def test_each_job_is_done_in_one_place():
     # str.replace already returns a text without the character unchanged
     assert not any(isinstance(node, (ast.In, ast.NotIn))
                    for node in _nodes_of(svg._escape))
+    # the scanner has one group reader; only the statement route checks
+    # a group flat
+    assert not hasattr(parser._Scanner, '_general_group')
+    assert not any(isinstance(node, ast.Name) and node.id == '_FLAT_GROUP_RE'
+                   for node in _nodes_of(parser._Scanner))
 
 
 # ---- peak memory ---------------------------------------------------------------

@@ -1002,15 +1002,16 @@ def test_scanner_locations_behind_the_last_one_are_counted_again():
     assert scanner.loc() == SourceLoc('src.dxy', 3, 3)
 
 
-# ---- direct routes against the general readers ------------------------
+# ---- the group reader and the direct routes ----------------------------
 #
-# Groups, raw arrow specs and fields each have a direct route in front
-# of a general reader, and the route must give exactly what the general
-# reader gives: the same text, offsets, style, fields and diagnostics.
-# Fields are compared in test_split_fields_matches_reference above.
+# The group reader must read a group as the character-stepping reference
+# does.  Raw arrow specs and fields each have a direct route in front of
+# a general reader, and the route must give exactly what the general
+# reader gives: the same style, fields and diagnostics.  Fields are
+# compared in test_split_fields_matches_reference above.
 
 GROUP_CLOSERS = ')]|/>}'
-# plain text, control words, every escape a route must take whole (an
+# plain text, control words, every escape the reader must take whole (an
 # escaped closer and an escaped backslash among them), comments, line
 # breaks, and the closers of other groups as text
 GROUP_ATOMS = st.sampled_from(
@@ -1028,12 +1029,29 @@ def group_bodies(depth=0):
     return st.lists(st.one_of(atoms), max_size=8).map(''.join)
 
 
-def read_group(read, text, at, closer):
-    """What ``read`` makes of the group opened at ``text[at]``."""
+def read_group(text, at, closer):
+    """What the scanner makes of the group opened at ``text[at]``."""
     scan = parser._Scanner(text, 'src.dxy')
     scan.pos = at + 1
     try:
-        got = read(scan, at, closer, 'test group')
+        got = scan._group(at, closer, 'test group')
+    except DiagnosticError as err:
+        return ('error', err.code, err.message, err.loc, scan.opened)
+    return ('ok', got, scan.pos, scan.opened)
+
+
+def reference_read_group(text, at, closer):
+    """:func:`read_group` by the character-stepping reference, stepped
+    to the opener one character at a time so its line and column are
+    right."""
+    scan = ReferenceScanner(text, 'src.dxy')
+    while scan.pos < at:
+        scan.take()
+    opened_at = scan.loc()
+    scan.opened = scan.pos
+    scan.take()
+    try:
+        got = scan.scan_group(closer, 'test group', opened_at)
     except DiagnosticError as err:
         return ('error', err.code, err.message, err.loc, scan.opened)
     return ('ok', got, scan.pos, scan.opened)
@@ -1050,12 +1068,12 @@ def read_group(read, text, at, closer):
 @example('', '\\\\', ']', '', True)
 @example('', 'a\\', ']', '', False)
 @example('x\n', '{a}b}', ']', '', True)
-def test_group_route_matches_the_general_reader(before, body, closer, after,
-                                                closed):
+def test_group_reader_matches_the_reference_scanner(before, body, closer,
+                                                    after, closed):
     text = before + '[' + body + (closer if closed else '') + after
     at = len(before)
-    assert (read_group(parser._Scanner._group, text, at, closer)
-            == read_group(parser._Scanner._general_group, text, at, closer))
+    assert (read_group(text, at, closer)
+            == reference_read_group(text, at, closer))
 
 
 SPEC_NAMES = st.sampled_from(
@@ -1110,9 +1128,9 @@ def test_strip_group_matches_the_brace_scan(text):
 
 @pytest.fixture
 def general_calls(monkeypatch):
-    """Counts of calls into each general reader."""
+    """Counts of calls into the group reader and each general reader."""
     calls = {}
-    for owner, name in ((parser._Scanner, '_general_group'),
+    for owner, name in ((parser._Scanner, '_group'),
                         (parser, '_split_general'),
                         (arrows, '_parse_general')):
         def counted(*args, _real=getattr(owner, name), _name=name):
@@ -1167,10 +1185,10 @@ def test_many_files_shapes_take_every_direct_route(general_calls):
 
 
 @pytest.mark.parametrize('source, reader', [
-    ('\\bfig\\morphism[{A{B}}`C;f]\\efig', '_general_group'),
-    ('\\bfig\\morphism[A`\n  C;f]\\efig', '_general_group'),
-    ('\\bfig\\morphism[A`C;f % note\n]\\efig', '_general_group'),
-    ('\\bfig\\morphism[A\\]`C;f]\\efig', '_general_group'),
+    ('\\bfig\\morphism[{A{B}}`C;f]\\efig', '_group'),
+    ('\\bfig\\morphism[A`\n  C;f]\\efig', '_group'),
+    ('\\bfig\\morphism[A`C;f % note\n]\\efig', '_group'),
+    ('\\bfig\\morphism[A\\]`C;f]\\efig', '_group'),
     ('\\bfig\\morphism|a|/@{@{>}}/[A`C;f]\\efig', '_parse_general'),
     ('\\bfig\\morphism|a|/@{>}@<1.5pt>|-*@{x}/[A`C;f]\\efig',
      '_parse_general'),
