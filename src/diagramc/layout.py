@@ -3,7 +3,8 @@
 Everything in this module works in points with the y axis pointing up;
 the SVG emitter flips the sign at the very end.  Scenes come in with
 exact integer coordinates, so positions convert to floats once, here,
-and every later stage is pure float geometry.
+and every later stage is pure float geometry.  Its helpers ``Point``,
+``_unit`` and ``_at`` live here alone; ``svg`` imports them.
 """
 
 from __future__ import annotations
@@ -114,6 +115,18 @@ def node_box(node: NodeInstance, metrics: MetricsTable,
         rx + dx, baseline + dy, node.text, node.phantom)
 
 
+def _unit(a: Point, b: Point) -> Point:
+    """The unit vector from a toward b; (-uy, ux) is its left normal."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    length = math.hypot(dx, dy)
+    return (dx / length, dy / length)
+
+
+def _at(p: Point, u: Point, t: float) -> Point:
+    """The point t along the vector u from p."""
+    return (p[0] + u[0] * t, p[1] + u[1] * t)
+
+
 def _exit_param(box: NodeBox, px: float, py: float, dx: float,
                 dy: float) -> float:
     """Parameter t at which the ray (px, py) + t (dx, dy) leaves box."""
@@ -141,18 +154,10 @@ def _place_label(text: str, side: str, start: Point, end: Point,
         backing = (mx - width / 2.0 - 1.0, my - height / 2.0 - 4.0,
                    mx + width / 2.0 + 1.0, my + height / 2.0 + 4.0)
         return Label(mx, my, text, side, width, height, backing)
-    dx = end[0] - start[0]
-    dy = end[1] - start[1]
-    length = math.hypot(dx, dy)
-    nx, ny = -dy / length, dx / length
-    if side != LEFT:
-        nx, ny = -nx, -ny
+    ux, uy = _unit(start, end)
     reach = height / 2.0 + _LABEL_GAP
-    return Label(mx + nx * reach, my + ny * reach, text, side, width, height)
-
-
-def _offset(p: Point, nx: float, ny: float, amount: float) -> Point:
-    return (p[0] + nx * amount, p[1] + ny * amount)
+    x, y = _at((mx, my), (-uy, ux), reach if side == LEFT else -reach)
+    return Label(x, y, text, side, width, height)
 
 
 def _resolve_segment(arrow: ArrowInstance, clips: dict[_ClipKey, NodeBox],
@@ -182,10 +187,8 @@ def _resolve_segment(arrow: ArrowInstance, clips: dict[_ClipKey, NodeBox],
     end = (x0 + t1 * dx, y0 + t1 * dy)
     shift = arrow.style.parallel_offset_pt
     if shift:
-        length = math.hypot(dx, dy)
-        nx, ny = -dy / length, dx / length
-        start = _offset(start, nx, ny, shift)
-        end = _offset(end, nx, ny, shift)
+        ux, uy = _unit((x0, y0), (x1, y1))
+        start, end = _at(start, (-uy, ux), shift), _at(end, (-uy, ux), shift)
     labels = ()
     if arrow.label:
         side = resolve_label_side(arrow.label_rule, dst.x - src.x,
@@ -200,15 +203,12 @@ def _resolve_loop(arrow: ArrowInstance, clips: dict[_ClipKey, NodeBox],
                   cfg: RenderConfig) -> ResolvedArrow:
     box = clips[(arrow.src.x, arrow.src.y, arrow.src_text)]
     rx, ry = to_physical(arrow.src, cfg)
-    ox, oy = resolve_compass(arrow.loop_out)
-    ix, iy = resolve_compass(arrow.loop_in)
-    t_out = _exit_param(box, rx, ry, ox, oy)
-    t_in = _exit_param(box, rx, ry, ix, iy)
-    start = (rx + ox * t_out, ry + oy * t_out)
-    end = (rx + ix * t_in, ry + iy * t_in)
+    out = resolve_compass(arrow.loop_out)
+    into = resolve_compass(arrow.loop_in)
+    start = _at((rx, ry), out, _exit_param(box, rx, ry, *out))
+    end = _at((rx, ry), into, _exit_param(box, rx, ry, *into))
     reach = _LOOP_REACH_EM * cfg.em_pt
-    controls = ((start[0] + ox * reach, start[1] + oy * reach),
-                (end[0] + ix * reach, end[1] + iy * reach))
+    controls = (_at(start, out, reach), _at(end, into, reach))
     return ResolvedArrow(start, end, arrow.style, (), controls)
 
 
@@ -217,15 +217,11 @@ def _resolve_inline(fragment: InlineFragment, metrics: MetricsTable,
     unit = fragment.unit_scale * UNIT_EM * cfg.em_pt
     start = (0.0, fragment.raise_pt)
     end = (fragment.end.x * unit, fragment.end.y * unit + fragment.raise_pt)
-    dx = end[0] - start[0]
-    dy = end[1] - start[1]
-    length = math.hypot(dx, dy)
-    nx, ny = -dy / length, dx / length
+    ux, uy = _unit(start, end)
     arrows = []
     for part in fragment.parts:
         shift = part.style.parallel_offset_pt
-        s = _offset(start, nx, ny, shift)
-        e = _offset(end, nx, ny, shift)
+        s, e = _at(start, (-uy, ux), shift), _at(end, (-uy, ux), shift)
         labels = tuple(_place_label(text, side, s, e, metrics, cfg)
                        for text, side in ((part.sup, LEFT), (part.sub, RIGHT),
                                           (part.mid, MID)) if text)

@@ -90,8 +90,16 @@ def matching_brace(text: str, i: int, depth: int = 0) -> int:
 
     With ``depth`` groups already open, scanning from ``i`` finds the
     brace that closes the outermost of them.  Braces nest, and a
-    backslash makes the next character literal.
+    backslash makes the next character literal.  Every reader asks here
+    which ``}`` closes a ``{``, :func:`strip_group` and the spec layers too.
     """
+    if not depth and text[i:i + 1] == '{':
+        # with no '{' before the first '}' and no backslash right before
+        # it, that '}' closes this one
+        close = text.find('}', i)
+        if close < 0 or (text[close - 1] != '\\'
+                         and '{' not in text[i + 1:close]):
+            return close
     for stop in _BRACE_STOPS.finditer(text, i):
         ch = stop.group()
         if ch == '{':
@@ -104,15 +112,9 @@ def matching_brace(text: str, i: int, depth: int = 0) -> int:
 
 
 def strip_group(text: str) -> str:
-    """Remove one level of braces iff the text is exactly one group."""
-    if text[:1] != '{' or text[-1:] != '}':
-        return text
-    # with no '{' before the first '}' and no backslash right before it,
-    # that '}' closes the first group
-    close = text.find('}')
-    if text[close - 1] != '\\' and '{' not in text[1:close]:
-        return text[1:-1] if close == len(text) - 1 else text
-    if matching_brace(text, 0) == len(text) - 1:
+    """Remove one level of braces iff the text is exactly one group,
+    its closer found by :func:`matching_brace`."""
+    if text[:1] == '{' and matching_brace(text, 0) == len(text) - 1:
         return text[1:-1]
     return text
 

@@ -6,7 +6,8 @@ texts on top) with coordinates printed through one float formatter, so
 output is reproducible byte for byte.
 
 Layout hands over y-up coordinates; the flip to SVG's y-down happens at
-the last moment, inside the writers.
+the last moment, inside the writers.  The plane geometry, ``Point``,
+``_unit`` and ``_at``, lives in ``layout`` and is imported from there.
 
 The document is assembled as text, one element a line, two spaces of
 indentation a level; a group or text element without content closes
@@ -19,7 +20,8 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from .layout import ResolvedArrow, ResolvedScene, resolve_scene
+from .layout import (Point, ResolvedArrow, ResolvedScene, _at, _unit,
+                     resolve_scene)
 from .metrics import MetricsTable
 from .model import Memo, RenderConfig, Scene
 
@@ -39,7 +41,6 @@ _DASH = {'dashed': '4 2', 'dotted': '1 2'}
 
 _XML_DECL = '<?xml version="1.0" encoding="UTF-8"?>'
 
-Point = tuple[float, float]
 Format = Callable[[float], str]
 
 
@@ -51,16 +52,6 @@ def _fmt(v: float) -> str:
 
 # paint of every stroked line and path
 _STROKED = ' stroke="#000" stroke-width="%s" fill="none"' % _fmt(_STROKE)
-
-
-def _unit(a: Point, b: Point) -> Point:
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    length = math.hypot(dx, dy)
-    return (dx / length, dy / length)
-
-
-def _at(p: Point, u: Point, t: float) -> Point:
-    return (p[0] + u[0] * t, p[1] + u[1] * t)
 
 
 def _dash(dash: str | None) -> str:

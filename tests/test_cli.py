@@ -899,6 +899,29 @@ def test_a_rebuild_rewrites_only_what_changed(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == names
 
 
+def test_an_output_it_cannot_read_is_written_anew(tmp_path, monkeypatch):
+    # root reads a file of mode 000, so the refusal is patched in: an
+    # output of the right size that cannot be opened is replaced
+    source = write(tmp_path, 'a.dxy', SQUARE)
+    assert main([str(source)]) == 0
+    svg = tmp_path / 'a.svg'
+    before = (svg.stat().st_ino, svg.read_bytes())
+    refused = []
+
+    def refusing(path, *args, _open=open, **kwargs):
+        if path == str(svg):
+            refused.append(path)
+            raise PermissionError(13, 'Permission denied', path)
+        return _open(path, *args, **kwargs)
+    monkeypatch.setattr(cli, 'open', refusing, raising=False)
+    assert main([str(source)]) == 0
+    assert refused == [str(svg)]
+    assert svg.stat().st_ino != before[0]
+    assert svg.read_bytes() == before[1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        'a.dxy', 'a.scene.json', 'a.svg']
+
+
 def test_an_output_that_is_a_link_is_replaced_not_followed(tmp_path):
     source = write(tmp_path, 'a.dxy', SQUARE)
     target = tmp_path / 'elsewhere.svg'

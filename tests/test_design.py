@@ -466,6 +466,22 @@ def test_each_job_is_done_in_one_place():
     assert not hasattr(parser._Scanner, '_general_group')
     assert not any(isinstance(node, ast.Name) and node.id == '_FLAT_GROUP_RE'
                    for node in _nodes_of(parser._Scanner))
+    # layout and svg share one unit vector and one point offset
+    svg_nodes = _nodes_of(svg)
+    assert not {'_unit', '_at'} & {node.name for node in svg_nodes
+                                   if isinstance(node, ast.FunctionDef)}
+    assert any(isinstance(node, ast.ImportFrom) and node.module == 'layout'
+               and {'_unit', '_at'} <= {alias.name for alias in node.names}
+               for node in svg_nodes)
+    assert not hasattr(layout, '_offset')
+
+    def hypots(nodes):
+        return sum(isinstance(node, ast.Attribute) and node.attr == 'hypot'
+                   for node in nodes)
+    assert hypots(_nodes_of(layout)) == hypots(_nodes_of(layout._unit)) == 1
+    # matching_brace alone decides which '}' closes a '{'
+    assert not any(isinstance(node, ast.Attribute) and node.attr == 'find'
+                   for node in _nodes_of(parser.strip_group))
 
 
 # ---- peak memory ---------------------------------------------------------------

@@ -432,13 +432,22 @@ def test_inline_fragments_match_json_dumps():
         Scene((), (), (fragment,)))
 
 
+# a value json.dumps rejects is rejected with json.dumps's own message
 @pytest.mark.parametrize('value', [3, 2.5, -0.0, 1e300, float('inf'),
-                                   float('-inf'), float('nan'), True, False])
+                                   float('-inf'), float('nan'), True, False,
+                                   pytest.param(object(), id='object')])
 def test_scalar_leaves_match_json_dumps(value):
     style = ArrowStyle(parallel_offset_pt=value)
     scene = Scene((), (ArrowInstance(LogicalPoint(0, 0), LogicalPoint(1, 0),
                                      style),))
-    assert dump_scene(scene) == reference_json(scene)
+    try:
+        expected = reference_json(scene)
+    except TypeError as exc:
+        with pytest.raises(TypeError) as raised:
+            dump_scene(scene)
+        assert str(raised.value) == str(exc)
+    else:
+        assert dump_scene(scene) == expected
 
 
 def test_strings_are_quoted_as_json_dumps_quotes_them():

@@ -39,17 +39,30 @@ def test_corpus_outputs_match_goldens(tmp_path):
     assert differing == []
 
 
+def working_python(version):
+    """A ``python<version>`` that runs and is that version: the one on
+    PATH, else one pyenv installed under ``$PYENV_ROOT`` (by default
+    ``~/.pyenv``), whose shim may not run; None if none does."""
+    name = 'python' + version
+    root = Path(os.path.expanduser(os.environ.get('PYENV_ROOT', '~/.pyenv')))
+    for found in [shutil.which(name), *sorted(
+            map(str, root.glob('versions/%s.*/bin/%s' % (version, name))))]:
+        probe = found and subprocess.run(
+            [found, '-c', 'import sys; print("%d.%d" % sys.version_info[:2])'],
+            capture_output=True, text=True)
+        if probe and not probe.returncode and probe.stdout.strip() == version:
+            return found
+    return None
+
+
 # the oldest interpreter pyproject.toml admits, and those after the one
 # the suite mostly runs under: a pattern or syntax only some compile
 # shows here
 @pytest.mark.parametrize('version', ['3.10', '3.12', '3.13'])
 def test_other_interpreters_write_the_goldens(tmp_path, version):
-    found = shutil.which('python' + version)
-    probe = found and subprocess.run(
-        [found, '-c', 'import sys; print("%d.%d" % sys.version_info[:2])'],
-        capture_output=True, text=True)
-    if not probe or probe.returncode or probe.stdout.strip() != version:
-        pytest.skip('no working python%s on PATH' % version)
+    found = working_python(version)
+    if found is None:
+        pytest.skip('no working python%s on PATH or under pyenv' % version)
     sources = sorted(str(p) for p in CORPUS_DIR.glob('*.dxy'))
     env = dict(os.environ, PYTHONPATH=str(HERE.parent / 'src'))
     subprocess.run([found, '-m', 'diagramc', '-o', str(tmp_path)] + sources,

@@ -911,9 +911,19 @@ def test_split_fields_without_braces_or_escapes_matches_reference(text, sep):
     assert split_fields(text, sep) == reference_split_fields(text, sep)
 
 
-@given(GROUP_TEXT, st.data())
-def test_matching_brace_matches_reference(text, data):
-    i = data.draw(st.integers(0, len(text)))
+# a text and an offset into it, its end included
+@given(GROUP_TEXT.flatmap(lambda text: st.tuples(
+    st.just(text), st.integers(0, len(text)))))
+# where the first-closer shortcut must refuse and the scan answer: an
+# escaped closer, an escaped backslash before it, a nested group, no
+# opener at the offset, and an offset at the end
+@example(('{a\\}b}', 0))
+@example(('{\\\\}}', 0))
+@example(('{{}}', 0))
+@example(('a}', 0))
+@example(('{a}', 3))
+def test_matching_brace_matches_reference(case):
+    text, i = case
     assert matching_brace(text, i) == reference_matching_brace(text, i)
     for depth in (1, 2):
         assert (matching_brace(text, i, depth)
@@ -1121,6 +1131,7 @@ def test_spec_route_matches_the_general_reader(spec):
 @example('{\\eta}')
 @example('{a\\}')
 @example('{}')
+@example('{a}{b}')
 def test_strip_group_matches_the_brace_scan(text):
     whole = text[:1] == '{' and reference_matching_brace(text, 0) == len(text) - 1
     assert strip_group(text) == (text[1:-1] if whole else text)
