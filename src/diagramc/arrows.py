@@ -29,38 +29,37 @@ def resolve_compass(d: str) -> tuple[float, float]:
         raise DiagnosticError(BAD_DIRECTION, f"unknown compass direction {d!r}") from None
 
 
-# Directional names as they appear between slashes.  Leading/trailing spaces
-# are significant: the blank-tip names ship with them.
-_FORWARD = {
-    "": ("none", "invisible", "none"),
-    "-": ("none", "solid", "none"),
-    ">": ("none", "solid", "normal"),
-    "->": ("none", "solid", "normal"),
-    "->>": ("none", "solid", "double_head"),
-    " >->": ("mono", "solid", "normal"),
-    " (->": ("hook_up", "solid", "normal"),
-    "^{ (}->": ("hook_up", "solid", "normal"),
-    "_{ (}->": ("hook_down", "solid", "normal"),
-    "|->": ("bar", "solid", "normal"),
-    "--": ("none", "dashed", "none"),
-    "-->": ("none", "dashed", "normal"),
-    ".": ("none", "dotted", "none"),
-    "..": ("none", "dotted", "none"),
-    "d": ("none", "dotted", "none"),
-    "..>": ("none", "dotted", "normal"),
-    "=": ("none", "double", "none"),
-    "=>": ("none", "double", "normal"),
-}
-
-_REVERSED = {
-    "<-": ("none", "solid", "normal"),
-    "<<-": ("none", "solid", "double_head"),
-    "<-< ": ("mono", "solid", "normal"),
-    "<-( ": ("hook_up", "solid", "normal"),
-    "<--": ("none", "dashed", "normal"),
-    "<..": ("none", "dotted", "normal"),
-    "<-|": ("bar", "solid", "normal"),
-    "<=": ("none", "double", "normal"),
+# Directional names as they appear between slashes, each with its
+# (tail, shaft, head, reversed).  A reversed name keeps its endpoints and
+# draws its head at the start.  Leading/trailing spaces are significant:
+# the blank-tip names ship with them.
+_NAMES = {
+    "": ("none", "invisible", "none", False),
+    "-": ("none", "solid", "none", False),
+    ">": ("none", "solid", "normal", False),
+    "->": ("none", "solid", "normal", False),
+    "->>": ("none", "solid", "double_head", False),
+    " >->": ("mono", "solid", "normal", False),
+    " (->": ("hook_up", "solid", "normal", False),
+    "^{ (}->": ("hook_up", "solid", "normal", False),
+    "_{ (}->": ("hook_down", "solid", "normal", False),
+    "|->": ("bar", "solid", "normal", False),
+    "--": ("none", "dashed", "none", False),
+    "-->": ("none", "dashed", "normal", False),
+    ".": ("none", "dotted", "none", False),
+    "..": ("none", "dotted", "none", False),
+    "d": ("none", "dotted", "none", False),
+    "..>": ("none", "dotted", "normal", False),
+    "=": ("none", "double", "none", False),
+    "=>": ("none", "double", "normal", False),
+    "<-": ("none", "solid", "normal", True),
+    "<<-": ("none", "solid", "double_head", True),
+    "<-< ": ("mono", "solid", "normal", True),
+    "<-( ": ("hook_up", "solid", "normal", True),
+    "<--": ("none", "dashed", "normal", True),
+    "<..": ("none", "dotted", "normal", True),
+    "<-|": ("bar", "solid", "normal", True),
+    "<=": ("none", "double", "normal", True),
 }
 
 # A run of suffixes: mid-shaft ticks (group 1: "|" or "+") and parallel
@@ -84,14 +83,14 @@ def parse_arrow_spec(spec: str) -> ArrowStyle:
     its own layer.
 
     A direct route settles the common raw form: one layer "@{name}" whose
-    name is in the tables as written, then ticks and offsets only.
+    name is in the table as written, then ticks and offsets only.
     Everything else, every error included, goes to the general reader,
     which unwraps the layers one matching brace at a time.
     """
     if spec.startswith("@{"):
         close = spec.find("}")
         name = spec[2:close]
-        if close > 0 and (name in _FORWARD or name in _REVERSED):
+        if close > 0 and name in _NAMES:
             run = _SUFFIXES_RE.match(spec, close + 1)
             if run.end() == len(spec):
                 return _style(name, *_suffixes("none", 0.0, run))
@@ -119,7 +118,7 @@ def _parse_general(spec: str) -> ArrowStyle:
     name = spec[2 * depth:ends[depth]]
     if name.startswith("@"):
         raise _unsupported(name, 1)
-    if name not in _FORWARD and name not in _REVERSED:
+    if name not in _NAMES:
         layer = spec[2 * depth - 2:ends[depth - 1]] if depth else spec
         raise _unsupported(layer, 2 if depth else 0)
     mid, offset = "none", 0.0
@@ -143,10 +142,9 @@ def _suffixes(mid: str, offset: float, run: re.Match) -> tuple[str, float]:
 
 
 def _style(name: str, mid: str, offset: float) -> ArrowStyle:
-    """The style of a name in the tables, with its suffixes' values."""
-    if name in _FORWARD:
-        return ArrowStyle(*_FORWARD[name], mid, offset, False)
-    return ArrowStyle(*_REVERSED[name], mid, offset, True)
+    """The style of a name in the table, with its suffixes' values."""
+    tail, shaft, head, reversed_ = _NAMES[name]
+    return ArrowStyle(tail, shaft, head, mid, offset, reversed_)
 
 
 def _unsupported(spec: str, pos: int) -> DiagnosticError:

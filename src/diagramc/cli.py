@@ -10,13 +10,13 @@ An input fails with an ``OutputCollision``, before it writes anything,
 when one of its outputs is an input or was written by an earlier input
 of the run, by name or as the same file through a link; an output that
 is a directory fails it as early.  The files after it still compile.
-Each unit's scene file is made and written first; the unit's scene is
-then let go, and its SVG is made from the scene layout resolved, so the
-scene's records are freed before the SVG text is built.  Outputs go to
-hidden temp files beside them, renamed into place once all of an
-input's are written, so no output is ever half-written; one that
-already holds the same bytes is left untouched.  Outputs an earlier run
-made with another unit count are warned of, and left in place.
+Each unit's scene file is made and written first; the CLI then drops the
+unit once layout has resolved it, so the unit's records are freed before
+its SVG text is made from what layout resolved.  Outputs go to hidden
+temp files beside them, renamed into place once all of an input's are
+written, so no output is ever half-written; one that already holds the
+same bytes is left untouched.  Outputs an earlier run made with another
+unit count are warned of, and left in place.
 
 Exit status: 0 when everything compiled, 1 when any file failed with a
 diagnostic (a source that is not UTF-8 among them), 2 for invocation
@@ -39,7 +39,7 @@ from .metrics import MetricsTable
 from .model import RenderConfig, Scene
 from .parser import decode_source, parse_document
 from .scenefile import dump_scene
-from .svg import render
+from . import svg
 
 _DEFAULT = RenderConfig()   # each setting's default, for its option
 _EXTENSIONS = {'scene': ('scene.json',), 'svg': ('svg',),
@@ -54,7 +54,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     'structured scene files.')
     p.add_argument('inputs', nargs='+', metavar='FILE',
                    help='diagram source files')
-    p.add_argument('--format', choices=('scene', 'svg', 'both'),
+    p.add_argument('--format', choices=_EXTENSIONS,
                    default='both', help='which outputs to write')
     p.add_argument('-o', '--out-dir', metavar='DIR',
                    help='output directory (default: next to each input)')
@@ -147,13 +147,6 @@ def _write(path: str, text: str, old: os.stat_result | None,
     return stat.st_dev, stat.st_ino
 
 
-def _take(units: list[Scene], n: int) -> Scene:
-    """Unit ``n``, its slot in ``units`` set to None, so that the caller
-    holds its only reference."""
-    unit, units[n] = units[n], None
-    return unit
-
-
 def _failure(path: str, exc: Exception) -> int:
     """Report why one input failed; return the exit status it earns."""
     if isinstance(exc, DiagnosticError):
@@ -244,10 +237,12 @@ def _compile_input(path: str, args: argparse.Namespace,
                 idents[out] = _write(out, dump_scene(units[n]), found[out],
                                      temps)
             if 'svg' in outputs:
-                # the scene is freed once resolved, before its SVG is made
+                resolved = svg.resolve_scene(units[n], metrics, cfg)
+                units[n] = None   # freed before its SVG is made
                 out = outputs['svg'][n]
-                idents[out] = _write(out, render(_take(units, n), metrics,
-                                                 cfg), found[out], temps)
+                idents[out] = _write(out, svg.render_resolved(
+                    resolved, metrics, cfg), found[out], temps)
+                del resolved   # not held while the next unit's scene is made
         for out in found:
             if out in temps:
                 os.replace(temps[out], out)

@@ -55,7 +55,7 @@ def twoar_end(dx: int, dy: int) -> LogicalPoint:
     return LogicalPoint(x, y)
 
 
-_OMIT = ArrowStyle(shaft='invisible', head='none')
+_OMIT = parse_arrow_spec('')   # an arrow with the empty spec is left out
 
 
 def _shifted(style: ArrowStyle, offset: float) -> ArrowStyle:

@@ -37,7 +37,9 @@ _DOUBLE_GAP = 0.8    # half distance between double shaft rules
 _PAD = 5.0           # whitespace around the drawing
 _FONT = "Georgia, 'Times New Roman', serif"
 
-_DASH = {'dashed': '4 2', 'dotted': '1 2'}
+# the dash attribute of each broken shaft; a solid one has none
+_DASH = {'dashed': ' stroke-dasharray="4 2"',
+         'dotted': ' stroke-dasharray="1 2"'}
 
 _XML_DECL = '<?xml version="1.0" encoding="UTF-8"?>'
 
@@ -54,10 +56,6 @@ def _fmt(v: float) -> str:
 _STROKED = ' stroke="#000" stroke-width="%s" fill="none"' % _fmt(_STROKE)
 
 
-def _dash(dash: str | None) -> str:
-    return ' stroke-dasharray="%s"' % dash if dash else ''
-
-
 def _escape(text: str) -> str:
     """Character data escaped as ElementTree escapes it."""
     return text.replace('&', '&amp;').replace('<', '&lt;').replace('>', '&gt;')
@@ -66,16 +64,14 @@ def _escape(text: str) -> str:
 # Each element writer returns one element line, unindented; the group
 # around it supplies the indentation.  y flips on the way in.
 
-def _line(fmt: Format, cls: str, a: Point, b: Point,
-          dash: str | None = None) -> str:
+def _line(fmt: Format, cls: str, a: Point, b: Point, dash: str = '') -> str:
     return ('<line class="%s" x1="%s" y1="%s" x2="%s" y2="%s"%s%s />'
             % (cls, fmt(a[0]), fmt(-a[1]), fmt(b[0]), fmt(-b[1]),
-               _STROKED, _dash(dash)))
+               _STROKED, dash))
 
 
-def _path(cls: str, d: str, filled: bool = False,
-          dash: str | None = None) -> str:
-    paint = ' fill="#000"' if filled else _STROKED + _dash(dash)
+def _path(cls: str, d: str, filled: bool = False, dash: str = '') -> str:
+    paint = ' fill="#000"' if filled else _STROKED + dash
     return '<path class="%s" d="%s"%s />' % (cls, d, paint)
 
 
@@ -96,17 +92,12 @@ def _text(fmt: Format, cls: str, x: float, baseline_y: float, content: str,
 
 def render(scene: Scene, metrics: MetricsTable | None = None,
            cfg: RenderConfig | None = None) -> str:
-    """Render one scene unit to SVG text.
-
-    The scene is let go once it is resolved: a caller that passes its
-    only reference frees the scene's records before the text is made."""
+    """Render one scene unit to SVG text."""
     if metrics is None:
         metrics = MetricsTable.builtin()
     if cfg is None:
         cfg = RenderConfig()
-    resolved = resolve_scene(scene, metrics, cfg)
-    del scene
-    return render_resolved(resolved, metrics, cfg)
+    return render_resolved(resolve_scene(scene, metrics, cfg), metrics, cfg)
 
 
 def render_resolved(resolved: ResolvedScene, metrics: MetricsTable,
@@ -248,7 +239,7 @@ def _emit_shaft(fmt: Format, g: list[str], arrow: ResolvedArrow, shaft: str,
         d = 'M %s %s C %s %s, %s %s, %s %s' % (
             fmt(a[0]), fmt(-a[1]), fmt(c1[0]), fmt(-c1[1]),
             fmt(c2[0]), fmt(-c2[1]), fmt(b[0]), fmt(-b[1]))
-        g.append(_path('shaft', d, dash=_DASH.get(shaft)))
+        g.append(_path('shaft', d, dash=_DASH.get(shaft, '')))
         return
     if shaft == 'double':
         u = _unit(a, b)
@@ -258,7 +249,7 @@ def _emit_shaft(fmt: Format, g: list[str], arrow: ResolvedArrow, shaft: str,
                            (a[0] + nx * side, a[1] + ny * side),
                            (b[0] + nx * side, b[1] + ny * side)))
         return
-    g.append(_line(fmt, 'shaft', a, b, dash=_DASH.get(shaft)))
+    g.append(_line(fmt, 'shaft', a, b, dash=_DASH.get(shaft, '')))
 
 
 def _chevron(fmt: Format, p: Point, out: Point, scale: float) -> str:

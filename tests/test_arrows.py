@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from diagramc import arrows
 from diagramc.arrows import COMPASS, parse_arrow_spec, resolve_compass
 from diagramc.errors import DiagnosticError
 from diagramc.model import ArrowStyle
@@ -35,6 +36,13 @@ DIRECTIONALS = [
     ('<-|', 'bar', 'solid', 'normal', True),
     ('<=', 'none', 'double', 'normal', True),
 ]
+
+
+def test_every_name_in_the_table_has_a_row_here():
+    # a name added to the table without a row above would go unchecked
+    names = [row[0] for row in DIRECTIONALS]
+    assert sorted(names) == sorted(arrows._NAMES)
+    assert len(set(names)) == len(names)
 
 
 @pytest.mark.parametrize('spec, tail, shaft, head, rev', DIRECTIONALS)

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from diagramc import cli
 from diagramc.cli import main
-from diagramc.svg import render as svg_render
+from diagramc.svg import resolve_scene
 
 SQUARE = '\\bfig\\square[A`B`C`D;f`g`h`k]\\efig\n'
 
@@ -339,14 +339,15 @@ def test_module_entry_point(tmp_path):
 
 def test_internal_error_names_the_file_and_the_batch_goes_on(tmp_path, capsys,
                                                             monkeypatch):
-    # a fault in layout, injected into the render of one file of the batch:
-    # every SVG renders before the first write, so that file writes nothing
-    def render(unit, metrics, cfg):
+    # a fault in layout, injected into the resolve of one file of the
+    # batch: a failed input keeps none of its outputs, so that file writes
+    # nothing
+    def resolving(unit, metrics, cfg):
         if any(node.text == 'Huge' for node in unit.nodes):
             raise OverflowError('int too large to convert to float')
-        return svg_render(unit, metrics, cfg)
+        return resolve_scene(unit, metrics, cfg)
 
-    monkeypatch.setattr(cli, 'render', render)
+    monkeypatch.setattr(cli.svg, 'resolve_scene', resolving)
     huge = write(tmp_path, 'huge.dxy',
                  '\\bfig\\morphism(0,0)<500,0>[Huge`B;f]\\efig\n')
     good = write(tmp_path, 'good.dxy', SQUARE)
@@ -827,16 +828,15 @@ def test_an_interrupt_leaves_no_temp(tmp_path, monkeypatch, where):
     if where == 'write':
         monkeypatch.setattr(cli, '_slices', failing_slices(KeyboardInterrupt))
     else:   # the second figure, once the first one's outputs are written
-        real_render = cli.render
-        renders = []
+        resolves = []
 
-        def render(*args):
-            renders.append(args)
-            if len(renders) == 2:
+        def resolving(*args):
+            resolves.append(args)
+            if len(resolves) == 2:
                 raise KeyboardInterrupt
-            return real_render(*args)
+            return resolve_scene(*args)
 
-        monkeypatch.setattr(cli, 'render', render)
+        monkeypatch.setattr(cli.svg, 'resolve_scene', resolving)
     with pytest.raises(KeyboardInterrupt):
         main([str(source)])
     assert sorted(p.name for p in tmp_path.iterdir()) == ['two.dxy']
@@ -846,12 +846,12 @@ def test_each_output_is_written_before_the_next_is_made(tmp_path,
                                                         monkeypatch):
     source = write(tmp_path, 'two.dxy', SQUARE + SQUARE)
     seen = []
-    for name in ('render', 'dump_scene'):
-        def making(*args, _real=getattr(cli, name)):
+    for owner, name in ((cli.svg, 'resolve_scene'), (cli, 'dump_scene')):
+        def making(*args, _real=getattr(owner, name)):
             seen.append(temps(tmp_path))
             return _real(*args)
 
-        monkeypatch.setattr(cli, name, making)
+        monkeypatch.setattr(owner, name, making)
     assert main([str(source)]) == 0
     made = ['.two.%s.%d.tmp' % (name, os.getpid())
             for name in ('1.scene.json', '1.svg', '2.scene.json')]

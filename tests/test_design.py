@@ -482,6 +482,19 @@ def test_each_job_is_done_in_one_place():
     # matching_brace alone decides which '}' closes a '{'
     assert not any(isinstance(node, ast.Attribute) and node.attr == 'find'
                    for node in _nodes_of(parser.strip_group))
+    # the CLI alone frees each unit, through svg's two traced stages
+    assert not hasattr(cli, '_take') and not hasattr(cli, 'render')
+    assert not any(isinstance(node, ast.Delete)
+                   for node in _nodes_of(svg.render))
+    # one table names each arrow and says which way it points
+    assert hasattr(arrows, '_NAMES')
+    assert not hasattr(arrows, '_FORWARD') and not hasattr(arrows, '_REVERSED')
+    assert lowering._OMIT == arrows.parse_arrow_spec('')
+    # one attribute per dashed shaft; one list of formats
+    assert not hasattr(svg, '_dash')
+    action, = [action for action in cli.build_arg_parser()._actions
+               if action.dest == 'format']
+    assert action.choices is cli._EXTENSIONS
 
 
 # ---- peak memory ---------------------------------------------------------------
@@ -518,9 +531,9 @@ def test_the_cli_peak_stays_near_what_it_writes(tmp_path):
 
 def test_no_arrow_of_a_unit_is_alive_while_its_svg_is_made(tmp_path,
                                                           monkeypatch):
-    # the CLI writes a unit's scene file first, then lets its scene go
-    # before the SVG text is made; gc.get_objects() lists the records even
-    # while cli.main keeps the collector off
+    # the CLI writes a unit's scene file first, if asked for, then lets
+    # the unit go before the SVG text is made; gc.get_objects() lists the
+    # records even while cli.main keeps the collector off
     real = svg.render_resolved
     alive = []
 
@@ -537,8 +550,11 @@ def test_no_arrow_of_a_unit_is_alive_while_its_svg_is_made(tmp_path,
     source.write_text(''.join(
         '\\bfig\\Square[A`B`C`D;f_%d`g_%d`h_%d`k_%d]\\efig\n' % (n, n, n, n)
         for n in (1, 2)), encoding='utf-8')
-    assert cli.main([str(source)]) == 0
-    assert alive == [[], []]
+    for fmt in ('both', 'svg'):
+        alive.clear()
+        assert cli.main(['--format', fmt, '-o', str(tmp_path / fmt),
+                         str(source)]) == 0
+        assert alive == [[], []], fmt
 
 
 # ---- memo lifetime -----------------------------------------------------------

@@ -11,6 +11,7 @@ repository root and review the diff.
 """
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -55,6 +56,30 @@ def working_python(version):
     return None
 
 
+def check_corpus_run(python, out):
+    """Compile the corpus into ``out`` under ``python`` in development
+    mode with every warning an error, which shows the ResourceWarnings and
+    DeprecationWarnings an in-process test lets pass: the run writes the
+    goldens, and its stderr is only the corpus's glyph warnings."""
+    sources = sorted(str(p) for p in CORPUS_DIR.glob('*.dxy'))
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / 'src'))
+    result = subprocess.run(
+        [python, '-X', 'dev', '-W', 'error', '-m', 'diagramc', '-o',
+         str(out)] + sources, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 26, result.stderr   # README's count
+    assert all(re.fullmatch(r'\S+\.dxy: warning: no metrics for .+; using '
+                            r'the fallback advance', line)
+               for line in lines), result.stderr
+    assert ({p.name: p.read_bytes() for p in out.iterdir()}
+            == {p.name: p.read_bytes() for p in GOLDEN_DIR.iterdir()})
+
+
+def test_the_cli_warns_of_nothing_but_glyphs(tmp_path):
+    check_corpus_run(sys.executable, tmp_path)
+
+
 # the oldest interpreter pyproject.toml admits, and those after the one
 # the suite mostly runs under: a pattern or syntax only some compile
 # shows here
@@ -63,12 +88,7 @@ def test_other_interpreters_write_the_goldens(tmp_path, version):
     found = working_python(version)
     if found is None:
         pytest.skip('no working python%s on PATH or under pyenv' % version)
-    sources = sorted(str(p) for p in CORPUS_DIR.glob('*.dxy'))
-    env = dict(os.environ, PYTHONPATH=str(HERE.parent / 'src'))
-    subprocess.run([found, '-m', 'diagramc', '-o', str(tmp_path)] + sources,
-                   env=env, check=True, capture_output=True)
-    assert ({p.name: p.read_bytes() for p in tmp_path.iterdir()}
-            == {p.name: p.read_bytes() for p in GOLDEN_DIR.iterdir()})
+    check_corpus_run(found, tmp_path)
 
 
 # ---- no memo outlives its unit ---------------------------------------------

@@ -53,7 +53,8 @@ OFFSETS = sometimes(
 )
 SUFFIXES = st.one_of(st.sampled_from(['|-*@{|}', '|-*@{+}']),
                      OFFSETS.map(lambda value: '@<%spt>' % value))
-NAMES = sorted(arrows._FORWARD) + sorted(arrows._REVERSED)
+# the forward names sorted, then the reversed ones
+NAMES = sorted(arrows._NAMES, key=lambda n: (arrows._NAMES[n][3], n))
 
 # control characters are a located ParseError, tested on their own
 TEXTS = sometimes(

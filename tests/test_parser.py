@@ -1087,8 +1087,7 @@ def test_group_reader_matches_the_reference_scanner(before, body, closer,
 
 
 SPEC_NAMES = st.sampled_from(
-    [*arrows._FORWARD, *arrows._REVERSED,
-     'x', '@', '>>', '{', '}', '\\>', '<-x', '@{>}', '{>}'])
+    [*arrows._NAMES, 'x', '@', '>>', '{', '}', '\\>', '<-x', '@{>}', '{>}'])
 SPEC_SUFFIXES = st.sampled_from(
     ['|-*@{|}', '|-*@{+}', '@<3pt>', '@<-2.722pt>', '@<0.5pt>', '@<-0pt>',
      '@<1.pt>', '@<.5pt>', '@<1234567890pt>', '@<1e3pt>', '@<3pt',
@@ -1158,8 +1157,7 @@ def many_files_source():
     bases = ['A', 'FB', 'G(X)', '\\alpha', '\\Sigma A', 'H\\otimes K',
              '\\bar{Q}', 'T^{2}']
     label_bases = ['f', '\\phi', 'g\\circ h', '\\eta', 'p', '\\lambda']
-    names = [*arrows._FORWARD, *arrows._REVERSED]
-    names = [n for n in names if '{' not in n]
+    names = [n for n in arrows._NAMES if '{' not in n]
     ticks = ['', '|-*@{|}', '|-*@{+}']
     serial = iter(range(1000, 100000))
 
