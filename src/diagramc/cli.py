@@ -12,11 +12,12 @@ of the run, by name or as the same file through a link; an output that
 is a directory fails it as early.  The files after it still compile.
 Each unit's scene file is made and written first; the CLI then drops the
 unit once layout has resolved it, so the unit's records are freed before
-its SVG text is made from what layout resolved.  Outputs go to hidden
-temp files beside them, renamed into place once all of an input's are
-written, so no output is ever half-written; one that already holds the
-same bytes is left untouched.  Outputs an earlier run made with another
-unit count are warned of, and left in place.
+its SVG text is made from what layout resolved.  Each text goes a piece
+at a time, as it is made, to a hidden temp file beside its output, and
+none is held whole; the temps are renamed into place once all of an
+input's are written, so no output is ever half-written.  An output that
+already holds the same bytes is left untouched.  Outputs an earlier
+run made with another unit count are warned of, and left in place.
 
 Exit status: 0 when everything compiled, 1 when any file failed with a
 diagnostic (a source that is not UTF-8 among them), 2 for invocation
@@ -31,7 +32,7 @@ import gc
 import os
 import sys
 from itertools import chain
-from stat import S_ISDIR
+from stat import S_ISDIR, S_ISREG
 
 from .errors import INTERNAL_ERROR, OUTPUT_COLLISION, DiagnosticError
 from .lowering import Lowerer
@@ -44,7 +45,7 @@ from . import svg
 _DEFAULT = RenderConfig()   # each setting's default, for its option
 _EXTENSIONS = {'scene': ('scene.json',), 'svg': ('svg',),
                'both': ('scene.json', 'svg')}
-_SLICE = 1 << 16   # characters encoded and written at a time
+_SLICE = 1 << 16   # characters encoded, compared and written at a time
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -117,33 +118,46 @@ def _stat(path: str) -> os.stat_result | None:
         return None
 
 
-def _slices(text: str):
-    """The UTF-8 of ``text``, a bounded slice at a time."""
-    for start in range(0, len(text), _SLICE):
-        yield text[start:start + _SLICE].encode('utf-8')
-
-
-def _write(path: str, text: str, old: os.stat_result | None,
-           temps: dict[str, str]) -> tuple[int, int]:
-    """Write ``text``, the output ``path``, to a new hidden file beside
-    it, kept in ``temps``; return that file's identity.  If ``old``, the
-    file at ``path``, holds the same bytes, keep it and return its own."""
-    if old and old.st_size == (len(text) if text.isascii() else
-                               sum(map(len, _slices(text)))):
-        try:
-            with open(path, 'rb') as handle:
-                if all(handle.read(len(chunk)) == chunk
-                       for chunk in _slices(text)):
-                    return old.st_dev, old.st_ino
-        except OSError:   # not a file it can read: write it anew
-            pass
+def _write(path: str, old: os.stat_result | None, temps: dict[str, str],
+           emit, *args) -> tuple[int, int]:
+    """Write the output ``path`` to a new hidden file beside it, kept in
+    ``temps``, as ``emit(*args, sink)`` hands ``sink`` its text a piece
+    at a time; return that file's identity.  If ``old``, the file at
+    ``path``, holds the same bytes and no more, drop the new file."""
     head, tail = os.path.split(path)
     temp = os.path.join(head, '.%s.%d.tmp' % (tail, os.getpid()))
-    with open(temp, 'xb') as handle:   # never an existing file
-        temps[path] = temp
-        for chunk in _slices(text):
-            handle.write(chunk)
-        stat = os.fstat(handle.fileno())
+    try:   # the old file, while its bytes match those written
+        held = open(path, 'rb') if old and S_ISREG(old.st_mode) else None
+    except OSError:   # not a file it can read: write it anew
+        held = None
+    pieces, size = [], 0   # text not yet written, about _SLICE characters
+
+    def sink(piece: str, last: bool = False) -> None:
+        nonlocal held, size
+        pieces.append(piece)
+        size += len(piece)
+        if size >= _SLICE or last:
+            data = ''.join(pieces).encode('utf-8')
+            pieces.clear()
+            size = 0
+            if held is not None and held.read(len(data)) != data:
+                held.close()
+                held = None
+            handle.write(data)
+
+    try:
+        with open(temp, 'xb') as handle:   # never an existing file
+            temps[path] = temp
+            emit(*args, sink)
+            sink('', last=True)   # what is left
+            stat = os.fstat(handle.fileno())
+        if held is not None and not held.read(1):
+            os.unlink(temp)
+            del temps[path]
+            return old.st_dev, old.st_ino
+    finally:
+        if held is not None:
+            held.close()
     return stat.st_dev, stat.st_ino
 
 
@@ -228,20 +242,21 @@ def _compile_input(path: str, args: argparse.Namespace,
     temps: dict[str, str] = {}   # output path: its temp, until renamed
     idents = {}
     try:
-        # each text goes to a temp as soon as it is made; only when every
-        # one is written do they take their names, so a layout error
-        # leaves no outputs behind
+        # each text goes to a temp as it is made; only when every one is
+        # written do they take their names, so a layout error leaves no
+        # outputs behind
         for n in range(len(units)):
             if 'scene.json' in outputs:
                 out = outputs['scene.json'][n]
-                idents[out] = _write(out, dump_scene(units[n]), found[out],
-                                     temps)
+                idents[out] = _write(out, found[out], temps, dump_scene,
+                                     units[n])
             if 'svg' in outputs:
                 resolved = svg.resolve_scene(units[n], metrics, cfg)
                 units[n] = None   # freed before its SVG is made
                 out = outputs['svg'][n]
-                idents[out] = _write(out, svg.render_resolved(
-                    resolved, metrics, cfg), found[out], temps)
+                idents[out] = _write(out, found[out], temps,
+                                     svg.render_resolved, resolved, metrics,
+                                     cfg)
                 del resolved   # not held while the next unit's scene is made
         for out in found:
             if out in temps:

@@ -4,6 +4,8 @@ One scene unit serializes to one JSON document with a fixed key order,
 two-space indentation, and a trailing newline, so recompiling an
 unchanged source yields byte-identical files.  Coordinates stay in
 integer logical units; nothing here depends on the render configuration.
+The text is made a record at a time, so a caller can write each piece
+as it comes or join them.
 """
 
 from __future__ import annotations
@@ -43,10 +45,12 @@ def _template(keys: str, depth: int, slot: str = '%s') -> str:
 
 
 _DOC = (_template('nodes arrows inlines', 0) + '\n').split('%s')
-_NODE = _template('pos text anchor phantom', 2)
-_ARROW = _template('from to style label label_rule source_extent '
-                   'target_extent loop_out loop_in', 2)
-_FRAGMENT = _template('kind end unit_scale tip_scale raise_pt arrows', 2)
+# a top-level record starts with the text before it in its list
+_NODE = '%s' + _template('pos text anchor phantom', 2)
+_ARROW = '%s' + _template('from to style label label_rule source_extent '
+                          'target_extent loop_out loop_in', 2)
+_FRAGMENT = '%s' + _template('kind end unit_scale tip_scale raise_pt arrows',
+                             2)
 _PART = _template('style sup sub mid', 4)
 _POINT = _template('x y', 3, '%d')
 _ARROW_STYLE = _template(_STYLE_KEYS, 3)
@@ -93,46 +97,56 @@ def _style_text(style: ArrowStyle, template: str, strings: Memo) -> str:
         _BOOL[style.reversed])
 
 
-def _node_text(node: NodeInstance, strings: Memo) -> str:
+def _node_text(lead: str, node: NodeInstance, strings: Memo) -> str:
     pos = node.pos
-    return _NODE % (_POINT % (pos.x, pos.y), strings[node.text],
+    return _NODE % (lead, _POINT % (pos.x, pos.y), strings[node.text],
                     strings[node.anchor], _BOOL[node.phantom])
 
 
-def _arrow_text(arrow: ArrowInstance, strings: Memo) -> str:
+def _arrow_text(lead: str, arrow: ArrowInstance, strings: Memo) -> str:
     src, dst = arrow.src, arrow.dst
     return _ARROW % (
-        _POINT % (src.x, src.y), _POINT % (dst.x, dst.y),
+        lead, _POINT % (src.x, src.y), _POINT % (dst.x, dst.y),
         _style_text(arrow.style, _ARROW_STYLE, strings),
         strings[arrow.label], strings[arrow.label_rule],
         strings[arrow.src_text], strings[arrow.dst_text],
         strings[arrow.loop_out], strings[arrow.loop_in])
 
 
-def _fragment_text(fragment: InlineFragment, strings: Memo) -> str:
+def _fragment_text(lead: str, fragment: InlineFragment,
+                   strings: Memo) -> str:
     parts = [_PART % (_style_text(part.style, _PART_STYLE, strings),
                       strings[part.sup], strings[part.sub],
                       strings[part.mid])
              for part in fragment.parts]
     end = fragment.end
     return _FRAGMENT % (
-        strings[fragment.kind], _POINT % (end.x, end.y),
+        lead, strings[fragment.kind], _POINT % (end.x, end.y),
         _leaf(fragment.unit_scale), _leaf(fragment.tip_scale),
         _leaf(fragment.raise_pt), _list(parts, 3))
 
 
-def dump_scene(scene: Scene) -> str:
-    """Serialize one scene unit to its canonical JSON text."""
+def _pieces(scene: Scene):
+    """The canonical JSON text of ``scene``, a record at a time, each
+    after the comma that parts it from the one before."""
     strings = Memo(_leaf)
-    # the whole document in one list, joined once; a comma follows each item
-    doc = []
     for head, text, records in zip(_DOC, (_node_text, _arrow_text,
                                           _fragment_text),
                                    (scene.nodes, scene.arrows, scene.inlines)):
-        doc.append(head + ('[\n    ' if records else '[]'))
+        lead = head + '[\n    '
         for record in records:
-            doc += (text(record, strings), ',\n    ')
-        if records:
-            doc[-1] = '\n  ]'
-    doc.append(_DOC[3])
-    return ''.join(doc)
+            yield text(lead, record, strings)
+            lead = ',\n    '
+        yield '\n  ]' if records else head + '[]'
+    yield _DOC[3]
+
+
+def dump_scene(scene: Scene, sink=None) -> str:
+    """Serialize one scene unit to its canonical JSON text.  With a
+    ``sink``, hand it the text instead, in order and a record at a time,
+    and return ''."""
+    if sink is None:
+        return ''.join(_pieces(scene))
+    for piece in _pieces(scene):
+        sink(piece)
+    return ''

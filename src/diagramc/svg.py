@@ -9,10 +9,12 @@ Layout hands over y-up coordinates; the flip to SVG's y-down happens at
 the last moment, inside the writers.  The plane geometry, ``Point``,
 ``_unit`` and ``_at``, lives in ``layout`` and is imported from there.
 
-The document is assembled as text, one element a line, two spaces of
-indentation a level; a group or text element without content closes
-itself.  These are the bytes ElementTree's ``indent`` and ``tostring``
-gave for the same tree, and ``tests/golden/`` pins them.
+The document is made as text a piece at a time (the frame, each arrow,
+each node text), so a caller can write each piece as it comes or join
+them.  Each element is a line, with two spaces of indentation a level;
+a group or text element without content closes itself.  These are the
+bytes ElementTree's ``indent`` and ``tostring`` gave for the same tree,
+and ``tests/golden/`` pins them.
 """
 
 from __future__ import annotations
@@ -101,21 +103,35 @@ def render(scene: Scene, metrics: MetricsTable | None = None,
 
 
 def render_resolved(resolved: ResolvedScene, metrics: MetricsTable,
-                    cfg: RenderConfig) -> str:
+                    cfg: RenderConfig, sink=None) -> str:
+    """The SVG text of one unit as layout resolved it.  With a ``sink``,
+    hand it the text instead, in order and a piece at a time (the frame,
+    each arrow, each node text), and return ''."""
+    if sink is None:
+        return ''.join(_pieces(resolved, metrics, cfg))
+    for piece in _pieces(resolved, metrics, cfg):
+        sink(piece)
+    return ''
+
+
+def _pieces(resolved: ResolvedScene, metrics: MetricsTable,
+            cfg: RenderConfig):
+    """The document in whole lines, one piece per arrow and node text."""
     # each value formatted once per document; equal values print equal
     # text (-0.0 and 0.0 both print 0, 1 and 1.0 both print 1)
     fmt = Memo(_fmt).__getitem__
-    arrows = [_arrow(fmt, arrow, metrics, cfg) for arrow in resolved.arrows]
-    nodes = ['    ' + _text(fmt, 'node', box.text_x, box.baseline_y,
-                              box.text, cfg.em_pt)
-             for box in resolved.boxes if box.text and not box.phantom]
-    # the lines of the whole document in one list, joined once
-    doc = [_XML_DECL, _frame(fmt, _bounds(resolved))]
+    yield '%s\n%s\n' % (_XML_DECL, _frame(fmt, _bounds(resolved)))
+    arrows = (_arrow(fmt, arrow, metrics, cfg) for arrow in resolved.arrows)
+    nodes = ('    %s\n' % _text(fmt, 'node', box.text_x, box.baseline_y,
+                                box.text, cfg.em_pt)
+             for box in resolved.boxes if box.text and not box.phantom)
     for cls, children in (('arrows', arrows), ('nodes', nodes)):
-        doc += (['  <g class="%s">' % cls, *children, '  </g>'] if children
-                else ['  <g class="%s" />' % cls])
-    doc.append('</svg>\n')
-    return '\n'.join(doc)
+        lead = '  <g class="%s">\n' % cls   # written with the first child
+        for child in children:
+            yield lead + child
+            lead = ''
+        yield '  <g class="%s" />\n' % cls if lead else '  </g>\n'
+    yield '</svg>\n'
 
 
 def _frame(fmt: Format,
@@ -226,8 +242,8 @@ def _arrow(fmt: Format, arrow: ResolvedArrow, metrics: MetricsTable,
         baseline = label.y + label.height / 2.0 - ascent
         g.append(_text(fmt, 'label', label.x, baseline, label.text, size))
     if not g:
-        return '    <g class="arrow" />'
-    return '    <g class="arrow">\n      %s\n    </g>' % '\n      '.join(g)
+        return '    <g class="arrow" />\n'
+    return '    <g class="arrow">\n      %s\n    </g>\n' % '\n      '.join(g)
 
 
 def _emit_shaft(fmt: Format, g: list[str], arrow: ResolvedArrow, shaft: str,

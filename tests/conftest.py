@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from diagramc import cli
 from diagramc.model import ArrowInstance, NodeInstance, Scene
 
 CRITERIA = {
@@ -37,6 +38,31 @@ def _translate(scene, dx, dy):
 def translate():
     """The scene translation the equivariance tests shift by."""
     return _translate
+
+
+@pytest.fixture
+def cut_pieces(monkeypatch):
+    """``cut_pieces(size, error=None)`` makes each output of a CLI run
+    reach its sink ``size`` characters at a time, each encoded, compared
+    and written as it comes; given an ``error``, the sink raises it once
+    the first of them is written.  ``svg.render`` goes through it too,
+    so make any library call before."""
+    def cut(size, error=None):
+        monkeypatch.setattr(cli, '_SLICE', 1)
+        for owner, name in ((cli, 'dump_scene'),
+                            (cli.svg, 'render_resolved')):
+            def emit(*args, _real=getattr(owner, name)):
+                *rest, sink = args
+
+                def cutting(piece):
+                    for start in range(0, len(piece), size):
+                        sink(piece[start:start + size])
+                        if error is not None:
+                            raise error
+                return _real(*rest, cutting)
+
+            monkeypatch.setattr(owner, name, emit)
+    return cut
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

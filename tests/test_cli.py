@@ -789,21 +789,12 @@ def temps(directory):
                   if p.name.endswith('.tmp'))
 
 
-def failing_slices(error):
-    """cli._slices that gives one slice of a text, then raises ``error``."""
-    def slices(text):
-        yield text[:64].encode('utf-8')
-        raise error
-    return slices
-
-
 def test_a_write_that_fails_partway_keeps_the_old_file(tmp_path, capsys,
-                                                      monkeypatch):
+                                                      cut_pieces):
     # the scene file is the first output written
     source = write(tmp_path, 'a.dxy', SQUARE)
     (tmp_path / 'a.scene.json').write_bytes(b'old scene')
-    monkeypatch.setattr(cli, '_slices', failing_slices(
-        OSError(28, 'No space left on device')))
+    cut_pieces(64, OSError(28, 'No space left on device'))
     assert main([str(source)]) == 2
     assert capsys.readouterr().err == (
         '%s: error: No space left on device\n' % (tmp_path / 'a.scene.json'))
@@ -823,10 +814,11 @@ def test_a_layout_error_in_a_later_figure_writes_no_output(tmp_path, capsys):
 
 
 @pytest.mark.parametrize('where', ['write', 'render'])
-def test_an_interrupt_leaves_no_temp(tmp_path, monkeypatch, where):
+def test_an_interrupt_leaves_no_temp(tmp_path, monkeypatch, cut_pieces,
+                                     where):
     source = write(tmp_path, 'two.dxy', SQUARE + SQUARE)
     if where == 'write':
-        monkeypatch.setattr(cli, '_slices', failing_slices(KeyboardInterrupt))
+        cut_pieces(64, KeyboardInterrupt)
     else:   # the second figure, once the first one's outputs are written
         resolves = []
 
@@ -844,18 +836,23 @@ def test_an_interrupt_leaves_no_temp(tmp_path, monkeypatch, where):
 
 def test_each_output_is_written_before_the_next_is_made(tmp_path,
                                                         monkeypatch):
+    # each emitter writes to its output's temp, made just before it
+    # runs; the temps made before it are whole
     source = write(tmp_path, 'two.dxy', SQUARE + SQUARE)
     seen = []
-    for owner, name in ((cli.svg, 'resolve_scene'), (cli, 'dump_scene')):
+    for owner, name in ((cli.svg, 'render_resolved'), (cli, 'dump_scene')):
         def making(*args, _real=getattr(owner, name)):
-            seen.append(temps(tmp_path))
+            seen.append({temp: (tmp_path / temp).stat().st_size
+                         for temp in temps(tmp_path)})
             return _real(*args)
 
         monkeypatch.setattr(owner, name, making)
     assert main([str(source)]) == 0
-    made = ['.two.%s.%d.tmp' % (name, os.getpid())
-            for name in ('1.scene.json', '1.svg', '2.scene.json')]
-    assert seen == [[], made[:1], sorted(made[:2]), sorted(made)]
+    names = ('1.scene.json', '1.svg', '2.scene.json', '2.svg')
+    made = ['.two.%s.%d.tmp' % (name, os.getpid()) for name in names]
+    sizes = [(tmp_path / ('two.' + name)).stat().st_size for name in names]
+    assert seen == [dict(zip(made[:n + 1], sizes[:n] + [0]))
+                    for n in range(4)]
     assert temps(tmp_path) == []
 
 
@@ -873,7 +870,7 @@ def test_a_temp_name_in_use_is_never_overwritten(tmp_path, capsys):
 
 def test_a_rebuild_rewrites_only_what_changed(tmp_path):
     # the inline arrow's label is not ASCII: its UTF-8 is longer than
-    # the text, and the size check must count bytes
+    # the text, and the comparison must count bytes
     source = write(tmp_path, 'multi.dxy', SQUARE + '\\to^{\u00e9}\n')
     out = tmp_path / 'out'
     assert main(['-o', str(out), str(source)]) == 0
@@ -897,6 +894,38 @@ def test_a_rebuild_rewrites_only_what_changed(tmp_path):
         changed = path.name in ('multi.1.svg', 'multi.2.svg')
         assert (path.stat().st_mtime != 1e9) == changed, path.name
     assert sorted(p.name for p in out.iterdir()) == names
+
+
+NON_ASCII = '\\bfig\\square[\u00c5`\u2192`\U0001d538`D;\u00e9`g`h`k]\\efig\n'
+
+
+@pytest.mark.parametrize('case', ['prefix', 'longer', 'first', 'last',
+                                  'same'])
+def test_an_existing_output_is_compared_byte_for_byte(tmp_path, cut_pieces,
+                                                      case):
+    # each piece of 3 characters is compared with the old file as it is
+    # written; only an old file equal in every byte, and no longer, stays
+    source = write(tmp_path, 'a.dxy', NON_ASCII)
+    fresh, out = tmp_path / 'fresh', tmp_path / 'out'
+    assert main(['-o', str(fresh), str(source)]) == 0
+    out.mkdir()
+    for path in fresh.iterdir():
+        new = path.read_bytes()
+        cut = new.index('\u2192'.encode('utf-8')) + 1   # inside a character
+        (out / path.name).write_bytes({
+            'prefix': new[:cut], 'longer': new + b' ',
+            'first': bytes([new[0] ^ 1]) + new[1:],
+            'last': new[:-1] + bytes([new[-1] ^ 1]), 'same': new}[case])
+        os.utime(out / path.name, (1e9, 1e9))
+    inodes = {p.name: p.stat().st_ino for p in out.iterdir()}
+    cut_pieces(3)
+    assert main(['-o', str(out), str(source)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ['a.scene.json', 'a.svg']
+    for path in out.iterdir():
+        assert path.read_bytes() == (fresh / path.name).read_bytes()
+        kept = (path.stat().st_ino, path.stat().st_mtime) == (
+            inodes[path.name], 1e9)
+        assert kept == (case == 'same'), path.name
 
 
 def test_an_output_it_cannot_read_is_written_anew(tmp_path, monkeypatch):

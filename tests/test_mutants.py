@@ -100,10 +100,11 @@ def test_mutants_compile_or_fail_with_a_located_diagnostic():
     assert compiled > 600 and failed > 600, (compiled, failed)
 
 
-def test_the_cli_writes_what_the_library_returns(tmp_path, monkeypatch):
-    # the CLI writes in slices through temps and keeps a file that already
-    # holds its bytes; none of that may alter a byte.  Of the 1,200
-    # mutants of seed 3, 319 compile, and each is one input of the run
+def test_the_cli_writes_what_the_library_returns(tmp_path, cut_pieces):
+    # the CLI writes each text a piece at a time through temps and keeps
+    # a file that already holds its bytes; none of that may alter a byte.
+    # Of the 1,200 mutants of seed 3, 319 compile, and each is one input
+    # of the run
     source, out = tmp_path / 'src', tmp_path / 'out'
     source.mkdir()
     inputs, expected = [], {}
@@ -126,14 +127,14 @@ def test_the_cli_writes_what_the_library_returns(tmp_path, monkeypatch):
 
     assert cli.main(['-o', str(out), *inputs]) == 0
     assert written(out) == expected
-    # in slices of a few characters: a file that holds its bytes is kept,
+    # in pieces of a few characters: a file that holds its bytes is kept,
     # one of the same size with another last byte is replaced, and each
     # output is written anew where there is none
     stale = sorted(expected)[::2]
     for name in stale:
         (out / name).write_bytes(expected[name][:-1] + b'~')
     inodes = {p.name: p.stat().st_ino for p in out.iterdir()}
-    monkeypatch.setattr(cli, '_SLICE', 5)
+    cut_pieces(5)
     for directory in (out, tmp_path / 'fresh'):
         assert cli.main(['-o', str(directory), *inputs]) == 0
         assert written(directory) == expected
