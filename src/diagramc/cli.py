@@ -12,12 +12,12 @@ of the run, by name or as the same file through a link; an output that
 is a directory fails it as early.  The files after it still compile.
 Each unit's scene file is made and written first; the CLI then drops the
 unit once layout has resolved it, so the unit's records are freed before
-its SVG text is made from what layout resolved.  Each text goes a piece
-at a time, as it is made, to a hidden temp file beside its output, and
-none is held whole; the temps are renamed into place once all of an
-input's are written, so no output is ever half-written.  An output that
-already holds the same bytes is left untouched.  Outputs an earlier
-run made with another unit count are warned of, and left in place.
+its SVG text is made from what layout resolved.  No text is held whole:
+each is compared with the file at its output a piece at a time, as it is
+made.  A file that holds the same bytes is left untouched; else the text
+goes to a hidden temp file beside it, renamed once all of an input's are
+written, so no output is ever half-written.  Outputs an earlier run made
+with another unit count are warned of, and left in place.
 
 Exit status: 0 when everything compiled, 1 when any file failed with a
 diagnostic (a source that is not UTF-8 among them), 2 for invocation
@@ -31,6 +31,7 @@ import argparse
 import gc
 import os
 import sys
+from contextlib import ExitStack, suppress
 from itertools import chain
 from stat import S_ISDIR, S_ISREG
 
@@ -120,44 +121,45 @@ def _stat(path: str) -> os.stat_result | None:
 
 def _write(path: str, old: os.stat_result | None, temps: dict[str, str],
            emit, *args) -> tuple[int, int]:
-    """Write the output ``path`` to a new hidden file beside it, kept in
-    ``temps``, as ``emit(*args, sink)`` hands ``sink`` its text a piece
-    at a time; return that file's identity.  If ``old``, the file at
-    ``path``, holds the same bytes and no more, drop the new file."""
+    """Write the output ``path`` as ``emit(*args, sink)`` hands ``sink``
+    its text a piece at a time; return its file's identity.  ``old``, the
+    file at ``path``, stays if it holds the same bytes and no more; else a
+    temp beside it, in ``temps``, is made at the first byte that differs."""
     head, tail = os.path.split(path)
     temp = os.path.join(head, '.%s.%d.tmp' % (tail, os.getpid()))
-    try:   # the old file, while its bytes match those written
-        held = open(path, 'rb') if old and S_ISREG(old.st_mode) else None
-    except OSError:   # not a file it can read: write it anew
-        held = None
-    pieces, size = [], 0   # text not yet written, about _SLICE characters
+    handle, pieces, size = None, [], 0   # the temp; text not yet written
 
-    def sink(piece: str, last: bool = False) -> None:
-        nonlocal held, size
+    def sink(piece: str) -> None:
+        nonlocal size
         pieces.append(piece)
         size += len(piece)
-        if size >= _SLICE or last:
-            data = ''.join(pieces).encode('utf-8')
-            pieces.clear()
-            size = 0
-            if held is not None and held.read(len(data)) != data:
-                held.close()
-                held = None
-            handle.write(data)
+        if size >= _SLICE:
+            flush()
 
-    try:
-        with open(temp, 'xb') as handle:   # never an existing file
+    def flush(end: int = 0) -> None:   # reads ``end`` bytes past the text
+        nonlocal handle, size
+        data = ''.join(pieces).encode('utf-8')
+        pieces.clear()
+        size = 0
+        if handle is None:
+            matched = 0 if held is None else held.tell()
+            if held is not None and held.read(len(data) + end) == data:
+                return
+            handle = files.enter_context(open(temp, 'xb'))   # never one there
             temps[path] = temp
-            emit(*args, sink)
-            sink('', last=True)   # what is left
-            stat = os.fstat(handle.fileno())
-        if held is not None and not held.read(1):
-            os.unlink(temp)
-            del temps[path]
-            return old.st_dev, old.st_ino
-    finally:
-        if held is not None:
-            held.close()
+            for start in range(0, matched, _SLICE):   # first, what matched
+                held.seek(start)
+                handle.write(held.read(min(_SLICE, matched - start)))
+        handle.write(data)
+
+    with ExitStack() as files:
+        held = None   # the old file, while its bytes match those made
+        if old and S_ISREG(old.st_mode):
+            with suppress(OSError):   # not a file it can read: write anew
+                held = files.enter_context(open(path, 'rb'))
+        emit(*args, sink)
+        flush(1)   # what is left; the old file must hold nothing more
+        stat = old if handle is None else os.fstat(handle.fileno())
     return stat.st_dev, stat.st_ino
 
 
@@ -242,9 +244,8 @@ def _compile_input(path: str, args: argparse.Namespace,
     temps: dict[str, str] = {}   # output path: its temp, until renamed
     idents = {}
     try:
-        # each text goes to a temp as it is made; only when every one is
-        # written do they take their names, so a layout error leaves no
-        # outputs behind
+        # the temps take their names only once every one is written, so
+        # a layout error leaves no outputs behind
         for n in range(len(units)):
             if 'scene.json' in outputs:
                 out = outputs['scene.json'][n]

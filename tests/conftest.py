@@ -44,9 +44,10 @@ def translate():
 def cut_pieces(monkeypatch):
     """``cut_pieces(size, error=None)`` makes each output of a CLI run
     reach its sink ``size`` characters at a time, each encoded, compared
-    and written as it comes; given an ``error``, the sink raises it once
-    the first of them is written.  ``svg.render`` goes through it too,
-    so make any library call before."""
+    and written as it comes, and the bytes of an old file that matched
+    copied to its temp a byte at a time; given an ``error``, the sink
+    raises it once the first piece is handed over.  ``svg.render`` goes
+    through it too, so make any library call before."""
     def cut(size, error=None):
         monkeypatch.setattr(cli, '_SLICE', 1)
         for owner, name in ((cli, 'dump_scene'),

@@ -836,11 +836,13 @@ def test_an_interrupt_leaves_no_temp(tmp_path, monkeypatch, cut_pieces,
 
 def test_each_output_is_written_before_the_next_is_made(tmp_path,
                                                         monkeypatch):
-    # each emitter writes to its output's temp, made just before it
-    # runs; the temps made before it are whole
+    # each output's temp is made at its first byte, as its emitter runs;
+    # the temps made before are whole, and layout resolves a unit only
+    # once its scene file is
     source = write(tmp_path, 'two.dxy', SQUARE + SQUARE)
     seen = []
-    for owner, name in ((cli.svg, 'render_resolved'), (cli, 'dump_scene')):
+    for owner, name in ((cli.svg, 'resolve_scene'),
+                        (cli.svg, 'render_resolved'), (cli, 'dump_scene')):
         def making(*args, _real=getattr(owner, name)):
             seen.append({temp: (tmp_path / temp).stat().st_size
                          for temp in temps(tmp_path)})
@@ -851,8 +853,9 @@ def test_each_output_is_written_before_the_next_is_made(tmp_path,
     names = ('1.scene.json', '1.svg', '2.scene.json', '2.svg')
     made = ['.two.%s.%d.tmp' % (name, os.getpid()) for name in names]
     sizes = [(tmp_path / ('two.' + name)).stat().st_size for name in names]
-    assert seen == [dict(zip(made[:n + 1], sizes[:n] + [0]))
-                    for n in range(4)]
+    whole = [dict(zip(made[:n], sizes[:n])) for n in range(4)]
+    assert seen == [whole[0], whole[1], whole[1], whole[2], whole[3],
+                    whole[3]]
     assert temps(tmp_path) == []
 
 
@@ -895,6 +898,35 @@ def test_a_rebuild_rewrites_only_what_changed(tmp_path):
         assert (path.stat().st_mtime != 1e9) == changed, path.name
     assert sorted(p.name for p in out.iterdir()) == names
 
+
+
+def test_an_unchanged_rebuild_makes_no_file(tmp_path, monkeypatch, capsys):
+    # where no file can be made, as in a directory that is read-only or
+    # full, outputs that already hold their bytes need none; an output
+    # that changed needs its temp, and fails its input without one
+    source = write(tmp_path, 'multi.dxy', SQUARE + '\\to^{\u00e9}\n')
+    out = tmp_path / 'out'
+    assert main(['-o', str(out), str(source)]) == 0
+    os.utime(out, (1e9, 1e9))
+    inodes = {p.name: p.stat().st_ino for p in out.iterdir()}
+    refused = []
+
+    def refusing(path, mode='r', *args, _open=open, **kwargs):
+        if 'x' in mode:
+            refused.append(os.path.basename(path))
+            raise PermissionError(13, 'Permission denied', path)
+        return _open(path, mode, *args, **kwargs)
+    monkeypatch.setattr(cli, 'open', refusing, raising=False)
+    assert main(['-o', str(out), str(source)]) == 0
+    assert refused == []
+    assert out.stat().st_mtime == 1e9
+    assert {p.name: p.stat().st_ino for p in out.iterdir()} == inodes
+    (out / 'multi.2.svg').write_bytes(b'short')
+    assert main(['-o', str(out), str(source)]) == 2
+    assert refused == ['.multi.2.svg.%d.tmp' % os.getpid()]
+    assert capsys.readouterr().err.endswith(
+        '\n%s: error: Permission denied\n' % (out / 'multi.2.svg'))
+    assert sorted(p.name for p in out.iterdir()) == sorted(inodes)
 
 NON_ASCII = '\\bfig\\square[\u00c5`\u2192`\U0001d538`D;\u00e9`g`h`k]\\efig\n'
 

@@ -128,8 +128,9 @@ def test_the_cli_writes_what_the_library_returns(tmp_path, cut_pieces):
     assert cli.main(['-o', str(out), *inputs]) == 0
     assert written(out) == expected
     # in pieces of a few characters: a file that holds its bytes is kept,
-    # one of the same size with another last byte is replaced, and each
-    # output is written anew where there is none
+    # one of the same size with another last byte is replaced (the bytes
+    # before it copied from it), and each output is written anew where
+    # there is none
     stale = sorted(expected)[::2]
     for name in stale:
         (out / name).write_bytes(expected[name][:-1] + b'~')
