@@ -31,7 +31,7 @@ import argparse
 import gc
 import os
 import sys
-from contextlib import ExitStack, suppress
+from contextlib import suppress
 from itertools import chain
 from stat import S_ISDIR, S_ISREG
 
@@ -125,9 +125,8 @@ def _write(path: str, old: os.stat_result | None, temps: dict[str, str],
     its text a piece at a time; return its file's identity.  ``old``, the
     file at ``path``, stays if it holds the same bytes and no more; else a
     temp beside it, in ``temps``, is made at the first byte that differs."""
-    head, tail = os.path.split(path)
-    temp = os.path.join(head, '.%s.%d.tmp' % (tail, os.getpid()))
-    handle, pieces, size = None, [], 0   # the temp; text not yet written
+    handle = held = None   # the temp; the old file, while its bytes match
+    pieces, size = [], 0   # text not yet written
 
     def sink(piece: str) -> None:
         nonlocal size
@@ -145,21 +144,31 @@ def _write(path: str, old: os.stat_result | None, temps: dict[str, str],
             matched = 0 if held is None else held.tell()
             if held is not None and held.read(len(data) + end) == data:
                 return
-            handle = files.enter_context(open(temp, 'xb'))   # never one there
+            head, tail = os.path.split(path)
+            temp = os.path.join(head, '.%s.%d.tmp' % (tail, os.getpid()))
+            handle = open(temp, 'xb')   # never one there
             temps[path] = temp
             for start in range(0, matched, _SLICE):   # first, what matched
                 held.seek(start)
                 handle.write(held.read(min(_SLICE, matched - start)))
         handle.write(data)
 
-    with ExitStack() as files:
-        held = None   # the old file, while its bytes match those made
+    # try and finally, not an ExitStack: most outputs are small, and a
+    # stack cost a third of what this function adds to writing one
+    try:
         if old and S_ISREG(old.st_mode):
             with suppress(OSError):   # not a file it can read: write anew
-                held = files.enter_context(open(path, 'rb'))
+                held = open(path, 'rb')
         emit(*args, sink)
         flush(1)   # what is left; the old file must hold nothing more
         stat = old if handle is None else os.fstat(handle.fileno())
+    finally:
+        try:
+            if handle is not None:
+                handle.close()
+        finally:
+            if held is not None:
+                held.close()
     return stat.st_dev, stat.st_ino
 
 

@@ -4,7 +4,9 @@ Everything in this module works in points with the y axis pointing up;
 the SVG emitter flips the sign at the very end.  Scenes come in with
 exact integer coordinates, so positions convert to floats once, here,
 and every later stage is pure float geometry.  Its helpers ``Point``,
-``_unit`` and ``_at`` live here alone; ``svg`` imports them.
+``_unit`` and ``_at`` live here alone; ``svg`` imports them.  Per unit,
+``resolve_scene`` measures each text once and works out the label height
+once, as every label of a unit has the same size.
 """
 
 from __future__ import annotations
@@ -144,12 +146,12 @@ def _exit_param(box: NodeBox, px: float, py: float, dx: float,
 
 
 def _place_label(text: str, side: str, start: Point, end: Point,
-                 metrics: MetricsTable, cfg: RenderConfig) -> Label:
+                 height: float, metrics: MetricsTable,
+                 cfg: RenderConfig) -> Label:
+    """A label ``height`` high, beside the segment start-end."""
     mx = (start[0] + end[0]) / 2.0
     my = (start[1] + end[1]) / 2.0
     width = metrics.text_advance(text, cfg.label_scale) * cfg.em_pt / 1000.0
-    height = ((metrics.ascent + metrics.descent) * cfg.label_scale * cfg.em_pt
-              / 1000.0)
     if side == MID:
         backing = (mx - width / 2.0 - 1.0, my - height / 2.0 - 4.0,
                    mx + width / 2.0 + 1.0, my + height / 2.0 + 4.0)
@@ -161,7 +163,7 @@ def _place_label(text: str, side: str, start: Point, end: Point,
 
 
 def _resolve_segment(arrow: ArrowInstance, clips: dict[_ClipKey, NodeBox],
-                     metrics: MetricsTable, cfg: RenderConfig
+                     height: float, metrics: MetricsTable, cfg: RenderConfig
                      ) -> ResolvedArrow:
     src, dst = arrow.src, arrow.dst
     x0, y0 = to_physical(src, cfg)
@@ -194,7 +196,7 @@ def _resolve_segment(arrow: ArrowInstance, clips: dict[_ClipKey, NodeBox],
         side = resolve_label_side(arrow.label_rule, dst.x - src.x,
                                   dst.y - src.y)
         if side != NO_SIDE:
-            labels = (_place_label(arrow.label, side, start, end,
+            labels = (_place_label(arrow.label, side, start, end, height,
                                    metrics, cfg),)
     return ResolvedArrow(start, end, arrow.style, labels)
 
@@ -212,8 +214,9 @@ def _resolve_loop(arrow: ArrowInstance, clips: dict[_ClipKey, NodeBox],
     return ResolvedArrow(start, end, arrow.style, (), controls)
 
 
-def _resolve_inline(fragment: InlineFragment, metrics: MetricsTable,
-                    cfg: RenderConfig) -> list[ResolvedArrow]:
+def _resolve_inline(fragment: InlineFragment, height: float,
+                    metrics: MetricsTable, cfg: RenderConfig
+                    ) -> list[ResolvedArrow]:
     unit = fragment.unit_scale * UNIT_EM * cfg.em_pt
     start = (0.0, fragment.raise_pt)
     end = (fragment.end.x * unit, fragment.end.y * unit + fragment.raise_pt)
@@ -222,7 +225,7 @@ def _resolve_inline(fragment: InlineFragment, metrics: MetricsTable,
     for part in fragment.parts:
         shift = part.style.parallel_offset_pt
         s, e = _at(start, (-uy, ux), shift), _at(end, (-uy, ux), shift)
-        labels = tuple(_place_label(text, side, s, e, metrics, cfg)
+        labels = tuple(_place_label(text, side, s, e, height, metrics, cfg)
                        for text, side in ((part.sup, LEFT), (part.sub, RIGHT),
                                           (part.mid, MID)) if text)
         arrows.append(ResolvedArrow(s, e, part.style, labels,
@@ -240,6 +243,8 @@ def resolve_scene(scene: Scene, metrics: MetricsTable | None = None,
     # every text's width is measured once per scene; node_box is still
     # called for each node, since its box depends on the position
     metrics = _Advances(metrics)
+    height = ((metrics.ascent + metrics.descent) * cfg.label_scale * cfg.em_pt
+              / 1000.0)
     boxes = tuple(node_box(n, metrics, cfg) for n in scene.nodes)
     # an arrow end is clipped by the first box of its node's position and
     # text; another text placed at that position does not clip it
@@ -251,7 +256,8 @@ def resolve_scene(scene: Scene, metrics: MetricsTable | None = None,
         if arrow.is_loop:
             arrows.append(_resolve_loop(arrow, clips, cfg))
         else:
-            arrows.append(_resolve_segment(arrow, clips, metrics, cfg))
+            arrows.append(_resolve_segment(arrow, clips, height, metrics,
+                                           cfg))
     for fragment in scene.inlines:
-        arrows.extend(_resolve_inline(fragment, metrics, cfg))
+        arrows.extend(_resolve_inline(fragment, height, metrics, cfg))
     return ResolvedScene(boxes, tuple(arrows))

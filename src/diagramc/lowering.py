@@ -265,7 +265,10 @@ class Lowerer:
             return
         if src.x == dst.x and src.y == dst.y:
             raise DiagnosticError(DEGENERATE_ARROW, 'zero-length arrow')
-        fig.arrow(src, dst, style, text, rule, a, b)
+        stmt = fig.stmt   # fig.arrow's call, positional: a fifth quicker
+        fig.arrows.append(ArrowInstance(src, dst, style, text, rule, a, b,
+                                        None, None, stmt.loc,
+                                        stmt.constructor))
 
     # ---- plain constructors -------------------------------------------
 

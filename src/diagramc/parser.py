@@ -184,6 +184,8 @@ _SHAPE_RE = re.compile(
 # Blanks and comments between groups and statements
 _BLANK_RE = re.compile(r'(?:[ \t\n]+|%[^\n]*)*')
 _INT_RE = re.compile(r'[+-]?[0-9]+\Z')
+# The ASCII letters of a keyword or control word, read in one match
+_LETTERS_RE = re.compile('[A-Za-z]*')
 # What XML 1.0 forbids: C0 controls other than tab, line feed and carriage
 # return, the surrogates, U+FFFE and U+FFFF
 _CONTROL_RE = re.compile(
@@ -240,6 +242,16 @@ class _Scanner:
         end, n = start, len(text)
         while end < n and test(text[end]):
             end += 1
+        self.pos = end
+        return text[start:end]
+
+    def take_letters(self) -> str:
+        """The run of letters from here on.  A letter past ASCII steps
+        through the whole run again, so a message quotes it whole."""
+        text, start = self.text, self.pos
+        end = _LETTERS_RE.match(text, start).end()
+        if text[end:end + 1].isalpha():
+            return self.take_while(str.isalpha)
         self.pos = end
         return text[start:end]
 
@@ -327,7 +339,7 @@ class _Scanner:
                     PARSE_ERROR, 'expected %s after backslash' % what,
                     self.loc())
             if self.take().isalpha():
-                self.take_while(str.isalpha)
+                self.take_letters()
         return self.text[start:self.pos]
 
 
@@ -376,7 +388,7 @@ class _Parser:
                 'unexpected character %r; statements start with a '
                 'backslash keyword' % self.scan.peek(), loc)
         self.scan.take()
-        keyword = self.scan.take_while(str.isalpha)
+        keyword = self.scan.take_letters()
         if not keyword:
             raise DiagnosticError(
                 UNKNOWN_CONSTRUCTOR,

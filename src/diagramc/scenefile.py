@@ -5,10 +5,16 @@ two-space indentation, and a trailing newline, so recompiling an
 unchanged source yields byte-identical files.  Coordinates stay in
 integer logical units; nothing here depends on the render configuration.
 The text is made a record at a time, so a caller can write each piece
-as it comes or join them.
+as it comes or join them.  Per unit, one table holds the text of each
+arrow style object, made at its first arrow: a figure's arrows share a
+few styles, one per spec text.  It is keyed by ``id``, as the scene holds each style for
+the whole call.  So a miss hashes no record in Python, and a ``-0.0``
+offset stays apart from a ``0.0`` one, which a key by value would merge.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .model import (ArrowInstance, ArrowStyle, InlineFragment, Memo,
                     NodeInstance, Scene)
@@ -103,11 +109,14 @@ def _node_text(lead: str, node: NodeInstance, strings: Memo) -> str:
                     strings[node.anchor], _BOOL[node.phantom])
 
 
-def _arrow_text(lead: str, arrow: ArrowInstance, strings: Memo) -> str:
-    src, dst = arrow.src, arrow.dst
+def _arrow_text(styles: dict[int, str], lead: str, arrow: ArrowInstance,
+                strings: Memo) -> str:
+    src, dst, style = arrow.src, arrow.dst, arrow.style
+    text = styles.get(id(style))
+    if text is None:
+        text = styles[id(style)] = _style_text(style, _ARROW_STYLE, strings)
     return _ARROW % (
-        lead, _POINT % (src.x, src.y), _POINT % (dst.x, dst.y),
-        _style_text(arrow.style, _ARROW_STYLE, strings),
+        lead, _POINT % (src.x, src.y), _POINT % (dst.x, dst.y), text,
         strings[arrow.label], strings[arrow.label_rule],
         strings[arrow.src_text], strings[arrow.dst_text],
         strings[arrow.loop_out], strings[arrow.loop_in])
@@ -130,7 +139,9 @@ def _pieces(scene: Scene):
     """The canonical JSON text of ``scene``, a record at a time, each
     after the comma that parts it from the one before."""
     strings = Memo(_leaf)
-    for head, text, records in zip(_DOC, (_node_text, _arrow_text,
+    styles: dict[int, str] = {}
+    for head, text, records in zip(_DOC, (_node_text,
+                                          partial(_arrow_text, styles),
                                           _fragment_text),
                                    (scene.nodes, scene.arrows, scene.inlines)):
         lead = head + '[\n    '

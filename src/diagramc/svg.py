@@ -12,9 +12,11 @@ the last moment, inside the writers.  The plane geometry, ``Point``,
 The document is made as text a piece at a time (the frame, each arrow,
 each node text), so a caller can write each piece as it comes or join
 them.  Each element is a line, with two spaces of indentation a level;
-a group or text element without content closes itself.  These are the
-bytes ElementTree's ``indent`` and ``tostring`` gave for the same tree,
-and ``tests/golden/`` pins them.
+a group without content closes itself, and a text element always has
+some.  These are the bytes ElementTree's ``indent`` and ``tostring``
+gave for the same tree, and ``tests/golden/`` pins them.  Per unit, the
+fixed part of each node and label ``<text>`` element (its class and font
+size) and the lift of a label's baseline are made once.
 """
 
 from __future__ import annotations
@@ -63,6 +65,11 @@ def _escape(text: str) -> str:
     return text.replace('&', '&amp;').replace('<', '&lt;').replace('>', '&gt;')
 
 
+# a text element, its class and size to fill first, then x, y and text
+_TEXT = ('<text class="%s" x="%%s" y="%%s" text-anchor="middle" '
+         'font-size="%s">%%s</text>')
+
+
 # Each element writer returns one element line, unindented; the group
 # around it supplies the indentation.  y flips on the way in.
 
@@ -83,13 +90,6 @@ def _rect(fmt: Format, cls: str, box: tuple[float, float, float, float],
     return ('<rect class="%s" x="%s" y="%s" width="%s" height="%s" '
             'fill="%s" />' % (cls, fmt(min_x), fmt(-max_y),
                               fmt(max_x - min_x), fmt(max_y - min_y), fill))
-
-
-def _text(fmt: Format, cls: str, x: float, baseline_y: float, content: str,
-          size: float) -> str:
-    tag = ('<text class="%s" x="%s" y="%s" text-anchor="middle" '
-           'font-size="%s"' % (cls, fmt(x), fmt(-baseline_y), fmt(size)))
-    return '%s>%s</text>' % (tag, _escape(content)) if content else tag + ' />'
 
 
 def render(scene: Scene, metrics: MetricsTable | None = None,
@@ -121,9 +121,12 @@ def _pieces(resolved: ResolvedScene, metrics: MetricsTable,
     # text (-0.0 and 0.0 both print 0, 1 and 1.0 both print 1)
     fmt = Memo(_fmt).__getitem__
     yield '%s\n%s\n' % (_XML_DECL, _frame(fmt, _bounds(resolved)))
-    arrows = (_arrow(fmt, arrow, metrics, cfg) for arrow in resolved.arrows)
-    nodes = ('    %s\n' % _text(fmt, 'node', box.text_x, box.baseline_y,
-                                box.text, cfg.em_pt)
+    size = cfg.em_pt * cfg.label_scale
+    label = _TEXT % ('label', fmt(size))
+    lift = metrics.ascent * size / 1000.0
+    arrows = (_arrow(fmt, arrow, label, lift) for arrow in resolved.arrows)
+    node = '    %s\n' % (_TEXT % ('node', fmt(cfg.em_pt)))
+    nodes = (node % (fmt(box.text_x), fmt(-box.baseline_y), _escape(box.text))
              for box in resolved.boxes if box.text and not box.phantom)
     for cls, children in (('arrows', arrows), ('nodes', nodes)):
         lead = '  <g class="%s">\n' % cls   # written with the first child
@@ -199,9 +202,10 @@ def _bounds(resolved: ResolvedScene
 # ---- arrows -----------------------------------------------------------
 
 
-def _arrow(fmt: Format, arrow: ResolvedArrow, metrics: MetricsTable,
-           cfg: RenderConfig) -> str:
-    """One ``<g class="arrow">`` block: shaft, tips, mid mark, labels."""
+def _arrow(fmt: Format, arrow: ResolvedArrow, label_text: str,
+           lift: float) -> str:
+    """One ``<g class="arrow">`` block: shaft, tips, mid mark, labels;
+    each label fills ``label_text``, its baseline ``lift`` under its top."""
     g: list[str] = []
     style = arrow.style
     start, end = arrow.start, arrow.end
@@ -237,10 +241,9 @@ def _arrow(fmt: Format, arrow: ResolvedArrow, metrics: MetricsTable,
     for label in arrow.labels:
         if label.backing is not None:
             g.append(_rect(fmt, 'backing', label.backing, '#fff'))
-        size = cfg.em_pt * cfg.label_scale
-        ascent = metrics.ascent * size / 1000.0
-        baseline = label.y + label.height / 2.0 - ascent
-        g.append(_text(fmt, 'label', label.x, baseline, label.text, size))
+        baseline = label.y + label.height / 2.0 - lift
+        g.append(label_text % (fmt(label.x), fmt(-baseline),
+                               _escape(label.text)))
     if not g:
         return '    <g class="arrow" />\n'
     return '    <g class="arrow">\n      %s\n    </g>\n' % '\n      '.join(g)

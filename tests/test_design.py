@@ -499,13 +499,14 @@ def test_each_job_is_done_in_one_place():
 
 # ---- peak memory ---------------------------------------------------------------
 
-def big_figures(tmp_path):
-    """An input of two figures of 2,000 arrows each."""
+def big_figures(tmp_path, spec=lambda i: '>'):
+    """An input of two figures of 2,000 arrows each; arrow ``i`` has the
+    spec ``spec(i)``."""
     lines = []
     for _ in range(2):
         lines.append('\\bfig')
-        lines += ['\\morphism(%d,%d)|a|/>/<600,0>[A_{%d}`B_{%d};f_{%d}]'
-                  % (i % 50 * 1500, i // 50 * 1000, i, i, i)
+        lines += ['\\morphism(%d,%d)|a|/%s/<600,0>[A_{%d}`B_{%d};f_{%d}]'
+                  % (i % 50 * 1500, i // 50 * 1000, spec(i), i, i, i)
                   for i in range(2000)]
         lines.append('\\efig')
     source = tmp_path / 'big.dxy'
@@ -534,11 +535,12 @@ def test_the_cli_peak_stays_near_what_it_writes(tmp_path):
 
 
 def test_each_emitter_streams_what_it_writes(tmp_path, monkeypatch):
-    # what each emitter holds while it writes: its memo of texts or
-    # numbers and a bounded buffer, never its whole text.  Measured at
-    # 0.54x the scene file and 0.32x the SVG; 2.64x and 2.45x when each
-    # text was joined whole
-    source = big_figures(tmp_path)
+    # what each emitter holds while it writes: its memos of texts or
+    # numbers, its table of style texts and a bounded buffer, never its
+    # whole text.  Measured at 0.54x the scene file and 0.32x the SVG;
+    # 2.64x and 2.45x when each text was joined whole.  With every arrow
+    # its own offset, the table holds a style text per arrow: 0.90x the
+    # scene file (0.54x with no table) and 0.73x the SVG
     growth = []
     for owner, name in ((cli, 'dump_scene'), (svg, 'render_resolved')):
         def measured(*args, _real=getattr(owner, name)):
@@ -549,19 +551,24 @@ def test_each_emitter_streams_what_it_writes(tmp_path, monkeypatch):
             return result
 
         monkeypatch.setattr(owner, name, measured)
-    out = tmp_path / 'out'
-    tracemalloc.start()
-    try:
-        assert cli.main(['-o', str(out), str(source)]) == 0
-    finally:
-        tracemalloc.stop()
     names = ['big.1.scene.json', 'big.1.svg', 'big.2.scene.json',
              'big.2.svg']
-    written = [(out / name).stat().st_size for name in names]
-    assert len(growth) == len(written)
-    assert all(grew < size for grew, size in zip(growth, written)), [
-        '%s %.2f' % (name, grew / size)
-        for name, grew, size in zip(names, growth, written)]
+    for kind, spec in (('shared', lambda i: '>'),
+                       ('own', lambda i: '@{>}@<%dpt>' % i)):
+        (tmp_path / kind).mkdir()
+        source = big_figures(tmp_path / kind, spec)
+        out = tmp_path / kind / 'out'
+        growth.clear()
+        tracemalloc.start()
+        try:
+            assert cli.main(['-o', str(out), str(source)]) == 0
+        finally:
+            tracemalloc.stop()
+        written = [(out / name).stat().st_size for name in names]
+        assert len(growth) == len(written)
+        assert all(grew < size for grew, size in zip(growth, written)), [
+            '%s %s %.2f' % (kind, name, grew / size)
+            for name, grew, size in zip(names, growth, written)]
 
 
 def test_no_arrow_of_a_unit_is_alive_while_its_svg_is_made(tmp_path,

@@ -3,6 +3,7 @@
 import json
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,11 +11,16 @@ from hypothesis import example, given, settings, strategies as st
 from diagramc import compile_source, dump_scene
 from diagramc import scenefile
 from diagramc import svg as svg_module
+from diagramc.errors import DiagnosticError
+from diagramc.layout import resolve_scene
 from diagramc.model import (ArrowInstance, ArrowStyle, InlineArrowPart,
                             InlineFragment, LogicalPoint, Memo, NodeInstance,
                             Scene)
 from diagramc.svg import render
 from scene_oracle import scene_dict
+from test_grammar import SOURCES
+
+CORPUS_DIR = Path(__file__).parent / 'corpus'
 
 GOLDEN_SCENE = '''\
 {
@@ -408,14 +414,60 @@ def test_empty_groups_self_close():
     assert document == reference_svg(document)
 
 
-def test_empty_text_self_closes():
-    fmt = svg_module._fmt
-    assert [svg_module._text(fmt, 'label', 1.0, 2.0, '', 10.0),
-            svg_module._text(fmt, 'label', 1.0, 2.0, 'a<b', 10.0)] == [
-        '<text class="label" x="1" y="-2" text-anchor="middle" '
-        'font-size="10" />',
-        '<text class="label" x="1" y="-2" text-anchor="middle" '
-        'font-size="10">a&lt;b</text>']
+# a text element whole: its content holds no raw '<', so the first
+# '</text>' ends it, line breaks in its text included
+_TEXT_ELEMENT = re.compile(r'<text\b[^>]*(?:/>|>.*?</text>)', re.DOTALL)
+
+
+def text_elements(document):
+    """The text of each ``<text>`` element of ``document``, each checked
+    to have some, written as ElementTree writes the same element: so
+    '&', '<' and '>' in it are escaped as ElementTree escapes them."""
+    elements = _TEXT_ELEMENT.findall(document)
+    assert len(elements) == document.count('<text')
+    texts = []
+    for raw in elements:
+        element = ET.fromstring(raw)
+        assert element.text, raw
+        assert ET.tostring(element, encoding='unicode') == raw
+        texts.append(element.text)
+    return texts
+
+
+def test_text_content_is_escaped_as_elementtree_escapes_it():
+    document = render(one_scene(
+        '\\bfig\\morphism(0,0)[{a<b}`{c&d>e};{a<b}]\\efig'))
+    # the label first: arrows are drawn below the node texts
+    assert text_elements(document) == ['a<b', 'a<b', 'c&d>e']
+    assert ('<text class="label" x="22.5" y="-5" text-anchor="middle" '
+            'font-size="10">a&lt;b</text>') in document
+    assert '>c&amp;d&gt;e</text>' in document
+
+
+def test_every_text_element_of_the_corpus_has_escaped_content():
+    drawn = 0
+    for path in sorted(CORPUS_DIR.glob('*.dxy')):
+        for unit in compile_source(path.read_text(encoding='utf-8')):
+            texts = text_elements(render(unit))
+            # one element for each node drawn and each label
+            resolved = resolve_scene(unit)
+            assert len(texts) == sum(
+                1 for box in resolved.boxes if box.text and not box.phantom
+            ) + sum(len(arrow.labels) for arrow in resolved.arrows)
+            drawn += len(texts)
+    assert drawn > 300
+
+
+@settings(max_examples=150, deadline=None)
+@given(SOURCES)
+def test_every_drawn_text_element_has_escaped_content(source):
+    try:
+        documents = [render(unit)
+                     for unit in compile_source(source, 'fuzz.dxy')]
+    except DiagnosticError:
+        return
+    for document in documents:
+        text_elements(document)
 
 
 def test_empty_lists_are_written_bare():
@@ -500,6 +552,36 @@ def test_negative_zero_offsets_keep_their_sign_in_the_scene():
     assert text == reference_json(scene)
     assert re.findall(r'"parallel_offset_pt": (\S+),', text) == [
         '-0.0', '0.0', '-0.0']
+
+
+def test_each_style_object_is_written_once_per_unit(monkeypatch):
+    written = []
+    real = scenefile._style_text
+
+    def counting(style, *args):
+        written.append(style)
+        return real(style, *args)
+
+    monkeypatch.setattr(scenefile, '_style_text', counting)
+    # one Lowerer parses each spec text once, so equal specs of a
+    # document share one style object
+    units = compile_source('\\bfig\\square[A`B`C`D;f`g`h`k]\n'
+                           '\\morphism(0,0)/-->/<0,-500>[A`E;e]\\efig\n'
+                           '\\bfig\\square[A`B`C`D;f`g`h`k]\\efig\n')
+    for unit, count in zip(units, (2, 1)):
+        written.clear()
+        assert dump_scene(unit) == reference_json(unit)
+        assert len(written) == count
+        assert {id(style) for style in written} == {
+            id(arrow.style) for arrow in unit.arrows}
+    # equal styles that are distinct objects are each written once
+    p, q = LogicalPoint(0, 0), LogicalPoint(500, 0)
+    shared, twin = ArrowStyle(), ArrowStyle()
+    scene = Scene((), tuple(ArrowInstance(p, q, style)
+                            for style in (shared, twin, shared, twin)))
+    written.clear()
+    assert dump_scene(scene) == reference_json(scene)
+    assert list(map(id, written)) == [id(shared), id(twin)]
 
 
 def test_bools_and_ints_in_typed_slots_match_json_dumps():

@@ -11,13 +11,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from diagramc.errors import DiagnosticError
+from diagramc.errors import DiagnosticError, SourceLoc
 from diagramc.lowering import Lowerer, tex_div, twoar_end
 from diagramc.model import (
     LEFT,
     MID,
     NO_SIDE,
     RIGHT,
+    ArrowInstance,
     LogicalPoint,
     resolve_label_side,
 )
@@ -835,3 +836,21 @@ def test_lowerer_lowers_the_same_document_twice():
         lowerer.lower_document(
             parse_document('\\bfig \\node a(0,0)[A] \\node a(1,1)[B] \\efig'))
     assert info.value.code == 'DuplicateNode'
+
+
+def test_each_drawn_arrow_names_its_statement():
+    # each morphism's arrow is built in one positional call; every slot,
+    # the statement's location and constructor among them, is what the
+    # keyword call gives
+    statements = parse_document('\\bfig\n  \\square/>`-->`>`<-/'
+                                '[A`B`C`D;f`g`h`]\n\\efig\n', 'sq.dxy')
+    unit, = Lowerer().lower_document(statements)
+    square = statements[1]
+    assert square.loc == SourceLoc('sq.dxy', 2, 3)
+    assert len(unit.arrows) == 4
+    for arrow in unit.arrows:
+        assert arrow.__reduce__() == ArrowInstance(
+            arrow.src, arrow.dst, arrow.style, arrow.label, arrow.label_rule,
+            src_text=arrow.src_text, dst_text=arrow.dst_text,
+            loc=square.loc, constructor='square').__reduce__()
+        assert not arrow.is_loop

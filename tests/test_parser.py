@@ -720,6 +720,9 @@ class ReferenceScanner:
             run.append(self.take())
         return ''.join(run)
 
+    def take_letters(self):
+        return self.take_while(str.isalpha)
+
     def skip_blank(self):
         while self.more:
             ch = self.peek()
@@ -987,6 +990,39 @@ def test_scanner_edge_diagnostics(source, expected):
 
 def test_control_word_node_names_take_every_letter():
     assert parse_one('\\node\\a\u00e9\u03bb(0,0)[A]').name == '\\a\u00e9\u03bb'
+
+
+# A keyword or control word runs over its letters.  The ASCII ones are
+# read in one match; a letter past ASCII after them steps through the
+# whole word again, so the outcome is that of a word read a character at
+# a time.  U+00B2 and the digits pass str.isalnum but end the word.
+@pytest.mark.parametrize('source', [
+    '\\iiixii111111[A`B`C`D`E`F;a`b`c`d`e`f`g]',
+    '\\morphism2(0,0)[A`B;f]',
+    '\\morphism\u00b2(0,0)[A`B;f]',
+    '\\morphism\u00e9(0,0)[A`B;f]',
+    '\\morph\u00e9ism(0,0)[A`B;f]',
+    '\\bfig\\efig7',
+    '\\bfig\\efig\u00b2',
+    '\\bfig\\efig\u00e9',
+    '\\node\\ab1(0,0)[A]',
+    '\\node\\ab\u00b2(0,0)[A]',
+    '\\node\\a\u00e9b(0,0)[A]',
+])
+def test_a_keyword_reads_as_one_stepped_a_letter_at_a_time(source,
+                                                          monkeypatch):
+    read = outcome(parse_document, source)
+    assert read == outcome(reference_parse_document, source)
+    monkeypatch.setattr(parser._Scanner, 'take_letters',
+                        lambda self: self.take_while(str.isalpha))
+    assert read == outcome(parse_document, source)
+
+
+def test_an_unknown_keyword_is_quoted_whole():
+    assert outcome(parse_document, '\\morph\u00e9ism(0,0)[A`B;f]') == (
+        'error', 'UnknownConstructor',
+        '\\morph\u00e9ism is not a diagram constructor',
+        SourceLoc('src.dxy', 1, 1), 'morph\u00e9ism')
 
 
 def test_escaped_line_break_stays_in_the_text():
