@@ -13,11 +13,12 @@ is a directory fails it as early.  The files after it still compile.
 Each unit's scene file is made and written first; the CLI then drops the
 unit once layout has resolved it, so the unit's records are freed before
 its SVG text is made from what layout resolved.  No text is held whole:
-each is compared with the file at its output a piece at a time, as it is
-made.  A file that holds the same bytes is left untouched; else the text
-goes to a hidden temp file beside it, renamed once all of an input's are
-written, so no output is ever half-written.  Outputs an earlier run made
-with another unit count are warned of, and left in place.
+each emitter hands ``_write`` its text as one iterator of pieces, which
+is compared with the file at its output as it is made.  A file that
+holds the same bytes is left untouched; else the text goes to a hidden
+temp file beside it, renamed once all of an input's are written, so no
+output is ever half-written.  Outputs an earlier run made with another
+unit count are warned of, and left in place.
 
 Exit status: 0 when everything compiled, 1 when any file failed with a
 diagnostic (a source that is not UTF-8 among them), 2 for invocation
@@ -32,6 +33,8 @@ import gc
 import os
 import sys
 from contextlib import suppress
+from errno import ENAMETOOLONG
+from functools import partial
 from itertools import chain
 from stat import S_ISDIR, S_ISREG
 
@@ -120,48 +123,49 @@ def _stat(path: str) -> os.stat_result | None:
 
 
 def _write(path: str, old: os.stat_result | None, temps: dict[str, str],
-           emit, *args) -> tuple[int, int]:
-    """Write the output ``path`` as ``emit(*args, sink)`` hands ``sink``
-    its text a piece at a time; return its file's identity.  ``old``, the
-    file at ``path``, stays if it holds the same bytes and no more; else a
-    temp beside it, in ``temps``, is made at the first byte that differs."""
+           pieces) -> str:
+    """Write the text ``pieces`` yields to the output ``path``, encoded
+    about ``_SLICE`` characters at a time; return ''.  ``old``, the file
+    at ``path``, stays if it holds the same bytes and no more; else a temp
+    beside it, in ``temps``, is made at the first byte that differs."""
     handle = held = None   # the temp; the old file, while its bytes match
-    pieces, size = [], 0   # text not yet written
-
-    def sink(piece: str) -> None:
-        nonlocal size
-        pieces.append(piece)
-        size += len(piece)
-        if size >= _SLICE:
-            flush()
-
-    def flush(end: int = 0) -> None:   # reads ``end`` bytes past the text
-        nonlocal handle, size
-        data = ''.join(pieces).encode('utf-8')
-        pieces.clear()
-        size = 0
-        if handle is None:
-            matched = 0 if held is None else held.tell()
-            if held is not None and held.read(len(data) + end) == data:
-                return
-            head, tail = os.path.split(path)
-            temp = os.path.join(head, '.%s.%d.tmp' % (tail, os.getpid()))
-            handle = open(temp, 'xb')   # never one there
-            temps[path] = temp
-            for start in range(0, matched, _SLICE):   # first, what matched
-                held.seek(start)
-                handle.write(held.read(min(_SLICE, matched - start)))
-        handle.write(data)
-
+    pieces = iter(pieces)
+    end = 0   # 1 for the last slice, which reads a byte past the text
     # try and finally, not an ExitStack: most outputs are small, and a
     # stack cost a third of what this function adds to writing one
     try:
         if old and S_ISREG(old.st_mode):
             with suppress(OSError):   # not a file it can read: write anew
                 held = open(path, 'rb')
-        emit(*args, sink)
-        flush(1)   # what is left; the old file must hold nothing more
-        stat = old if handle is None else os.fstat(handle.fileno())
+        while not end:
+            part, size, data = [], 0, None   # the last slice let go
+            for piece in pieces:
+                part.append(piece)
+                size += len(piece)
+                if size >= _SLICE:
+                    break
+            else:
+                end = 1
+            data = ''.join(part).encode('utf-8')
+            if handle is None:
+                matched = 0 if held is None else held.tell()
+                if held is not None and held.read(len(data) + end) == data:
+                    continue
+                head, tail = os.path.split(path)
+                temp = os.path.join(head, '.%s.%d.tmp' % (tail, os.getpid()))
+                try:
+                    handle = open(temp, 'xb')   # never one there
+                except OSError as exc:   # too long where the output's fits
+                    if exc.errno != ENAMETOOLONG:
+                        raise
+                    temp = os.path.join(head, '.%d.%d.tmp' % (os.getpid(),
+                                                              len(temps)))
+                    handle = open(temp, 'xb')
+                temps[path] = temp
+                for start in range(0, matched, _SLICE):   # what matched
+                    held.seek(start)
+                    handle.write(held.read(min(_SLICE, matched - start)))
+            handle.write(data)
     finally:
         try:
             if handle is not None:
@@ -169,7 +173,7 @@ def _write(path: str, old: os.stat_result | None, temps: dict[str, str],
         finally:
             if held is not None:
                 held.close()
-    return stat.st_dev, stat.st_ino
+    return ''
 
 
 def _failure(path: str, exc: Exception) -> int:
@@ -251,28 +255,26 @@ def _compile_input(path: str, args: argparse.Namespace,
               file=sys.stderr)
         return 2, 0
     temps: dict[str, str] = {}   # output path: its temp, until renamed
-    idents = {}
     try:
         # the temps take their names only once every one is written, so
         # a layout error leaves no outputs behind
         for n in range(len(units)):
             if 'scene.json' in outputs:
                 out = outputs['scene.json'][n]
-                idents[out] = _write(out, found[out], temps, dump_scene,
-                                     units[n])
+                dump_scene(units[n], partial(_write, out, found[out], temps))
             if 'svg' in outputs:
                 resolved = svg.resolve_scene(units[n], metrics, cfg)
                 units[n] = None   # freed before its SVG is made
                 out = outputs['svg'][n]
-                idents[out] = _write(out, found[out], temps,
-                                     svg.render_resolved, resolved, metrics,
-                                     cfg)
+                svg.render_resolved(resolved, metrics, cfg,
+                                    partial(_write, out, found[out], temps))
                 del resolved   # not held while the next unit's scene is made
-        for out in found:
+        for out, stat in found.items():
             if out in temps:
                 os.replace(temps[out], out)
                 del temps[out]
-            written[idents[out]] = path
+                stat = os.stat(out)
+            written[stat.st_dev, stat.st_ino] = path
     except Exception as exc:   # one bad file never stops the batch
         if isinstance(exc, OSError):
             exc.filename = out   # the output it was writing, not a temp

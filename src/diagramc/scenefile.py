@@ -4,12 +4,12 @@ One scene unit serializes to one JSON document with a fixed key order,
 two-space indentation, and a trailing newline, so recompiling an
 unchanged source yields byte-identical files.  Coordinates stay in
 integer logical units; nothing here depends on the render configuration.
-The text is made a record at a time, so a caller can write each piece
-as it comes or join them.  Per unit, one table holds the text of each
-arrow style object, made at its first arrow: a figure's arrows share a
-few styles, one per spec text.  It is keyed by ``id``, as the scene holds each style for
-the whole call.  So a miss hashes no record in Python, and a ``-0.0``
-offset stays apart from a ``0.0`` one, which a key by value would merge.
+The text is made a record at a time and handed to a ``write`` as one
+iterator.  Per unit, one table holds the text of each arrow style object,
+made at its first arrow: a figure's arrows share a few styles, one per
+spec text.  It is keyed by ``id``, as the scene holds each style for the
+whole call.  So a miss hashes no record in Python, and a ``-0.0`` offset
+stays apart from a ``0.0`` one, which a key by value would merge.
 """
 
 from __future__ import annotations
@@ -152,12 +152,8 @@ def _pieces(scene: Scene):
     yield _DOC[3]
 
 
-def dump_scene(scene: Scene, sink=None) -> str:
-    """Serialize one scene unit to its canonical JSON text.  With a
-    ``sink``, hand it the text instead, in order and a record at a time,
-    and return ''."""
-    if sink is None:
-        return ''.join(_pieces(scene))
-    for piece in _pieces(scene):
-        sink(piece)
-    return ''
+def dump_scene(scene: Scene, write=''.join) -> str:
+    """Serialize one scene unit to its canonical JSON text: what ``write``
+    returns for an iterator of the text in order, a record at a time,
+    which the default joins."""
+    return write(_pieces(scene))

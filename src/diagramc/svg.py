@@ -10,13 +10,13 @@ the last moment, inside the writers.  The plane geometry, ``Point``,
 ``_unit`` and ``_at``, lives in ``layout`` and is imported from there.
 
 The document is made as text a piece at a time (the frame, each arrow,
-each node text), so a caller can write each piece as it comes or join
-them.  Each element is a line, with two spaces of indentation a level;
-a group without content closes itself, and a text element always has
-some.  These are the bytes ElementTree's ``indent`` and ``tostring``
-gave for the same tree, and ``tests/golden/`` pins them.  Per unit, the
-fixed part of each node and label ``<text>`` element (its class and font
-size) and the lift of a label's baseline are made once.
+each node text) and handed to a ``write`` as one iterator.  Each element
+is a line, with two spaces of indentation a level; a group without
+content closes itself, and a text element always has some.  These are
+the bytes ElementTree's ``indent`` and ``tostring`` gave for the same
+tree, and ``tests/golden/`` pins them.  Per unit, the fixed part of each
+node and label ``<text>`` element (its class and font size) and the lift
+of a label's baseline are made once.
 """
 
 from __future__ import annotations
@@ -103,15 +103,11 @@ def render(scene: Scene, metrics: MetricsTable | None = None,
 
 
 def render_resolved(resolved: ResolvedScene, metrics: MetricsTable,
-                    cfg: RenderConfig, sink=None) -> str:
-    """The SVG text of one unit as layout resolved it.  With a ``sink``,
-    hand it the text instead, in order and a piece at a time (the frame,
-    each arrow, each node text), and return ''."""
-    if sink is None:
-        return ''.join(_pieces(resolved, metrics, cfg))
-    for piece in _pieces(resolved, metrics, cfg):
-        sink(piece)
-    return ''
+                    cfg: RenderConfig, write=''.join) -> str:
+    """The SVG text of one unit as layout resolved it: what ``write``
+    returns for an iterator of the text in order, a piece at a time (the
+    frame, each arrow, each node text), which the default joins."""
+    return write(_pieces(resolved, metrics, cfg))
 
 
 def _pieces(resolved: ResolvedScene, metrics: MetricsTable,

@@ -43,24 +43,25 @@ def translate():
 @pytest.fixture
 def cut_pieces(monkeypatch):
     """``cut_pieces(size, error=None)`` makes each output of a CLI run
-    reach its sink ``size`` characters at a time, each encoded, compared
-    and written as it comes, and the bytes of an old file that matched
-    copied to its temp a byte at a time; given an ``error``, the sink
-    raises it once the first piece is handed over.  ``svg.render`` goes
-    through it too, so make any library call before."""
+    reach its ``write`` ``size`` characters at a time, each encoded,
+    compared and written as it comes, and the bytes of an old file that
+    matched copied to its temp a byte at a time; given an ``error``, the
+    pieces raise it once the first one is handed over.  ``svg.render``
+    goes through it too, so make any library call before."""
     def cut(size, error=None):
         monkeypatch.setattr(cli, '_SLICE', 1)
         for owner, name in ((cli, 'dump_scene'),
                             (cli.svg, 'render_resolved')):
             def emit(*args, _real=getattr(owner, name)):
-                *rest, sink = args
+                *rest, write = args
 
-                def cutting(piece):
-                    for start in range(0, len(piece), size):
-                        sink(piece[start:start + size])
-                        if error is not None:
-                            raise error
-                return _real(*rest, cutting)
+                def cutting(pieces):
+                    for piece in pieces:
+                        for start in range(0, len(piece), size):
+                            yield piece[start:start + size]
+                            if error is not None:
+                                raise error
+                return _real(*rest, lambda pieces: write(cutting(pieces)))
 
             monkeypatch.setattr(owner, name, emit)
     return cut

@@ -871,6 +871,71 @@ def test_a_temp_name_in_use_is_never_overwritten(tmp_path, capsys):
                                                           'a.dxy']
 
 
+def test_an_output_whose_name_fits_gets_a_temp_that_fits(tmp_path,
+                                                         monkeypatch,
+                                                         capsys):
+    # the longest names the directory takes: x.1.scene.json fits, but
+    # .x.1.scene.json.<pid>.tmp does not, so its temp takes a short name,
+    # one of its own among the temps of the input
+    name_max = os.pathconf(tmp_path, 'PC_NAME_MAX')
+    stem = 'x' * (name_max - len('.1.scene.json'))
+    source = write(tmp_path, stem + '.dxy', SQUARE + SQUARE)
+    names = [stem + '.%d.%s' % (n, ext) for n in (1, 2)
+             for ext in ('scene.json', 'svg')]
+    short = ['.%d.%d.tmp' % (os.getpid(), n) for n in range(4)]
+    expected = []
+    for n, name in enumerate(names):
+        temp = '.%s.%d.tmp' % (name, os.getpid())
+        expected.append((temp if len(temp) <= name_max else short[n], name))
+    assert expected[0] == (short[0], names[0])
+    assert expected[2] == (short[2], names[2])
+    renamed = []
+
+    def replacing(temp, out, _replace=os.replace):
+        renamed.append((os.path.basename(temp), os.path.basename(out)))
+        return _replace(temp, out)
+    monkeypatch.setattr(os, 'replace', replacing)
+    assert main([str(source)]) == 0
+    assert capsys.readouterr().err == ''
+    assert sorted(renamed) == sorted(expected)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        names + [source.name])
+    # a short name in use is never overwritten
+    for name in names:
+        (tmp_path / name).write_bytes(b'old')
+    taken = tmp_path / short[0]
+    taken.write_bytes(b'not ours')
+    assert main([str(source)]) == 2
+    assert capsys.readouterr().err == '%s: error: File exists\n' % (
+        tmp_path / names[0])
+    assert taken.read_bytes() == b'not ours'
+    assert all((tmp_path / name).read_bytes() == b'old' for name in names)
+
+
+def test_a_temp_that_cannot_be_removed_leaves_the_diagnostic(
+        tmp_path, monkeypatch, capsys):
+    # the layout error in the second figure stands, with its own status,
+    # and the temps written before it are left where they are
+    source = write(tmp_path, 'two.dxy', TWO)
+    assert main([str(source)]) == 1
+    expected = capsys.readouterr().err
+    assert 'NodesOverlap' in expected
+    refused = []
+
+    def refusing(path, *args, **kwargs):
+        refused.append(os.path.basename(path))
+        raise PermissionError(13, 'Permission denied', path)
+    monkeypatch.setattr(os, 'unlink', refusing)
+    assert main([str(source)]) == 1
+    monkeypatch.undo()
+    assert capsys.readouterr().err == expected
+    made = ['.two.%s.%d.tmp' % (name, os.getpid())
+            for name in ('1.scene.json', '1.svg', '2.scene.json')]
+    assert refused == made
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        made + ['two.dxy'])
+
+
 def test_a_rebuild_rewrites_only_what_changed(tmp_path):
     # the inline arrow's label is not ASCII: its UTF-8 is longer than
     # the text, and the comparison must count bytes

@@ -11,6 +11,7 @@ import sys
 import textwrap
 import tracemalloc
 import types
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
@@ -569,6 +570,34 @@ def test_each_emitter_streams_what_it_writes(tmp_path, monkeypatch):
         assert all(grew < size for grew, size in zip(growth, written)), [
             '%s %s %.2f' % (kind, name, grew / size)
             for name, grew, size in zip(names, growth, written)]
+
+
+def test_each_output_is_handed_to_its_write_once(tmp_path, monkeypatch):
+    # the CLI's write takes each document whole, as one iterator of its
+    # pieces, never one call per piece
+    handed = []
+    for owner, name in ((cli, 'dump_scene'), (svg, 'render_resolved')):
+        def emit(*args, _real=getattr(owner, name), _name=name):
+            *rest, write = args
+            calls = []
+            handed.append((_name, calls))
+
+            def recording(pieces):
+                calls.append(pieces)
+                return write(pieces)
+            return _real(*rest, recording)
+
+        monkeypatch.setattr(owner, name, emit)
+    source = tmp_path / 'two.dxy'
+    source.write_text('\\bfig\\square[A`B`C`D;f`g`h`k]\\efig\n' * 2,
+                      encoding='utf-8')
+    assert cli.main(['-o', str(tmp_path / 'out'), str(source)]) == 0
+    assert [name for name, _ in handed] == ['dump_scene',
+                                            'render_resolved'] * 2
+    for name, calls in handed:
+        assert len(calls) == 1, (name, len(calls))
+        assert isinstance(calls[0], Iterator), (name, type(calls[0]))
+        assert not isinstance(calls[0], str), name
 
 
 def test_no_arrow_of_a_unit_is_alive_while_its_svg_is_made(tmp_path,

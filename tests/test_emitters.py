@@ -13,9 +13,10 @@ from diagramc import scenefile
 from diagramc import svg as svg_module
 from diagramc.errors import DiagnosticError
 from diagramc.layout import resolve_scene
+from diagramc.metrics import MetricsTable
 from diagramc.model import (ArrowInstance, ArrowStyle, InlineArrowPart,
                             InlineFragment, LogicalPoint, Memo, NodeInstance,
-                            Scene)
+                            RenderConfig, Scene)
 from diagramc.svg import render
 from scene_oracle import scene_dict
 from test_grammar import SOURCES
@@ -175,6 +176,23 @@ def test_recompilation_is_byte_identical():
     second = dump_scene(one_scene(source))
     assert first == second
     assert render(one_scene(source)) == render(one_scene(source))
+
+
+def test_each_emitter_hands_its_pieces_to_write_and_returns_what_it_gives():
+    # a library caller's write sees the pieces the default joins
+    metrics, cfg = MetricsTable.builtin(), RenderConfig()
+    units = 0
+    for path in sorted(CORPUS_DIR.glob('*.dxy')):
+        for unit in compile_source(path.read_text(encoding='utf-8')):
+            pieces = dump_scene(unit, list)
+            assert len(pieces) > 1 and ''.join(pieces) == dump_scene(unit)
+            resolved = resolve_scene(unit, metrics, cfg)
+            pieces = svg_module.render_resolved(resolved, metrics, cfg, list)
+            assert len(pieces) > 1
+            assert ''.join(pieces) == svg_module.render_resolved(
+                resolved, metrics, cfg) == render(unit)
+            units += 1
+    assert units >= 30
 
 
 # ---- SVG -------------------------------------------------------------------
