@@ -122,12 +122,13 @@ def _stat(path: str) -> os.stat_result | None:
         return None
 
 
-def _write(path: str, old: os.stat_result | None, temps: dict[str, str],
-           pieces) -> str:
+def _write(path: str, old: os.stat_result | None,
+           temps: dict[str, tuple[str, os.stat_result]], pieces) -> str:
     """Write the text ``pieces`` yields to the output ``path``, encoded
     about ``_SLICE`` characters at a time; return ''.  ``old``, the file
     at ``path``, stays if it holds the same bytes and no more; else a temp
-    beside it, in ``temps``, is made at the first byte that differs."""
+    beside it is made at the first byte that differs, and ``temps`` holds
+    its name and its ``fstat``, whose identity it keeps once renamed."""
     handle = held = None   # the temp; the old file, while its bytes match
     pieces = iter(pieces)
     end = 0   # 1 for the last slice, which reads a byte past the text
@@ -161,7 +162,7 @@ def _write(path: str, old: os.stat_result | None, temps: dict[str, str],
                     temp = os.path.join(head, '.%d.%d.tmp' % (os.getpid(),
                                                               len(temps)))
                     handle = open(temp, 'xb')
-                temps[path] = temp
+                temps[path] = temp, os.fstat(handle.fileno())
                 for start in range(0, matched, _SLICE):   # what matched
                     held.seek(start)
                     handle.write(held.read(min(_SLICE, matched - start)))
@@ -254,7 +255,7 @@ def _compile_input(path: str, args: argparse.Namespace,
         print('diagramc: error: %s: %s' % (OUTPUT_COLLISION, clash),
               file=sys.stderr)
         return 2, 0
-    temps: dict[str, str] = {}   # output path: its temp, until renamed
+    temps = {}   # output path: its temp's name and fstat, until renamed
     try:
         # the temps take their names only once every one is written, so
         # a layout error leaves no outputs behind
@@ -271,16 +272,16 @@ def _compile_input(path: str, args: argparse.Namespace,
                 del resolved   # not held while the next unit's scene is made
         for out, stat in found.items():
             if out in temps:
-                os.replace(temps[out], out)
+                temp, stat = temps[out]
+                os.replace(temp, out)
                 del temps[out]
-                stat = os.stat(out)
             written[stat.st_dev, stat.st_ino] = path
     except Exception as exc:   # one bad file never stops the batch
         if isinstance(exc, OSError):
             exc.filename = out   # the output it was writing, not a temp
         return _failure(path, exc), 0
     finally:
-        for temp in temps.values():
+        for temp, _ in temps.values():
             try:
                 os.unlink(temp)
             except OSError:

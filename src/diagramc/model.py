@@ -43,23 +43,32 @@ class Record:
     a slot left out of them (a source location) is never compared.  No
     attribute can be set, so each class gets its own ``_fill(self, <its
     slots in order>)``, compiled when the class is made, as
-    ``collections.namedtuple`` compiles its ``__new__``: it writes each
-    slot through its member descriptor's ``__set__``, and a slot named in
-    the class dict ``_defaults`` may be left out.  The filler is the
-    ``__init__`` of a class that writes none; one that checks its
-    arguments ends its ``__init__`` in one call to it."""
+    ``collections.namedtuple`` compiles its ``__new__``; a slot named in
+    the class dict ``_defaults`` may be left out.  It stores each slot
+    as ``self.x = x`` while the instance is of the class's ``_twin``, a
+    subclass of its layout whose ``__setattr__`` and ``__delattr__`` are
+    ``object``'s: they share one type slot, so with one alone every store
+    would still go through Python.  The filler is the ``__init__`` of a
+    class that writes none; one that checks its arguments ends its
+    ``__init__`` in one call to it."""
 
     __slots__ = ()
 
-    def __init_subclass__(cls) -> None:
+    def __init_subclass__(cls, twin: bool = False) -> None:
+        if twin:
+            return
         cls._key = attrgetter(*cls._values)
-        names = cls.__slots__
-        scope = {'_set_' + n: getattr(cls, n).__set__ for n in names}
+        cls._twin = type(cls.__name__, (cls,), dict(
+            __slots__=(), __setattr__=object.__setattr__,
+            __delattr__=object.__delattr__), twin=True)
+        scope = dict(_cls=cls, _twin=cls._twin,
+                     _retype=object.__dict__['__class__'].__set__)
         defaults = scope['_defaults'] = cls.__dict__.get('_defaults', {})
-        source = 'def _fill(self, %s):\n%s' % (', '.join(
-            '%s=_defaults[%r]' % (n, n) if n in defaults else n
-            for n in names), ''.join(
-            '    _set_%s(self, %s)\n' % (n, n) for n in names))
+        source = 'def _fill(self, %s):\n    _retype(self, _twin)\n%s' \
+            '    self.__class__ = _cls\n' % (', '.join(
+                '%s=_defaults[%r]' % (n, n) if n in defaults else n
+                for n in cls.__slots__), ''.join(
+                '    self.%s = %s\n' % (n, n) for n in cls.__slots__))
         # its own file name keeps each class's filler apart in a profile
         exec(compile(source, '<%s._fill>' % cls.__qualname__, 'exec'), scope)
         cls._fill = fill = scope['_fill']

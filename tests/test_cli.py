@@ -964,6 +964,24 @@ def test_a_rebuild_rewrites_only_what_changed(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == names
 
 
+def test_each_output_is_known_by_the_file_it_ends_as(tmp_path, monkeypatch):
+    # an output joins ``written`` under the identity of its renamed temp,
+    # or of the old file where that one is kept
+    batches = []
+    real_compile = cli._compile_input
+
+    def compiling(path, *rest):
+        batches.append(rest[-1])   # ``written``, filled as the batch goes
+        return real_compile(path, *rest)
+    monkeypatch.setattr(cli, '_compile_input', compiling)
+    source = write(tmp_path, 'multi.dxy', SQUARE + '\\to^{\u00e9}\n')
+    out = tmp_path / 'out'
+    for _ in range(2):   # every output new, then one of four rewritten
+        assert main(['-o', str(out), str(source)]) == 0
+        assert batches[-1] == {(p.stat().st_dev, p.stat().st_ino):
+                               str(source) for p in out.iterdir()}
+        (out / 'multi.2.svg').write_bytes(b'short')
+
 
 def test_an_unchanged_rebuild_makes_no_file(tmp_path, monkeypatch, capsys):
     # where no file can be made, as in a directory that is read-only or

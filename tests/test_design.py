@@ -113,14 +113,16 @@ def test_memo_is_the_only_class_that_fills_missing_keys():
 
 
 def record_classes():
-    """Every ``model.Record`` subclass the package defines."""
+    """Every ``model.Record`` subclass the package defines, its filler's
+    twins left out."""
     found, todo = [], [model.Record]
     while todo:
         subclasses = todo.pop().__subclasses__()
         found += subclasses
         todo += subclasses
     return sorted((cls for cls in found
-                   if cls.__module__.startswith('diagramc.')),
+                   if cls.__module__.startswith('diagramc.')
+                   and cls._twin is not cls),
                   key=lambda cls: (cls.__module__, cls.__qualname__))
 
 
@@ -153,6 +155,20 @@ def test_every_record_fills_its_slots_through_one_filler(cls):
     last = init.body[-1]
     assert len(calls) == 1
     assert isinstance(last, ast.Expr) and last.value is calls[0]
+
+
+@pytest.mark.parametrize('cls', record_classes(),
+                         ids=lambda cls: cls.__qualname__)
+def test_every_record_has_one_twin_of_its_own_layout(cls):
+    # the filler's twin stores as object does, and adds no slot and no
+    # __dict__, so a record can take its class and give it back
+    twin, = cls.__subclasses__()
+    assert cls._twin is twin._twin is twin
+    assert twin.__dict__['__slots__'] == ()
+    assert twin.__dict__['__setattr__'] is object.__setattr__
+    assert twin.__dict__['__delattr__'] is object.__delattr__
+    assert (twin.__basicsize__, twin.__dictoffset__, twin.__weakrefoffset__) \
+        == (cls.__basicsize__, 0, 0)
 
 
 def test_a_wrong_call_names_the_record():

@@ -91,6 +91,54 @@ def test_other_interpreters_write_the_goldens(tmp_path, version):
     check_corpus_run(found, tmp_path)
 
 
+# every record of a compiled corpus, alive at once, is of its own class,
+# never of its filler's twin; none can be changed, and each copies and
+# pickles back equal.  The twin rests on CPython's rules for __class__
+# assignment and slot layouts, which differ between versions.
+RECORD_CHECK = """
+import copy, gc, pickle, sys
+from pathlib import Path
+from diagramc import Lowerer, MetricsTable, RenderConfig, parse_document
+from diagramc.model import Record
+from diagramc.svg import resolve_scene
+
+def refused(change, *args):
+    try:
+        change(*args)
+    except AttributeError:
+        return True
+    return False
+
+metrics, cfg, held = MetricsTable.builtin(), RenderConfig(em_pt=12.0), []
+for path in sorted(Path(sys.argv[1]).glob('*.dxy')):
+    statements = parse_document(path.read_text(encoding='utf-8'), str(path))
+    units = Lowerer(metrics, cfg).lower_document(statements)
+    held += [statements, [resolve_scene(u, metrics, cfg) for u in units]]
+seen = set()
+for record in gc.get_objects():
+    if isinstance(record, Record):
+        cls, name = type(record), record.__slots__[0]
+        seen.add(cls)
+        for made in (record, copy.copy(record), copy.deepcopy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert type(made) is cls is not cls._twin and made == record
+            assert refused(setattr, made, name, None), cls
+            assert refused(delattr, made, name), cls
+assert seen == set(Record.__subclasses__()), seen
+"""
+
+
+@pytest.mark.parametrize('version', ['3.10', '3.12', '3.13'])
+def test_other_interpreters_keep_every_record_whole(version):
+    found = working_python(version)
+    if found is None:
+        pytest.skip('no working python%s on PATH or under pyenv' % version)
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / 'src'))
+    result = subprocess.run([found, '-c', RECORD_CHECK, str(CORPUS_DIR)],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 # ---- no memo outlives its unit ---------------------------------------------
 
 def _unit_outputs(path, metrics, cfg):

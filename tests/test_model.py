@@ -1,4 +1,5 @@
 import copy
+import inspect
 import math
 import pickle
 from types import MappingProxyType
@@ -271,6 +272,29 @@ def test_a_record_copies_and_pickles_whole(cls):
         assert type(twin) is cls and twin == record
         assert [getattr(twin, name) for name in fields(cls)] == \
             list(SAMPLES[cls])
+
+
+@pytest.mark.parametrize('cls', RECORDS, ids=lambda cls: cls.__name__)
+def test_no_way_of_building_a_record_leaves_it_its_twin(cls, tmp_path):
+    # the filler lends each record its class's twin while it stores
+    named = dict(zip(fields(cls), SAMPLES[cls]))
+    required = [p.name for p in inspect.signature(cls).parameters.values()
+                if p.default is p.empty]
+    record = cls(*SAMPLES[cls])
+    built = [record, cls(**named), cls(**{n: named[n] for n in required}),
+             copy.copy(record), copy.deepcopy(record),
+             pickle.loads(pickle.dumps(record))]
+    if cls is MetricsTable:
+        path = tmp_path / 'a.metrics'
+        path.write_text('A 600\nfallback 400\n', encoding='utf-8')
+        built += [MetricsTable.builtin(), MetricsTable.from_file(str(path))]
+    for made in built:
+        assert type(made) is cls
+        for name in (cls.__slots__[0], 'other'):
+            with pytest.raises(AttributeError):
+                setattr(made, name, None)
+            with pytest.raises(AttributeError):
+                delattr(made, name)
 
 
 def test_statements_that_differ_only_in_loc_compare_equal():
