@@ -5,9 +5,15 @@ writes for ``tests/corpus/`` under the default options.  Any change to
 either emitter, to layout arithmetic or to output naming shows up here
 as a differing file or a differing set of names.
 
+``tests/decorations/`` holds one more source beside its outputs: every
+name of the arrow spec table, plain, with each mid mark and with an
+offset, through every placement letter, then a loop and every inline
+constructor.  The corpus draws only some of these decorations.
+
 To refresh the pins after an intended output change, run
-``python -m diagramc -o tests/golden tests/corpus/*.dxy`` from the
-repository root and review the diff.
+``python -m diagramc -o tests/golden tests/corpus/*.dxy`` and
+``python -m diagramc -o tests/decorations tests/decorations/*.dxy``
+from the repository root and review the diff.
 """
 
 import os
@@ -26,18 +32,40 @@ from diagramc.cli import main
 HERE = Path(__file__).parent
 CORPUS_DIR = HERE / 'corpus'
 GOLDEN_DIR = HERE / 'golden'
+DECORATION_DIR = HERE / 'decorations'
+
+
+def pinned_outputs():
+    """{name: bytes} of every pinned output, corpus and decorations."""
+    return {p.name: p.read_bytes()
+            for p in [*GOLDEN_DIR.iterdir(), *DECORATION_DIR.iterdir()]
+            if p.suffix != '.dxy'}
+
+
+def pinned_sources():
+    return sorted(str(p) for p in [*CORPUS_DIR.glob('*.dxy'),
+                                   *DECORATION_DIR.glob('*.dxy')])
+
+
+def check_pins(sources, pins, out):
+    """The CLI writes into ``out``, for ``sources``, the files of ``pins``
+    other than sources, byte for byte."""
+    sources = sorted(str(p) for p in sources.glob('*.dxy'))
+    assert main(['-o', str(out)] + sources) == 0
+    written = sorted(p.name for p in out.iterdir())
+    pinned = sorted(p.name for p in pins.iterdir() if p.suffix != '.dxy')
+    assert written == pinned
+    differing = [name for name in pinned
+                 if (out / name).read_bytes() != (pins / name).read_bytes()]
+    assert differing == []
 
 
 def test_corpus_outputs_match_goldens(tmp_path):
-    sources = sorted(str(p) for p in CORPUS_DIR.glob('*.dxy'))
-    assert main(['-o', str(tmp_path)] + sources) == 0
-    written = sorted(p.name for p in tmp_path.iterdir())
-    pinned = sorted(p.name for p in GOLDEN_DIR.iterdir())
-    assert written == pinned
-    differing = [name for name in pinned
-                 if (tmp_path / name).read_bytes()
-                 != (GOLDEN_DIR / name).read_bytes()]
-    assert differing == []
+    check_pins(CORPUS_DIR, GOLDEN_DIR, tmp_path)
+
+
+def test_every_arrow_decoration_matches_its_pin(tmp_path):
+    check_pins(DECORATION_DIR, DECORATION_DIR, tmp_path)
 
 
 def working_python(version):
@@ -57,11 +85,12 @@ def working_python(version):
 
 
 def check_corpus_run(python, out):
-    """Compile the corpus into ``out`` under ``python`` in development
-    mode with every warning an error, which shows the ResourceWarnings and
-    DeprecationWarnings an in-process test lets pass: the run writes the
-    goldens, and its stderr is only the corpus's glyph warnings."""
-    sources = sorted(str(p) for p in CORPUS_DIR.glob('*.dxy'))
+    """Compile the corpus and the decoration source into ``out`` under
+    ``python`` in development mode with every warning an error, which
+    shows the ResourceWarnings and DeprecationWarnings an in-process test
+    lets pass: the run writes the pins, and its stderr is only the
+    corpus's glyph warnings."""
+    sources = pinned_sources()
     env = dict(os.environ, PYTHONPATH=str(HERE.parent / 'src'))
     result = subprocess.run(
         [python, '-X', 'dev', '-W', 'error', '-m', 'diagramc', '-o',
@@ -72,8 +101,7 @@ def check_corpus_run(python, out):
     assert all(re.fullmatch(r'\S+\.dxy: warning: no metrics for .+; using '
                             r'the fallback advance', line)
                for line in lines), result.stderr
-    assert ({p.name: p.read_bytes() for p in out.iterdir()}
-            == {p.name: p.read_bytes() for p in GOLDEN_DIR.iterdir()})
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == pinned_outputs()
 
 
 def test_the_cli_warns_of_nothing_but_glyphs(tmp_path):
