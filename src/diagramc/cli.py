@@ -217,9 +217,9 @@ def _compile_input(path: str, args: argparse.Namespace,
     """
     try:
         with open(path, 'rb') as handle:
-            text = decode_source(handle.read(), path)
-        units = Lowerer(metrics, cfg).lower_document(
-            parse_document(text, filename=path))
+            # the source and its statements are freed once used
+            units = Lowerer(metrics, cfg).lower_document(parse_document(
+                decode_source(handle.read(), path), filename=path))
         unknown = _scan_glyphs(units, metrics)
     except Exception as exc:   # one bad file never stops the batch
         return _failure(path, exc), 0

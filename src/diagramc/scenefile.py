@@ -5,7 +5,9 @@ two-space indentation, and a trailing newline, so recompiling an
 unchanged source yields byte-identical files.  Coordinates stay in
 integer logical units; nothing here depends on the render configuration.
 The text is made a record at a time and handed to a ``write`` as one
-iterator.  Per unit, one table holds the text of each arrow style object,
+iterator, each record one fill of its format string.  Each unit's memo
+of texts starts as a copy of a table made at import for the fixed words.
+Per unit, one table holds the text of each arrow style object,
 made at its first arrow: a figure's arrows share a few styles, one per
 spec text.  It is keyed by ``id``, as the scene holds each style for the
 whole call.  So a miss hashes no record in Python, and a ``-0.0`` offset
@@ -16,8 +18,9 @@ from __future__ import annotations
 
 from functools import partial
 
-from .model import (ArrowInstance, ArrowStyle, InlineFragment, Memo,
-                    NodeInstance, Scene)
+from .arrows import _NAMES, COMPASS
+from .model import (RULE_LETTERS, ArrowInstance, ArrowStyle, InlineFragment,
+                    Memo, NodeInstance, Scene)
 
 __all__ = ['dump_scene']
 
@@ -27,9 +30,10 @@ __all__ = ['dump_scene']
 # The bytes are those of json.dumps(data, indent=2, ensure_ascii=False)
 # plus a newline, where data holds each record as a dict of its fields in
 # the key order below, but no dict is built: each record shape is one
-# format string, and each slot is filled by the formatter of its field's
-# type.  Lattice coordinates are ints, written by %d; flags are bools;
-# texts are str or None, encoded by _leaf once per scene through a Memo;
+# format string, its points pasted in, and each slot is filled by the
+# formatter of its field's type.  Lattice coordinates are ints, written by
+# %d; flags are bools; texts are str or None, encoded by _leaf once per
+# scene through a Memo, or once at import for the fixed words;
 # the float fields go through _leaf each time, since -0.0 == 0.0 would
 # share one key.
 
@@ -41,12 +45,16 @@ _ESCAPES = str.maketrans({**{chr(c): '\\u%04x' % c for c in range(0x20)},
                           '\n': '\\n', '\r': '\\r', '\t': '\\t'})
 _STYLE_KEYS = 'tail shaft head mid parallel_offset_pt reversed'
 _BOOL = ('false', 'true')   # indexed by a bool
+_POINTS = ('pos', 'from', 'to', 'end')   # the keys of lattice points
 
 
 def _template(keys: str, depth: int, slot: str = '%s') -> str:
-    """Format string of an object at nesting ``depth``, one slot per key."""
+    """Format string of an object at nesting ``depth``, one slot per key;
+    a lattice point is pasted in, with a %d slot for each of x and y."""
     pad = '\n' + '  ' * (depth + 1)
-    body = ','.join('%s"%s": %s' % (pad, key, slot) for key in keys.split())
+    body = ','.join('%s"%s": %s' % (
+        pad, key, _template('x y', depth + 1, '%d') if key in _POINTS
+        else slot) for key in keys.split())
     return '{%s\n%s}' % (body, '  ' * depth)
 
 
@@ -58,7 +66,6 @@ _ARROW = '%s' + _template('from to style label label_rule source_extent '
 _FRAGMENT = '%s' + _template('kind end unit_scale tip_scale raise_pt arrows',
                              2)
 _PART = _template('style sup sub mid', 4)
-_POINT = _template('x y', 3, '%d')
 _ARROW_STYLE = _template(_STYLE_KEYS, 3)
 _PART_STYLE = _template(_STYLE_KEYS, 5)
 
@@ -89,6 +96,13 @@ def _leaf(value) -> str:
                     % type(value).__name__)
 
 
+# the text of each fixed word a record can hold (a style's parts, compass
+# directions, label rules, anchors, None); read only, copied per unit
+_WORDS = {word: _leaf(word) for word in (
+    *(word for name in _NAMES.values() for word in name[:3]), *COMPASS,
+    *RULE_LETTERS, 'none', 'tick', 'cross', 'center', None)}
+
+
 def _list(items: list[str], depth: int) -> str:
     if not items:
         return '[]'
@@ -105,7 +119,7 @@ def _style_text(style: ArrowStyle, template: str, strings: Memo) -> str:
 
 def _node_text(lead: str, node: NodeInstance, strings: Memo) -> str:
     pos = node.pos
-    return _NODE % (lead, _POINT % (pos.x, pos.y), strings[node.text],
+    return _NODE % (lead, pos.x, pos.y, strings[node.text],
                     strings[node.anchor], _BOOL[node.phantom])
 
 
@@ -116,7 +130,7 @@ def _arrow_text(styles: dict[int, str], lead: str, arrow: ArrowInstance,
     if text is None:
         text = styles[id(style)] = _style_text(style, _ARROW_STYLE, strings)
     return _ARROW % (
-        lead, _POINT % (src.x, src.y), _POINT % (dst.x, dst.y), text,
+        lead, src.x, src.y, dst.x, dst.y, text,
         strings[arrow.label], strings[arrow.label_rule],
         strings[arrow.src_text], strings[arrow.dst_text],
         strings[arrow.loop_out], strings[arrow.loop_in])
@@ -130,7 +144,7 @@ def _fragment_text(lead: str, fragment: InlineFragment,
              for part in fragment.parts]
     end = fragment.end
     return _FRAGMENT % (
-        lead, strings[fragment.kind], _POINT % (end.x, end.y),
+        lead, strings[fragment.kind], end.x, end.y,
         _leaf(fragment.unit_scale), _leaf(fragment.tip_scale),
         _leaf(fragment.raise_pt), _list(parts, 3))
 
@@ -139,6 +153,7 @@ def _pieces(scene: Scene):
     """The canonical JSON text of ``scene``, a record at a time, each
     after the comma that parts it from the one before."""
     strings = Memo(_leaf)
+    strings.update(_WORDS)
     styles: dict[int, str] = {}
     for head, text, records in zip(_DOC, (_node_text,
                                           partial(_arrow_text, styles),

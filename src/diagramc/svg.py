@@ -14,9 +14,11 @@ each node text) and handed to a ``write`` as one iterator.  Each element
 is a line, with two spaces of indentation a level; a group without
 content closes itself, and a text element always has some.  These are
 the bytes ElementTree's ``indent`` and ``tostring`` gave for the same
-tree, and ``tests/golden/`` pins them.  Per unit, the fixed part of each
-node and label ``<text>`` element (its class and font size) and the lift
-of a label's baseline are made once.
+tree, and ``tests/golden/`` and ``tests/decorations/`` pin them.  One
+writer per arrow fills the templates of its elements, made at import
+with class, dash and paint in place.  Per unit, the fixed part of each
+node and label ``<text>`` element (class and font size) and the lift of
+a label's baseline are made once.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from .layout import (Point, ResolvedArrow, ResolvedScene, _at, _unit,
+from .layout import (ResolvedArrow, ResolvedScene, _at, _unit,
                      resolve_scene)
 from .metrics import MetricsTable
 from .model import Memo, RenderConfig, Scene
@@ -68,28 +70,6 @@ def _escape(text: str) -> str:
 # a text element, its class and size to fill first, then x, y and text
 _TEXT = ('<text class="%s" x="%%s" y="%%s" text-anchor="middle" '
          'font-size="%s">%%s</text>')
-
-
-# Each element writer returns one element line, unindented; the group
-# around it supplies the indentation.  y flips on the way in.
-
-def _line(fmt: Format, cls: str, a: Point, b: Point, dash: str = '') -> str:
-    return ('<line class="%s" x1="%s" y1="%s" x2="%s" y2="%s"%s%s />'
-            % (cls, fmt(a[0]), fmt(-a[1]), fmt(b[0]), fmt(-b[1]),
-               _STROKED, dash))
-
-
-def _path(cls: str, d: str, filled: bool = False, dash: str = '') -> str:
-    paint = ' fill="#000"' if filled else _STROKED + dash
-    return '<path class="%s" d="%s"%s />' % (cls, d, paint)
-
-
-def _rect(fmt: Format, cls: str, box: tuple[float, float, float, float],
-          fill: str) -> str:
-    min_x, min_y, max_x, max_y = box
-    return ('<rect class="%s" x="%s" y="%s" width="%s" height="%s" '
-            'fill="%s" />' % (cls, fmt(min_x), fmt(-max_y),
-                              fmt(max_x - min_x), fmt(max_y - min_y), fill))
 
 
 def render(scene: Scene, metrics: MetricsTable | None = None,
@@ -197,137 +177,139 @@ def _bounds(resolved: ResolvedScene
 
 # ---- arrows -----------------------------------------------------------
 
+# Each element of an arrow as a template, its class, dash and paint
+# filled in, with one slot for each number; ``_arrow`` fills them.
+_LINE = '<line class="%s" x1="%%s" y1="%%s" x2="%%s" y2="%%s"%s />'
+_PATH = '<path class="%s" d="%s"%s />'
+# each drawn shaft: its straight line, and its curve when it is a loop
+_SHAFT = {shaft: (_LINE % ('shaft', _STROKED + dash),
+                  _PATH % ('shaft', 'M %s %s C %s %s, %s %s, %s %s',
+                           _STROKED + dash))
+          for shaft, dash in (('solid', ''), *_DASH.items())}
+_HEAD = _PATH % ('head', 'M %s %s L %s %s L %s %s L %s %s Z', ' fill="#000"')
+_BAR = _LINE % ('tail', _STROKED)
+_MONO = _PATH % ('tail', 'M %s %s L %s %s L %s %s', _STROKED)
+_HOOK_UP, _HOOK_DOWN = (_PATH % ('tail', 'M %%s %%s A %%s %%s 0 0 %s %%s %%s'
+                                 % sweep, _STROKED) for sweep in '10')
+_MID = _LINE % ('mid', _STROKED)
+_BACKING = ('<rect class="backing" x="%s" y="%s" width="%s" height="%s" '
+            'fill="#fff" />')
+
 
 def _arrow(fmt: Format, arrow: ResolvedArrow, label_text: str,
            lift: float) -> str:
     """One ``<g class="arrow">`` block: shaft, tips, mid mark, labels;
-    each label fills ``label_text``, its baseline ``lift`` under its top."""
+    each label fills ``label_text``, its baseline ``lift`` under its top.
+    Each element is one line, unindented, and y flips on the way in."""
     g: list[str] = []
     style = arrow.style
-    start, end = arrow.start, arrow.end
-    if arrow.is_loop:
-        c1, c2 = arrow.controls
-        u_start = _unit(start, c1)
-        u_end = _unit(c2, end)
-    else:
+    shaft, head, tail, mid = style.shaft, style.head, style.tail, style.mid
+    start, end, controls = arrow.start, arrow.end, arrow.controls
+    scale = arrow.tip_scale
+    sx, sy, ex, ey = fmt(start[0]), fmt(-start[1]), fmt(end[0]), fmt(-end[1])
+    if controls is None:
         u_start = u_end = _unit(start, end)
+    else:
+        c1, c2 = controls
+        u_start, u_end = _unit(start, c1), _unit(c2, end)
     # decoration ends: the head family draws where the style points,
     # which is the start for reversed specs
     if style.reversed:
-        head_pos, head_out = start, (-u_start[0], -u_start[1])
-        tail_pos, tail_in = end, (-u_end[0], -u_end[1])
+        head_at, head_x, head_y = start, sx, sy
+        head_out = (-u_start[0], -u_start[1])
+        tail_at, tail_x, tail_y = end, ex, ey
+        tail_in = (-u_end[0], -u_end[1])
     else:
-        head_pos, head_out = end, u_end
-        tail_pos, tail_in = start, u_start
-    tip = _TIP_LEN * arrow.tip_scale
-    shaft_start, shaft_end = start, end
-    if not arrow.is_loop and style.tail in ('mono', 'hook_up', 'hook_down'):
-        # open tail glyphs own the first tip length of the shaft
-        if style.reversed:
-            shaft_end = _at(end, u_end, -tip)
+        head_at, head_x, head_y, head_out = end, ex, ey, u_end
+        tail_at, tail_x, tail_y, tail_in = start, sx, sy, u_start
+    if shaft != 'invisible':
+        line, curve = _SHAFT.get(shaft, _SHAFT['solid'])
+        if controls is not None:
+            g.append(curve % (sx, sy, fmt(c1[0]), fmt(-c1[1]), fmt(c2[0]),
+                              fmt(-c2[1]), ex, ey))
         else:
-            shaft_start = _at(start, u_start, tip)
-    _emit_shaft(fmt, g, arrow, style.shaft, shaft_start, shaft_end)
-    if style.head != 'none':
-        _emit_head(fmt, g, style.head, head_pos, head_out, arrow.tip_scale)
-    if style.tail != 'none':
-        _emit_tail(fmt, g, style.tail, tail_pos, tail_in, arrow.tip_scale)
-    if style.mid != 'none' and not arrow.is_loop:
-        _emit_mid(fmt, g, style.mid, start, end, u_start)
+            a, b, ax, ay, bx, by = start, end, sx, sy, ex, ey
+            # open tail glyphs own the first tip length of the shaft
+            if tail in ('mono', 'hook_up', 'hook_down'):
+                if style.reversed:
+                    b = _at(end, u_end, -_TIP_LEN * scale)
+                    bx, by = fmt(b[0]), fmt(-b[1])
+                else:
+                    a = _at(start, u_start, _TIP_LEN * scale)
+                    ax, ay = fmt(a[0]), fmt(-a[1])
+            if shaft == 'double':
+                u = _unit(a, b)
+                nx, ny = -u[1], u[0]
+                for side in (_DOUBLE_GAP, -_DOUBLE_GAP):
+                    g.append(line % (
+                        fmt(a[0] + nx * side), fmt(-(a[1] + ny * side)),
+                        fmt(b[0] + nx * side), fmt(-(b[1] + ny * side))))
+            else:
+                g.append(line % (ax, ay, bx, by))
+    if head != 'none':
+        # a filled chevron with its point at the head, opening against
+        # head_out; a double head draws a second one further back
+        nx, ny = -head_out[1], head_out[0]
+        half = _TIP_HALF * scale
+        back = _at(head_at, head_out, -_TIP_LEN * scale)
+        notch = _at(head_at, head_out, -_TIP_LEN * 0.6 * scale)
+        g.append(_HEAD % (
+            head_x, head_y, fmt(back[0] + nx * half),
+            fmt(-(back[1] + ny * half)), fmt(notch[0]), fmt(-notch[1]),
+            fmt(back[0] - nx * half), fmt(-(back[1] - ny * half))))
+        if head == 'double_head':
+            p = _at(head_at, head_out, -_HEAD_GAP * scale)
+            back = _at(p, head_out, -_TIP_LEN * scale)
+            notch = _at(p, head_out, -_TIP_LEN * 0.6 * scale)
+            g.append(_HEAD % (
+                fmt(p[0]), fmt(-p[1]), fmt(back[0] + nx * half),
+                fmt(-(back[1] + ny * half)), fmt(notch[0]), fmt(-notch[1]),
+                fmt(back[0] - nx * half), fmt(-(back[1] - ny * half))))
+    if tail != 'none':
+        x, y = tail_at
+        nx, ny = -tail_in[1], tail_in[0]
+        if tail == 'bar':
+            g.append(_BAR % (
+                fmt(x + nx * _BAR_HALF), fmt(-(y + ny * _BAR_HALF)),
+                fmt(x - nx * _BAR_HALF), fmt(-(y - ny * _BAR_HALF))))
+        elif tail == 'mono':
+            half = _TIP_HALF * scale
+            vertex = _at(tail_at, tail_in, _TIP_LEN * scale)
+            g.append(_MONO % (
+                fmt(x + nx * half), fmt(-(y + ny * half)), fmt(vertex[0]),
+                fmt(-vertex[1]), fmt(x - nx * half), fmt(-(y - ny * half))))
+        else:
+            # hooks: a half circle between the boundary point and a point
+            # one diameter along the shaft, bulging to one side
+            far = _at(tail_at, tail_in, 2.0 * _HOOK_R * scale)
+            r = fmt(_HOOK_R * scale)
+            g.append((_HOOK_UP if tail == 'hook_up' else _HOOK_DOWN) % (
+                tail_x, tail_y, r, r, fmt(far[0]), fmt(-far[1])))
+    if mid != 'none' and controls is None:
+        cx = (start[0] + end[0]) / 2.0
+        cy = (start[1] + end[1]) / 2.0
+        ux, uy = u_start
+        nx, ny = -uy, ux
+        if mid == 'tick':
+            strokes = ((nx * _BAR_HALF, ny * _BAR_HALF),)
+        else:
+            # a cross: two ticks 45 degrees either side of the normal
+            strokes = []
+            for dx, dy in ((nx + ux, ny + uy), (nx - ux, ny - uy)):
+                length = math.hypot(dx, dy)
+                strokes.append((dx / length * _BAR_HALF,
+                                dy / length * _BAR_HALF))
+        for vx, vy in strokes:
+            g.append(_MID % (fmt(cx + vx), fmt(-(cy + vy)), fmt(cx - vx),
+                             fmt(-(cy - vy))))
     for label in arrow.labels:
         if label.backing is not None:
-            g.append(_rect(fmt, 'backing', label.backing, '#fff'))
+            min_x, min_y, max_x, max_y = label.backing
+            g.append(_BACKING % (fmt(min_x), fmt(-max_y), fmt(max_x - min_x),
+                                 fmt(max_y - min_y)))
         baseline = label.y + label.height / 2.0 - lift
         g.append(label_text % (fmt(label.x), fmt(-baseline),
                                _escape(label.text)))
     if not g:
         return '    <g class="arrow" />\n'
     return '    <g class="arrow">\n      %s\n    </g>\n' % '\n      '.join(g)
-
-
-def _emit_shaft(fmt: Format, g: list[str], arrow: ResolvedArrow, shaft: str,
-                a: Point, b: Point) -> None:
-    if shaft == 'invisible':
-        return
-    if arrow.is_loop:
-        c1, c2 = arrow.controls
-        d = 'M %s %s C %s %s, %s %s, %s %s' % (
-            fmt(a[0]), fmt(-a[1]), fmt(c1[0]), fmt(-c1[1]),
-            fmt(c2[0]), fmt(-c2[1]), fmt(b[0]), fmt(-b[1]))
-        g.append(_path('shaft', d, dash=_DASH.get(shaft, '')))
-        return
-    if shaft == 'double':
-        u = _unit(a, b)
-        nx, ny = -u[1], u[0]
-        for side in (_DOUBLE_GAP, -_DOUBLE_GAP):
-            g.append(_line(fmt, 'shaft',
-                           (a[0] + nx * side, a[1] + ny * side),
-                           (b[0] + nx * side, b[1] + ny * side)))
-        return
-    g.append(_line(fmt, 'shaft', a, b, dash=_DASH.get(shaft, '')))
-
-
-def _chevron(fmt: Format, p: Point, out: Point, scale: float) -> str:
-    """Filled chevron with its point at p, opening against ``out``."""
-    nx, ny = -out[1], out[0]
-    back = _at(p, out, -_TIP_LEN * scale)
-    notch = _at(p, out, -_TIP_LEN * 0.6 * scale)
-    half = _TIP_HALF * scale
-    b1 = (back[0] + nx * half, back[1] + ny * half)
-    b2 = (back[0] - nx * half, back[1] - ny * half)
-    return 'M %s %s L %s %s L %s %s L %s %s Z' % (
-        fmt(p[0]), fmt(-p[1]), fmt(b1[0]), fmt(-b1[1]),
-        fmt(notch[0]), fmt(-notch[1]), fmt(b2[0]), fmt(-b2[1]))
-
-
-def _emit_head(fmt: Format, g: list[str], head: str, p: Point, out: Point,
-               scale: float) -> None:
-    g.append(_path('head', _chevron(fmt, p, out, scale), filled=True))
-    if head == 'double_head':
-        g.append(_path('head', _chevron(fmt, _at(p, out, -_HEAD_GAP * scale),
-                                        out, scale), filled=True))
-
-
-def _emit_tail(fmt: Format, g: list[str], tail: str, p: Point, inward: Point,
-               scale: float) -> None:
-    nx, ny = -inward[1], inward[0]
-    half = _TIP_HALF * scale
-    if tail == 'bar':
-        g.append(_line(fmt, 'tail',
-                       (p[0] + nx * _BAR_HALF, p[1] + ny * _BAR_HALF),
-                       (p[0] - nx * _BAR_HALF, p[1] - ny * _BAR_HALF)))
-        return
-    if tail == 'mono':
-        vertex = _at(p, inward, _TIP_LEN * scale)
-        b1 = (p[0] + nx * half, p[1] + ny * half)
-        b2 = (p[0] - nx * half, p[1] - ny * half)
-        d = 'M %s %s L %s %s L %s %s' % (
-            fmt(b1[0]), fmt(-b1[1]), fmt(vertex[0]), fmt(-vertex[1]),
-            fmt(b2[0]), fmt(-b2[1]))
-        g.append(_path('tail', d))
-        return
-    # hooks: a half circle between the boundary point and a point one
-    # diameter along the shaft, bulging to one side
-    far = _at(p, inward, 2.0 * _HOOK_R * scale)
-    sweep = '1' if tail == 'hook_up' else '0'
-    d = 'M %s %s A %s %s 0 0 %s %s %s' % (
-        fmt(p[0]), fmt(-p[1]), fmt(_HOOK_R * scale),
-        fmt(_HOOK_R * scale), sweep, fmt(far[0]), fmt(-far[1]))
-    g.append(_path('tail', d))
-
-
-def _emit_mid(fmt: Format, g: list[str], mid: str, start: Point, end: Point,
-              u: Point) -> None:
-    cx = (start[0] + end[0]) / 2.0
-    cy = (start[1] + end[1]) / 2.0
-    nx, ny = -u[1], u[0]
-    if mid == 'tick':
-        g.append(_line(fmt, 'mid', (cx + nx * _BAR_HALF, cy + ny * _BAR_HALF),
-                       (cx - nx * _BAR_HALF, cy - ny * _BAR_HALF)))
-        return
-    # cross: two ticks at 45 degrees either side of the perpendicular
-    for sx, sy in ((nx + u[0], ny + u[1]), (nx - u[0], ny - u[1])):
-        length = math.hypot(sx, sy)
-        vx, vy = sx / length * _BAR_HALF, sy / length * _BAR_HALF
-        g.append(_line(fmt, 'mid', (cx + vx, cy + vy), (cx - vx, cy - vy)))
-

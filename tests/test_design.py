@@ -491,6 +491,17 @@ def test_each_job_is_done_in_one_place():
                and {'_unit', '_at'} <= {alias.name for alias in node.names}
                for node in svg_nodes)
     assert not hasattr(layout, '_offset')
+    # one writer per arrow fills each element's template itself
+    assert not {'_line', '_path', '_rect', '_chevron', '_emit_shaft',
+                '_emit_head', '_emit_tail', '_emit_mid'} & set(vars(svg))
+    # each scene record is one fill, its points pasted into its template
+    assert not hasattr(scenefile, '_POINT')
+    for writer in (scenefile._node_text, scenefile._arrow_text,
+                   scenefile._fragment_text):
+        assert {node.left.id for node in _nodes_of(writer)
+                if isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Mod)} <= {
+            '_NODE', '_ARROW', '_FRAGMENT', '_PART'}, writer
 
     def hypots(nodes):
         return sum(isinstance(node, ast.Attribute) and node.attr == 'hypot'
@@ -667,6 +678,32 @@ def test_no_resolved_arrow_of_an_earlier_unit_is_alive_at_its_scene(
     assert cli.main(['--format', 'both', '-o', str(tmp_path / 'out'),
                      str(source)]) == 0
     assert alive == [[], []]
+
+
+def test_the_source_is_freed_before_the_first_write(tmp_path, monkeypatch):
+    # the decoded text of an input is let go once it is parsed, not held
+    # through the writes of its units
+    freed = []
+
+    class Source(str):
+        def __del__(self):
+            freed.append(self[:6])
+
+    real_decode, real_dump = cli.decode_source, cli.dump_scene
+    at_dump = []
+
+    def dump(*args):
+        at_dump.append(list(freed))
+        return real_dump(*args)
+
+    monkeypatch.setattr(cli, 'decode_source',
+                        lambda data, name: Source(real_decode(data, name)))
+    monkeypatch.setattr(cli, 'dump_scene', dump)
+    source = tmp_path / 'two.dxy'
+    source.write_text('\\bfig\\square[A`B`C`D;f`g`h`k]\\efig\n' * 2,
+                      encoding='utf-8')
+    assert cli.main(['-o', str(tmp_path / 'out'), str(source)]) == 0
+    assert at_dump == [['\\bfig\\'], ['\\bfig\\']]
 
 
 # ---- memo lifetime -----------------------------------------------------------

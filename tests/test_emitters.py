@@ -9,14 +9,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diagramc import compile_source, dump_scene
-from diagramc import scenefile
+from diagramc import arrows, scenefile
 from diagramc import svg as svg_module
 from diagramc.errors import DiagnosticError
 from diagramc.layout import resolve_scene
 from diagramc.metrics import MetricsTable
 from diagramc.model import (ArrowInstance, ArrowStyle, InlineArrowPart,
                             InlineFragment, LogicalPoint, Memo, NodeInstance,
-                            RenderConfig, Scene)
+                            RULE_LETTERS, RenderConfig, Scene)
 from diagramc.svg import render
 from scene_oracle import scene_dict
 from test_grammar import SOURCES
@@ -526,6 +526,29 @@ def test_strings_are_quoted_as_json_dumps_quotes_them():
     for text in (''.join(map(chr, range(0x110000))), 'A\\times "B"\\',
                  'caf\u00e9 \u2192', ''):
         assert scenefile._leaf(text) == json.dumps(text, ensure_ascii=False)
+
+
+def test_every_fixed_word_is_written_as_leaf_writes_it():
+    words = scenefile._WORDS
+    assert all(text == scenefile._leaf(word) for word, text in words.items())
+    # a style's parts, a loop's directions, a label rule, a node's anchor
+    # and a missing text
+    named = {word for name in arrows._NAMES.values() for word in name[:3]}
+    assert named | set(arrows.COMPASS) | set(RULE_LETTERS) | {
+        'none', 'tick', 'cross', 'center', None} <= set(words)
+    before = dict(words)
+    # free texts that are fixed words print as any other text, and a
+    # unit's memo never writes to the table it starts from
+    p, q = LogicalPoint(0, 0), LogicalPoint(500, 0)
+    scene = Scene(
+        (NodeInstance(p, 'none'), NodeInstance(q, 'null', 'u')),
+        (ArrowInstance(p, q, ArrowStyle(mid='tick'), 'a', 'm',
+                       src_text='none', dst_text='null', loop_out='ul',
+                       loop_in='dr'),),
+        (InlineFragment('to', q, (
+            InlineArrowPart(ArrowStyle(), 'none', 'null', 'a'),)),))
+    assert dump_scene(scene) == reference_json(scene)
+    assert words == before
 
 
 # ---- memoized formatters ---------------------------------------------------
