@@ -35,18 +35,6 @@ GOLDEN_DIR = HERE / 'golden'
 DECORATION_DIR = HERE / 'decorations'
 
 
-def pinned_outputs():
-    """{name: bytes} of every pinned output, corpus and decorations."""
-    return {p.name: p.read_bytes()
-            for p in [*GOLDEN_DIR.iterdir(), *DECORATION_DIR.iterdir()]
-            if p.suffix != '.dxy'}
-
-
-def pinned_sources():
-    return sorted(str(p) for p in [*CORPUS_DIR.glob('*.dxy'),
-                                   *DECORATION_DIR.glob('*.dxy')])
-
-
 def check_pins(sources, pins, out):
     """The CLI writes into ``out``, for ``sources``, the files of ``pins``
     other than sources, byte for byte."""
@@ -90,7 +78,8 @@ def check_corpus_run(python, out):
     shows the ResourceWarnings and DeprecationWarnings an in-process test
     lets pass: the run writes the pins, and its stderr is only the
     corpus's glyph warnings."""
-    sources = pinned_sources()
+    sources = sorted(str(p) for p in [*CORPUS_DIR.glob('*.dxy'),
+                                      *DECORATION_DIR.glob('*.dxy')])
     env = dict(os.environ, PYTHONPATH=str(HERE.parent / 'src'))
     result = subprocess.run(
         [python, '-X', 'dev', '-W', 'error', '-m', 'diagramc', '-o',
@@ -101,7 +90,10 @@ def check_corpus_run(python, out):
     assert all(re.fullmatch(r'\S+\.dxy: warning: no metrics for .+; using '
                             r'the fallback advance', line)
                for line in lines), result.stderr
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == pinned_outputs()
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+        p.name: p.read_bytes()
+        for p in [*GOLDEN_DIR.iterdir(), *DECORATION_DIR.iterdir()]
+        if p.suffix != '.dxy'}
 
 
 def test_the_cli_warns_of_nothing_but_glyphs(tmp_path):
